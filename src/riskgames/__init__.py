@@ -39,7 +39,6 @@ from .learning import (
     GradientEstimate,
     StepSchedule,
     cvar_gradient_estimate,
-    project_box,
     run_algorithm1,
     run_unbiased_baseline,
     unbiased_cvar_gradient,
@@ -71,7 +70,6 @@ __all__ = [
     "exact_gradient_oracle",
     "fit_rate",
     "monotonicity_probe",
-    "project_box",
     "risk_sums",
     "run_algorithm1",
     "run_unbiased_baseline",

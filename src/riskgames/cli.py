@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -79,8 +80,6 @@ _LEMMA3_T = 1000
 _LEMMA3_REPEATS = 1000
 _LEMMA3_GAMMA_BAR = 0.05
 
-TRIAL_HEADER_BASE = ("t",)
-
 
 class ConfigError(ValueError):
     """Invalid experiment configuration; the message names the field."""
@@ -123,7 +122,12 @@ def _as_int(raw, field: str, minimum: int) -> int:
 
 def _as_float(raw, field: str) -> float:
     _require(isinstance(raw, (int, float)) and not isinstance(raw, bool), f"{field}: expected a number, got {raw!r}")
-    return float(raw)
+    try:
+        value = float(raw)
+    except OverflowError:  # an integer beyond the float range
+        value = math.inf
+    _require(math.isfinite(value), f"{field}: must be finite, got {raw!r}")
+    return value
 
 
 def validate_config(raw: dict) -> ExperimentConfig:

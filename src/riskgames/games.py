@@ -169,6 +169,21 @@ class StochasticGame(ABC):
         """Risk-averse Nash equilibrium for the alpha profile, when unique and known."""
         return None
 
+    def affine_noise(self, agent: int, x: np.ndarray):
+        """Coefficients (c0, s, g0, g1) of a cost affine in scalar noise, when known.
+
+        A game returns them when, at the joint action x, the agent's cost
+        is c0 + s * xi and its gradient g0 + g1 * xi for every scalar draw
+        xi (noise_dim 1). c0 and s are scalars, g0 and g1 scalars or arrays
+        of shape (d_i,). The result must agree with ``cost_batch`` to the
+        last bit: the learning loop reads the empirical VaR as
+        c0 + xi_(k) * s, which equals the k-th smallest replayed cost only
+        when both evaluate the same expression. Where s >= 0 the cost order
+        is the noise order, and the loop estimates from a sorted noise
+        history instead of replaying it. The default, None, keeps the replay.
+        """
+        return None
+
 
 class CournotGame(StochasticGame):
     """Two-firm Cournot market with multiplicative uniform price noise.
@@ -213,6 +228,9 @@ class CournotGame(StochasticGame):
         xi_own = x[agent]
         return 1.0 - (2.0 - (x[0] + x[1])) * xi_own + 0.2 * xi_own
 
+    def _grad_intercept(self, agent: int, x: np.ndarray) -> float:
+        return 2.0 * x[agent] + x[1 - agent] - 1.8
+
     def cost(self, agent: int, x, xi) -> float:
         x = np.asarray(x, dtype=np.float64)
         return self._deterministic_cost(agent, x) + float(np.asarray(xi).ravel()[0]) * x[agent]
@@ -220,7 +238,7 @@ class CournotGame(StochasticGame):
     def grad(self, agent: int, x, xi) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
         noise = float(np.asarray(xi).ravel()[0])
-        return np.array([2.0 * x[agent] + x[1 - agent] - 1.8 + noise])
+        return np.array([self._grad_intercept(agent, x) + noise])
 
     def cost_batch(self, agent: int, x, xi_batch) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
@@ -228,8 +246,11 @@ class CournotGame(StochasticGame):
 
     def grad_batch(self, agent: int, x, xi_batch) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
-        base = 2.0 * x[agent] + x[1 - agent] - 1.8
-        return (base + xi_batch[:, 0])[:, None]
+        return (self._grad_intercept(agent, x) + xi_batch[:, 0])[:, None]
+
+    def affine_noise(self, agent: int, x):
+        x = np.asarray(x, dtype=np.float64)
+        return self._deterministic_cost(agent, x), x[agent], self._grad_intercept(agent, x), 1.0
 
     def exact_var(self, agent: int, x, alpha: float) -> float:
         check_risk_level(alpha)
@@ -323,6 +344,12 @@ class QuadraticCounterexampleGame(StochasticGame):
     def _noise_slope(self, agent: int, x: np.ndarray) -> float:
         return (4.0 * self.a / (3.0 * self.d)) * x[agent] * x[1 - agent]
 
+    def _grad_intercept(self, agent: int, x: np.ndarray) -> float:
+        return 2.0 * self.a * x[agent] + self.a * x[1 - agent] - self.a * self.b
+
+    def _grad_slope(self, agent: int, x: np.ndarray) -> float:
+        return (4.0 * self.a / (3.0 * self.d)) * x[1 - agent]
+
     def cost(self, agent: int, x, xi) -> float:
         x = np.asarray(x, dtype=np.float64)
         noise = float(np.asarray(xi).ravel()[0])
@@ -331,14 +358,7 @@ class QuadraticCounterexampleGame(StochasticGame):
     def grad(self, agent: int, x, xi) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
         noise = float(np.asarray(xi).ravel()[0])
-        own, other = x[agent], x[1 - agent]
-        g = (
-            2.0 * self.a * own
-            + self.a * other
-            - self.a * self.b
-            + (4.0 * self.a / (3.0 * self.d)) * other * noise
-        )
-        return np.array([g])
+        return np.array([self._grad_intercept(agent, x) + self._grad_slope(agent, x) * noise])
 
     def cost_batch(self, agent: int, x, xi_batch) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
@@ -346,10 +366,17 @@ class QuadraticCounterexampleGame(StochasticGame):
 
     def grad_batch(self, agent: int, x, xi_batch) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
-        own, other = x[agent], x[1 - agent]
-        base = 2.0 * self.a * own + self.a * other - self.a * self.b
-        slope = (4.0 * self.a / (3.0 * self.d)) * other
-        return (base + slope * xi_batch[:, 0])[:, None]
+        base = self._grad_intercept(agent, x)
+        return (base + self._grad_slope(agent, x) * xi_batch[:, 0])[:, None]
+
+    def affine_noise(self, agent: int, x):
+        x = np.asarray(x, dtype=np.float64)
+        return (
+            self._deterministic_cost(agent, x),
+            self._noise_slope(agent, x),
+            self._grad_intercept(agent, x),
+            self._grad_slope(agent, x),
+        )
 
     def exact_var(self, agent: int, x, alpha: float) -> float:
         check_risk_level(alpha)

@@ -12,25 +12,44 @@ The exact-VaR baseline runs the identical loop with the estimated
 quantile replaced by the game's closed-form VaR, which removes the only
 source of bias and isolates its effect.
 
-Re-evaluating the whole history costs O(t) per episode, O(T^2) per run.
+Two paths compute the same estimate. When the game reports its cost as
+c0 + s * xi with s >= 0 in a scalar noise (``affine_noise``) and no
+custom VaR estimator is set, the cost order is the noise order. Each
+agent then keeps its draws in a sorted buffer (a binary search and one
+shift per insert or eviction). The empirical VaR is c0 + s * xi_(k),
+the k-th smallest draw, and the tail gradient is
+(count * g0 + g1 * sum of the tail draws) / (t * alpha), read from the
+buffer's upper slice. Every other case (generic games, the binned EDF)
+replays the history: ``cvar_gradient_estimate`` and
+``unbiased_cvar_gradient`` re-evaluate every stored draw, O(t) per
+episode and O(T^2) per run, and serve as the reference oracle the
+sorted path is tested against.
+
+Ties stay exact on the sorted path. Rounding, or s = 0 at an own action
+of 0, can give draws below xi_(k) the same cost as the VaR; the replay's
+indicator counts those in the tail. The sorted path tests the draw just
+below the boundary with the same predicate, c0 + xi * s >= nu, and only
+when it holds binary-searches for the first draw in the tail. At s = 0
+the whole history is the tail, as in the replay.
+
 An optional sliding window caps the history length; that is a speed
 knob, not part of the analyzed algorithm, and is off by default.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
 
 from .analysis import RunTrace
-from .distributions import check_risk_level, empirical_var
-from .games import Box, StochasticGame, UnsupportedGameError
+from .distributions import _tail_start, check_risk_level, empirical_var
+from .games import StochasticGame, UnsupportedGameError
 
 __all__ = [
     "StepSchedule",
     "GradientEstimate",
-    "project_box",
     "cvar_gradient_estimate",
     "unbiased_cvar_gradient",
     "run_algorithm1",
@@ -74,11 +93,6 @@ class GradientEstimate:
     g: np.ndarray
     var_used: float
     tail_count: int
-
-
-def project_box(x, box: Box) -> np.ndarray:
-    """Euclidean projection onto a box (componentwise clamp)."""
-    return box.project(x)
 
 
 def _tail_gradient(
@@ -141,6 +155,69 @@ def unbiased_cvar_gradient(
     return _tail_gradient(costs, grads, float(exact_var), alpha)
 
 
+def _first_in_tail(values: np.ndarray, start: int, in_tail) -> int:
+    """Index of the first sorted draw for which ``in_tail`` holds.
+
+    ``in_tail`` is the replay's predicate c0 + xi * s >= nu, monotone in
+    the draw for s >= 0. The guess ``start`` is checked against its
+    neighbours; a binary search runs only when a tie or rounding puts the
+    boundary elsewhere, e.g. at s = 0, where every cost ties with the VaR.
+    """
+    if start > 0 and in_tail(values[start - 1]):
+        return bisect_left(values, True, 0, start - 1, key=in_tail)
+    if start < values.size and not in_tail(values[start]):
+        return bisect_left(values, True, start + 1, values.size, key=in_tail)
+    return start
+
+
+class _SortedNoise:
+    """One agent's scalar noise draws, kept in ascending order.
+
+    For a cost c0 + s * xi with s >= 0 the k-th smallest cost is
+    c0 + s * xi_(k), so the replay's tail is an upper slice of this buffer.
+    """
+
+    def __init__(self, capacity: int):
+        self._values = np.empty(capacity)
+        self._size = 0
+
+    def insert(self, value) -> None:
+        n = self._size
+        values = self._values
+        pos = int(values[:n].searchsorted(value))
+        values[pos + 1 : n + 1] = values[pos:n]
+        values[pos] = value
+        self._size = n + 1
+
+    def remove(self, value) -> None:
+        """Drop one draw equal to ``value``, which must be held."""
+        n = self._size
+        values = self._values
+        pos = int(values[:n].searchsorted(value))
+        values[pos : n - 1] = values[pos + 1 : n]
+        self._size = n - 1
+
+    def tail_gradient(self, coeffs, alpha: float, nu=None) -> GradientEstimate:
+        """The replay's estimate from the sorted draws, for s >= 0.
+
+        ``coeffs`` is the game's ``affine_noise`` result. With ``nu`` None
+        the threshold is the empirical VaR, as in ``cvar_gradient_estimate``;
+        otherwise it is ``nu``, as in ``unbiased_cvar_gradient``.
+        """
+        c0, s, g0, g1 = coeffs
+        n = self._size
+        values = self._values[:n]
+        if nu is None:
+            start = _tail_start(n, alpha) - 1
+            nu = c0 + values[start] * s
+        else:
+            start = int(values.searchsorted((nu - c0) / s)) if s > 0 else 0
+        start = _first_in_tail(values, start, lambda v: c0 + v * s >= nu)
+        count = n - start
+        g = (count * g0 + g1 * values[start:].sum()) / (n * alpha)
+        return GradientEstimate(g=np.array(g, ndmin=1), var_used=float(nu), tail_count=count)
+
+
 def _as_rngs(game: StochasticGame, seed) -> list[np.random.Generator]:
     """Independent per-agent generators spawned from one master seed."""
     if isinstance(seed, np.random.SeedSequence):
@@ -182,6 +259,12 @@ def _run(
     rngs = _as_rngs(game, seed)
     histories = [np.empty((horizon, game.noise_dim)) for _ in range(num_agents)]
     blocks = [game.block_slice(i) for i in range(num_agents)]
+    sorted_noise = None
+    if var_estimator is None and all(
+        game.affine_noise(i, x) is not None for i in range(num_agents)
+    ):
+        capacity = horizon if window is None else min(horizon, window)
+        sorted_noise = [_SortedNoise(capacity) for _ in range(num_agents)]
 
     x_star = game.nash_equilibrium(alphas)
     track_true_var = True
@@ -204,20 +287,36 @@ def _run(
         if err_sq is not None:
             delta = x - x_star
             err_sq[t - 1] = float(delta @ delta)
+        start = 0 if window is None else max(0, t - window)
         estimates = []
         for i in range(num_agents):
-            histories[i][t - 1] = game.sample_noise(i, rngs[i])
-            start = 0 if window is None else max(0, t - window)
-            hist = histories[i][start:t]
-            if unbiased:
-                est = unbiased_cvar_gradient(game, i, x, hist, alphas[i])
+            history = histories[i]
+            history[t - 1] = game.sample_noise(i, rngs[i])
+            true_var = game.exact_var(i, x, alphas[i]) if track_true_var else None
+            coeffs = None
+            if sorted_noise is not None:
+                if start > 0:
+                    sorted_noise[i].remove(history[start - 1, 0])
+                sorted_noise[i].insert(history[t - 1, 0])
+                coeffs = game.affine_noise(i, x)
+            # a negative slope reverses the cost order, so the replay takes it
+            # (for the built-in games only an x0 a hair below 0, inside the
+            # feasibility tolerance, gives one)
+            if coeffs is not None and coeffs[1] >= 0:
+                est = sorted_noise[i].tail_gradient(
+                    coeffs, alphas[i], true_var if unbiased else None
+                )
+            elif unbiased:
+                est = unbiased_cvar_gradient(
+                    game, i, x, history[start:t], alphas[i], exact_var=true_var
+                )
             else:
                 est = cvar_gradient_estimate(
-                    game, i, x, hist, alphas[i], var_estimator=var_estimator
+                    game, i, x, history[start:t], alphas[i], var_estimator=var_estimator
                 )
             nu[t - 1, i] = est.var_used
             if nu_star is not None:
-                nu_star[t - 1, i] = game.exact_var(i, x, alphas[i])
+                nu_star[t - 1, i] = true_var
             estimates.append(est)
         # simultaneous play: all updates use the same joint action
         x_next = x.copy()

@@ -94,6 +94,24 @@ class TestValidateConfig:
             validate_config(raw)
         assert fragment in str(err.value)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), 10**400])
+    @pytest.mark.parametrize(
+        "field,make",
+        [
+            ("a", lambda v: {"game": "quadratic-counterexample", "a": v}),
+            ("b", lambda v: {"game": "quadratic-counterexample", "b": v}),
+            ("c", lambda v: {"game": "quadratic-counterexample", "c": v}),
+            ("d", lambda v: {"game": "quadratic-counterexample", "d": v}),
+            ("eta", lambda v: {"game": "cournot", "eta": v}),
+            ("alphas[1]", lambda v: {"game": "cournot", "alphas": [0.4, v]}),
+            ("x0[0]", lambda v: {"game": "cournot", "x0": [v, 0.5]}),
+        ],
+    )
+    def test_non_finite_numbers_rejected(self, field, make, value):
+        with pytest.raises(ConfigError) as err:
+            validate_config({**make(value), "T": 10})
+        assert str(err.value).startswith(f"{field}: must be finite")
+
     def test_window_zero_means_off(self):
         cfg = validate_config({"game": "cournot", "T": 10, "window": 0})
         assert cfg.window is None
@@ -249,6 +267,12 @@ class TestMain:
         path = write_config(tmp_path, {"game": "cournot", "T": 10, "alphas": [2.0, 0.5]})
         assert main(["validate", "--config", path]) == 2
         assert "alphas[0]" in capsys.readouterr().err
+
+    def test_validate_rejects_yaml_nan(self, tmp_path, capsys):
+        path = tmp_path / "config.yaml"
+        path.write_text("game: quadratic-counterexample\nT: 10\nd: .nan\n", encoding="utf-8")
+        assert main(["validate", "--config", str(path)]) == 2
+        assert "d: must be finite" in capsys.readouterr().err
 
     def test_missing_file(self, capsys):
         assert main(["validate", "--config", "/nonexistent/cfg.yaml"]) == 2

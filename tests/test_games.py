@@ -184,6 +184,19 @@ class TestCostAndGradient:
                     assert costs[k] == pytest.approx(game.cost(agent, x, xi_batch[k]))
                     assert grads[k, 0] == pytest.approx(game.grad(agent, x, xi_batch[k])[0])
 
+    def test_affine_noise_reproduces_batches(self):
+        # bit-exact, since the learning loop reads the VaR off these coefficients
+        xi_batch = np.random.default_rng(4).uniform(0, 1, size=(50, 1))
+        for game in (COURNOT, COUNTER, QuadraticCounterexampleGame(a=2.0, b=1.5, c=-0.5, d=0.7)):
+            upper = game.action_sets[0].upper[0]
+            for x in (np.array([0.3, 0.6]) * upper, np.array([0.0, upper])):
+                for agent in (0, 1):
+                    c0, s, g0, g1 = game.affine_noise(agent, x)
+                    assert s >= 0
+                    noise = xi_batch[:, 0]
+                    assert np.array_equal(c0 + noise * s, game.cost_batch(agent, x, xi_batch))
+                    assert np.array_equal(g0 + g1 * noise, game.grad_batch(agent, x, xi_batch)[:, 0])
+
     def test_default_batch_fallback(self):
         game = MinimalGame()
         xi = np.zeros((4, 1))
@@ -301,6 +314,7 @@ class TestInterfaceDefaults:
         with pytest.raises(UnsupportedGameError):
             game.noise_distribution(0)
         assert game.nash_equilibrium([0.5]) is None
+        assert game.affine_noise(0, np.array([0.0])) is None
 
     def test_noise_distributions(self):
         assert COURNOT.noise_distribution(0) == Uniform(0.0, 1.0)

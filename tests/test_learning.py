@@ -1,12 +1,20 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from riskgames.distributions import BinnedVarEstimator, empirical_var
-from riskgames.games import Box, CournotGame, StochasticGame, UnsupportedGameError
+from riskgames.games import (
+    Box,
+    CournotGame,
+    QuadraticCounterexampleGame,
+    StochasticGame,
+    UnsupportedGameError,
+)
 from riskgames.learning import (
     StepSchedule,
+    _SortedNoise,
     cvar_gradient_estimate,
-    project_box,
     run_algorithm1,
     run_unbiased_baseline,
     unbiased_cvar_gradient,
@@ -44,13 +52,27 @@ class NoClosedFormGame(StochasticGame):
         return GAME.grad(agent, x, xi)
 
 
+class ReplayCournotGame(CournotGame):
+    """Cournot without the affine-noise description: forces the replay."""
+
+    def affine_noise(self, agent, x):
+        return None
+
+
+class ReplayCounterexampleGame(QuadraticCounterexampleGame):
+    """Counterexample game without the affine-noise description."""
+
+    def affine_noise(self, agent, x):
+        return None
+
+
 class TestProjectBox:
     def test_examples(self):
         box = Box(np.zeros(1), np.ones(1))
-        assert project_box(np.array([0.5]), box)[0] == 0.5
-        assert project_box(np.array([-0.3]), box)[0] == 0.0
+        assert box.project(np.array([0.5]))[0] == 0.5
+        assert box.project(np.array([-0.3]))[0] == 0.0
         box2 = Box(np.zeros(2), np.ones(2))
-        assert np.array_equal(project_box(np.array([1.2, -0.1]), box2), [1.0, 0.0])
+        assert np.array_equal(box2.project(np.array([1.2, -0.1])), [1.0, 0.0])
 
 
 class TestStepSchedule:
@@ -245,6 +267,154 @@ class TestRunLoop:
         assert trace.config["game"] == "cournot"
         assert trace.config["grad_bound"] == pytest.approx(2.2)
         assert trace.x_star == pytest.approx(NE)
+
+
+class CountingCournotGame(CournotGame):
+    def __init__(self):
+        self.exact_var_calls = 0
+
+    def exact_var(self, agent, x, alpha):
+        self.exact_var_calls += 1
+        return super().exact_var(agent, x, alpha)
+
+
+class CountingReplayGame(CountingCournotGame, ReplayCournotGame):
+    pass
+
+
+class TestSortedNoise:
+    """The sorted-buffer estimator against the replay on the same draws."""
+
+    draws_strategy = st.lists(
+        st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0]), st.floats(0.0, 1.0)),
+        min_size=1,
+        max_size=40,
+    )
+    # 1e-17 makes every cost round to the intercept although s > 0
+    own_strategy = st.one_of(st.sampled_from([0.0, 1e-17, 1.0]), st.floats(0.0, 1.0))
+
+    @staticmethod
+    def buffer(draws, removed=()):
+        buf = _SortedNoise(len(draws))
+        for v in draws:
+            buf.insert(v)
+        for v in removed:
+            buf.remove(v)
+        return buf
+
+    @staticmethod
+    def assert_same(fast, slow):
+        assert fast.var_used == slow.var_used
+        assert fast.tail_count == slow.tail_count
+        assert fast.g.shape == slow.g.shape
+        assert np.max(np.abs(fast.g - slow.g)) <= 1e-12
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        draws=draws_strategy,
+        own=own_strategy,
+        other=st.floats(0.0, 1.0),
+        alpha=st.one_of(st.just(1.0), st.floats(0.01, 1.0)),
+        agent=st.sampled_from([0, 1]),
+        data=st.data(),
+    )
+    def test_matches_replay_with_ties(self, draws, own, other, alpha, agent, data):
+        x = np.array([own, other]) if agent == 0 else np.array([other, own])
+        removed = data.draw(st.lists(st.sampled_from(draws), max_size=len(draws) - 1, unique=True))
+        kept = list(draws)
+        for v in removed:
+            kept.remove(v)
+        history = np.array(kept)[:, None]
+        buf = self.buffer(draws, removed)
+        coeffs = GAME.affine_noise(agent, x)
+        self.assert_same(
+            buf.tail_gradient(coeffs, alpha),
+            cvar_gradient_estimate(GAME, agent, x, history, alpha),
+        )
+        # thresholds on a replayed cost tie with it exactly
+        costs = GAME.cost_batch(agent, x, history)
+        for nu in (float(data.draw(st.sampled_from(list(costs)))), GAME.exact_var(agent, x, alpha)):
+            self.assert_same(
+                buf.tail_gradient(coeffs, alpha, nu),
+                unbiased_cvar_gradient(GAME, agent, x, history, alpha, exact_var=nu),
+            )
+
+    def test_zero_action_puts_whole_history_in_tail(self):
+        # at x_i = 0 every replayed cost equals the VaR, as in the replay
+        draws = np.random.default_rng(8).uniform(0, 1, size=50)
+        x = np.array([0.0, 0.5])
+        est = self.buffer(draws).tail_gradient(GAME.affine_noise(0, x), 0.4)
+        assert est.tail_count == 50
+        self.assert_same(est, cvar_gradient_estimate(GAME, 0, x, draws[:, None], 0.4))
+
+
+class TestSortedPathMatchesReplay:
+    """Runs on the built-in games equal runs forced onto the replay."""
+
+    @staticmethod
+    def games(kind, params):
+        if kind == "cournot":
+            return CournotGame(), ReplayCournotGame()
+        return QuadraticCounterexampleGame(*params), ReplayCounterexampleGame(*params)
+
+    @staticmethod
+    def assert_close(a, b):
+        assert np.max(np.abs(a.actions - b.actions)) <= 1e-12
+        assert np.max(np.abs(a.nu - b.nu)) <= 1e-12
+        for fast, slow in ((a.err_sq, b.err_sq), (a.nu_star, b.nu_star)):
+            assert (fast is None) == (slow is None)
+            if fast is not None:
+                assert np.max(np.abs(fast - slow)) <= 1e-12
+
+    def run_both(self, kind, params, alphas, horizon, window, schedule, x0, seed):
+        fast, slow = self.games(kind, params)
+        x0 = None if x0 is None else np.asarray(x0) * fast.action_sets[0].upper[0]
+        for run in (run_algorithm1, run_unbiased_baseline):
+            kwargs = dict(schedule=schedule, x0=x0, seed=seed, window=window)
+            a = run(fast, alphas, horizon, **kwargs)
+            b = run(slow, alphas, horizon, **kwargs)
+            self.assert_close(a, b)
+        return a
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        kind=st.sampled_from(["cournot", "counterexample"]),
+        params=st.tuples(*[st.floats(0.5, 2.0)] * 2, st.floats(-1.0, 1.0), st.floats(0.5, 2.0)),
+        alphas=st.tuples(*[st.one_of(st.just(1.0), st.floats(0.05, 1.0))] * 2),
+        horizon=st.integers(1, 60),
+        window_kind=st.sampled_from([None, "one", "shorter", "covering"]),
+        pinned=st.booleans(),
+        x0=st.one_of(
+            st.none(),
+            st.tuples(*[st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))] * 2),
+        ),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equivalence(self, kind, params, alphas, horizon, window_kind, pinned, x0, seed):
+        window = {
+            None: None,
+            "one": 1,
+            "shorter": max(1, horizon // 3),
+            "covering": horizon + seed % 3,
+        }[window_kind]
+        schedule = StepSchedule.constant(5.0) if pinned else StepSchedule.auto()
+        self.run_both(kind, params, alphas, horizon, window, schedule, x0, seed)
+
+    @pytest.mark.parametrize("window", [None, 1, 7, 40])
+    @pytest.mark.parametrize("kind,alphas", [("cournot", (1.0, 0.4)), ("counterexample", (0.5, 1.0))])
+    def test_pinned_at_boundary(self, kind, alphas, window):
+        # a step of 5 drives the iterates onto the box faces; at x_i = 0 the
+        # noise slope is 0 and every cost ties with the VaR
+        trace = self.run_both(
+            kind, (1.0, 1.0, 0.0, 1.0), alphas, 40, window, StepSchedule.constant(5.0), None, 4
+        )
+        assert np.any(trace.actions == 0.0)
+
+    def test_one_exact_var_call_per_agent_episode(self):
+        for game in (CountingCournotGame(), CountingReplayGame()):
+            run_unbiased_baseline(game, ALPHAS, 25, seed=0)
+            # one probe before the loop, then one call per agent and episode
+            assert game.exact_var_calls == 1 + 2 * 25
 
 
 class TestBiasDecay:
