@@ -9,29 +9,27 @@ from .analysis import (
     AggregateTrace,
     BoundReport,
     RunTrace,
+    density_range,
     fit_rate,
-    risk_sums,
     time_averaged_error,
     validate_lemma3,
     validate_lemma4,
 )
 from .distributions import (
     BinnedVarEstimator,
-    EmpiricalDistribution,
     Uniform,
-    closed_form,
     dkw_confidence_width,
     empirical_var,
     empirical_var_cvar,
 )
 from .games import (
+    AffineNoiseGame,
     Box,
     CournotGame,
     QuadraticCounterexampleGame,
     StochasticGame,
     UnsupportedGameError,
     decomposition_check,
-    evaluate_cost_and_grad,
     exact_gradient_oracle,
     monotonicity_probe,
 )
@@ -47,12 +45,12 @@ from .learning import (
 __version__ = "0.1.0"
 
 __all__ = [
+    "AffineNoiseGame",
     "AggregateTrace",
     "BinnedVarEstimator",
     "BoundReport",
     "Box",
     "CournotGame",
-    "EmpiricalDistribution",
     "GradientEstimate",
     "QuadraticCounterexampleGame",
     "RunTrace",
@@ -60,17 +58,15 @@ __all__ = [
     "StochasticGame",
     "Uniform",
     "UnsupportedGameError",
-    "closed_form",
     "cvar_gradient_estimate",
     "decomposition_check",
+    "density_range",
     "dkw_confidence_width",
     "empirical_var",
     "empirical_var_cvar",
-    "evaluate_cost_and_grad",
     "exact_gradient_oracle",
     "fit_rate",
     "monotonicity_probe",
-    "risk_sums",
     "run_algorithm1",
     "run_unbiased_baseline",
     "time_averaged_error",

@@ -22,9 +22,9 @@ __all__ = [
     "AggregateTrace",
     "BoundReport",
     "time_averaged_error",
-    "risk_sums",
     "fit_rate",
     "validate_lemma3",
+    "density_range",
     "validate_lemma4",
 ]
 
@@ -98,16 +98,19 @@ class AggregateTrace:
 
 @dataclass
 class BoundReport:
-    """Outcome of one empirical-vs-theoretical comparison."""
+    """Outcome of one empirical-vs-theoretical comparison.
+
+    ``passed`` is None when the bound does not apply; ``detail`` says why.
+    """
 
     name: str
     empirical: float
     bound: float
-    passed: bool
+    passed: bool | None
     detail: str = ""
 
     def __str__(self) -> str:
-        status = "pass" if self.passed else "FAIL"
+        status = "n/a" if self.passed is None else "pass" if self.passed else "FAIL"
         out = f"[{status}] {self.name}: empirical {self.empirical:.6g} vs bound {self.bound:.6g}"
         return out + (f" ({self.detail})" if self.detail else "")
 
@@ -117,13 +120,6 @@ def time_averaged_error(trace: RunTrace) -> np.ndarray:
     if trace.err_sq is None:
         raise ValueError("trace has no equilibrium distances")
     return np.cumsum(trace.err_sq) / np.arange(1, trace.horizon + 1, dtype=np.float64)
-
-
-def risk_sums(alphas) -> tuple[float, float]:
-    """(sum_i 1/alpha_i, sum_i 1/alpha_i^2), the constants in the rate bound."""
-    alphas = np.array([check_risk_level(a) for a in alphas])
-    inv = 1.0 / alphas
-    return float(inv.sum()), float(np.square(inv).sum())
 
 
 def fit_rate(series: AggregateTrace, window: tuple[float, float]) -> float:
@@ -181,20 +177,24 @@ def validate_lemma3(
     )
 
 
-def _cournot_density_range(trace: RunTrace, agent: int) -> tuple[float, float]:
-    """(L0, p_lower) for a Cournot trace.
+def density_range(game, trace: RunTrace, agent: int) -> tuple[float, float]:
+    """(L0, p_lower) for Lemma 4 along a run of an ``AffineNoiseGame``.
 
-    At joint action x the agent's cost is uniform with width x_i, so the
-    density is exactly 1/x_i: its Lipschitz constant along the run is
-    1/min(x_i) and its lower bound 1/max(x_i).
+    At joint action x the agent's cost c0 + s xi, with xi ~ U(a, b), is
+    uniform with width w = s (b - a), so its density is exactly 1/w: the
+    density's Lipschitz constant along the run is 1/min(w) and its lower
+    bound 1/max(w). A width of 0 leaves the density unbounded, which is a
+    ValueError naming the first such episode.
     """
-    blk = slice(agent, agent + 1)
-    own = trace.actions[:, blk].ravel()
-    if np.any(own <= 0):
+    slopes = game.affine_noise(agent, trace.actions.T)[1]
+    widths = slopes * game.noise_distribution(agent).width
+    flat = np.flatnonzero(widths <= 0)
+    if flat.size:
         raise ValueError(
-            "trace touches a zero action; the cost density is unbounded there"
+            f"agent={agent}, cost-law width {float(widths[flat[0]]):.4g} at episode "
+            f"{int(trace.episodes[flat[0]])}: the density is unbounded there"
         )
-    return 1.0 / float(own.min()), 1.0 / float(own.max())
+    return 1.0 / float(widths.min()), 1.0 / float(widths.max())
 
 
 def validate_lemma4(
@@ -213,9 +213,9 @@ def validate_lemma4(
         sqrt(2) * B * L0 / (alpha_i * p_lower) * sqrt(ln(2T/gamma)) * sqrt(T')
 
     for every prefix T' <= T, where the log factor comes from a union
-    bound over episodes at per-episode confidence gamma/T. Constants
-    default to the game's gradient bound from the trace config and, for
-    Cournot traces, to the per-trace density range.
+    bound over episodes at per-episode confidence gamma/T. B defaults to
+    the game's gradient bound from the trace config; L0 and p_lower, the
+    density constants, must be given (``density_range`` derives them).
     """
     if trace.nu_star is None:
         raise ValueError("trace has no true VaR series")
@@ -230,11 +230,7 @@ def validate_lemma4(
         if B is None:
             raise ValueError("no gradient bound in trace config; pass B explicitly")
     if L0 is None or p_lower is None:
-        if trace.config.get("game") != "cournot":
-            raise ValueError("L0 and p_lower must be given for non-Cournot traces")
-        auto_L0, auto_p = _cournot_density_range(trace, agent)
-        L0 = auto_L0 if L0 is None else L0
-        p_lower = auto_p if p_lower is None else p_lower
+        raise ValueError("L0 and p_lower must be given; density_range derives them")
 
     horizon = trace.horizon
     err = np.abs(trace.nu[:, agent] - trace.nu_star[:, agent])

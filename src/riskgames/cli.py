@@ -30,6 +30,7 @@ from .analysis import (
     AggregateTrace,
     BoundReport,
     RunTrace,
+    density_range,
     fit_rate,
     time_averaged_error,
     validate_lemma3,
@@ -310,6 +311,11 @@ def _run_trial(args) -> RunTrace:
     return trace
 
 
+def _all_passed(reports) -> bool:
+    """The ``--strict`` rule: no row failed; rows whose bound does not apply are skipped."""
+    return all(r.passed is not False for r in reports)
+
+
 @dataclass
 class OutputBundle:
     """Artifacts of one experiment, both on disk and in memory."""
@@ -327,7 +333,7 @@ class OutputBundle:
 
     @property
     def all_passed(self) -> bool:
-        return all(r.passed for r in self.reports if r.passed is not None)
+        return _all_passed(self.reports)
 
 
 def trial_filename(algorithm: str, index: int) -> str:
@@ -443,7 +449,8 @@ def compute_reports(config: ExperimentConfig, traces: dict) -> list[BoundReport]
 
     The concentration check runs on the game's noise law per agent at a
     fixed sample size; the bias check runs per algorithm-1 trial and
-    agent (it needs true VaR values); the rate fit needs equilibrium
+    agent (it needs true VaR values, and a cost density bounded along the
+    run, or its row has ``passed`` None); the rate fit needs equilibrium
     distances and a long enough horizon.
     """
     game = build_game(config)
@@ -457,10 +464,15 @@ def compute_reports(config: ExperimentConfig, traces: dict) -> list[BoundReport]
         reports.append(rep)
 
     for trial, trace in enumerate(traces.get("algorithm1", [])):
-        if trace.nu_star is None or trace.config.get("game") != "cournot":
+        if trace.nu_star is None:
             continue
         for agent in range(trace.num_agents):
-            rep = validate_lemma4(trace, agent)
+            try:
+                L0, p_lower = density_range(game, trace, agent)
+            except ValueError as exc:
+                rep = BoundReport("lemma4", math.nan, math.nan, None, str(exc))
+            else:
+                rep = validate_lemma4(trace, agent, L0=L0, p_lower=p_lower)
             rep.detail = f"trial={trial}, " + rep.detail
             reports.append(rep)
 
@@ -628,7 +640,7 @@ def main(argv=None) -> int:
             write_report_csv(reports, os.path.join(args.bundle, "bounds.csv"))
             for rep in reports:
                 print(rep)
-            if args.strict and not all(r.passed for r in reports):
+            if args.strict and not _all_passed(reports):
                 return 1
             return 0
     except ConfigError as exc:

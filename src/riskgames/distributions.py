@@ -1,8 +1,9 @@
-"""Empirical scalar distributions and tail-risk estimators.
+"""Tail-risk estimators for scalar samples, and the uniform law.
 
-Sorted sample sets with an exact step-function EDF, order-statistic
-quantiles (VaR), tail means (CVaR), uniform closed-form oracles for
-testing, and DKW-based confidence widths for quantile estimates.
+Order-statistic quantiles (VaR) and tail means (CVaR) of raw sample
+arrays, a binned approximation, the uniform law with closed-form VaR and
+CVaR (the noise law of the built-in games), and DKW-based confidence
+widths for quantile estimates.
 
 Conventions: costs are minimized, so the risky tail is the *upper* tail.
 For a risk level ``alpha`` in (0, 1], VaR is the (1 - alpha)-quantile and
@@ -18,9 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "EmpiricalDistribution",
     "Uniform",
-    "closed_form",
     "check_risk_level",
     "empirical_var",
     "empirical_var_cvar",
@@ -51,8 +50,8 @@ def _tail_start(t: int, alpha: float) -> int:
 def empirical_var(values: np.ndarray, alpha: float) -> float:
     """VaR of a raw (unsorted) sample array: the k-th order statistic.
 
-    Equivalent to ``EmpiricalDistribution.from_samples(values).var(alpha)``
-    but avoids the full sort (np.partition is linear time).
+    The k-th smallest sample with k/t >= 1 - alpha, found without a full
+    sort (np.partition is linear time).
     """
     check_risk_level(alpha)
     values = np.asarray(values, dtype=np.float64)
@@ -83,97 +82,13 @@ def empirical_var_cvar(values: np.ndarray, alpha: float) -> tuple[float, float]:
     return nu, cvar
 
 
-class EmpiricalDistribution:
-    """Multiset of scalar samples kept in ascending order.
-
-    Immutable: ``insert`` returns a new distribution. Duplicates are kept,
-    so the EDF counts samples rather than distinct values.
-    """
-
-    __slots__ = ("_samples",)
-
-    def __init__(self, samples=()):
-        arr = np.sort(np.asarray(samples, dtype=np.float64).ravel())
-        if arr.size and not np.all(np.isfinite(arr)):
-            raise ValueError("samples must be finite")
-        arr.flags.writeable = False
-        self._samples = arr
-
-    @classmethod
-    def from_samples(cls, samples) -> "EmpiricalDistribution":
-        return cls(samples)
-
-    @property
-    def samples(self) -> np.ndarray:
-        """Sorted sample array (read-only view)."""
-        return self._samples
-
-    @property
-    def count(self) -> int:
-        return int(self._samples.size)
-
-    def __len__(self) -> int:
-        return self.count
-
-    def __repr__(self) -> str:
-        return f"EmpiricalDistribution(t={self.count})"
-
-    def _require_samples(self):
-        if self._samples.size == 0:
-            raise ValueError("empty distribution")
-
-    def insert(self, value: float) -> "EmpiricalDistribution":
-        """Return a new distribution with ``value`` added.
-
-        Cost is a binary search plus one shift of the tail of the array.
-        """
-        value = float(value)
-        if not math.isfinite(value):
-            raise ValueError(f"sample must be finite, got {value}")
-        idx = int(np.searchsorted(self._samples, value))
-        out = object.__new__(EmpiricalDistribution)
-        arr = np.insert(self._samples, idx, value)
-        arr.flags.writeable = False
-        out._samples = arr
-        return out
-
-    def edf(self, y) -> float:
-        """Fraction of samples <= y (right-continuous step function)."""
-        self._require_samples()
-        idx = np.searchsorted(self._samples, y, side="right")
-        out = idx / self._samples.size
-        return float(out) if np.isscalar(y) or np.ndim(y) == 0 else out
-
-    def var(self, alpha: float) -> float:
-        """Empirical VaR: smallest sample y with edf(y) >= 1 - alpha."""
-        check_risk_level(alpha)
-        self._require_samples()
-        k = _tail_start(self.count, alpha)
-        return float(self._samples[k - 1])
-
-    def cvar(self, alpha: float) -> float:
-        """Plug-in CVaR: nu + mean((samples - nu)_+) / alpha at nu = var(alpha).
-
-        For alpha = 1 this reduces exactly to the sample mean.
-        """
-        check_risk_level(alpha)
-        self._require_samples()
-        k = _tail_start(self.count, alpha)
-        nu = float(self._samples[k - 1])
-        tail = self._samples[k - 1 :]
-        return nu + float(np.sum(tail - nu)) / (alpha * self.count)
-
-    def mean(self) -> float:
-        self._require_samples()
-        return float(self._samples.mean())
-
-
 @dataclass(frozen=True)
 class Uniform:
     """Uniform distribution on [a, b] with closed-form VaR and CVaR.
 
-    Serves as the test oracle: VaR_alpha = a + (1 - alpha)(b - a) and
-    CVaR_alpha = a + (1 - alpha/2)(b - a), the midpoint of the upper tail.
+    The noise law of the built-in games: VaR_alpha = a + (1 - alpha)(b - a)
+    and CVaR_alpha = a + (1 - alpha/2)(b - a), the midpoint of the upper
+    tail.
     """
 
     a: float
@@ -185,13 +100,6 @@ class Uniform:
         if not self.b > self.a:
             raise ValueError(f"need b > a, got a={self.a}, b={self.b}")
 
-    @classmethod
-    def scaled(cls, scale: float, a: float, b: float, shift: float = 0.0) -> "Uniform":
-        """The law of scale * U(a, b) + shift for a positive scale."""
-        if scale <= 0:
-            raise ValueError(f"scale must be positive, got {scale}")
-        return cls(scale * a + shift, scale * b + shift)
-
     @property
     def width(self) -> float:
         return self.b - self.a
@@ -201,9 +109,6 @@ class Uniform:
         """Constant density 1 / (b - a); the p-underbar of the DKW bound."""
         return 1.0 / self.width
 
-    def mean(self) -> float:
-        return 0.5 * (self.a + self.b)
-
     def var(self, alpha: float) -> float:
         check_risk_level(alpha)
         return self.a + (1.0 - alpha) * self.width
@@ -212,26 +117,8 @@ class Uniform:
         check_risk_level(alpha)
         return self.a + (1.0 - 0.5 * alpha) * self.width
 
-    def var_cvar(self, alpha: float) -> tuple[float, float]:
-        return self.var(alpha), self.cvar(alpha)
-
     def sample(self, rng: np.random.Generator, size=None) -> np.ndarray:
         return rng.uniform(self.a, self.b, size=size)
-
-
-def closed_form(kind: str, **params) -> Uniform:
-    """Build a closed-form oracle distribution by name.
-
-    Supported kinds: ``uniform(a, b)`` and ``scaled-uniform(scale, a, b,
-    shift)``. Anything else is a domain error.
-    """
-    if kind == "uniform":
-        return Uniform(params["a"], params["b"])
-    if kind == "scaled-uniform":
-        return Uniform.scaled(
-            params["scale"], params["a"], params["b"], params.get("shift", 0.0)
-        )
-    raise ValueError(f"unsupported closed-form kind: {kind!r}")
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,15 @@
 """Game models with stochastic costs.
 
-The interface plus two built-in two-agent games: a Cournot duopoly whose
-risk-averse equilibrium is unique and computable in closed form, and a
-quadratic game whose risk-averse (alpha = 0.5) equilibria form a whole
-line segment even though its risk-neutral version is strongly monotone.
-Also numerical probes for strong monotonicity and for the additive
-noise-decomposition structure that the convergence theory relies on.
+The interface, ``StochasticGame``, and ``AffineNoiseGame``, which derives
+costs, gradients, noise draws and the VaR/CVaR closed forms from one
+description: each agent's cost and gradient as affine functions of a
+uniform noise draw. Two built-in two-agent games use it: a Cournot
+duopoly whose risk-averse equilibrium is unique and computable in closed
+form, and a quadratic game whose risk-averse (alpha = 0.5) equilibria
+form a whole line segment even though its risk-neutral version is
+strongly monotone. Also numerical probes for strong monotonicity and for
+the additive noise-decomposition structure that the convergence theory
+relies on.
 
 Joint actions are flat float vectors; agent ``i`` owns the coordinates
 ``game.block_slice(i)``. Both built-in games use one coordinate per agent.
@@ -24,10 +28,10 @@ from .distributions import Uniform, check_risk_level
 __all__ = [
     "Box",
     "StochasticGame",
+    "AffineNoiseGame",
     "CournotGame",
     "QuadraticCounterexampleGame",
     "UnsupportedGameError",
-    "evaluate_cost_and_grad",
     "exact_gradient_oracle",
     "monotonicity_probe",
     "decomposition_check",
@@ -175,17 +179,89 @@ class StochasticGame(ABC):
         A game returns them when, at the joint action x, the agent's cost
         is c0 + s * xi and its gradient g0 + g1 * xi for every scalar draw
         xi (noise_dim 1). c0 and s are scalars, g0 and g1 scalars or arrays
-        of shape (d_i,). The result must agree with ``cost_batch`` to the
-        last bit: the learning loop reads the empirical VaR as
+        of shape (d_i,). The learning loop reads the empirical VaR as
         c0 + xi_(k) * s, which equals the k-th smallest replayed cost only
-        when both evaluate the same expression. Where s >= 0 the cost order
-        is the noise order, and the loop estimates from a sorted noise
-        history instead of replaying it. The default, None, keeps the replay.
+        when ``cost_batch`` evaluates the same expression; an
+        ``AffineNoiseGame`` derives ``cost_batch`` from these coefficients,
+        so the two agree by construction. Where s >= 0 the cost order is
+        the noise order, and the loop estimates from a sorted noise history
+        instead of replaying it. The default, None, keeps the replay.
         """
         return None
 
 
-class CournotGame(StochasticGame):
+class AffineNoiseGame(StochasticGame):
+    """A game whose costs are affine in one uniform noise draw per agent.
+
+    A subclass describes agent i by ``affine_noise(agent, x)``, the
+    coefficients (c0, s, g0, g1) of its cost c0 + s * xi and gradient
+    g0 + g1 * xi at the joint action x, and by ``noise_distribution(agent)``,
+    the uniform law U(a, b) of xi. Each agent has one action coordinate, so
+    all four coefficients are scalars. Costs, gradients, their batches, the
+    noise draw and the closed forms all follow from those two. For s >= 0
+    the cost at x is uniform on [c0 + s a, c0 + s b], so
+
+        VaR_alpha = c0 + s VaR_alpha(xi),   CVaR_alpha = c0 + s CVaR_alpha(xi),
+
+    and, CVaR being positively homogeneous, the CVaR gradient is
+    g0 + g1 CVaR_alpha(xi). ``affine_noise`` must index ``x[agent]`` as a
+    scalar, so that it also broadcasts over a (dimension, T) stack of
+    joint actions.
+    """
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # perfbench/tracing.py times these by patching them in each game's
+        # own namespace (``vars(CournotGame)``), so every game holds them
+        for name in ("cost_batch", "grad_batch", "sample_noise", "exact_var"):
+            if name not in vars(cls):
+                setattr(cls, name, getattr(cls, name))
+
+    @abstractmethod
+    def affine_noise(self, agent: int, x: np.ndarray): ...
+
+    @abstractmethod
+    def noise_distribution(self, agent: int) -> Uniform: ...
+
+    def _nonnegative_slope(self, agent: int, x, quantity: str):
+        coeffs = self.affine_noise(agent, x)
+        if coeffs[1] < 0:
+            raise ValueError(f"exact {quantity} requires a nonnegative noise slope, got {coeffs[1]}")
+        return coeffs
+
+    def sample_noise(self, agent: int, rng: np.random.Generator) -> np.ndarray:
+        return self.noise_distribution(agent).sample(rng, size=1)
+
+    def cost(self, agent: int, x, xi) -> float:
+        c0, s, _, _ = self.affine_noise(agent, x)
+        return c0 + float(np.asarray(xi).ravel()[0]) * s
+
+    def grad(self, agent: int, x, xi) -> np.ndarray:
+        _, _, g0, g1 = self.affine_noise(agent, x)
+        return np.array([g0 + g1 * float(np.asarray(xi).ravel()[0])])
+
+    def cost_batch(self, agent: int, x, xi_batch) -> np.ndarray:
+        c0, s, _, _ = self.affine_noise(agent, x)
+        return c0 + xi_batch[:, 0] * s
+
+    def grad_batch(self, agent: int, x, xi_batch) -> np.ndarray:
+        _, _, g0, g1 = self.affine_noise(agent, x)
+        return (g0 + g1 * xi_batch[:, 0])[:, None]
+
+    def exact_var(self, agent: int, x, alpha: float) -> float:
+        c0, s, _, _ = self._nonnegative_slope(agent, x, "VaR")
+        return c0 + s * self.noise_distribution(agent).var(alpha)
+
+    def exact_cvar(self, agent: int, x, alpha: float) -> float:
+        c0, s, _, _ = self._nonnegative_slope(agent, x, "CVaR")
+        return c0 + s * self.noise_distribution(agent).cvar(alpha)
+
+    def exact_risk_averse_gradient(self, agent: int, x, alpha: float) -> np.ndarray:
+        _, _, g0, g1 = self._nonnegative_slope(agent, x, "CVaR gradient")
+        return np.array([g0 + g1 * self.noise_distribution(agent).cvar(alpha)])
+
+
+class CournotGame(AffineNoiseGame):
     """Two-firm Cournot market with multiplicative uniform price noise.
 
     Agent i picks a production level x_i in [0, 1] and pays
@@ -193,18 +269,20 @@ class CournotGame(StochasticGame):
         J_i(x, xi_i) = 1 - (2 - x_1 - x_2) x_i + 0.2 x_i + xi_i x_i,
 
     with xi_i ~ U(0, 1) independent across agents. The cost is an affine
-    function of the noise with nonnegative slope x_i, so VaR, CVaR, and
-    the CVaR gradient all have closed forms on the box:
+    function of the noise with nonnegative slope x_i, so on the box
 
+        VaR_alpha = c0 + x_i (1 - alpha),   CVaR_alpha = c0 + x_i (1 - alpha / 2),
         grad_i CVaR_alpha = 2 x_i + x_{-i} - 0.8 - alpha / 2,
 
-    and the risk-averse equilibrium solves the resulting 2x2 linear
-    system. The per-sample gradient 2 x_i + x_{-i} - 1.8 + xi_i is
-    bounded by 2.2 over the feasible set and noise support.
+    with c0 = 1 - (2 - x_1 - x_2) x_i + 0.2 x_i, and the risk-averse
+    equilibrium solves the resulting 2x2 linear system. The per-sample
+    gradient 2 x_i + x_{-i} - 1.8 + xi_i is bounded by 2.2 over the
+    feasible set and noise support.
     """
 
     name = "cournot"
     _BOX = Box(np.zeros(1), np.ones(1))
+    _NOISE = Uniform(0.0, 1.0)
 
     @property
     def num_agents(self) -> int:
@@ -218,58 +296,13 @@ class CournotGame(StochasticGame):
     def grad_bound(self) -> float:
         return 2.2
 
-    def sample_noise(self, agent: int, rng: np.random.Generator) -> np.ndarray:
-        return rng.uniform(0.0, 1.0, size=1)
-
     def noise_distribution(self, agent: int) -> Uniform:
-        return Uniform(0.0, 1.0)
-
-    def _deterministic_cost(self, agent: int, x: np.ndarray) -> float:
-        xi_own = x[agent]
-        return 1.0 - (2.0 - (x[0] + x[1])) * xi_own + 0.2 * xi_own
-
-    def _grad_intercept(self, agent: int, x: np.ndarray) -> float:
-        return 2.0 * x[agent] + x[1 - agent] - 1.8
-
-    def cost(self, agent: int, x, xi) -> float:
-        x = np.asarray(x, dtype=np.float64)
-        return self._deterministic_cost(agent, x) + float(np.asarray(xi).ravel()[0]) * x[agent]
-
-    def grad(self, agent: int, x, xi) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        noise = float(np.asarray(xi).ravel()[0])
-        return np.array([self._grad_intercept(agent, x) + noise])
-
-    def cost_batch(self, agent: int, x, xi_batch) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        return self._deterministic_cost(agent, x) + xi_batch[:, 0] * x[agent]
-
-    def grad_batch(self, agent: int, x, xi_batch) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        return (self._grad_intercept(agent, x) + xi_batch[:, 0])[:, None]
+        return self._NOISE
 
     def affine_noise(self, agent: int, x):
-        x = np.asarray(x, dtype=np.float64)
-        return self._deterministic_cost(agent, x), x[agent], self._grad_intercept(agent, x), 1.0
-
-    def exact_var(self, agent: int, x, alpha: float) -> float:
-        check_risk_level(alpha)
-        x = np.asarray(x, dtype=np.float64)
-        if x[agent] < 0:
-            raise ValueError("exact VaR requires a nonnegative own action")
-        return self._deterministic_cost(agent, x) + x[agent] * (1.0 - alpha)
-
-    def exact_cvar(self, agent: int, x, alpha: float) -> float:
-        check_risk_level(alpha)
-        x = np.asarray(x, dtype=np.float64)
-        if x[agent] < 0:
-            raise ValueError("exact CVaR requires a nonnegative own action")
-        return self._deterministic_cost(agent, x) + x[agent] * (1.0 - 0.5 * alpha)
-
-    def exact_risk_averse_gradient(self, agent: int, x, alpha: float) -> np.ndarray:
-        check_risk_level(alpha)
-        x = np.asarray(x, dtype=np.float64)
-        return np.array([2.0 * x[agent] + x[1 - agent] - 0.8 - 0.5 * alpha])
+        own = x[agent]
+        c0 = 1.0 - (2.0 - (x[0] + x[1])) * own + 0.2 * own
+        return c0, own, 2.0 * own + x[1 - agent] - 1.8, 1.0
 
     def nash_equilibrium(self, alphas) -> np.ndarray:
         """Unique risk-averse equilibrium: solve 2 x_i + x_{-i} = 0.8 + alpha_i / 2.
@@ -287,7 +320,7 @@ class CournotGame(StochasticGame):
 
 
 @dataclass(frozen=True)
-class QuadraticCounterexampleGame(StochasticGame):
+class QuadraticCounterexampleGame(AffineNoiseGame):
     """Two-agent quadratic game whose noise couples both agents' actions.
 
     Agent i pays
@@ -295,11 +328,16 @@ class QuadraticCounterexampleGame(StochasticGame):
         J_i(x, xi_i) = c + a x_i^2 + a x_i x_{-i} - a b x_i
                        + (4a / 3d) x_i x_{-i} xi_i,
 
-    with xi_i ~ U(0, d) and actions in [0, b]. The risk-neutral game is
-    strongly monotone, but at alpha = 0.5 the CVaR cost collapses to
-    c + a x_i^2 + 2 a x_i x_{-i} - a b x_i, whose pseudo-gradient
-    vanishes on the whole line x_1 + x_2 = b / 2: infinitely many
-    risk-averse equilibria, and zero monotonicity along (1, -1).
+    with xi_i ~ U(0, d) and actions in [0, b]. The noise term has CVaR
+    slope (4a/3)(1 - alpha/2) x_{-i} in x_i, so the CVaR gradient is
+
+        2a x_i + a x_{-i} - a b + (4a/3)(1 - alpha/2) x_{-i}.
+
+    The risk-neutral game is strongly monotone, but at alpha = 0.5 the
+    CVaR cost collapses to c + a x_i^2 + 2 a x_i x_{-i} - a b x_i, whose
+    pseudo-gradient vanishes on the whole line x_1 + x_2 = b / 2:
+    infinitely many risk-averse equilibria, and zero monotonicity along
+    (1, -1). At alpha = 1 the cross coefficient is 5a/3 (risk-neutral).
     """
 
     a: float = 1.0
@@ -316,6 +354,8 @@ class QuadraticCounterexampleGame(StochasticGame):
             raise ValueError("b must be positive (actions live in [0, b])")
         if self.d <= 0:
             raise ValueError("d must be positive (noise lives on [0, d])")
+        object.__setattr__(self, "_box", Box(np.zeros(1), np.array([self.b])))
+        object.__setattr__(self, "_noise", Uniform(0.0, self.d))
 
     @property
     def num_agents(self) -> int:
@@ -323,104 +363,26 @@ class QuadraticCounterexampleGame(StochasticGame):
 
     @property
     def action_sets(self) -> tuple[Box, ...]:
-        box = Box(np.zeros(1), np.array([self.b]))
-        return (box, box)
+        return (self._box, self._box)
 
     @property
     def grad_bound(self) -> float:
         # max of |2a x_i + a x_j - ab + (4a/3d) x_j xi| over the box and noise
         return (10.0 / 3.0) * self.a * self.b
 
-    def sample_noise(self, agent: int, rng: np.random.Generator) -> np.ndarray:
-        return rng.uniform(0.0, self.d, size=1)
-
     def noise_distribution(self, agent: int) -> Uniform:
-        return Uniform(0.0, self.d)
-
-    def _deterministic_cost(self, agent: int, x: np.ndarray) -> float:
-        own, other = x[agent], x[1 - agent]
-        return self.c + self.a * own * own + self.a * own * other - self.a * self.b * own
-
-    def _noise_slope(self, agent: int, x: np.ndarray) -> float:
-        return (4.0 * self.a / (3.0 * self.d)) * x[agent] * x[1 - agent]
-
-    def _grad_intercept(self, agent: int, x: np.ndarray) -> float:
-        return 2.0 * self.a * x[agent] + self.a * x[1 - agent] - self.a * self.b
-
-    def _grad_slope(self, agent: int, x: np.ndarray) -> float:
-        return (4.0 * self.a / (3.0 * self.d)) * x[1 - agent]
-
-    def cost(self, agent: int, x, xi) -> float:
-        x = np.asarray(x, dtype=np.float64)
-        noise = float(np.asarray(xi).ravel()[0])
-        return self._deterministic_cost(agent, x) + self._noise_slope(agent, x) * noise
-
-    def grad(self, agent: int, x, xi) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        noise = float(np.asarray(xi).ravel()[0])
-        return np.array([self._grad_intercept(agent, x) + self._grad_slope(agent, x) * noise])
-
-    def cost_batch(self, agent: int, x, xi_batch) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        return self._deterministic_cost(agent, x) + self._noise_slope(agent, x) * xi_batch[:, 0]
-
-    def grad_batch(self, agent: int, x, xi_batch) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        base = self._grad_intercept(agent, x)
-        return (base + self._grad_slope(agent, x) * xi_batch[:, 0])[:, None]
+        return self._noise
 
     def affine_noise(self, agent: int, x):
-        x = np.asarray(x, dtype=np.float64)
-        return (
-            self._deterministic_cost(agent, x),
-            self._noise_slope(agent, x),
-            self._grad_intercept(agent, x),
-            self._grad_slope(agent, x),
-        )
-
-    def exact_var(self, agent: int, x, alpha: float) -> float:
-        check_risk_level(alpha)
-        x = np.asarray(x, dtype=np.float64)
-        slope = self._noise_slope(agent, x)
-        if slope < 0:
-            raise ValueError("exact VaR requires nonnegative actions")
-        return self._deterministic_cost(agent, x) + slope * self.d * (1.0 - alpha)
-
-    def exact_cvar(self, agent: int, x, alpha: float) -> float:
-        check_risk_level(alpha)
-        x = np.asarray(x, dtype=np.float64)
-        slope = self._noise_slope(agent, x)
-        if slope < 0:
-            raise ValueError("exact CVaR requires nonnegative actions")
-        return self._deterministic_cost(agent, x) + slope * self.d * (1.0 - 0.5 * alpha)
-
-    def exact_risk_averse_gradient(self, agent: int, x, alpha: float) -> np.ndarray:
-        """CVaR gradient on the nonnegative box.
-
-        The noise term (4a/3d) x_i x_{-i} xi has CVaR slope
-        (4a/3)(1 - alpha/2) x_{-i}; at alpha = 0.5 the total cross
-        coefficient becomes 2a, at alpha = 1 it is 5a/3 (risk-neutral).
-        """
-        check_risk_level(alpha)
-        x = np.asarray(x, dtype=np.float64)
+        a = self.a
         own, other = x[agent], x[1 - agent]
-        g = (
-            2.0 * self.a * own
-            + self.a * other
-            - self.a * self.b
-            + (4.0 * self.a / 3.0) * (1.0 - 0.5 * alpha) * other
+        k = 4.0 * a / (3.0 * self.d)
+        return (
+            self.c + a * own * own + a * own * other - a * self.b * own,
+            k * own * other,
+            2.0 * a * own + a * other - a * self.b,
+            k * other,
         )
-        return np.array([g])
-
-
-def evaluate_cost_and_grad(
-    game: StochasticGame, agent: int, x, xi
-) -> tuple[float, np.ndarray]:
-    """Cost and own-block gradient at a feasible joint action and noise draw."""
-    x = np.asarray(x, dtype=np.float64)
-    if not game.feasible(x):
-        raise ValueError(f"infeasible joint action {x!r}")
-    return game.cost(agent, x, xi), game.grad(agent, x, xi)
 
 
 def exact_gradient_oracle(game: StochasticGame, alphas):

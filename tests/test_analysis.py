@@ -7,18 +7,23 @@ from riskgames.analysis import (
     AggregateTrace,
     BoundReport,
     RunTrace,
+    density_range,
     fit_rate,
-    risk_sums,
     time_averaged_error,
     validate_lemma3,
     validate_lemma4,
 )
 from riskgames.distributions import Uniform, dkw_confidence_width
-from riskgames.games import CournotGame
-from riskgames.learning import run_algorithm1, run_unbiased_baseline
+from riskgames.games import CournotGame, QuadraticCounterexampleGame
+from riskgames.learning import StepSchedule, run_algorithm1, run_unbiased_baseline
 
 GAME = CournotGame()
 ALPHAS = (0.4, 0.8)
+
+
+def lemma4(trace, agent, game=GAME, **kwargs):
+    L0, p_lower = density_range(game, trace, agent)
+    return validate_lemma4(trace, agent, L0=L0, p_lower=p_lower, **kwargs)
 
 
 def trace_with_errors(err_sq):
@@ -58,17 +63,6 @@ class TestTimeAveragedError:
         trace.err_sq = None
         with pytest.raises(ValueError):
             time_averaged_error(trace)
-
-
-class TestRiskSums:
-    def test_examples(self):
-        assert risk_sums([0.4, 0.8]) == (pytest.approx(3.75), pytest.approx(7.8125))
-        assert risk_sums([1.0, 1.0]) == (pytest.approx(2.0), pytest.approx(2.0))
-        assert risk_sums([0.5]) == (pytest.approx(2.0), pytest.approx(4.0))
-
-    def test_validates_levels(self):
-        with pytest.raises(ValueError):
-            risk_sums([0.4, 0.0])
 
 
 class TestAggregateTrace:
@@ -165,7 +159,7 @@ class TestValidateLemma4:
     def test_exact_var_trace_sums_to_zero(self):
         trace = run_unbiased_baseline(GAME, ALPHAS, 50, seed=3)
         for agent in (0, 1):
-            rep = validate_lemma4(trace, agent)
+            rep = lemma4(trace, agent)
             assert rep.empirical == 0.0
             assert rep.passed
 
@@ -173,7 +167,7 @@ class TestValidateLemma4:
         trace = run_algorithm1(GAME, ALPHAS, 1, seed=4)
         gamma = 0.05
         agent = 0
-        rep = validate_lemma4(trace, agent, gamma=gamma)
+        rep = lemma4(trace, agent, gamma=gamma)
         own = trace.actions[0, agent]
         L0 = 1.0 / own
         p = 1.0 / own
@@ -185,12 +179,12 @@ class TestValidateLemma4:
     def test_learning_run_stays_under_bound(self):
         trace = run_algorithm1(GAME, ALPHAS, 400, seed=5)
         for agent in (0, 1):
-            assert validate_lemma4(trace, agent).passed
+            assert lemma4(trace, agent).passed
 
     def test_most_long_runs_pass(self, cournot_long_traces):
         # high-probability bound at gamma = 0.05: allow one failure in 20
         passes = sum(
-            all(validate_lemma4(t, agent).passed for agent in (0, 1))
+            all(lemma4(t, agent).passed for agent in (0, 1))
             for t in cournot_long_traces[:20]
         )
         assert passes >= 19
@@ -199,21 +193,40 @@ class TestValidateLemma4:
         trace = run_algorithm1(GAME, ALPHAS, 5, seed=6)
         trace.nu_star = None
         with pytest.raises(ValueError):
-            validate_lemma4(trace, 0)
+            lemma4(trace, 0)
 
     def test_non_cournot_needs_explicit_constants(self):
+        # no game is special-cased: every trace needs L0 and p_lower
         trace = run_algorithm1(GAME, ALPHAS, 5, seed=7)
-        trace.config["game"] = "custom"
-        with pytest.raises(ValueError):
-            validate_lemma4(trace, 0)
+        for name in ("custom", "cournot"):
+            trace.config["game"] = name
+            with pytest.raises(ValueError):
+                validate_lemma4(trace, 0)
         rep = validate_lemma4(trace, 0, L0=2.0, p_lower=1.0)
         assert isinstance(rep, BoundReport)
 
     def test_zero_action_guard(self):
         trace = run_algorithm1(GAME, ALPHAS, 5, seed=8)
         trace.actions[2, 0] = 0.0
-        with pytest.raises(ValueError):
-            validate_lemma4(trace, 0)
+        with pytest.raises(ValueError, match="agent=0, cost-law width 0 at episode 3"):
+            density_range(GAME, trace, 0)
+        assert density_range(GAME, trace, 1)
+
+    def test_cournot_density_range_is_own_action_range(self):
+        # the Cournot cost law at x is U(c0, c0 + x_i): width x_i
+        trace = run_algorithm1(GAME, ALPHAS, 200, seed=9)
+        for agent in (0, 1):
+            own = trace.actions[:, agent]
+            assert density_range(GAME, trace, agent) == (1.0 / own.min(), 1.0 / own.max())
+
+    def test_counterexample_density_range(self):
+        # width (4a/3d) x_i x_{-i} * d = (4a/3) x_i x_{-i}
+        game = QuadraticCounterexampleGame(a=2.0, b=1.0, c=0.0, d=0.5)
+        trace = run_algorithm1(game, (0.5, 0.5), 50, schedule=StepSchedule.constant(0.01), seed=10)
+        widths = (8.0 / 3.0) * trace.actions[:, 0] * trace.actions[:, 1]
+        L0, p_lower = density_range(game, trace, 0)
+        assert L0 == pytest.approx(1.0 / widths.min(), rel=1e-12)
+        assert p_lower == pytest.approx(1.0 / widths.max(), rel=1e-12)
 
 
 class TestTraceValidation:
@@ -237,3 +250,4 @@ class TestTraceValidation:
         bad = BoundReport("demo", 0.9, 0.5, False)
         assert "pass" in str(good) and "detail" in str(good)
         assert "FAIL" in str(bad)
+        assert "n/a" in str(BoundReport("demo", math.nan, math.nan, None, "no bound"))

@@ -205,6 +205,15 @@ class TestBundle:
         trace = bundle.traces["algorithm1"][0]
         assert trace.err_sq is None and trace.x_star is None
 
+    def test_counterexample_bundle_has_lemma4_rows(self, tmp_path):
+        cfg = validate_config(
+            {"game": "quadratic-counterexample", "T": 300, "trials": 1, "algorithms": ["algorithm1"]}
+        )
+        bundle = run_experiment(cfg, out_dir=str(tmp_path / "counter"))
+        rows = [r for r in bundle.reports if r.name == "lemma4"]
+        assert [r.detail.split(", ")[:2] for r in rows] == [["trial=0", "agent=0"], ["trial=0", "agent=1"]]
+        assert all(r.passed for r in rows)
+
     def test_report_recomputation_matches(self, tmp_path):
         cfg = validate_config(dict(SMALL_RAW))
         bundle = run_experiment(cfg, out_dir=str(tmp_path / "out"))
@@ -288,6 +297,26 @@ class TestMain:
     def test_run_strict_passes_on_good_bundle(self, tmp_path):
         path = write_config(tmp_path, SMALL_RAW)
         assert main(["run", "--config", path, "--out", str(tmp_path / "b"), "--strict"]) == 0
+
+    def test_start_on_box_face(self, tmp_path):
+        # at x_0 = 0 the cost law has width 0 and the lemma-4 bound has no
+        # density to work with: its row is kept, marked as not applying
+        raw = {"game": "cournot", "T": 50, "trials": 1, "x0": [0.0, 0.5], "algorithms": ["algorithm1"]}
+        path = write_config(tmp_path, raw)
+        out = str(tmp_path / "face")
+        assert main(["run", "--config", path, "--out", out]) == 0
+        bounds = os.path.join(out, "bounds.csv")
+        original = open(bounds, "rb").read()
+        with open(bounds) as fh:
+            rows = [r for r in csv.DictReader(fh) if r["name"] == "lemma4"]
+        assert rows[0]["passed"] == "none"
+        assert rows[0]["detail"].startswith("trial=0, agent=0, cost-law width 0 at episode 1:")
+        assert rows[1]["passed"] == "true"
+        assert main(["report", "--bundle", out]) == 0
+        assert open(bounds, "rb").read() == original
+        # --strict skips rows whose bound does not apply, in both subcommands
+        assert main(["run", "--config", path, "--out", out, "--strict"]) == 0
+        assert main(["report", "--bundle", out, "--strict"]) == 0
 
     def test_report_on_missing_bundle(self, capsys):
         assert main(["report", "--bundle", "/nonexistent"]) == 2

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from riskgames.distributions import Uniform, empirical_var_cvar
 from riskgames.games import (
@@ -9,10 +11,10 @@ from riskgames.games import (
     StochasticGame,
     UnsupportedGameError,
     decomposition_check,
-    evaluate_cost_and_grad,
     exact_gradient_oracle,
     monotonicity_probe,
 )
+from riskgames.learning import run_algorithm1
 
 COURNOT = CournotGame()
 COUNTER = QuadraticCounterexampleGame(a=1.0, b=1.0, c=0.0, d=1.0)
@@ -116,10 +118,9 @@ class TestCournotEquilibrium:
 class TestCostAndGradient:
     def test_zero_production_cost(self):
         # with x_own = 0 the whole cost collapses to the constant 1
+        x = np.array([0.0, 0.5])
         for xi in (0.0, 0.3, 1.0):
-            cost, grad = evaluate_cost_and_grad(
-                COURNOT, 0, np.array([0.0, 0.5]), np.array([xi])
-            )
+            cost, grad = COURNOT.cost(0, x, np.array([xi])), COURNOT.grad(0, x, np.array([xi]))
             assert cost == 1.0
             assert grad[0] == pytest.approx(xi - 1.3)
 
@@ -127,23 +128,23 @@ class TestCostAndGradient:
         # for the alpha = 0.8 agent the per-sample gradient at xi = 0.6
         # equals its exact CVaR gradient, which is zero at the equilibrium
         x = COURNOT.nash_equilibrium([0.4, 0.8])
-        _, grad = evaluate_cost_and_grad(COURNOT, 1, x, np.array([0.6]))
+        grad = COURNOT.grad(1, x, np.array([0.6]))
         assert abs(grad[0]) < 1e-12
 
     def test_counterexample_stationary_on_equilibrium_line(self):
         # (0.25, 0.25) lies on x_1 + x_2 = b/2; xi = 0.75 is the alpha = 0.5
         # tail mean of U(0, 1)
-        _, grad = evaluate_cost_and_grad(
-            COUNTER, 0, np.array([0.25, 0.25]), np.array([0.75])
-        )
+        grad = COUNTER.grad(0, np.array([0.25, 0.25]), np.array([0.75]))
         assert abs(grad[0]) < 1e-12
         assert np.linalg.norm(
             COUNTER.exact_risk_averse_gradient(0, np.array([0.25, 0.25]), 0.5)
         ) < 1e-12
 
     def test_infeasible_action_rejected(self):
+        # the learning loop refuses to start outside the boxes
+        assert not COURNOT.feasible(np.array([1.5, 0.5]))
         with pytest.raises(ValueError):
-            evaluate_cost_and_grad(COURNOT, 0, np.array([1.5, 0.5]), np.array([0.1]))
+            run_algorithm1(COURNOT, (0.4, 0.8), 5, x0=np.array([1.5, 0.5]), seed=0)
 
     @pytest.mark.parametrize(
         "game,bound", [(COURNOT, 2.2), (COUNTER, 10.0 / 3.0)]
@@ -242,6 +243,38 @@ class TestClosedFormsAgainstMonteCarlo:
         x = np.array([0.4, 0.7])
         g = COUNTER.exact_risk_averse_gradient(0, x, 1.0)[0]
         assert g == pytest.approx(2 * 0.4 + (5 / 3) * 0.7 - 1.0)
+
+
+class TestDerivedClosedForms:
+    """The closed forms derived from ``affine_noise`` against the docstring formulas."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        u=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+        alpha=st.floats(0.0, 1.0, exclude_min=True),
+        agent=st.sampled_from([0, 1]),
+        params=st.tuples(
+            st.floats(0.5, 2.0), st.floats(0.5, 2.0), st.floats(-1.0, 1.0), st.floats(0.5, 2.0)
+        ),
+    )
+    def test_docstring_formulas(self, u, alpha, agent, params):
+        x = np.array(u)
+        own, other = x[agent], x[1 - agent]
+        c0 = 1.0 - (2.0 - own - other) * own + 0.2 * own
+        assert COURNOT.exact_var(agent, x, alpha) == pytest.approx(c0 + own * (1 - alpha), abs=1e-12)
+        assert COURNOT.exact_cvar(agent, x, alpha) == pytest.approx(
+            c0 + own * (1 - alpha / 2), abs=1e-12
+        )
+        assert COURNOT.exact_risk_averse_gradient(agent, x, alpha)[0] == pytest.approx(
+            2 * own + other - 0.8 - alpha / 2, abs=1e-12
+        )
+
+        a, b, c, d = params
+        game = QuadraticCounterexampleGame(a=a, b=b, c=c, d=d)
+        x = x * b
+        own, other = x[agent], x[1 - agent]
+        expected = 2 * a * own + a * other - a * b + (4 * a / 3) * (1 - alpha / 2) * other
+        assert game.exact_risk_averse_gradient(agent, x, alpha)[0] == pytest.approx(expected, abs=1e-12)
 
 
 class TestStructuralProbes:

@@ -52,18 +52,68 @@ class NoClosedFormGame(StochasticGame):
         return GAME.grad(agent, x, xi)
 
 
-class ReplayCournotGame(CournotGame):
-    """Cournot without the affine-noise description: forces the replay."""
+class ReplayGame(StochasticGame):
+    """A game with its affine-noise description hidden: forces the replay.
 
-    def affine_noise(self, agent, x):
-        return None
+    Every other method forwards to the wrapped game, whose own batches
+    and closed forms derive from that description.
+    """
+
+    def __init__(self, game):
+        self.game = game
+        self.name = game.name
+
+    @property
+    def num_agents(self):
+        return self.game.num_agents
+
+    @property
+    def action_sets(self):
+        return self.game.action_sets
+
+    @property
+    def grad_bound(self):
+        return self.game.grad_bound
+
+    def sample_noise(self, agent, rng):
+        return self.game.sample_noise(agent, rng)
+
+    def cost(self, agent, x, xi):
+        return self.game.cost(agent, x, xi)
+
+    def grad(self, agent, x, xi):
+        return self.game.grad(agent, x, xi)
+
+    def cost_batch(self, agent, x, xi_batch):
+        return self.game.cost_batch(agent, x, xi_batch)
+
+    def grad_batch(self, agent, x, xi_batch):
+        return self.game.grad_batch(agent, x, xi_batch)
+
+    def noise_distribution(self, agent):
+        return self.game.noise_distribution(agent)
+
+    def exact_var(self, agent, x, alpha):
+        return self.game.exact_var(agent, x, alpha)
+
+    def exact_cvar(self, agent, x, alpha):
+        return self.game.exact_cvar(agent, x, alpha)
+
+    def exact_risk_averse_gradient(self, agent, x, alpha):
+        return self.game.exact_risk_averse_gradient(agent, x, alpha)
+
+    def nash_equilibrium(self, alphas):
+        return self.game.nash_equilibrium(alphas)
 
 
-class ReplayCounterexampleGame(QuadraticCounterexampleGame):
-    """Counterexample game without the affine-noise description."""
+class ReplayCournotGame(ReplayGame):
+    def __init__(self):
+        super().__init__(CournotGame())
 
-    def affine_noise(self, agent, x):
-        return None
+
+class ReplayCounterexampleGame(ReplayGame):
+    def __init__(self, *params):
+        super().__init__(QuadraticCounterexampleGame(*params))
 
 
 class TestProjectBox:
@@ -278,8 +328,13 @@ class CountingCournotGame(CournotGame):
         return super().exact_var(agent, x, alpha)
 
 
-class CountingReplayGame(CountingCournotGame, ReplayCournotGame):
-    pass
+class CountingReplayGame(ReplayGame):
+    def __init__(self):
+        super().__init__(CountingCournotGame())
+
+    @property
+    def exact_var_calls(self):
+        return self.game.exact_var_calls
 
 
 class TestSortedNoise:
