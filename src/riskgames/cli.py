@@ -415,9 +415,6 @@ def _aggregate(traces: list[RunTrace]) -> dict:
     if traces[0].err_sq is not None:
         out["err_sq"] = AggregateTrace.from_series(episodes, [t.err_sq for t in traces])
         out["dist"] = AggregateTrace.from_series(episodes, [np.sqrt(t.err_sq) for t in traces])
-        out["avg_err_sq"] = AggregateTrace.from_series(
-            episodes, [time_averaged_error(t) for t in traces]
-        )
     return out
 
 
@@ -643,10 +640,7 @@ def main(argv=None) -> int:
             if args.strict and not _all_passed(reports):
                 return 1
             return 0
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (FileNotFoundError, OSError) as exc:
+    except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

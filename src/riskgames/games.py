@@ -179,13 +179,16 @@ class StochasticGame(ABC):
         A game returns them when, at the joint action x, the agent's cost
         is c0 + s * xi and its gradient g0 + g1 * xi for every scalar draw
         xi (noise_dim 1). c0 and s are scalars, g0 and g1 scalars or arrays
-        of shape (d_i,). The learning loop reads the empirical VaR as
-        c0 + xi_(k) * s, which equals the k-th smallest replayed cost only
-        when ``cost_batch`` evaluates the same expression; an
-        ``AffineNoiseGame`` derives ``cost_batch`` from these coefficients,
-        so the two agree by construction. Where s >= 0 the cost order is
-        the noise order, and the loop estimates from a sorted noise history
-        instead of replaying it. The default, None, keeps the replay.
+        of shape (d_i,). The slope s must be >= 0 at every feasible x, so
+        that the cost order is the noise order; the learning loop raises a
+        ``ValueError`` on a negative one. When every agent gives them, the
+        loop estimates from a sorted noise history instead of replaying it
+        and reads the empirical VaR as c0 + xi_(k) * s. That equals the
+        k-th smallest replayed cost only when ``cost_batch`` evaluates the
+        same expression; an ``AffineNoiseGame`` derives ``cost_batch`` from
+        these coefficients, so the two agree by construction. A game
+        without such a description returns None, the default, and the
+        loop replays its history.
         """
         return None
 

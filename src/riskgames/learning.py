@@ -1,6 +1,6 @@
 """First-order risk-averse learning.
 
-Each episode every agent replays its full noise history at the current
+Each episode every agent evaluates its noise history at the current
 joint action, estimates the VaR of the resulting cost sample, averages
 the per-sample gradients over the tail at or above that estimate
 (scaled by 1/alpha), and takes a projected gradient step:
@@ -12,25 +12,25 @@ The exact-VaR baseline runs the identical loop with the estimated
 quantile replaced by the game's closed-form VaR, which removes the only
 source of bias and isolates its effect.
 
-Two paths compute the same estimate. When the game reports its cost as
-c0 + s * xi with s >= 0 in a scalar noise (``affine_noise``) and no
-custom VaR estimator is set, the cost order is the noise order. Each
-agent then keeps its draws in a sorted buffer (a binary search and one
-shift per insert or eviction). The empirical VaR is c0 + s * xi_(k),
-the k-th smallest draw, and the tail gradient is
-(count * g0 + g1 * sum of the tail draws) / (t * alpha), read from the
-buffer's upper slice. Every other case (generic games, the binned EDF)
-replays the history: ``cvar_gradient_estimate`` and
-``unbiased_cvar_gradient`` re-evaluate every stored draw, O(t) per
-episode and O(T^2) per run, and serve as the reference oracle the
-sorted path is tested against.
+Two paths compute the same estimate, and a run picks one before its
+first episode. When every agent reports its cost as c0 + s * xi in a
+scalar noise (``affine_noise``), s must be >= 0, so the cost order is
+the noise order. Each agent then keeps its draws in a sorted buffer (a
+binary search and one shift per insert or eviction). The empirical VaR
+is c0 + s * xi_(k), the k-th smallest draw; a custom estimator such as
+``BinnedVarEstimator`` reads the buffer's costs instead. The tail
+gradient (count * g0 + g1 * sum of the tail draws) / (t * alpha) is read
+from the buffer's upper slice. Generic games replay the history:
+``cvar_gradient_estimate`` and ``unbiased_cvar_gradient`` re-evaluate
+every stored draw, O(t) per episode and O(T^2) per run. The replay is
+also the reference oracle the sorted path is tested against.
 
 Ties stay exact on the sorted path. Rounding, or s = 0 at an own action
-of 0, can give draws below xi_(k) the same cost as the VaR; the replay's
-indicator counts those in the tail. The sorted path tests the draw just
-below the boundary with the same predicate, c0 + xi * s >= nu, and only
-when it holds binary-searches for the first draw in the tail. At s = 0
-the whole history is the tail, as in the replay.
+of 0, can give draws below the boundary the same cost as the VaR; the
+replay's indicator counts those in the tail. The sorted path tests the
+draw just below the boundary with the same predicate, c0 + xi * s >= nu,
+and only when it holds binary-searches for the first draw in the tail.
+At s = 0 the whole history is the tail, as in the replay.
 
 An optional sliding window caps the history length; that is a speed
 knob, not part of the analyzed algorithm, and is off by default.
@@ -95,12 +95,21 @@ class GradientEstimate:
     tail_count: int
 
 
-def _tail_gradient(
-    costs: np.ndarray, grads: np.ndarray, nu: float, alpha: float
+def _replay_gradient(
+    game: StochasticGame, agent: int, x, noise_history, alpha: float, nu=None, var_estimator=None
 ) -> GradientEstimate:
+    """Replayed tail average at ``nu``, or else at the estimated VaR of the costs."""
+    check_risk_level(alpha)
+    noise_history = np.asarray(noise_history, dtype=np.float64)
+    if noise_history.ndim != 2 or noise_history.shape[0] == 0:
+        raise ValueError("noise history must be a nonempty (t, noise_dim) array")
+    costs = game.cost_batch(agent, x, noise_history)
+    grads = game.grad_batch(agent, x, noise_history)
+    if nu is None:
+        nu = (empirical_var if var_estimator is None else var_estimator)(costs, alpha)
     mask = costs >= nu
     g = grads[mask].sum(axis=0) / (costs.size * alpha)
-    return GradientEstimate(g=g, var_used=nu, tail_count=int(mask.sum()))
+    return GradientEstimate(g=g, var_used=float(nu), tail_count=int(mask.sum()))
 
 
 def cvar_gradient_estimate(
@@ -119,15 +128,7 @@ def cvar_gradient_estimate(
     or above it, scaled by 1 / alpha. The divisor is the full history
     length even when ties push extra samples into the tail.
     """
-    check_risk_level(alpha)
-    noise_history = np.asarray(noise_history, dtype=np.float64)
-    if noise_history.ndim != 2 or noise_history.shape[0] == 0:
-        raise ValueError("noise history must be a nonempty (t, noise_dim) array")
-    costs = game.cost_batch(agent, x, noise_history)
-    grads = game.grad_batch(agent, x, noise_history)
-    estimator = empirical_var if var_estimator is None else var_estimator
-    nu = estimator(costs, alpha)
-    return _tail_gradient(costs, grads, nu, alpha)
+    return _replay_gradient(game, agent, x, noise_history, alpha, var_estimator=var_estimator)
 
 
 def unbiased_cvar_gradient(
@@ -144,15 +145,9 @@ def unbiased_cvar_gradient(
     expectation, so this estimator is unbiased for the CVaR gradient.
     The game must supply the closed-form VaR unless one is passed in.
     """
-    check_risk_level(alpha)
-    noise_history = np.asarray(noise_history, dtype=np.float64)
-    if noise_history.ndim != 2 or noise_history.shape[0] == 0:
-        raise ValueError("noise history must be a nonempty (t, noise_dim) array")
     if exact_var is None:
         exact_var = game.exact_var(agent, x, alpha)
-    costs = game.cost_batch(agent, x, noise_history)
-    grads = game.grad_batch(agent, x, noise_history)
-    return _tail_gradient(costs, grads, float(exact_var), alpha)
+    return _replay_gradient(game, agent, x, noise_history, alpha, float(exact_var))
 
 
 def _first_in_tail(values: np.ndarray, start: int, in_tail) -> int:
@@ -197,20 +192,28 @@ class _SortedNoise:
         values[pos : n - 1] = values[pos + 1 : n]
         self._size = n - 1
 
-    def tail_gradient(self, coeffs, alpha: float, nu=None) -> GradientEstimate:
-        """The replay's estimate from the sorted draws, for s >= 0.
+    def tail_gradient(
+        self, coeffs, alpha: float, nu=None, var_estimator=None
+    ) -> GradientEstimate:
+        """The replay's estimate from the sorted draws.
 
-        ``coeffs`` is the game's ``affine_noise`` result. With ``nu`` None
-        the threshold is the empirical VaR, as in ``cvar_gradient_estimate``;
-        otherwise it is ``nu``, as in ``unbiased_cvar_gradient``.
+        ``coeffs`` is the game's ``affine_noise`` result, whose slope must
+        be >= 0. With ``nu`` None the threshold is the empirical VaR, or
+        ``var_estimator`` of the costs when set, as in
+        ``cvar_gradient_estimate``; otherwise it is ``nu``, as in
+        ``unbiased_cvar_gradient``.
         """
         c0, s, g0, g1 = coeffs
+        if s < 0:
+            raise ValueError(f"affine_noise needs a nonnegative noise slope, got {s}")
         n = self._size
         values = self._values[:n]
-        if nu is None:
+        if nu is None and var_estimator is None:
             start = _tail_start(n, alpha) - 1
             nu = c0 + values[start] * s
         else:
+            if nu is None:
+                nu = var_estimator(c0 + values * s, alpha)
             start = int(values.searchsorted((nu - c0) / s)) if s > 0 else 0
         start = _first_in_tail(values, start, lambda v: c0 + v * s >= nu)
         count = n - start
@@ -248,21 +251,26 @@ def _run(
         raise ValueError("window must be >= 1 when set")
 
     num_agents = game.num_agents
+    boxes = game.action_sets
+    blocks = [game.block_slice(i) for i in range(num_agents)]
+
+    def project(z):
+        return np.concatenate([box.project(z[block]) for box, block in zip(boxes, blocks)])
+
     if x0 is None:
-        x = np.concatenate([box.center for box in game.action_sets])
+        x = np.concatenate([box.center for box in boxes])
     else:
-        x = np.asarray(x0, dtype=np.float64).copy()
+        x = np.asarray(x0, dtype=np.float64)
         if not game.feasible(x):
             raise ValueError(f"infeasible initial action {x!r}")
+        # feasible() allows 1e-9 of slack; start exactly on the box
+        x = project(x)
     eta = float(schedule.resolve(game, horizon))
 
     rngs = _as_rngs(game, seed)
     histories = [np.empty((horizon, game.noise_dim)) for _ in range(num_agents)]
-    blocks = [game.block_slice(i) for i in range(num_agents)]
     sorted_noise = None
-    if var_estimator is None and all(
-        game.affine_noise(i, x) is not None for i in range(num_agents)
-    ):
+    if all(game.affine_noise(i, x) is not None for i in range(num_agents)):
         capacity = horizon if window is None else min(horizon, window)
         sorted_noise = [_SortedNoise(capacity) for _ in range(num_agents)]
 
@@ -288,43 +296,32 @@ def _run(
             delta = x - x_star
             err_sq[t - 1] = float(delta @ delta)
         start = 0 if window is None else max(0, t - window)
-        estimates = []
+        grads = []
         for i in range(num_agents):
             history = histories[i]
             history[t - 1] = game.sample_noise(i, rngs[i])
             true_var = game.exact_var(i, x, alphas[i]) if track_true_var else None
-            coeffs = None
-            if sorted_noise is not None:
-                if start > 0:
-                    sorted_noise[i].remove(history[start - 1, 0])
-                sorted_noise[i].insert(history[t - 1, 0])
-                coeffs = game.affine_noise(i, x)
-            # a negative slope reverses the cost order, so the replay takes it
-            # (for the built-in games only an x0 a hair below 0, inside the
-            # feasibility tolerance, gives one)
-            if coeffs is not None and coeffs[1] >= 0:
-                est = sorted_noise[i].tail_gradient(
-                    coeffs, alphas[i], true_var if unbiased else None
-                )
-            elif unbiased:
-                est = unbiased_cvar_gradient(
-                    game, i, x, history[start:t], alphas[i], exact_var=true_var
-                )
+            if sorted_noise is None:
+                draws = history[start:t]
+                if unbiased:
+                    est = unbiased_cvar_gradient(game, i, x, draws, alphas[i], true_var)
+                else:
+                    est = cvar_gradient_estimate(game, i, x, draws, alphas[i], var_estimator)
             else:
-                est = cvar_gradient_estimate(
-                    game, i, x, history[start:t], alphas[i], var_estimator=var_estimator
+                buffer = sorted_noise[i]
+                if start > 0:
+                    buffer.remove(history[start - 1, 0])
+                buffer.insert(history[t - 1, 0])
+                fixed_nu = true_var if unbiased else None
+                est = buffer.tail_gradient(
+                    game.affine_noise(i, x), alphas[i], fixed_nu, var_estimator
                 )
             nu[t - 1, i] = est.var_used
             if nu_star is not None:
                 nu_star[t - 1, i] = true_var
-            estimates.append(est)
+            grads.append(est.g)
         # simultaneous play: all updates use the same joint action
-        x_next = x.copy()
-        for i in range(num_agents):
-            x_next[blocks[i]] = game.action_sets[i].project(
-                x[blocks[i]] - eta * estimates[i].g
-            )
-        x = x_next
+        x = project(x - eta * np.concatenate(grads))
 
     config = {
         "game": getattr(game, "name", type(game).__name__.lower()),
@@ -360,9 +357,10 @@ def run_algorithm1(
     """Run the first-order risk-averse learning loop for ``horizon`` episodes.
 
     All agents play simultaneously; each draws one fresh noise sample per
-    episode and estimates its gradient from the full replayed history
-    (or the last ``window`` draws if a window is set). Runs with equal
-    seeds and configuration are bit-identical.
+    episode and estimates its gradient from its whole noise history (or
+    the last ``window`` draws if a window is set), with the empirical VaR
+    or ``var_estimator`` as the threshold. Runs with equal seeds and
+    configuration are bit-identical.
     """
     return _run(
         game,

@@ -317,6 +317,17 @@ class TestMain:
         # --strict skips rows whose bound does not apply, in both subcommands
         assert main(["run", "--config", path, "--out", out, "--strict"]) == 0
         assert main(["report", "--bundle", out, "--strict"]) == 0
+        # an x0 within the feasibility tolerance below the face starts on it
+        below = write_config(tmp_path, {**raw, "x0": [-1.0e-10, 0.5]}, name="below.yaml")
+        out_below = str(tmp_path / "below")
+        assert main(["run", "--config", below, "--out", out_below]) == 0
+        names = sorted(os.listdir(os.path.join(out, "trials")))
+        assert names == sorted(os.listdir(os.path.join(out_below, "trials"))) != []
+        for name in names:
+            with open(os.path.join(out, "trials", name), "rb") as fh:
+                expected = fh.read()
+            with open(os.path.join(out_below, "trials", name), "rb") as fh:
+                assert fh.read() == expected
 
     def test_report_on_missing_bundle(self, capsys):
         assert main(["report", "--bundle", "/nonexistent"]) == 2

@@ -52,6 +52,19 @@ class NoClosedFormGame(StochasticGame):
         return GAME.grad(agent, x, xi)
 
 
+class NegativeSlopeGame(NoClosedFormGame):
+    """Costs x_i * (1 - xi): affine in the noise with slope -x_i < 0."""
+
+    def cost(self, agent, x, xi):
+        return x[agent] * (1.0 - xi[0])
+
+    def grad(self, agent, x, xi):
+        return np.array([1.0 - xi[0]])
+
+    def affine_noise(self, agent, x):
+        return x[agent], -x[agent], 1.0, -1.0
+
+
 class ReplayGame(StochasticGame):
     """A game with its affine-noise description hidden: forces the replay.
 
@@ -311,6 +324,18 @@ class TestRunLoop:
         with pytest.raises(ValueError):
             run_algorithm1(GAME, (0.4,), 5, seed=0)
 
+    @pytest.mark.parametrize("x0,start", [([-1e-10, 0.5], [0.0, 0.5]), ([0.5, -1e-10], [0.5, 0.0])])
+    def test_start_within_tolerance_is_projected(self, x0, start):
+        # feasible() accepts x0 up to 1e-9 outside the box; the run starts on it
+        for run in (run_algorithm1, run_unbiased_baseline):
+            trace = run(GAME, ALPHAS, 20, x0=x0, seed=14)
+            assert np.array_equal(trace.actions[0], start)
+            assert np.array_equal(trace.actions, run(GAME, ALPHAS, 20, x0=start, seed=14).actions)
+
+    def test_negative_affine_noise_slope_rejected(self):
+        with pytest.raises(ValueError, match=r"slope, got -0\.5"):
+            run_algorithm1(NegativeSlopeGame(), ALPHAS, 5, seed=0)
+
     def test_trace_metadata(self):
         trace = run_algorithm1(GAME, ALPHAS, 10, seed=13)
         assert np.array_equal(trace.episodes, np.arange(1, 11))
@@ -393,6 +418,12 @@ class TestSortedNoise:
                 buf.tail_gradient(coeffs, alpha, nu),
                 unbiased_cvar_gradient(GAME, agent, x, history, alpha, exact_var=nu),
             )
+        # the binned EDF sees the same set of costs, so the same VaR
+        binned = BinnedVarEstimator(data.draw(st.integers(1, 50)))
+        self.assert_same(
+            buf.tail_gradient(coeffs, alpha, var_estimator=binned),
+            cvar_gradient_estimate(GAME, agent, x, history, alpha, var_estimator=binned),
+        )
 
     def test_zero_action_puts_whole_history_in_tail(self):
         # at x_i = 0 every replayed cost equals the VaR, as in the replay
@@ -421,13 +452,13 @@ class TestSortedPathMatchesReplay:
             if fast is not None:
                 assert np.max(np.abs(fast - slow)) <= 1e-12
 
-    def run_both(self, kind, params, alphas, horizon, window, schedule, x0, seed):
+    def run_both(self, kind, params, alphas, horizon, window, schedule, x0, seed, edf=None):
         fast, slow = self.games(kind, params)
         x0 = None if x0 is None else np.asarray(x0) * fast.action_sets[0].upper[0]
-        for run in (run_algorithm1, run_unbiased_baseline):
-            kwargs = dict(schedule=schedule, x0=x0, seed=seed, window=window)
-            a = run(fast, alphas, horizon, **kwargs)
-            b = run(slow, alphas, horizon, **kwargs)
+        kwargs = dict(schedule=schedule, x0=x0, seed=seed, window=window)
+        for run, extra in ((run_algorithm1, dict(var_estimator=edf)), (run_unbiased_baseline, {})):
+            a = run(fast, alphas, horizon, **kwargs, **extra)
+            b = run(slow, alphas, horizon, **kwargs, **extra)
             self.assert_close(a, b)
         return a
 
@@ -444,8 +475,9 @@ class TestSortedPathMatchesReplay:
             st.tuples(*[st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))] * 2),
         ),
         seed=st.integers(0, 2**32 - 1),
+        edf=st.one_of(st.none(), st.integers(1, 50).map(BinnedVarEstimator)),
     )
-    def test_equivalence(self, kind, params, alphas, horizon, window_kind, pinned, x0, seed):
+    def test_equivalence(self, kind, params, alphas, horizon, window_kind, pinned, x0, seed, edf):
         window = {
             None: None,
             "one": 1,
@@ -453,7 +485,7 @@ class TestSortedPathMatchesReplay:
             "covering": horizon + seed % 3,
         }[window_kind]
         schedule = StepSchedule.constant(5.0) if pinned else StepSchedule.auto()
-        self.run_both(kind, params, alphas, horizon, window, schedule, x0, seed)
+        self.run_both(kind, params, alphas, horizon, window, schedule, x0, seed, edf)
 
     @pytest.mark.parametrize("window", [None, 1, 7, 40])
     @pytest.mark.parametrize("kind,alphas", [("cournot", (1.0, 0.4)), ("counterexample", (0.5, 1.0))])
