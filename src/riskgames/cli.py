@@ -131,6 +131,19 @@ def _as_float(raw, field: str) -> float:
     return value
 
 
+def _edf_bins(edf) -> int | None:
+    """Bin count of an ``edf`` setting: None for 'exact', n for 'binned:<n>'."""
+    if edf == "exact":
+        return None
+    _require(isinstance(edf, str) and edf.startswith("binned:"), f"edf: expected 'exact' or 'binned:<bins>', got {edf!r}")
+    try:
+        bins = int(edf.split(":", 1)[1])
+    except ValueError:
+        raise ConfigError(f"edf: malformed bin count in {edf!r}") from None
+    _require(bins >= 1, f"edf: bin count must be >= 1, got {bins}")
+    return bins
+
+
 def validate_config(raw: dict) -> ExperimentConfig:
     """Check a flat key-value document and fill in the documented defaults.
 
@@ -183,13 +196,7 @@ def validate_config(raw: dict) -> ExperimentConfig:
         window = _as_int(raw_window, "window", 1)
 
     edf = raw.get("edf", "exact")
-    if edf != "exact":
-        _require(isinstance(edf, str) and edf.startswith("binned:"), f"edf: expected 'exact' or 'binned:<bins>', got {edf!r}")
-        try:
-            bins = int(edf.split(":", 1)[1])
-        except ValueError:
-            raise ConfigError(f"edf: malformed bin count in {edf!r}") from None
-        _require(bins >= 1, f"edf: bin count must be >= 1, got {bins}")
+    _edf_bins(edf)
 
     config = ExperimentConfig(
         game=game,
@@ -268,9 +275,8 @@ def resolved_document(config: ExperimentConfig) -> dict:
 
 
 def _var_estimator(config: ExperimentConfig):
-    if config.edf == "exact":
-        return None
-    return BinnedVarEstimator(num_bins=int(config.edf.split(":", 1)[1]))
+    bins = _edf_bins(config.edf)
+    return None if bins is None else BinnedVarEstimator(num_bins=bins)
 
 
 def _trial_seed(config: ExperimentConfig, index: int) -> np.random.SeedSequence:
@@ -340,62 +346,63 @@ def trial_filename(algorithm: str, index: int) -> str:
     return f"{algorithm}-trial{index:03d}.csv"
 
 
-def _fmt(value: float) -> str:
-    return repr(float(value))
+def _write_csv(path, header, rows) -> None:
+    """One header line, then the rows. ``csv.writer`` writes a float as its
+    repr, which round-trips exactly, and quotes cells that hold commas."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _trial_columns(dim: int, num_agents: int) -> dict[str, list[str]]:
+    """Trial-file column names in file order, per ``RunTrace`` field.
+
+    A trace whose ``err_sq`` or ``nu_star`` is None has no such columns.
+    """
+    return {
+        "episodes": ["t"],
+        "actions": [f"x{j}" for j in range(dim)],
+        "err_sq": ["err_sq"],
+        "nu": [f"nu_agent{i}" for i in range(num_agents)],
+        "nu_star": [f"nu_star_agent{i}" for i in range(num_agents)],
+    }
 
 
 def write_trace_csv(trace: RunTrace, path) -> None:
     """One row per episode; full round-trip float precision."""
-    dim = trace.actions.shape[1]
-    n = trace.num_agents
-    header = ["t"] + [f"x{j}" for j in range(dim)]
-    if trace.err_sq is not None:
-        header.append("err_sq")
-    header += [f"nu_agent{i}" for i in range(n)]
-    if trace.nu_star is not None:
-        header += [f"nu_star_agent{i}" for i in range(n)]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in range(trace.horizon):
-            out = [str(int(trace.episodes[row]))]
-            out += [_fmt(v) for v in trace.actions[row]]
-            if trace.err_sq is not None:
-                out.append(_fmt(trace.err_sq[row]))
-            out += [_fmt(v) for v in trace.nu[row]]
-            if trace.nu_star is not None:
-                out += [_fmt(v) for v in trace.nu_star[row]]
-            writer.writerow(out)
+    header, columns = [], []
+    for field, names in _trial_columns(trace.actions.shape[1], trace.num_agents).items():
+        values = getattr(trace, field)
+        if values is not None:
+            header += names
+            columns += np.reshape(values, (trace.horizon, len(names))).T.tolist()
+    _write_csv(path, header, zip(*columns))
 
 
 def read_trace_csv(path, config: ExperimentConfig, algorithm: str) -> RunTrace:
     """Rebuild a RunTrace from a trial CSV plus the bundle's config."""
     game = build_game(config)
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        rows = [[float(v) for v in row] for row in reader]
-    data = np.array(rows)
+    with open(path, "r", encoding="utf-8") as fh:
+        header = fh.readline().rstrip("\n").split(",")
+        data = np.loadtxt(fh, delimiter=",", ndmin=2)
     cols = {name: idx for idx, name in enumerate(header)}
-    n = game.num_agents
-    dim = game.dimension
-    episodes = data[:, cols["t"]].astype(int)
-    actions = data[:, [cols[f"x{j}"] for j in range(dim)]]
-    nu = data[:, [cols[f"nu_agent{i}"] for i in range(n)]]
-    nu_star = None
-    if "nu_star_agent0" in cols:
-        nu_star = data[:, [cols[f"nu_star_agent{i}"] for i in range(n)]]
-    err_sq = data[:, cols["err_sq"]] if "err_sq" in cols else None
+    blocks = {
+        field: data[:, [cols[name] for name in names]]
+        for field, names in _trial_columns(game.dimension, game.num_agents).items()
+        if names[0] in cols
+    }
+    err_sq = blocks.get("err_sq")
     x_star = game.nash_equilibrium(config.alphas)
     eta = config.eta
     if eta is None:
         eta = StepSchedule.auto().resolve(game, config.horizon)
     return RunTrace(
-        episodes=episodes,
-        actions=actions,
-        nu=nu,
-        nu_star=nu_star,
-        err_sq=err_sq,
+        episodes=blocks["episodes"][:, 0].astype(int),
+        actions=blocks["actions"],
+        nu=blocks["nu"],
+        nu_star=blocks.get("nu_star"),
+        err_sq=None if err_sq is None else err_sq[:, 0],
         x_star=x_star,
         config={
             "game": config.game,
@@ -420,25 +427,14 @@ def _aggregate(traces: list[RunTrace]) -> dict:
 
 def write_aggregate_csv(aggregates: dict, algorithms, path) -> None:
     """Columns: t, then mean/std of the squared and plain distance per algorithm."""
-    episodes = aggregates[algorithms[0]]["err_sq"].episodes
     header = ["t"]
+    columns = [aggregates[algorithms[0]]["err_sq"].episodes]
     for alg in algorithms:
-        header += [
-            f"{alg}_mean_err_sq",
-            f"{alg}_std_err_sq",
-            f"{alg}_mean_dist",
-            f"{alg}_std_dist",
-        ]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in range(episodes.size):
-            out = [str(int(episodes[row]))]
-            for alg in algorithms:
-                sq = aggregates[alg]["err_sq"]
-                dist = aggregates[alg]["dist"]
-                out += [_fmt(sq.mean[row]), _fmt(sq.std[row]), _fmt(dist.mean[row]), _fmt(dist.std[row])]
-            writer.writerow(out)
+        sq = aggregates[alg]["err_sq"]
+        dist = aggregates[alg]["dist"]
+        header += [f"{alg}_mean_err_sq", f"{alg}_std_err_sq", f"{alg}_mean_dist", f"{alg}_std_dist"]
+        columns += [sq.mean, sq.std, dist.mean, dist.std]
+    _write_csv(path, header, zip(*(column.tolist() for column in columns)))
 
 
 def compute_reports(config: ExperimentConfig, traces: dict) -> list[BoundReport]:
@@ -495,13 +491,11 @@ def compute_reports(config: ExperimentConfig, traces: dict) -> list[BoundReport]
 
 
 def write_report_csv(reports: list[BoundReport], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["name", "empirical", "bound", "passed", "detail"])
-        for rep in reports:
-            writer.writerow(
-                [rep.name, _fmt(rep.empirical), _fmt(rep.bound), str(rep.passed).lower(), rep.detail]
-            )
+    _write_csv(
+        path,
+        ["name", "empirical", "bound", "passed", "detail"],
+        ([r.name, float(r.empirical), float(r.bound), str(r.passed).lower(), r.detail] for r in reports),
+    )
 
 
 def run_experiment(

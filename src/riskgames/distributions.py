@@ -125,49 +125,33 @@ class Uniform:
 class BinnedVarEstimator:
     """Histogram approximation of the empirical VaR.
 
-    Partitions [0, U] into equal-width bins (U defaults to the largest
-    observed cost) and reads the quantile off the binned EDF at bin right
-    edges. Samples outside the range are clamped into the end bins. This
+    Partitions [min(0, smallest cost), largest cost] into equal-width bins
+    and reads the quantile off the binned EDF at bin right edges. This
     trades exactness for a bounded memory footprint; the exact
     order-statistic estimator is the default everywhere.
     """
 
     num_bins: int = 1000
-    upper: float | None = None
 
     def __post_init__(self):
         if self.num_bins < 1:
             raise ValueError("num_bins must be >= 1")
-
-    def _edges(self, values: np.ndarray) -> np.ndarray:
-        lo = min(0.0, float(values.min()))
-        hi = self.upper if self.upper is not None else float(values.max())
-        if hi <= lo:
-            hi = lo + 1.0
-        return np.linspace(lo, hi, self.num_bins + 1)
 
     def __call__(self, values: np.ndarray, alpha: float) -> float:
         check_risk_level(alpha)
         values = np.asarray(values, dtype=np.float64)
         if values.size == 0:
             raise ValueError("empty sample set has no quantiles")
-        edges = self._edges(values)
-        counts, _ = np.histogram(np.clip(values, edges[0], edges[-1]), bins=edges)
+        lo = min(0.0, float(values.min()))
+        hi = float(values.max())
+        if hi <= lo:
+            hi = lo + 1.0
+        edges = np.linspace(lo, hi, self.num_bins + 1)
+        counts, _ = np.histogram(values, bins=edges)
         cum = np.cumsum(counts) / values.size
         idx = int(np.searchsorted(cum, 1.0 - alpha - 1e-12))
         idx = min(idx, self.num_bins - 1)
         return float(edges[idx + 1])
-
-    def var_cvar(self, values: np.ndarray, alpha: float) -> tuple[float, float]:
-        """Binned (VaR, CVaR): the tail expectation as a finite sum over bins."""
-        values = np.asarray(values, dtype=np.float64)
-        nu = self(values, alpha)
-        edges = self._edges(values)
-        counts, _ = np.histogram(np.clip(values, edges[0], edges[-1]), bins=edges)
-        centers = 0.5 * (edges[:-1] + edges[1:])
-        excess = np.maximum(centers - nu, 0.0)
-        cvar = nu + float(np.dot(counts, excess)) / (alpha * values.size)
-        return nu, cvar
 
 
 def dkw_confidence_width(t: int, gamma_bar: float, p_lower: float) -> float:

@@ -214,7 +214,9 @@ class _SortedNoise:
         else:
             if nu is None:
                 nu = var_estimator(c0 + values * s, alpha)
-            start = int(values.searchsorted((nu - c0) / s)) if s > 0 else 0
+            # plain floats: for a subnormal s the guess overflows to inf without
+            # numpy's warning, and _first_in_tail corrects it
+            start = int(values.searchsorted(float(nu - c0) / float(s))) if s > 0 else 0
         start = _first_in_tail(values, start, lambda v: c0 + v * s >= nu)
         count = n - start
         g = (count * g0 + g1 * values[start:].sum()) / (n * alpha)

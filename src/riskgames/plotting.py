@@ -21,6 +21,7 @@ _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 _WIDTH, _HEIGHT = 720.0, 480.0
 _LEFT, _RIGHT, _TOP, _BOTTOM = 78.0, 24.0, 24.0, 56.0
+_X_LABEL, _Y_LABEL = "episode", "distance to equilibrium"
 
 
 def _nice_step(span: float) -> float:
@@ -34,12 +35,7 @@ def _nice_step(span: float) -> float:
     return 10.0 * mag
 
 
-def emit_plot(
-    series: list[tuple[str, AggregateTrace]],
-    path,
-    x_label: str = "episode",
-    y_label: str = "distance to equilibrium",
-) -> None:
+def emit_plot(series: list[tuple[str, AggregateTrace]], path) -> None:
     """Write an SVG overlaying mean curves with +/- one std bands.
 
     ``series`` pairs a legend label with an aggregate; the y axis is
@@ -111,12 +107,12 @@ def emit_plot(
     )
     out.append(
         f'<text x="{_LEFT + plot_w / 2:.2f}" y="{_HEIGHT - 12:.2f}" text-anchor="middle" '
-        f'font-size="14" font-family="sans-serif">{escape(x_label)}</text>'
+        f'font-size="14" font-family="sans-serif">{escape(_X_LABEL)}</text>'
     )
     out.append(
         f'<text x="18" y="{_TOP + plot_h / 2:.2f}" text-anchor="middle" font-size="14" '
         f'font-family="sans-serif" transform="rotate(-90 18 {_TOP + plot_h / 2:.2f})">'
-        f"{escape(y_label)}</text>"
+        f"{escape(_Y_LABEL)}</text>"
     )
 
     for idx, (label, agg) in enumerate(series):

@@ -25,6 +25,21 @@ from riskgames.plotting import emit_plot
 
 SMALL_RAW = {"game": "cournot", "T": 40, "trials": 2, "seed": 5}
 
+# the bundle of PINNED_RAW, byte for byte
+PINNED_RAW = {"game": "cournot", "T": 3, "trials": 1, "seed": 5}
+PINNED_TRIAL = """\
+t,x0,x1,err_sq,nu_agent0,nu_agent1,nu_star_agent0,nu_star_agent1
+1,0.5,0.5,0.05555555555555557,0.7207618659459418,1.0544472499778554,0.8999999999999999,0.7
+2,0.5383651012879839,0.3002582934900498,0.10151178603896244,0.6468643541235757,0.9010909015890165,0.8054474473265683,0.7713903598128051
+3,0.5769346312413517,0.264400068008458,0.13717798677407894,0.623129270473282,0.913619949822496,0.7930735669726203,0.7994088428859925
+"""
+PINNED_AGGREGATE = """\
+t,algorithm1_mean_err_sq,algorithm1_std_err_sq,algorithm1_mean_dist,algorithm1_std_dist,unbiased-fo_mean_err_sq,unbiased-fo_std_err_sq,unbiased-fo_mean_dist,unbiased-fo_std_dist
+1,0.05555555555555557,0.0,0.23570226039551587,0.0,0.05555555555555557,0.0,0.23570226039551587,0.0
+2,0.10151178603896244,0.0,0.31860914305613147,0.0,0.0821361911077327,0.0,0.2865941225980266,0.0
+3,0.13717798677407894,0.0,0.3703754672951206,0.0,0.09042344520500972,0.0,0.300704913835823,0.0
+"""
+
 
 def write_config(tmp_path, raw, name="config.yaml"):
     path = tmp_path / name
@@ -146,14 +161,38 @@ class TestBundle:
         assert all(r.name in ("lemma3", "lemma4") for r in bundle.reports)
 
     def test_csv_round_trip_preserves_floats(self, tmp_path):
-        trace = run_algorithm1(build_game(validate_config(SMALL_RAW)), (0.4, 0.8), 25, seed=3)
-        path = tmp_path / "trace.csv"
-        write_trace_csv(trace, path)
-        back = read_trace_csv(path, validate_config(SMALL_RAW), "algorithm1")
-        assert np.array_equal(back.actions, trace.actions)
-        assert np.array_equal(back.nu, trace.nu)
-        assert np.array_equal(back.nu_star, trace.nu_star)
-        assert np.array_equal(back.err_sq, trace.err_sq)
+        cournot = validate_config(SMALL_RAW)
+        counter = validate_config({"game": "quadratic-counterexample", "T": 25})
+        extreme = run_algorithm1(build_game(cournot), (0.4, 0.8), 4, seed=3)
+        extreme.actions[0] = [-0.0, 5e-324]
+        extreme.nu[1] = [1.7976931348623157e308, -1.7976931348623157e308]
+        extreme.nu_star[2] = [0.30000000000000004, 2.2250738585072014e-308]
+        extreme.err_sq[:] = [-0.0, 5e-324, 1.2345678901234567e-5, 1.7976931348623157e308]
+        cases = [
+            (cournot, run_algorithm1(build_game(cournot), (0.4, 0.8), 25, seed=3)),
+            (cournot, run_algorithm1(build_game(cournot), (0.4, 0.8), 1, seed=3)),
+            (counter, run_algorithm1(build_game(counter), (0.5, 0.5), 25, seed=3)),
+            (cournot, extreme),
+        ]
+        for index, (config, trace) in enumerate(cases):
+            path = tmp_path / f"trace{index}.csv"
+            write_trace_csv(trace, path)
+            back = read_trace_csv(path, config, "algorithm1")
+            assert np.array_equal(back.episodes, trace.episodes)
+            for field in ("actions", "nu", "nu_star", "err_sq"):
+                ours, theirs = getattr(back, field), getattr(trace, field)
+                assert (ours is None) == (theirs is None), field
+                if ours is not None:
+                    assert ours.shape == theirs.shape, field
+                    assert np.array_equal(ours.view(np.int64), theirs.view(np.int64)), field
+        assert cases[2][1].err_sq is None and cases[2][1].nu_star is not None
+
+    def test_bundle_bytes_are_pinned(self, tmp_path):
+        bundle = run_experiment(validate_config(dict(PINNED_RAW)), out_dir=str(tmp_path / "pinned"))
+        with open(bundle.trial_paths[("algorithm1", 0)], "rb") as fh:
+            assert fh.read() == PINNED_TRIAL.encode()
+        with open(bundle.aggregate_path, "rb") as fh:
+            assert fh.read() == PINNED_AGGREGATE.encode()
 
     def test_rerun_is_byte_identical(self, tmp_path):
         cfg = validate_config(dict(SMALL_RAW))

@@ -263,15 +263,6 @@ class TestBinnedEstimator:
         for alpha in (0.2, 0.4, 0.8):
             assert abs(est(values, alpha) - empirical_var(values, alpha)) <= 2 * width
 
-    def test_var_cvar_close_to_exact(self):
-        rng = np.random.default_rng(6)
-        values = rng.uniform(0, 2, 50_000)
-        est = BinnedVarEstimator(num_bins=1000)
-        var, cvar = est.var_cvar(values, 0.4)
-        exact_var, exact_cvar = empirical_var_cvar(values, 0.4)
-        assert var == pytest.approx(exact_var, abs=0.01)
-        assert cvar == pytest.approx(exact_cvar, abs=0.01)
-
     def test_invalid_bins(self):
         with pytest.raises(ValueError):
             BinnedVarEstimator(num_bins=0)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from riskgames.distributions import BinnedVarEstimator, empirical_var
@@ -362,6 +362,16 @@ class CountingReplayGame(ReplayGame):
         return self.game.exact_var_calls
 
 
+class FixedDraws:
+    """Stands in for ``st.data()`` in an ``@example``: returns the given draws in order."""
+
+    def __init__(self, *draws):
+        self.draws = iter(draws)
+
+    def draw(self, strategy):
+        return next(self.draws)
+
+
 class TestSortedNoise:
     """The sorted-buffer estimator against the replay on the same draws."""
 
@@ -398,6 +408,9 @@ class TestSortedNoise:
         agent=st.sampled_from([0, 1]),
         data=st.data(),
     )
+    # a binned VaR far from c0 over a subnormal slope overflows the boundary guess;
+    # draws: nothing removed, the threshold 1.0 (the only cost), 2 bins
+    @example(draws=[0.0, 0.0], own=5e-324, other=0.0, alpha=1.0, agent=0, data=FixedDraws([], 1.0, 2))
     def test_matches_replay_with_ties(self, draws, own, other, alpha, agent, data):
         x = np.array([own, other]) if agent == 0 else np.array([other, own])
         removed = data.draw(st.lists(st.sampled_from(draws), max_size=len(draws) - 1, unique=True))
@@ -476,6 +489,18 @@ class TestSortedPathMatchesReplay:
         ),
         seed=st.integers(0, 2**32 - 1),
         edf=st.one_of(st.none(), st.integers(1, 50).map(BinnedVarEstimator)),
+    )
+    # the binned VaR over a subnormal own action overflows the boundary guess
+    @example(
+        kind="cournot",
+        params=(1.0, 1.0, 0.0, 1.0),
+        alphas=(1.0, 1.0),
+        horizon=1,
+        window_kind=None,
+        pinned=False,
+        x0=(0.0, 2.2250738585e-313),
+        seed=0,
+        edf=BinnedVarEstimator(2),
     )
     def test_equivalence(self, kind, params, alphas, horizon, window_kind, pinned, x0, seed, edf):
         window = {
