@@ -16,7 +16,6 @@ from .analysis import (
     validate_lemma4,
 )
 from .distributions import (
-    BinnedVarEstimator,
     Uniform,
     dkw_confidence_width,
     empirical_var,
@@ -47,7 +46,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AffineNoiseGame",
     "AggregateTrace",
-    "BinnedVarEstimator",
     "BoundReport",
     "Box",
     "CournotGame",

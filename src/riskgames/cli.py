@@ -36,7 +36,7 @@ from .analysis import (
     validate_lemma3,
     validate_lemma4,
 )
-from .distributions import BinnedVarEstimator, dkw_confidence_width
+from .distributions import dkw_confidence_width
 from .games import CournotGame, QuadraticCounterexampleGame, StochasticGame
 from .learning import StepSchedule, run_algorithm1, run_unbiased_baseline
 from .plotting import emit_plot
@@ -131,19 +131,6 @@ def _as_float(raw, field: str) -> float:
     return value
 
 
-def _edf_bins(edf) -> int | None:
-    """Bin count of an ``edf`` setting: None for 'exact', n for 'binned:<n>'."""
-    if edf == "exact":
-        return None
-    _require(isinstance(edf, str) and edf.startswith("binned:"), f"edf: expected 'exact' or 'binned:<bins>', got {edf!r}")
-    try:
-        bins = int(edf.split(":", 1)[1])
-    except ValueError:
-        raise ConfigError(f"edf: malformed bin count in {edf!r}") from None
-    _require(bins >= 1, f"edf: bin count must be >= 1, got {bins}")
-    return bins
-
-
 def validate_config(raw: dict) -> ExperimentConfig:
     """Check a flat key-value document and fill in the documented defaults.
 
@@ -196,7 +183,9 @@ def validate_config(raw: dict) -> ExperimentConfig:
         window = _as_int(raw_window, "window", 1)
 
     edf = raw.get("edf", "exact")
-    _edf_bins(edf)
+    removed = isinstance(edf, str) and edf.startswith("binned")
+    _require(not removed, f"edf: the binned EDF was removed, got {edf!r}; use 'exact'")
+    _require(edf == "exact", f"edf: expected 'exact', got {edf!r}")
 
     config = ExperimentConfig(
         game=game,
@@ -274,11 +263,6 @@ def resolved_document(config: ExperimentConfig) -> dict:
     return doc
 
 
-def _var_estimator(config: ExperimentConfig):
-    bins = _edf_bins(config.edf)
-    return None if bins is None else BinnedVarEstimator(num_bins=bins)
-
-
 def _trial_seed(config: ExperimentConfig, index: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(config.seed).spawn(config.trials + 1)[index]
 
@@ -292,27 +276,16 @@ def _run_trial(args) -> RunTrace:
     game = build_game(config)
     schedule = StepSchedule.auto() if config.eta is None else StepSchedule.constant(config.eta)
     seed = _trial_seed(config, index)
-    if algorithm == "algorithm1":
-        trace = run_algorithm1(
-            game,
-            config.alphas,
-            config.horizon,
-            schedule=schedule,
-            x0=np.array(config.x0),
-            seed=seed,
-            window=config.window,
-            var_estimator=_var_estimator(config),
-        )
-    else:
-        trace = run_unbiased_baseline(
-            game,
-            config.alphas,
-            config.horizon,
-            schedule=schedule,
-            x0=np.array(config.x0),
-            seed=seed,
-            window=config.window,
-        )
+    run = run_algorithm1 if algorithm == "algorithm1" else run_unbiased_baseline
+    trace = run(
+        game,
+        config.alphas,
+        config.horizon,
+        schedule=schedule,
+        x0=np.array(config.x0),
+        seed=seed,
+        window=config.window,
+    )
     trace.config["seed"] = f"{config.seed}:{index}"
     return trace
 
@@ -381,19 +354,32 @@ def write_trace_csv(trace: RunTrace, path) -> None:
 
 
 def read_trace_csv(path, config: ExperimentConfig, algorithm: str) -> RunTrace:
-    """Rebuild a RunTrace from a trial CSV plus the bundle's config."""
+    """Rebuild a RunTrace from a trial CSV plus the bundle's config.
+
+    Raises ``ConfigError``, naming the file, when its header or shape does
+    not match what a run of that config writes.
+    """
     game = build_game(config)
+    x_star = game.nash_equilibrium(config.alphas)
+    columns = _trial_columns(game.dimension, game.num_agents)
+    if x_star is None:
+        del columns["err_sq"]
+    expected = [name for names in columns.values() for name in names]
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n").split(",")
-        data = np.loadtxt(fh, delimiter=",", ndmin=2)
-    cols = {name: idx for idx, name in enumerate(header)}
-    blocks = {
-        field: data[:, [cols[name] for name in names]]
-        for field, names in _trial_columns(game.dimension, game.num_agents).items()
-        if names[0] in cols
-    }
+        _require(header == expected, f"trial file {path}: expected columns {expected}, got {header}")
+        try:
+            data = np.loadtxt(fh, delimiter=",", ndmin=2)
+        except ValueError as exc:
+            raise ConfigError(f"trial file {path}: {exc}") from None
+    _require(
+        data.shape == (config.horizon, len(expected)),
+        f"trial file {path}: expected {config.horizon} rows of {len(expected)} values, "
+        f"got {data.shape[0]} of {data.shape[1]}",
+    )
+    ends = np.cumsum([len(names) for names in columns.values()])
+    blocks = dict(zip(columns, np.split(data, ends[:-1], axis=1)))
     err_sq = blocks.get("err_sq")
-    x_star = game.nash_equilibrium(config.alphas)
     eta = config.eta
     if eta is None:
         eta = StepSchedule.auto().resolve(game, config.horizon)
@@ -401,7 +387,7 @@ def read_trace_csv(path, config: ExperimentConfig, algorithm: str) -> RunTrace:
         episodes=blocks["episodes"][:, 0].astype(int),
         actions=blocks["actions"],
         nu=blocks["nu"],
-        nu_star=blocks.get("nu_star"),
+        nu_star=blocks["nu_star"],
         err_sq=None if err_sq is None else err_sq[:, 0],
         x_star=x_star,
         config={

@@ -1,9 +1,10 @@
 """Tail-risk estimators for scalar samples, and the uniform law.
 
 Order-statistic quantiles (VaR) and tail means (CVaR) of raw sample
-arrays, a binned approximation, the uniform law with closed-form VaR and
-CVaR (the noise law of the built-in games), and DKW-based confidence
-widths for quantile estimates.
+arrays, read off the sample EDF as in the paper, whose DKW bound
+(Lemma 3) covers them; the uniform law with closed-form VaR and CVaR
+(the noise law of the built-in games); and DKW-based confidence widths
+for quantile estimates.
 
 Conventions: costs are minimized, so the risky tail is the *upper* tail.
 For a risk level ``alpha`` in (0, 1], VaR is the (1 - alpha)-quantile and
@@ -23,7 +24,6 @@ __all__ = [
     "check_risk_level",
     "empirical_var",
     "empirical_var_cvar",
-    "BinnedVarEstimator",
     "dkw_confidence_width",
 ]
 
@@ -119,39 +119,6 @@ class Uniform:
 
     def sample(self, rng: np.random.Generator, size=None) -> np.ndarray:
         return rng.uniform(self.a, self.b, size=size)
-
-
-@dataclass(frozen=True)
-class BinnedVarEstimator:
-    """Histogram approximation of the empirical VaR.
-
-    Partitions [min(0, smallest cost), largest cost] into equal-width bins
-    and reads the quantile off the binned EDF at bin right edges. This
-    trades exactness for a bounded memory footprint; the exact
-    order-statistic estimator is the default everywhere.
-    """
-
-    num_bins: int = 1000
-
-    def __post_init__(self):
-        if self.num_bins < 1:
-            raise ValueError("num_bins must be >= 1")
-
-    def __call__(self, values: np.ndarray, alpha: float) -> float:
-        check_risk_level(alpha)
-        values = np.asarray(values, dtype=np.float64)
-        if values.size == 0:
-            raise ValueError("empty sample set has no quantiles")
-        lo = min(0.0, float(values.min()))
-        hi = float(values.max())
-        if hi <= lo:
-            hi = lo + 1.0
-        edges = np.linspace(lo, hi, self.num_bins + 1)
-        counts, _ = np.histogram(values, bins=edges)
-        cum = np.cumsum(counts) / values.size
-        idx = int(np.searchsorted(cum, 1.0 - alpha - 1e-12))
-        idx = min(idx, self.num_bins - 1)
-        return float(edges[idx + 1])
 
 
 def dkw_confidence_width(t: int, gamma_bar: float, p_lower: float) -> float:

@@ -182,9 +182,12 @@ class StochasticGame(ABC):
         of shape (d_i,). The slope s must be >= 0 at every feasible x, so
         that the cost order is the noise order; the learning loop raises a
         ``ValueError`` on a negative one. When every agent gives them, the
-        loop estimates from a sorted noise history instead of replaying it
-        and reads the empirical VaR as c0 + xi_(k) * s. That equals the
-        k-th smallest replayed cost only when ``cost_batch`` evaluates the
+        loop keeps each agent's draws sorted and takes the tail as a set of
+        noise ranks without evaluating a cost: the top t - k + 1 draws, or
+        for the exact-VaR baseline the draws at or above the quantile of
+        ``noise_distribution(agent)``. Ties with the VaR, as at s = 0, do
+        not change the tail size. The recorded VaR c0 + xi_(k) * s equals
+        the k-th smallest replayed cost when ``cost_batch`` evaluates the
         same expression; an ``AffineNoiseGame`` derives ``cost_batch`` from
         these coefficients, so the two agree by construction. A game
         without such a description returns None, the default, and the

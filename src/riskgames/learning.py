@@ -17,20 +17,23 @@ first episode. When every agent reports its cost as c0 + s * xi in a
 scalar noise (``affine_noise``), s must be >= 0, so the cost order is
 the noise order. Each agent then keeps its draws in a sorted buffer (a
 binary search and one shift per insert or eviction). The empirical VaR
-is c0 + s * xi_(k), the k-th smallest draw; a custom estimator such as
-``BinnedVarEstimator`` reads the buffer's costs instead. The tail
-gradient (count * g0 + g1 * sum of the tail draws) / (t * alpha) is read
-from the buffer's upper slice. Generic games replay the history:
+is c0 + s * xi_(k), the k-th smallest draw, and the tail gradient
+(count * g0 + g1 * sum of the tail draws) / (t * alpha) is read from the
+buffer's upper slice. Generic games replay the history:
 ``cvar_gradient_estimate`` and ``unbiased_cvar_gradient`` re-evaluate
 every stored draw, O(t) per episode and O(T^2) per run. The replay is
 also the reference oracle the sorted path is tested against.
 
-Ties stay exact on the sorted path. Rounding, or s = 0 at an own action
-of 0, can give draws below the boundary the same cost as the VaR; the
-replay's indicator counts those in the tail. The sorted path tests the
-draw just below the boundary with the same predicate, c0 + xi * s >= nu,
-and only when it holds binary-searches for the first draw in the tail.
-At s = 0 the whole history is the tail, as in the replay.
+The tail is a set of noise ranks. Algorithm 1 takes the top t - k + 1
+draws; the replay orders its rows by (cost, noise) and takes as many.
+The exact-VaR baseline takes the draws at or above the noise quantile
+q = VaR_alpha(xi); the replay takes the rows with cost above
+nu* = c0 + s * q and, among those tied with it, the draws >= q. Rounded
+c0 + xi * s is monotone in xi, so both rules pick the same draws, and
+where costs tie with the VaR, as at an own action of 0 (s = 0), the tail
+still holds about alpha * t draws. The paper's indicator 1{J >= nu}
+would there take the whole history and inflate the estimate by 1 / alpha;
+the rank rule gives the limit from s > 0, the one-sided CVaR derivative.
 
 An optional sliding window caps the history length; that is a speed
 knob, not part of the analyzed algorithm, and is off by default.
@@ -38,7 +41,6 @@ knob, not part of the analyzed algorithm, and is off by default.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,18 +98,29 @@ class GradientEstimate:
 
 
 def _replay_gradient(
-    game: StochasticGame, agent: int, x, noise_history, alpha: float, nu=None, var_estimator=None
+    game: StochasticGame, agent: int, x, noise_history, alpha: float, threshold=None
 ) -> GradientEstimate:
-    """Replayed tail average at ``nu``, or else at the estimated VaR of the costs."""
+    """Replayed tail average over the top t - k + 1 rows in (cost, noise) order.
+
+    With ``threshold`` = (nu, q) the tail is instead the rows with cost
+    above nu plus the rows tied with it whose draw is >= q.
+    """
     check_risk_level(alpha)
     noise_history = np.asarray(noise_history, dtype=np.float64)
     if noise_history.ndim != 2 or noise_history.shape[0] == 0:
         raise ValueError("noise history must be a nonempty (t, noise_dim) array")
     costs = game.cost_batch(agent, x, noise_history)
     grads = game.grad_batch(agent, x, noise_history)
-    if nu is None:
-        nu = (empirical_var if var_estimator is None else var_estimator)(costs, alpha)
-    mask = costs >= nu
+    if threshold is None:
+        nu = empirical_var(costs, alpha)
+        # np.lexsort sorts by its last key first
+        order = np.lexsort((*noise_history.T[::-1], costs))
+        mask = np.zeros(costs.size, dtype=bool)
+        mask[order[_tail_start(costs.size, alpha) - 1 :]] = True
+    else:
+        nu, q = threshold
+        mask = (costs > nu) | ((costs == nu) & (noise_history[:, 0] >= q))
+    # the mask keeps history order, so alpha = 1 sums exactly as a plain mean
     g = grads[mask].sum(axis=0) / (costs.size * alpha)
     return GradientEstimate(g=g, var_used=float(nu), tail_count=int(mask.sum()))
 
@@ -118,17 +131,16 @@ def cvar_gradient_estimate(
     x: np.ndarray,
     noise_history: np.ndarray,
     alpha: float,
-    var_estimator=None,
 ) -> GradientEstimate:
     """CVaR gradient estimate from the replayed noise history.
 
     Re-evaluates every stored draw at the current joint action, takes
-    the empirical VaR of the costs (or a custom estimator such as
-    ``BinnedVarEstimator``), and averages the gradients whose cost is at
-    or above it, scaled by 1 / alpha. The divisor is the full history
-    length even when ties push extra samples into the tail.
+    the empirical VaR nu of the costs, the k-th smallest, and averages
+    the gradients of the t - k + 1 rows at or above rank k in (cost,
+    noise) order, scaled by 1 / alpha. Rows tied with nu below that rank
+    stay out of the tail.
     """
-    return _replay_gradient(game, agent, x, noise_history, alpha, var_estimator=var_estimator)
+    return _replay_gradient(game, agent, x, noise_history, alpha)
 
 
 def unbiased_cvar_gradient(
@@ -143,26 +155,14 @@ def unbiased_cvar_gradient(
 
     With the exact quantile the tail indicator has the correct
     expectation, so this estimator is unbiased for the CVaR gradient.
-    The game must supply the closed-form VaR unless one is passed in.
+    Rows whose cost ties with the VaR count when their draw is at or
+    above the noise quantile VaR_alpha(xi). The game must supply its
+    noise law, and the closed-form VaR unless one is passed in.
     """
     if exact_var is None:
         exact_var = game.exact_var(agent, x, alpha)
-    return _replay_gradient(game, agent, x, noise_history, alpha, float(exact_var))
-
-
-def _first_in_tail(values: np.ndarray, start: int, in_tail) -> int:
-    """Index of the first sorted draw for which ``in_tail`` holds.
-
-    ``in_tail`` is the replay's predicate c0 + xi * s >= nu, monotone in
-    the draw for s >= 0. The guess ``start`` is checked against its
-    neighbours; a binary search runs only when a tie or rounding puts the
-    boundary elsewhere, e.g. at s = 0, where every cost ties with the VaR.
-    """
-    if start > 0 and in_tail(values[start - 1]):
-        return bisect_left(values, True, 0, start - 1, key=in_tail)
-    if start < values.size and not in_tail(values[start]):
-        return bisect_left(values, True, start + 1, values.size, key=in_tail)
-    return start
+    q = game.noise_distribution(agent).var(alpha)
+    return _replay_gradient(game, agent, x, noise_history, alpha, (float(exact_var), q))
 
 
 class _SortedNoise:
@@ -192,32 +192,26 @@ class _SortedNoise:
         values[pos : n - 1] = values[pos + 1 : n]
         self._size = n - 1
 
-    def tail_gradient(
-        self, coeffs, alpha: float, nu=None, var_estimator=None
-    ) -> GradientEstimate:
+    def tail_gradient(self, coeffs, alpha: float, threshold=None) -> GradientEstimate:
         """The replay's estimate from the sorted draws.
 
         ``coeffs`` is the game's ``affine_noise`` result, whose slope must
-        be >= 0. With ``nu`` None the threshold is the empirical VaR, or
-        ``var_estimator`` of the costs when set, as in
-        ``cvar_gradient_estimate``; otherwise it is ``nu``, as in
-        ``unbiased_cvar_gradient``.
+        be >= 0. With ``threshold`` None the tail is the top t - k + 1
+        draws and the VaR their lowest cost, as in
+        ``cvar_gradient_estimate``; with (nu, q) it is the draws >= q and
+        the VaR nu, as in ``unbiased_cvar_gradient``.
         """
         c0, s, g0, g1 = coeffs
         if s < 0:
             raise ValueError(f"affine_noise needs a nonnegative noise slope, got {s}")
         n = self._size
         values = self._values[:n]
-        if nu is None and var_estimator is None:
+        if threshold is None:
             start = _tail_start(n, alpha) - 1
             nu = c0 + values[start] * s
         else:
-            if nu is None:
-                nu = var_estimator(c0 + values * s, alpha)
-            # plain floats: for a subnormal s the guess overflows to inf without
-            # numpy's warning, and _first_in_tail corrects it
-            start = int(values.searchsorted(float(nu - c0) / float(s))) if s > 0 else 0
-        start = _first_in_tail(values, start, lambda v: c0 + v * s >= nu)
+            nu, q = threshold
+            start = int(values.searchsorted(q))
         count = n - start
         g = (count * g0 + g1 * values[start:].sum()) / (n * alpha)
         return GradientEstimate(g=np.array(g, ndmin=1), var_used=float(nu), tail_count=count)
@@ -241,7 +235,6 @@ def _run(
     seed,
     unbiased: bool,
     window: int | None,
-    var_estimator,
     algorithm: str,
 ) -> RunTrace:
     alphas = [check_risk_level(a) for a in alphas]
@@ -286,6 +279,9 @@ def _run(
         raise UnsupportedGameError(
             "the exact-VaR baseline needs a game with closed-form VaR"
         )
+    if unbiased:
+        # the baseline's tail is the draws at or above each noise quantile
+        noise_vars = [game.noise_distribution(i).var(a) for i, a in enumerate(alphas)]
 
     actions = np.empty((horizon, x.size))
     nu = np.empty((horizon, num_agents))
@@ -308,16 +304,14 @@ def _run(
                 if unbiased:
                     est = unbiased_cvar_gradient(game, i, x, draws, alphas[i], true_var)
                 else:
-                    est = cvar_gradient_estimate(game, i, x, draws, alphas[i], var_estimator)
+                    est = cvar_gradient_estimate(game, i, x, draws, alphas[i])
             else:
                 buffer = sorted_noise[i]
                 if start > 0:
                     buffer.remove(history[start - 1, 0])
                 buffer.insert(history[t - 1, 0])
-                fixed_nu = true_var if unbiased else None
-                est = buffer.tail_gradient(
-                    game.affine_noise(i, x), alphas[i], fixed_nu, var_estimator
-                )
+                threshold = (true_var, noise_vars[i]) if unbiased else None
+                est = buffer.tail_gradient(game.affine_noise(i, x), alphas[i], threshold)
             nu[t - 1, i] = est.var_used
             if nu_star is not None:
                 nu_star[t - 1, i] = true_var
@@ -354,15 +348,14 @@ def run_algorithm1(
     x0=None,
     seed=0,
     window: int | None = None,
-    var_estimator=None,
 ) -> RunTrace:
     """Run the first-order risk-averse learning loop for ``horizon`` episodes.
 
     All agents play simultaneously; each draws one fresh noise sample per
     episode and estimates its gradient from its whole noise history (or
     the last ``window`` draws if a window is set), with the empirical VaR
-    or ``var_estimator`` as the threshold. Runs with equal seeds and
-    configuration are bit-identical.
+    as the threshold. Runs with equal seeds and configuration are
+    bit-identical.
     """
     return _run(
         game,
@@ -373,7 +366,6 @@ def run_algorithm1(
         seed,
         unbiased=False,
         window=window,
-        var_estimator=var_estimator,
         algorithm="algorithm1",
     )
 
@@ -397,6 +389,5 @@ def run_unbiased_baseline(
         seed,
         unbiased=True,
         window=window,
-        var_estimator=None,
         algorithm="unbiased-fo",
     )

@@ -1,6 +1,7 @@
 import csv
 import io
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -95,13 +96,14 @@ class TestValidateConfig:
             ({"game": "cournot", "T": 10, "algorithms": ["algorithm1", "algorithm1"]}, "algorithms"),
             ({"game": "cournot", "T": 10, "window": -2}, "window"),
             ({"game": "cournot", "T": 10, "edf": "binned"}, "edf"),
-            ({"game": "cournot", "T": 10, "edf": "binned:x"}, "edf"),
-            ({"game": "cournot", "T": 10, "edf": "binned:0"}, "edf"),
+            ({"game": "cournot", "T": 10, "edf": "sorted"}, "edf"),
+            ({"game": "cournot", "T": 10, "edf": 3}, "edf"),
             ({"game": "cournot", "T": 10, "x0": [0.5]}, "x0"),
             ({"game": "cournot", "T": 10, "x0": [1.5, 0.5]}, "x0"),
             ({"game": "cournot", "T": 10, "a": 1.0}, "a"),
             ({"game": "cournot", "T": "many"}, "T"),
             ([1, 2], "mapping"),
+            ({"game": "cournot", "T": 10, "edf": "binned:200"}, "edf: the binned EDF was removed"),
         ],
     )
     def test_rejections_name_the_field(self, raw, fragment):
@@ -136,7 +138,7 @@ class TestValidateConfig:
     def test_resolved_document_round_trips(self):
         for raw in (
             SMALL_RAW,
-            {"game": "cournot", "T": 7, "eta": 0.01, "window": 3, "edf": "binned:500"},
+            {"game": "cournot", "T": 7, "eta": 0.01, "window": 3, "edf": "exact"},
             {"game": "quadratic-counterexample", "a": 2.0, "d": 0.5, "T": 9},
         ):
             cfg = validate_config(dict(raw))
@@ -177,7 +179,8 @@ class TestBundle:
         for index, (config, trace) in enumerate(cases):
             path = tmp_path / f"trace{index}.csv"
             write_trace_csv(trace, path)
-            back = read_trace_csv(path, config, "algorithm1")
+            # the reader checks the row count against the config's horizon
+            back = read_trace_csv(path, replace(config, horizon=trace.horizon), "algorithm1")
             assert np.array_equal(back.episodes, trace.episodes)
             for field in ("actions", "nu", "nu_star", "err_sq"):
                 ours, theirs = getattr(back, field), getattr(trace, field)
@@ -214,20 +217,6 @@ class TestBundle:
             open(serial.aggregate_path, "rb").read()
             == open(parallel.aggregate_path, "rb").read()
         )
-
-    def test_binned_estimator_config(self, tmp_path):
-        raw = dict(SMALL_RAW)
-        raw["edf"] = "binned:200"
-        raw["algorithms"] = ["algorithm1"]
-        cfg = validate_config(raw)
-        bundle = run_experiment(cfg, out_dir=str(tmp_path / "binned"))
-        exact = run_experiment(
-            validate_config({**SMALL_RAW, "algorithms": ["algorithm1"]}),
-            out_dir=str(tmp_path / "exact"),
-        )
-        a = bundle.traces["algorithm1"][0].nu
-        b = exact.traces["algorithm1"][0].nu
-        assert a.shape == b.shape and not np.array_equal(a, b)
 
     def test_counterexample_bundle_has_no_error_curves(self, tmp_path):
         cfg = validate_config(
@@ -370,6 +359,26 @@ class TestMain:
 
     def test_report_on_missing_bundle(self, capsys):
         assert main(["report", "--bundle", "/nonexistent"]) == 2
+
+    def test_report_on_damaged_trial_file(self, tmp_path, capsys):
+        out = str(tmp_path / "bundle")
+        assert main(["run", "--config", write_config(tmp_path, SMALL_RAW), "--out", out]) == 0
+        path = os.path.join(out, "trials", trial_filename("unbiased-fo", 1))
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().splitlines(keepends=True)
+        damaged = {
+            "cut": lines[:20],
+            "extra row": lines + ["1,2\n"],
+            "extra column": [line.rstrip("\n") + ",0\n" for line in lines],
+            "renamed column": [lines[0].replace("err_sq", "error")] + lines[1:],
+            "not a number": lines[:5] + ["1,x" + lines[5][lines[5].index(",", 2) :]] + lines[6:],
+        }
+        capsys.readouterr()
+        for case, content in damaged.items():
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.writelines(content)
+            assert main(["report", "--bundle", out]) == 2, case
+            assert f"error: trial file {path}: " in capsys.readouterr().err, case
 
 
 def test_trial_filename_is_stable():

@@ -7,7 +7,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from riskgames.distributions import (
-    BinnedVarEstimator,
     Uniform,
     check_risk_level,
     dkw_confidence_width,
@@ -62,7 +61,7 @@ class TestEmpiricalDistribution:
         assert var_of(FOUR, 0.5 - 1e-6) == 3.0
 
     def test_empty_distribution_raises(self):
-        for estimator in (empirical_var, empirical_var_cvar, BinnedVarEstimator()):
+        for estimator in (empirical_var, empirical_var_cvar):
             with pytest.raises(ValueError):
                 estimator(np.array([]), 0.5)
 
@@ -252,20 +251,6 @@ class TestDkwWidth:
             dkw_confidence_width(100, 1.5, 1.0)
         with pytest.raises(ValueError):
             dkw_confidence_width(100, 0.05, 0.0)
-
-
-class TestBinnedEstimator:
-    def test_within_one_bin_of_exact(self):
-        rng = np.random.default_rng(5)
-        values = rng.uniform(0, 1, 20_000)
-        est = BinnedVarEstimator(num_bins=1000)
-        width = 1.0 / 1000
-        for alpha in (0.2, 0.4, 0.8):
-            assert abs(est(values, alpha) - empirical_var(values, alpha)) <= 2 * width
-
-    def test_invalid_bins(self):
-        with pytest.raises(ValueError):
-            BinnedVarEstimator(num_bins=0)
 
 
 def test_check_risk_level():

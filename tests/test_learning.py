@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from riskgames.distributions import BinnedVarEstimator, empirical_var
+from riskgames.distributions import _tail_start
 from riskgames.games import (
     Box,
     CournotGame,
@@ -13,6 +13,7 @@ from riskgames.games import (
 )
 from riskgames.learning import (
     StepSchedule,
+    _replay_gradient,
     _SortedNoise,
     cvar_gradient_estimate,
     run_algorithm1,
@@ -241,16 +242,6 @@ class TestCvarGradientEstimate:
         assert a.g[0] == b.g[0]
         assert a.tail_count == b.tail_count == 200
 
-    def test_binned_estimator_plugs_in(self):
-        rng = np.random.default_rng(6)
-        xi = rng.uniform(0, 1, size=(5000, 1))
-        x = np.array([0.5, 0.5])
-        est = cvar_gradient_estimate(
-            GAME, 0, x, xi, 0.4, var_estimator=BinnedVarEstimator(num_bins=1000)
-        )
-        costs = GAME.cost_batch(0, x, xi)
-        assert abs(est.var_used - empirical_var(costs, 0.4)) < 0.01
-
 
 class TestRunLoop:
     def test_minimal_run(self):
@@ -408,9 +399,9 @@ class TestSortedNoise:
         agent=st.sampled_from([0, 1]),
         data=st.data(),
     )
-    # a binned VaR far from c0 over a subnormal slope overflows the boundary guess;
-    # draws: nothing removed, the threshold 1.0 (the only cost), 2 bins
-    @example(draws=[0.0, 0.0], own=5e-324, other=0.0, alpha=1.0, agent=0, data=FixedDraws([], 1.0, 2))
+    # a subnormal own action: every cost rounds to the intercept although s > 0;
+    # draws: nothing removed, the threshold at row 0
+    @example(draws=[0.0, 0.0], own=5e-324, other=0.0, alpha=1.0, agent=0, data=FixedDraws([], 0))
     def test_matches_replay_with_ties(self, draws, own, other, alpha, agent, data):
         x = np.array([own, other]) if agent == 0 else np.array([other, own])
         removed = data.draw(st.lists(st.sampled_from(draws), max_size=len(draws) - 1, unique=True))
@@ -420,31 +411,47 @@ class TestSortedNoise:
         history = np.array(kept)[:, None]
         buf = self.buffer(draws, removed)
         coeffs = GAME.affine_noise(agent, x)
-        self.assert_same(
-            buf.tail_gradient(coeffs, alpha),
-            cvar_gradient_estimate(GAME, agent, x, history, alpha),
+        est = buf.tail_gradient(coeffs, alpha)
+        self.assert_same(est, cvar_gradient_estimate(GAME, agent, x, history, alpha))
+        assert est.tail_count == len(kept) - _tail_start(len(kept), alpha) + 1
+        # a threshold at a replayed (cost, draw) pair ties with that cost exactly;
+        # the exact one is (VaR, noise quantile)
+        row = data.draw(st.integers(0, len(kept) - 1))
+        pairs = (
+            (float(GAME.cost_batch(agent, x, history)[row]), kept[row]),
+            (GAME.exact_var(agent, x, alpha), GAME.noise_distribution(agent).var(alpha)),
         )
-        # thresholds on a replayed cost tie with it exactly
-        costs = GAME.cost_batch(agent, x, history)
-        for nu in (float(data.draw(st.sampled_from(list(costs)))), GAME.exact_var(agent, x, alpha)):
-            self.assert_same(
-                buf.tail_gradient(coeffs, alpha, nu),
-                unbiased_cvar_gradient(GAME, agent, x, history, alpha, exact_var=nu),
-            )
-        # the binned EDF sees the same set of costs, so the same VaR
-        binned = BinnedVarEstimator(data.draw(st.integers(1, 50)))
-        self.assert_same(
-            buf.tail_gradient(coeffs, alpha, var_estimator=binned),
-            cvar_gradient_estimate(GAME, agent, x, history, alpha, var_estimator=binned),
-        )
+        for nu, q in pairs:
+            est = buf.tail_gradient(coeffs, alpha, (nu, q))
+            self.assert_same(est, _replay_gradient(GAME, agent, x, history, alpha, (nu, q)))
+            assert est.tail_count == sum(v >= q for v in kept)
+        # the public baseline replays with the exact pair, the last one
+        self.assert_same(est, unbiased_cvar_gradient(GAME, agent, x, history, alpha))
 
-    def test_zero_action_puts_whole_history_in_tail(self):
-        # at x_i = 0 every replayed cost equals the VaR, as in the replay
-        draws = np.random.default_rng(8).uniform(0, 1, size=50)
+    @pytest.mark.parametrize("baseline", [False, True], ids=["algorithm1", "baseline"])
+    @pytest.mark.parametrize(
+        "game,alpha",
+        [(CournotGame(), 0.4), (QuadraticCounterexampleGame(), 0.5)],
+        ids=["cournot", "counterexample"],
+    )
+    def test_zero_action_matches_exact_gradient(self, game, alpha, baseline):
+        # at x_i = 0 every cost ties with the VaR; the tail is still a set of
+        # noise ranks of about alpha * t draws, not the whole history
+        t = 10_000
+        draws = np.random.default_rng(8).uniform(0, 1, size=t)
         x = np.array([0.0, 0.5])
-        est = self.buffer(draws).tail_gradient(GAME.affine_noise(0, x), 0.4)
-        assert est.tail_count == 50
-        self.assert_same(est, cvar_gradient_estimate(GAME, 0, x, draws[:, None], 0.4))
+        q = game.noise_distribution(0).var(alpha)
+        threshold = (game.exact_var(0, x, alpha), q) if baseline else None
+        fast = self.buffer(draws).tail_gradient(game.affine_noise(0, x), alpha, threshold)
+        replay = unbiased_cvar_gradient if baseline else cvar_gradient_estimate
+        slow = replay(game, 0, x, draws[:, None], alpha)
+        self.assert_same(fast, slow)
+        if baseline:
+            assert fast.tail_count == np.count_nonzero(draws >= q)
+        else:
+            assert fast.tail_count == t - _tail_start(t, alpha) + 1
+        exact = game.exact_risk_averse_gradient(0, x, alpha)
+        assert np.max(np.abs(fast.g - exact)) < 0.02
 
 
 class TestSortedPathMatchesReplay:
@@ -465,13 +472,13 @@ class TestSortedPathMatchesReplay:
             if fast is not None:
                 assert np.max(np.abs(fast - slow)) <= 1e-12
 
-    def run_both(self, kind, params, alphas, horizon, window, schedule, x0, seed, edf=None):
+    def run_both(self, kind, params, alphas, horizon, window, schedule, x0, seed):
         fast, slow = self.games(kind, params)
         x0 = None if x0 is None else np.asarray(x0) * fast.action_sets[0].upper[0]
         kwargs = dict(schedule=schedule, x0=x0, seed=seed, window=window)
-        for run, extra in ((run_algorithm1, dict(var_estimator=edf)), (run_unbiased_baseline, {})):
-            a = run(fast, alphas, horizon, **kwargs, **extra)
-            b = run(slow, alphas, horizon, **kwargs, **extra)
+        for run in (run_algorithm1, run_unbiased_baseline):
+            a = run(fast, alphas, horizon, **kwargs)
+            b = run(slow, alphas, horizon, **kwargs)
             self.assert_close(a, b)
         return a
 
@@ -488,9 +495,8 @@ class TestSortedPathMatchesReplay:
             st.tuples(*[st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))] * 2),
         ),
         seed=st.integers(0, 2**32 - 1),
-        edf=st.one_of(st.none(), st.integers(1, 50).map(BinnedVarEstimator)),
     )
-    # the binned VaR over a subnormal own action overflows the boundary guess
+    # a subnormal own action: every cost rounds to the intercept although s > 0
     @example(
         kind="cournot",
         params=(1.0, 1.0, 0.0, 1.0),
@@ -500,9 +506,8 @@ class TestSortedPathMatchesReplay:
         pinned=False,
         x0=(0.0, 2.2250738585e-313),
         seed=0,
-        edf=BinnedVarEstimator(2),
     )
-    def test_equivalence(self, kind, params, alphas, horizon, window_kind, pinned, x0, seed, edf):
+    def test_equivalence(self, kind, params, alphas, horizon, window_kind, pinned, x0, seed):
         window = {
             None: None,
             "one": 1,
@@ -510,7 +515,7 @@ class TestSortedPathMatchesReplay:
             "covering": horizon + seed % 3,
         }[window_kind]
         schedule = StepSchedule.constant(5.0) if pinned else StepSchedule.auto()
-        self.run_both(kind, params, alphas, horizon, window, schedule, x0, seed, edf)
+        self.run_both(kind, params, alphas, horizon, window, schedule, x0, seed)
 
     @pytest.mark.parametrize("window", [None, 1, 7, 40])
     @pytest.mark.parametrize("kind,alphas", [("cournot", (1.0, 0.4)), ("counterexample", (0.5, 1.0))])
