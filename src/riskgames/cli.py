@@ -97,7 +97,6 @@ class ExperimentConfig:
     eta: float | None  # None means the horizon-tuned (D/B)/sqrt(T)
     algorithms: tuple[str, ...]
     window: int | None
-    edf: str
     x0: tuple[float, ...]
     out_dir: str | None
 
@@ -197,7 +196,6 @@ def validate_config(raw: dict) -> ExperimentConfig:
         eta=eta,
         algorithms=tuple(algorithms),
         window=window,
-        edf=edf,
         x0=(),
         out_dir=raw.get("out_dir"),
     )
@@ -253,7 +251,7 @@ def resolved_document(config: ExperimentConfig) -> dict:
         "eta": "auto" if config.eta is None else config.eta,
         "algorithms": list(config.algorithms),
         "window": 0 if config.window is None else config.window,
-        "edf": config.edf,
+        "edf": "exact",
         "x0": list(config.x0),
     }
     for key, value in config.game_params:
@@ -368,6 +366,12 @@ def read_trace_csv(path, config: ExperimentConfig, algorithm: str) -> RunTrace:
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n").split(",")
         _require(header == expected, f"trial file {path}: expected columns {expected}, got {header}")
+        body = fh.tell()
+        _require(
+            any(line.strip() for line in fh),
+            f"trial file {path}: expected {config.horizon} rows of {len(expected)} values, got 0 rows",
+        )
+        fh.seek(body)
         try:
             data = np.loadtxt(fh, delimiter=",", ndmin=2)
         except ValueError as exc:

@@ -182,16 +182,17 @@ class StochasticGame(ABC):
         of shape (d_i,). The slope s must be >= 0 at every feasible x, so
         that the cost order is the noise order; the learning loop raises a
         ``ValueError`` on a negative one. When every agent gives them, the
-        loop keeps each agent's draws sorted and takes the tail as a set of
-        noise ranks without evaluating a cost: the top t - k + 1 draws, or
-        for the exact-VaR baseline the draws at or above the quantile of
-        ``noise_distribution(agent)``. Ties with the VaR, as at s = 0, do
-        not change the tail size. The recorded VaR c0 + xi_(k) * s equals
-        the k-th smallest replayed cost when ``cost_batch`` evaluates the
-        same expression; an ``AffineNoiseGame`` derives ``cost_batch`` from
-        these coefficients, so the two agree by construction. A game
-        without such a description returns None, the default, and the
-        loop replays its history.
+        run takes each agent's tails from its draws before the first
+        episode, as sets of noise ranks, and evaluates no cost: the top
+        t - k + 1 draws, or for the exact-VaR baseline the draws at or
+        above the quantile of ``noise_distribution(agent)``. Each episode
+        then needs only these coefficients. Ties with the VaR, as at
+        s = 0, do not change the tail size. The recorded VaR
+        c0 + xi_(k) * s equals the k-th smallest replayed cost when
+        ``cost_batch`` evaluates the same expression; an ``AffineNoiseGame``
+        derives ``cost_batch`` from these coefficients, so the two agree by
+        construction. A game without such a description returns None, the
+        default, and the loop replays its history.
         """
         return None
 

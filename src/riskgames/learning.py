@@ -15,14 +15,16 @@ source of bias and isolates its effect.
 Two paths compute the same estimate, and a run picks one before its
 first episode. When every agent reports its cost as c0 + s * xi in a
 scalar noise (``affine_noise``), s must be >= 0, so the cost order is
-the noise order. Each agent then keeps its draws in a sorted buffer (a
-binary search and one shift per insert or eviction). The empirical VaR
-is c0 + s * xi_(k), the k-th smallest draw, and the tail gradient
-(count * g0 + g1 * sum of the tail draws) / (t * alpha) is read from the
-buffer's upper slice. Generic games replay the history:
-``cvar_gradient_estimate`` and ``unbiased_cvar_gradient`` re-evaluate
-every stored draw, O(t) per episode and O(T^2) per run. The replay is
-also the reference oracle the sorted path is tested against.
+the noise order and each episode's tail depends on the draws alone. The
+run then draws every agent's history before the first episode, and
+``_rank_tails`` gives per episode the lowest tail draw xi_(k), the tail
+size and the tail sum. The loop holds only the joint action: the
+empirical VaR is c0 + s * xi_(k), and the tail gradient is
+(count * g0 + g1 * sum of the tail draws) / (t * alpha). Generic games
+replay the history: ``cvar_gradient_estimate`` and
+``unbiased_cvar_gradient`` re-evaluate every stored draw, O(t) per
+episode and O(T^2) per run. The replay is also the reference oracle the
+rank path is tested against.
 
 The tail is a set of noise ranks. Algorithm 1 takes the top t - k + 1
 draws; the replay orders its rows by (cost, noise) and takes as many.
@@ -165,56 +167,38 @@ def unbiased_cvar_gradient(
     return _replay_gradient(game, agent, x, noise_history, alpha, (float(exact_var), q))
 
 
-class _SortedNoise:
-    """One agent's scalar noise draws, kept in ascending order.
+def _rank_tails(draws, alpha: float, window: int | None, q=None):
+    """Per episode t, the tail of the scalar draws[start:t] as noise ranks.
 
-    For a cost c0 + s * xi with s >= 0 the k-th smallest cost is
-    c0 + s * xi_(k), so the replay's tail is an upper slice of this buffer.
+    Returns three arrays over the episodes: the lowest tail draw, the tail
+    size and the sum of the tail draws. With ``q`` None the tail is the top
+    t - k + 1 draws, as in ``cvar_gradient_estimate``; with ``q`` it is the
+    draws >= q, as in ``unbiased_cvar_gradient``, and an empty tail has a
+    NaN lowest draw. The draws are kept sorted, with a binary search and
+    one shift per insert or eviction.
     """
-
-    def __init__(self, capacity: int):
-        self._values = np.empty(capacity)
-        self._size = 0
-
-    def insert(self, value) -> None:
-        n = self._size
-        values = self._values
-        pos = int(values[:n].searchsorted(value))
+    draws = draws[:, 0]
+    horizon = draws.size
+    values = np.empty(horizon if window is None else min(horizon, window))
+    low = np.full(horizon, np.nan)
+    count = np.empty(horizon, dtype=np.int64)
+    total = np.empty(horizon)
+    n = 0
+    for t in range(horizon):
+        if window is not None and t >= window:
+            pos = int(values[:n].searchsorted(draws[t - window]))
+            values[pos : n - 1] = values[pos + 1 : n]
+            n -= 1
+        pos = int(values[:n].searchsorted(draws[t]))
         values[pos + 1 : n + 1] = values[pos:n]
-        values[pos] = value
-        self._size = n + 1
-
-    def remove(self, value) -> None:
-        """Drop one draw equal to ``value``, which must be held."""
-        n = self._size
-        values = self._values
-        pos = int(values[:n].searchsorted(value))
-        values[pos : n - 1] = values[pos + 1 : n]
-        self._size = n - 1
-
-    def tail_gradient(self, coeffs, alpha: float, threshold=None) -> GradientEstimate:
-        """The replay's estimate from the sorted draws.
-
-        ``coeffs`` is the game's ``affine_noise`` result, whose slope must
-        be >= 0. With ``threshold`` None the tail is the top t - k + 1
-        draws and the VaR their lowest cost, as in
-        ``cvar_gradient_estimate``; with (nu, q) it is the draws >= q and
-        the VaR nu, as in ``unbiased_cvar_gradient``.
-        """
-        c0, s, g0, g1 = coeffs
-        if s < 0:
-            raise ValueError(f"affine_noise needs a nonnegative noise slope, got {s}")
-        n = self._size
-        values = self._values[:n]
-        if threshold is None:
-            start = _tail_start(n, alpha) - 1
-            nu = c0 + values[start] * s
-        else:
-            nu, q = threshold
-            start = int(values.searchsorted(q))
-        count = n - start
-        g = (count * g0 + g1 * values[start:].sum()) / (n * alpha)
-        return GradientEstimate(g=np.array(g, ndmin=1), var_used=float(nu), tail_count=count)
+        values[pos] = draws[t]
+        n += 1
+        start = _tail_start(n, alpha) - 1 if q is None else int(values[:n].searchsorted(q))
+        if start < n:
+            low[t] = values[start]
+        count[t] = n - start
+        total[t] = values[start:n].sum()
+    return low, count, total
 
 
 def _as_rngs(game: StochasticGame, seed) -> list[np.random.Generator]:
@@ -262,13 +246,6 @@ def _run(
         x = project(x)
     eta = float(schedule.resolve(game, horizon))
 
-    rngs = _as_rngs(game, seed)
-    histories = [np.empty((horizon, game.noise_dim)) for _ in range(num_agents)]
-    sorted_noise = None
-    if all(game.affine_noise(i, x) is not None for i in range(num_agents)):
-        capacity = horizon if window is None else min(horizon, window)
-        sorted_noise = [_SortedNoise(capacity) for _ in range(num_agents)]
-
     x_star = game.nash_equilibrium(alphas)
     track_true_var = True
     try:
@@ -279,45 +256,55 @@ def _run(
         raise UnsupportedGameError(
             "the exact-VaR baseline needs a game with closed-form VaR"
         )
-    if unbiased:
-        # the baseline's tail is the draws at or above each noise quantile
-        noise_vars = [game.noise_distribution(i).var(a) for i, a in enumerate(alphas)]
+
+    rngs = _as_rngs(game, seed)
+    histories = np.empty((num_agents, horizon, game.noise_dim))
+    for i, (history, rng) in enumerate(zip(histories, rngs)):
+        for t in range(horizon):
+            history[t] = game.sample_noise(i, rng)
+    tails = None
+    if all(game.affine_noise(i, x) is not None for i in range(num_agents)):
+        tails = []
+        for i, (history, alpha) in enumerate(zip(histories, alphas)):
+            # the baseline's tail is the draws at or above the noise quantile
+            q = game.noise_distribution(i).var(alpha) if unbiased else None
+            tails.append(_rank_tails(history, alpha, window, q))
 
     actions = np.empty((horizon, x.size))
     nu = np.empty((horizon, num_agents))
     nu_star = np.empty((horizon, num_agents)) if track_true_var else None
-    err_sq = np.empty(horizon) if x_star is not None else None
 
     for t in range(1, horizon + 1):
         actions[t - 1] = x
-        if err_sq is not None:
-            delta = x - x_star
-            err_sq[t - 1] = float(delta @ delta)
         start = 0 if window is None else max(0, t - window)
         grads = []
         for i in range(num_agents):
-            history = histories[i]
-            history[t - 1] = game.sample_noise(i, rngs[i])
             true_var = game.exact_var(i, x, alphas[i]) if track_true_var else None
-            if sorted_noise is None:
-                draws = history[start:t]
+            if tails is None:
+                draws = histories[i][start:t]
                 if unbiased:
                     est = unbiased_cvar_gradient(game, i, x, draws, alphas[i], true_var)
                 else:
                     est = cvar_gradient_estimate(game, i, x, draws, alphas[i])
+                nu[t - 1, i] = est.var_used
+                grads.append(est.g)
             else:
-                buffer = sorted_noise[i]
-                if start > 0:
-                    buffer.remove(history[start - 1, 0])
-                buffer.insert(history[t - 1, 0])
-                threshold = (true_var, noise_vars[i]) if unbiased else None
-                est = buffer.tail_gradient(game.affine_noise(i, x), alphas[i], threshold)
-            nu[t - 1, i] = est.var_used
+                c0, s, g0, g1 = game.affine_noise(i, x)
+                if s < 0:
+                    raise ValueError(f"affine_noise needs a nonnegative noise slope, got {s}")
+                low, count, total = tails[i]
+                g = (count[t - 1] * g0 + g1 * total[t - 1]) / ((t - start) * alphas[i])
+                nu[t - 1, i] = true_var if unbiased else c0 + low[t - 1] * s
+                grads.append(np.array(g, ndmin=1))
             if nu_star is not None:
                 nu_star[t - 1, i] = true_var
-            grads.append(est.g)
         # simultaneous play: all updates use the same joint action
         x = project(x - eta * np.concatenate(grads))
+
+    err_sq = None
+    if x_star is not None:
+        d = actions - x_star
+        err_sq = (d[:, None, :] @ d[:, :, None]).ravel()
 
     config = {
         "game": getattr(game, "name", type(game).__name__.lower()),

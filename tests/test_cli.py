@@ -57,7 +57,7 @@ class TestValidateConfig:
         assert cfg.eta is None
         assert cfg.algorithms == ("algorithm1", "unbiased-fo")
         assert cfg.window is None
-        assert cfg.edf == "exact"
+        assert resolved_document(cfg)["edf"] == "exact"
         assert cfg.x0 == (0.5, 0.5)
 
     def test_counterexample_parameters(self):
@@ -372,6 +372,7 @@ class TestMain:
             "extra column": [line.rstrip("\n") + ",0\n" for line in lines],
             "renamed column": [lines[0].replace("err_sq", "error")] + lines[1:],
             "not a number": lines[:5] + ["1,x" + lines[5][lines[5].index(",", 2) :]] + lines[6:],
+            "header only": lines[:1],
         }
         capsys.readouterr()
         for case, content in damaged.items():

@@ -14,7 +14,7 @@ from riskgames.distributions import (
     empirical_var_cvar,
 )
 from riskgames.games import QuadraticCounterexampleGame
-from riskgames.learning import _SortedNoise
+from riskgames.learning import _rank_tails
 
 FOUR = np.array([1.0, 2.0, 3.0, 4.0])
 
@@ -34,21 +34,26 @@ def cvar_of(samples, alpha):
     return empirical_var_cvar(np.asarray(samples, dtype=float), alpha)[1]
 
 
-def sorted_buffer(values):
-    buf = _SortedNoise(len(values))
-    for v in values:
-        buf.insert(v)
-    return buf._values[: buf._size]
+def rank_tails(values, alpha):
+    """Per episode, the lowest tail draw, tail size and tail sum of the history so far."""
+    return _rank_tails(np.array(values)[:, None], alpha, None)
 
 
 class TestEmpiricalDistribution:
     """The empirical law of a sample, through the estimators the pipeline uses."""
 
     def test_insert_keeps_order(self):
-        assert np.array_equal(sorted_buffer([1.0, 3.0, 2.0]), [1.0, 2.0, 3.0])
+        # the lowest tail draw is the empirical VaR of the history so far
+        values = [1.0, 3.0, 2.0]
+        for alpha in (0.01, 0.5, 1.0):
+            expected = [var_of(values[:t], alpha) for t in range(1, 4)]
+            assert np.array_equal(rank_tails(values, alpha)[0], expected)
+        assert np.array_equal(rank_tails(values, 0.01)[0], [1.0, 3.0, 3.0])
 
     def test_insert_keeps_duplicates(self):
-        assert np.array_equal(sorted_buffer([1.0, 1.0]), [1.0, 1.0])
+        _, count, total = rank_tails([1.0, 1.0], 1.0)
+        assert np.array_equal(count, [1, 2])
+        assert np.array_equal(total, [1.0, 2.0])
 
     def test_edf_right_continuous_and_monotone(self):
         # VaR is the generalized inverse of the right-continuous EDF: it

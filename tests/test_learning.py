@@ -13,8 +13,8 @@ from riskgames.games import (
 )
 from riskgames.learning import (
     StepSchedule,
+    _rank_tails,
     _replay_gradient,
-    _SortedNoise,
     cvar_gradient_estimate,
     run_algorithm1,
     run_unbiased_baseline,
@@ -364,7 +364,7 @@ class FixedDraws:
 
 
 class TestSortedNoise:
-    """The sorted-buffer estimator against the replay on the same draws."""
+    """``_rank_tails`` against the replay on the same draws, episode by episode."""
 
     draws_strategy = st.lists(
         st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0]), st.floats(0.0, 1.0)),
@@ -375,20 +375,20 @@ class TestSortedNoise:
     own_strategy = st.one_of(st.sampled_from([0.0, 1e-17, 1.0]), st.floats(0.0, 1.0))
 
     @staticmethod
-    def buffer(draws, removed=()):
-        buf = _SortedNoise(len(draws))
-        for v in draws:
-            buf.insert(v)
-        for v in removed:
-            buf.remove(v)
-        return buf
+    def loop_estimate(coeffs, tails, t, size, alpha, nu=None):
+        """The run loop's (VaR, tail count, gradient) at episode t over ``size`` draws."""
+        c0, s, g0, g1 = coeffs
+        low, count, total = (a[t - 1] for a in tails)
+        g = (count * g0 + g1 * total) / (size * alpha)
+        return (c0 + low * s if nu is None else nu), count, np.array(g, ndmin=1)
 
     @staticmethod
     def assert_same(fast, slow):
-        assert fast.var_used == slow.var_used
-        assert fast.tail_count == slow.tail_count
-        assert fast.g.shape == slow.g.shape
-        assert np.max(np.abs(fast.g - slow.g)) <= 1e-12
+        nu, count, g = fast
+        assert nu == slow.var_used
+        assert count == slow.tail_count
+        assert g.shape == slow.g.shape
+        assert np.max(np.abs(g - slow.g)) <= 1e-12
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -397,36 +397,45 @@ class TestSortedNoise:
         other=st.floats(0.0, 1.0),
         alpha=st.one_of(st.just(1.0), st.floats(0.01, 1.0)),
         agent=st.sampled_from([0, 1]),
+        window_kind=st.sampled_from([None, "one", "shorter", "covering"]),
         data=st.data(),
     )
     # a subnormal own action: every cost rounds to the intercept although s > 0;
-    # draws: nothing removed, the threshold at row 0
-    @example(draws=[0.0, 0.0], own=5e-324, other=0.0, alpha=1.0, agent=0, data=FixedDraws([], 0))
-    def test_matches_replay_with_ties(self, draws, own, other, alpha, agent, data):
+    # data: the threshold at row 0
+    @example(
+        draws=[0.0, 0.0], own=5e-324, other=0.0, alpha=1.0, agent=0, window_kind=None, data=FixedDraws(0)
+    )
+    def test_matches_replay_with_ties(self, draws, own, other, alpha, agent, window_kind, data):
         x = np.array([own, other]) if agent == 0 else np.array([other, own])
-        removed = data.draw(st.lists(st.sampled_from(draws), max_size=len(draws) - 1, unique=True))
-        kept = list(draws)
-        for v in removed:
-            kept.remove(v)
-        history = np.array(kept)[:, None]
-        buf = self.buffer(draws, removed)
+        horizon = len(draws)
+        window = {None: None, "one": 1, "shorter": max(1, horizon // 3), "covering": horizon + 1}[
+            window_kind
+        ]
+        history = np.array(draws)[:, None]
         coeffs = GAME.affine_noise(agent, x)
-        est = buf.tail_gradient(coeffs, alpha)
-        self.assert_same(est, cvar_gradient_estimate(GAME, agent, x, history, alpha))
-        assert est.tail_count == len(kept) - _tail_start(len(kept), alpha) + 1
         # a threshold at a replayed (cost, draw) pair ties with that cost exactly;
         # the exact one is (VaR, noise quantile)
-        row = data.draw(st.integers(0, len(kept) - 1))
-        pairs = (
-            (float(GAME.cost_batch(agent, x, history)[row]), kept[row]),
+        row = data.draw(st.integers(0, horizon - 1))
+        thresholds = (
+            None,
+            (float(GAME.cost_batch(agent, x, history)[row]), draws[row]),
             (GAME.exact_var(agent, x, alpha), GAME.noise_distribution(agent).var(alpha)),
         )
-        for nu, q in pairs:
-            est = buf.tail_gradient(coeffs, alpha, (nu, q))
-            self.assert_same(est, _replay_gradient(GAME, agent, x, history, alpha, (nu, q)))
-            assert est.tail_count == sum(v >= q for v in kept)
+        for threshold in thresholds:
+            nu, q = (None, None) if threshold is None else threshold
+            tails = _rank_tails(history, alpha, window, q)
+            for t in range(1, horizon + 1):
+                kept = history[0 if window is None else max(0, t - window) : t]
+                fast = self.loop_estimate(coeffs, tails, t, len(kept), alpha, nu)
+                self.assert_same(fast, _replay_gradient(GAME, agent, x, kept, alpha, threshold))
+                if threshold is None:
+                    assert fast[1] == len(kept) - _tail_start(len(kept), alpha) + 1
+                else:
+                    assert fast[1] == np.count_nonzero(kept >= q)
+            if threshold is None:
+                self.assert_same(fast, cvar_gradient_estimate(GAME, agent, x, kept, alpha))
         # the public baseline replays with the exact pair, the last one
-        self.assert_same(est, unbiased_cvar_gradient(GAME, agent, x, history, alpha))
+        self.assert_same(fast, unbiased_cvar_gradient(GAME, agent, x, kept, alpha))
 
     @pytest.mark.parametrize("baseline", [False, True], ids=["algorithm1", "baseline"])
     @pytest.mark.parametrize(
@@ -438,20 +447,20 @@ class TestSortedNoise:
         # at x_i = 0 every cost ties with the VaR; the tail is still a set of
         # noise ranks of about alpha * t draws, not the whole history
         t = 10_000
-        draws = np.random.default_rng(8).uniform(0, 1, size=t)
+        draws = np.random.default_rng(8).uniform(0, 1, size=(t, 1))
         x = np.array([0.0, 0.5])
         q = game.noise_distribution(0).var(alpha)
-        threshold = (game.exact_var(0, x, alpha), q) if baseline else None
-        fast = self.buffer(draws).tail_gradient(game.affine_noise(0, x), alpha, threshold)
+        nu = game.exact_var(0, x, alpha) if baseline else None
+        tails = _rank_tails(draws, alpha, None, q if baseline else None)
+        fast = self.loop_estimate(game.affine_noise(0, x), tails, t, t, alpha, nu)
         replay = unbiased_cvar_gradient if baseline else cvar_gradient_estimate
-        slow = replay(game, 0, x, draws[:, None], alpha)
-        self.assert_same(fast, slow)
+        self.assert_same(fast, replay(game, 0, x, draws, alpha))
         if baseline:
-            assert fast.tail_count == np.count_nonzero(draws >= q)
+            assert fast[1] == np.count_nonzero(draws >= q)
         else:
-            assert fast.tail_count == t - _tail_start(t, alpha) + 1
+            assert fast[1] == t - _tail_start(t, alpha) + 1
         exact = game.exact_risk_averse_gradient(0, x, alpha)
-        assert np.max(np.abs(fast.g - exact)) < 0.02
+        assert np.max(np.abs(fast[2] - exact)) < 0.02
 
 
 class TestSortedPathMatchesReplay:
