@@ -38,7 +38,9 @@ from .analysis import (
 )
 from .distributions import dkw_confidence_width
 from .games import CournotGame, QuadraticCounterexampleGame, StochasticGame
-from .learning import StepSchedule, run_algorithm1, run_unbiased_baseline
+# run_algorithm1 and run_unbiased_baseline are not called here; the
+# benchmark's span tracer patches them in this namespace
+from .learning import StepSchedule, _run, run_algorithm1, run_unbiased_baseline
 from .plotting import emit_plot
 
 __all__ = [
@@ -269,23 +271,44 @@ def _report_rng(config: ExperimentConfig) -> np.random.Generator:
     return np.random.default_rng(_trial_seed(config, config.trials))
 
 
-def _run_trial(args) -> RunTrace:
-    config, algorithm, index = args
+# cap on a block's tail arrays, three float64s per agent, episode and
+# column; one block holds all 40 columns of a two-agent run at T = 10^4
+_BLOCK_BYTES = 32 << 20
+
+
+def _blocks(config: ExperimentConfig, workers: int) -> list[list]:
+    """The (algorithm, trial) columns in order, cut into near-equal blocks.
+
+    At least one block per worker, and more only when a block's tail
+    arrays would pass ``_BLOCK_BYTES``.
+    """
+    columns = [(alg, idx) for alg in config.algorithms for idx in range(config.trials)]
+    per_block = max(1, _BLOCK_BYTES // (3 * 8 * len(config.alphas) * config.horizon))
+    count = min(len(columns), max(workers, math.ceil(len(columns) / per_block)))
+    cuts = [len(columns) * n // count for n in range(count + 1)]
+    return [columns[a:b] for a, b in zip(cuts, cuts[1:])]
+
+
+def _run_block(config: ExperimentConfig, block) -> list[RunTrace]:
+    """One lockstep run of the block's (algorithm, trial) columns."""
     game = build_game(config)
     schedule = StepSchedule.auto() if config.eta is None else StepSchedule.constant(config.eta)
-    seed = _trial_seed(config, index)
-    run = run_algorithm1 if algorithm == "algorithm1" else run_unbiased_baseline
-    trace = run(
-        game,
-        config.alphas,
-        config.horizon,
-        schedule=schedule,
-        x0=np.array(config.x0),
-        seed=seed,
-        window=config.window,
+    columns = [(_trial_seed(config, idx), alg) for alg, idx in block]
+    traces = _run(
+        game, config.alphas, config.horizon, schedule, np.array(config.x0), config.window, columns
     )
-    trace.config["seed"] = f"{config.seed}:{index}"
-    return trace
+    for (alg, idx), trace in zip(block, traces):
+        trace.config["seed"] = f"{config.seed}:{idx}"
+    return traces
+
+
+def _run_blocks(config: ExperimentConfig, blocks, workers: int):
+    """Each block's traces, in block order; one process per block when parallel."""
+    if workers > 1 and len(blocks) > 1:
+        with ProcessPoolExecutor(max_workers=min(workers, len(blocks))) as pool:
+            yield from pool.map(_run_block, [config] * len(blocks), blocks)
+    else:
+        yield from map(_run_block, [config] * len(blocks), blocks)
 
 
 def _all_passed(reports) -> bool:
@@ -496,8 +519,14 @@ def run_experiment(
 ) -> OutputBundle:
     """Execute all configured trials and write the output bundle.
 
-    Trials run in parallel up to ``workers``; results are reduced in
-    trial order, so the artifacts do not depend on scheduling.
+    Each (algorithm, trial) pair is one column of a lockstep run. The
+    columns, in (algorithm, trial) order, are cut into one near-equal
+    block per worker, or into more blocks when a block's tail arrays
+    would pass a fixed byte budget; blocks run in parallel up to
+    ``workers``, with one ``progress`` line per finished block. A
+    column's trace does not depend on its block, and results are reduced
+    in (algorithm, trial) order, so the artifacts do not depend on
+    scheduling.
     """
     out_dir = out_dir or config.out_dir or "out"
     os.makedirs(out_dir, exist_ok=True)
@@ -508,17 +537,16 @@ def run_experiment(
         if progress is not None:
             print(msg, file=progress)
 
-    jobs = [(config, alg, idx) for alg in config.algorithms for idx in range(config.trials)]
-    say(f"running {len(jobs)} trials ({config.game}, T={config.horizon}, workers={workers})")
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_trial, jobs))
-    else:
-        results = [_run_trial(job) for job in jobs]
-
+    blocks = _blocks(config, workers)
+    say(
+        f"running {len(config.algorithms) * config.trials} trials in {len(blocks)} blocks "
+        f"({config.game}, T={config.horizon}, workers={workers})"
+    )
     traces = {alg: [] for alg in config.algorithms}
-    for (cfg, alg, idx), trace in zip(jobs, results):
-        traces[alg].append(trace)
+    for n, (block, results) in enumerate(zip(blocks, _run_blocks(config, blocks, workers)), 1):
+        for (alg, _), trace in zip(block, results):
+            traces[alg].append(trace)
+        say(f"block {n}/{len(blocks)} done: {len(block)} trials")
 
     trial_paths = {}
     for alg in config.algorithms:

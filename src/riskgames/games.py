@@ -181,16 +181,23 @@ class StochasticGame(ABC):
         xi (noise_dim 1). c0 and s are scalars, g0 and g1 scalars or arrays
         of shape (d_i,). The slope s must be >= 0 at every feasible x, so
         that the cost order is the noise order; the learning loop raises a
-        ``ValueError`` on a negative one. When every agent gives them, the
-        run takes each agent's tails from its draws before the first
-        episode, as sets of noise ranks, and evaluates no cost: the top
-        t - k + 1 draws, or for the exact-VaR baseline the draws at or
-        above the quantile of ``noise_distribution(agent)``. Each episode
-        then needs only these coefficients. Ties with the VaR, as at
-        s = 0, do not change the tail size. The recorded VaR
-        c0 + xi_(k) * s equals the k-th smallest replayed cost when
-        ``cost_batch`` evaluates the same expression; an ``AffineNoiseGame``
-        derives ``cost_batch`` from these coefficients, so the two agree by
+        ``ValueError`` that names the agent and the first episode of a
+        negative one. When every agent gives them, the game must also give
+        ``noise_distribution(agent)``, the law ``sample_noise`` draws from:
+        the run draws each agent's whole history with one
+        ``sample(rng, size=T)`` call, the same stream as T single draws,
+        and takes its tails from those draws before the first episode, as
+        sets of noise ranks, evaluating no cost: the top t - k + 1 draws,
+        or for the exact-VaR baseline the draws at or above the noise
+        quantile q. Each episode then needs only g0 and g1, from one call
+        with x a (dimension, columns) stack of the joint actions of a block
+        of runs. After the last episode one call per agent and run over its
+        (dimension, T) action path gives c0 and s, which fix the recorded
+        VaR, c0 + xi_(k) * s, and the exact one, c0 + s * q. Ties with the
+        VaR, as at s = 0, do not change the tail size. The recorded VaR
+        equals the k-th smallest replayed cost when ``cost_batch``
+        evaluates the same expression; an ``AffineNoiseGame`` derives
+        ``cost_batch`` from these coefficients, so the two agree by
         construction. A game without such a description returns None, the
         default, and the loop replays its history.
         """
@@ -212,7 +219,7 @@ class AffineNoiseGame(StochasticGame):
 
     and, CVaR being positively homogeneous, the CVaR gradient is
     g0 + g1 CVaR_alpha(xi). ``affine_noise`` must index ``x[agent]`` as a
-    scalar, so that it also broadcasts over a (dimension, T) stack of
+    scalar, so that it also broadcasts over a (dimension, ...) stack of
     joint actions.
     """
 

@@ -16,15 +16,23 @@ Two paths compute the same estimate, and a run picks one before its
 first episode. When every agent reports its cost as c0 + s * xi in a
 scalar noise (``affine_noise``), s must be >= 0, so the cost order is
 the noise order and each episode's tail depends on the draws alone. The
-run then draws every agent's history before the first episode, and
-``_rank_tails`` gives per episode the lowest tail draw xi_(k), the tail
-size and the tail sum. The loop holds only the joint action: the
-empirical VaR is c0 + s * xi_(k), and the tail gradient is
-(count * g0 + g1 * sum of the tail draws) / (t * alpha). Generic games
-replay the history: ``cvar_gradient_estimate`` and
+run then draws every agent's history at once, and ``_rank_tails`` gives
+per episode the lowest tail draw xi_(k), the tail size and the tail sum.
+The loop holds only the joint action: the tail gradient is
+(count * g0 + g1 * sum of the tail draws) / (t * alpha), and after the
+last episode the recorded VaR is read off the action path, c0 + s * xi_(k)
+for Algorithm 1 and c0 + s * VaR_alpha(xi) for the baseline. Generic
+games replay the history: ``cvar_gradient_estimate`` and
 ``unbiased_cvar_gradient`` re-evaluate every stored draw, O(t) per
 episode and O(T^2) per run. The replay is also the reference oracle the
 rank path is tested against.
+
+A run is one column of a block. ``_run`` plays a block of columns, each
+a (seed, algorithm) pair with its own draws, as one recursion over a
+(dimension, columns) joint action: on the rank path one ``affine_noise``
+call per agent and one clip per episode serve every column, and on the
+replay path each column replays its own history in the same loop.
+Columns never interact, so each equals its run alone bit for bit.
 
 The tail is a set of noise ranks. Algorithm 1 takes the top t - k + 1
 draws; the replay orders its rows by (cost, noise) and takes as many.
@@ -216,11 +224,16 @@ def _run(
     horizon: int,
     schedule: StepSchedule,
     x0,
-    seed,
-    unbiased: bool,
     window: int | None,
-    algorithm: str,
-) -> RunTrace:
+    columns,
+) -> list[RunTrace]:
+    """Play a block of runs in lockstep, one trace per column.
+
+    Each column is a (seed, algorithm) pair, with algorithm
+    "algorithm1" or "unbiased-fo"; all share the game, risk levels,
+    horizon, step, start and window. The columns' generators are
+    spawned from their seeds in column order.
+    """
     alphas = [check_risk_level(a) for a in alphas]
     if len(alphas) != game.num_agents:
         raise ValueError("expected one risk level per agent")
@@ -232,9 +245,8 @@ def _run(
     num_agents = game.num_agents
     boxes = game.action_sets
     blocks = [game.block_slice(i) for i in range(num_agents)]
-
-    def project(z):
-        return np.concatenate([box.project(z[block]) for box, block in zip(boxes, blocks)])
+    lower = np.concatenate([box.lower for box in boxes])
+    upper = np.concatenate([box.upper for box in boxes])
 
     if x0 is None:
         x = np.concatenate([box.center for box in boxes])
@@ -243,7 +255,7 @@ def _run(
         if not game.feasible(x):
             raise ValueError(f"infeasible initial action {x!r}")
         # feasible() allows 1e-9 of slack; start exactly on the box
-        x = project(x)
+        x = np.clip(x, lower, upper)
     eta = float(schedule.resolve(game, horizon))
 
     x_star = game.nash_equilibrium(alphas)
@@ -252,79 +264,110 @@ def _run(
         game.exact_var(0, x, alphas[0])
     except UnsupportedGameError:
         track_true_var = False
-    if unbiased and not track_true_var:
+    unbiased = [algorithm == "unbiased-fo" for _, algorithm in columns]
+    if any(unbiased) and not track_true_var:
         raise UnsupportedGameError(
             "the exact-VaR baseline needs a game with closed-form VaR"
         )
+    affine = all(game.affine_noise(i, x) is not None for i in range(num_agents))
 
-    rngs = _as_rngs(game, seed)
-    histories = np.empty((num_agents, horizon, game.noise_dim))
-    for i, (history, rng) in enumerate(zip(histories, rngs)):
-        for t in range(horizon):
-            history[t] = game.sample_noise(i, rng)
-    tails = None
-    if all(game.affine_noise(i, x) is not None for i in range(num_agents)):
-        tails = []
-        for i, (history, alpha) in enumerate(zip(histories, alphas)):
-            # the baseline's tail is the draws at or above the noise quantile
-            q = game.noise_distribution(i).var(alpha) if unbiased else None
-            tails.append(_rank_tails(history, alpha, window, q))
+    width = len(columns)
+    if affine:
+        # per agent, episode and column: lowest tail draw, tail size, tail sum
+        low, count, total = (np.empty((num_agents, horizon, width)) for _ in range(3))
+    else:
+        histories = np.empty((width, num_agents, horizon, game.noise_dim))
+    for c, (seed, _) in enumerate(columns):
+        for i, rng in enumerate(_as_rngs(game, seed)):
+            if affine:
+                law = game.noise_distribution(i)
+                draws = law.sample(rng, size=horizon)[:, None]
+                # the baseline's tail is the draws at or above the noise quantile
+                q = law.var(alphas[i]) if unbiased[c] else None
+                low[i, :, c], count[i, :, c], total[i, :, c] = _rank_tails(
+                    draws, alphas[i], window, q
+                )
+            else:
+                for t in range(horizon):
+                    histories[c, i, t] = game.sample_noise(i, rng)
 
-    actions = np.empty((horizon, x.size))
-    nu = np.empty((horizon, num_agents))
-    nu_star = np.empty((horizon, num_agents)) if track_true_var else None
+    x = np.repeat(x[:, None], width, axis=1)
+    lower, upper = lower[:, None], upper[:, None]
+    grads = np.empty_like(x)
+    actions = np.empty((width, horizon, x.shape[0]))
+    nu = np.empty((width, horizon, num_agents))
+    nu_star = np.empty_like(nu) if track_true_var else None
 
     for t in range(1, horizon + 1):
-        actions[t - 1] = x
+        actions[:, t - 1] = x.T
         start = 0 if window is None else max(0, t - window)
-        grads = []
-        for i in range(num_agents):
-            true_var = game.exact_var(i, x, alphas[i]) if track_true_var else None
-            if tails is None:
-                draws = histories[i][start:t]
-                if unbiased:
-                    est = unbiased_cvar_gradient(game, i, x, draws, alphas[i], true_var)
-                else:
-                    est = cvar_gradient_estimate(game, i, x, draws, alphas[i])
-                nu[t - 1, i] = est.var_used
-                grads.append(est.g)
+        for i, block in enumerate(blocks):
+            if affine:
+                _, _, g0, g1 = game.affine_noise(i, x)
+                n_alpha = (t - start) * alphas[i]
+                grads[block] = (count[i, t - 1] * g0 + g1 * total[i, t - 1]) / n_alpha
             else:
-                c0, s, g0, g1 = game.affine_noise(i, x)
-                if s < 0:
-                    raise ValueError(f"affine_noise needs a nonnegative noise slope, got {s}")
-                low, count, total = tails[i]
-                g = (count[t - 1] * g0 + g1 * total[t - 1]) / ((t - start) * alphas[i])
-                nu[t - 1, i] = true_var if unbiased else c0 + low[t - 1] * s
-                grads.append(np.array(g, ndmin=1))
-            if nu_star is not None:
-                nu_star[t - 1, i] = true_var
+                for c in range(width):
+                    xc = x[:, c]
+                    true_var = game.exact_var(i, xc, alphas[i]) if track_true_var else None
+                    draws = histories[c, i, start:t]
+                    if unbiased[c]:
+                        est = unbiased_cvar_gradient(game, i, xc, draws, alphas[i], true_var)
+                    else:
+                        est = cvar_gradient_estimate(game, i, xc, draws, alphas[i])
+                    grads[block, c] = est.g
+                    nu[c, t - 1, i] = est.var_used
+                    if nu_star is not None:
+                        nu_star[c, t - 1, i] = true_var
         # simultaneous play: all updates use the same joint action
-        x = project(x - eta * np.concatenate(grads))
+        x = np.clip(x - eta * grads, lower, upper)
 
-    err_sq = None
-    if x_star is not None:
-        d = actions - x_star
-        err_sq = (d[:, None, :] @ d[:, :, None]).ravel()
+    if affine:
+        for c in range(width):
+            path = actions[c].T
+            for i, alpha in enumerate(alphas):
+                c0, s, _, _ = game.affine_noise(i, path)
+                s = np.broadcast_to(s, horizon)
+                negative = np.flatnonzero(s < 0)
+                if negative.size:
+                    k = negative[0]
+                    raise ValueError(
+                        f"agent {i} at episode {k + 1}: affine_noise needs a "
+                        f"nonnegative noise slope, got {s[k]}"
+                    )
+                true_var = c0 + s * game.noise_distribution(i).var(alpha)
+                nu[c, :, i] = true_var if unbiased[c] else c0 + low[i, :, c] * s
+                if nu_star is not None:
+                    nu_star[c, :, i] = true_var
 
-    config = {
-        "game": getattr(game, "name", type(game).__name__.lower()),
-        "alphas": list(alphas),
-        "eta": eta,
-        "horizon": horizon,
-        "seed": seed if isinstance(seed, int) else repr(seed),
-        "algorithm": algorithm,
-        "window": window,
-        "grad_bound": game.grad_bound,
-    }
-    return RunTrace(
-        episodes=np.arange(1, horizon + 1),
-        actions=actions,
-        nu=nu,
-        nu_star=nu_star,
-        err_sq=err_sq,
-        x_star=x_star,
-        config=config,
-    )
+    traces = []
+    for c, (seed, algorithm) in enumerate(columns):
+        err_sq = None
+        if x_star is not None:
+            d = actions[c] - x_star
+            err_sq = (d[:, None, :] @ d[:, :, None]).ravel()
+        config = {
+            "game": getattr(game, "name", type(game).__name__.lower()),
+            "alphas": list(alphas),
+            "eta": eta,
+            "horizon": horizon,
+            "seed": seed if isinstance(seed, int) else repr(seed),
+            "algorithm": algorithm,
+            "window": window,
+            "grad_bound": game.grad_bound,
+        }
+        traces.append(
+            RunTrace(
+                episodes=np.arange(1, horizon + 1),
+                actions=actions[c],
+                nu=nu[c],
+                nu_star=None if nu_star is None else nu_star[c],
+                err_sq=err_sq,
+                x_star=x_star,
+                config=config,
+            )
+        )
+    return traces
 
 
 def run_algorithm1(
@@ -344,17 +387,8 @@ def run_algorithm1(
     as the threshold. Runs with equal seeds and configuration are
     bit-identical.
     """
-    return _run(
-        game,
-        alphas,
-        horizon,
-        schedule or StepSchedule.auto(),
-        x0,
-        seed,
-        unbiased=False,
-        window=window,
-        algorithm="algorithm1",
-    )
+    schedule = schedule or StepSchedule.auto()
+    return _run(game, alphas, horizon, schedule, x0, window, [(seed, "algorithm1")])[0]
 
 
 def run_unbiased_baseline(
@@ -367,14 +401,5 @@ def run_unbiased_baseline(
     window: int | None = None,
 ) -> RunTrace:
     """Identical loop with the estimated VaR replaced by the exact one."""
-    return _run(
-        game,
-        alphas,
-        horizon,
-        schedule or StepSchedule.auto(),
-        x0,
-        seed,
-        unbiased=True,
-        window=window,
-        algorithm="unbiased-fo",
-    )
+    schedule = schedule or StepSchedule.auto()
+    return _run(game, alphas, horizon, schedule, x0, window, [(seed, "unbiased-fo")])[0]

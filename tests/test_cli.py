@@ -20,6 +20,8 @@ from riskgames.cli import (
     trial_filename,
     validate_config,
     write_trace_csv,
+    _BLOCK_BYTES,
+    _blocks,
 )
 from riskgames.learning import run_algorithm1
 from riskgames.plotting import emit_plot
@@ -210,13 +212,46 @@ class TestBundle:
             assert open(path, "rb").read() == open(other, "rb").read()
 
     def test_parallel_matches_serial(self, tmp_path):
+        # 3 workers cut the 4 columns into uneven blocks
         cfg = validate_config(dict(SMALL_RAW))
         serial = run_experiment(cfg, out_dir=str(tmp_path / "serial"), workers=1)
-        parallel = run_experiment(cfg, out_dir=str(tmp_path / "parallel"), workers=2)
-        assert (
-            open(serial.aggregate_path, "rb").read()
-            == open(parallel.aggregate_path, "rb").read()
-        )
+        for workers in (2, 3):
+            parallel = run_experiment(cfg, out_dir=str(tmp_path / f"w{workers}"), workers=workers)
+            for name in ("aggregate.csv", "bounds.csv"):
+                with open(os.path.join(serial.out_dir, name), "rb") as a:
+                    with open(os.path.join(parallel.out_dir, name), "rb") as b:
+                        assert a.read() == b.read()
+            assert parallel.trial_paths.keys() == serial.trial_paths.keys()
+            for key, path in serial.trial_paths.items():
+                with open(path, "rb") as a, open(parallel.trial_paths[key], "rb") as b:
+                    assert a.read() == b.read()
+
+    @pytest.mark.parametrize("workers,blocks", [(1, 1), (2, 2), (3, 3), (8, 4)])
+    def test_one_progress_line_per_block(self, tmp_path, capsys, workers, blocks):
+        progress = io.StringIO()
+        cfg = validate_config(dict(SMALL_RAW))
+        run_experiment(cfg, out_dir=str(tmp_path / "out"), workers=workers, progress=progress)
+        lines = progress.getvalue().splitlines()
+        assert lines[0].startswith(f"running 4 trials in {blocks} blocks")
+        done = [line.split(": ") for line in lines if line.startswith("block ")]
+        assert [head for head, _ in done] == [f"block {n}/{blocks} done" for n in range(1, blocks + 1)]
+        sizes = [int(tail.split()[0]) for _, tail in done]
+        assert sum(sizes) == 4 and max(sizes) - min(sizes) <= 1
+        # data only goes to files
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize(
+        "horizon,workers,count", [(5000, 1, 1), (5000, 3, 3), (10**5, 2, 7), (10**6, 1, 40)]
+    )
+    def test_blocks_follow_workers_and_the_byte_budget(self, horizon, workers, count):
+        cfg = validate_config({"game": "cournot", "T": horizon, "trials": 20})
+        blocks = _blocks(cfg, workers)
+        assert len(blocks) == count
+        # near-equal, and in (algorithm, trial) order
+        assert max(map(len, blocks)) - min(map(len, blocks)) <= 1
+        assert [c for b in blocks for c in b] == [(a, i) for a in cfg.algorithms for i in range(20)]
+        for block in blocks:
+            assert len(block) == 1 or len(block) * 3 * 8 * 2 * horizon <= _BLOCK_BYTES
 
     def test_counterexample_bundle_has_no_error_curves(self, tmp_path):
         cfg = validate_config(

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from riskgames.distributions import _tail_start
+from riskgames.distributions import Uniform, _tail_start
 from riskgames.games import (
     Box,
     CournotGame,
@@ -14,6 +14,7 @@ from riskgames.games import (
 from riskgames.learning import (
     StepSchedule,
     _rank_tails,
+    _run,
     _replay_gradient,
     cvar_gradient_estimate,
     run_algorithm1,
@@ -56,6 +57,9 @@ class NoClosedFormGame(StochasticGame):
 class NegativeSlopeGame(NoClosedFormGame):
     """Costs x_i * (1 - xi): affine in the noise with slope -x_i < 0."""
 
+    def noise_distribution(self, agent):
+        return Uniform(0.0, 1.0)
+
     def cost(self, agent, x, xi):
         return x[agent] * (1.0 - xi[0])
 
@@ -64,6 +68,14 @@ class NegativeSlopeGame(NoClosedFormGame):
 
     def affine_noise(self, agent, x):
         return x[agent], -x[agent], 1.0, -1.0
+
+
+class LateNegativeSlopeGame(NegativeSlopeGame):
+    """Agent 1's slope x_1 - 0.45 is positive at the centre; every gradient is
+    at least 1, so the first step takes x_1 below 0.45."""
+
+    def affine_noise(self, agent, x):
+        return x[agent], x[agent] - 0.45 * agent, 1.0, 1.0
 
 
 class ReplayGame(StochasticGame):
@@ -324,8 +336,11 @@ class TestRunLoop:
             assert np.array_equal(trace.actions, run(GAME, ALPHAS, 20, x0=start, seed=14).actions)
 
     def test_negative_affine_noise_slope_rejected(self):
-        with pytest.raises(ValueError, match=r"slope, got -0\.5"):
+        with pytest.raises(ValueError, match=r"^agent 0 at episode 1: .* slope, got -0\.5$"):
             run_algorithm1(NegativeSlopeGame(), ALPHAS, 5, seed=0)
+        # a slope that turns negative after the start is named where it first does
+        with pytest.raises(ValueError, match=r"^agent 1 at episode 2: .* slope, got -0\.\d+$"):
+            run_algorithm1(LateNegativeSlopeGame(), ALPHAS, 5, seed=0)
 
     def test_trace_metadata(self):
         trace = run_algorithm1(GAME, ALPHAS, 10, seed=13)
@@ -537,10 +552,88 @@ class TestSortedPathMatchesReplay:
         assert np.any(trace.actions == 0.0)
 
     def test_one_exact_var_call_per_agent_episode(self):
-        for game in (CountingCournotGame(), CountingReplayGame()):
-            run_unbiased_baseline(game, ALPHAS, 25, seed=0)
-            # one probe before the loop, then one call per agent and episode
-            assert game.exact_var_calls == 1 + 2 * 25
+        # the replay: one probe before the loop, then one call per agent and episode
+        game = CountingReplayGame()
+        run_unbiased_baseline(game, ALPHAS, 25, seed=0)
+        assert game.exact_var_calls == 1 + 2 * 25
+        # the rank path reads the VaR off the action path after the loop: the probe only
+        game = CountingCournotGame()
+        run_unbiased_baseline(game, ALPHAS, 25, seed=0)
+        assert game.exact_var_calls == 1
+
+
+class TestBlock:
+    """A lockstep block of columns equals each column run on its own."""
+
+    @staticmethod
+    def game(kind, params, replay):
+        game = CournotGame() if kind == "cournot" else QuadraticCounterexampleGame(*params)
+        return ReplayGame(game) if replay else game
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        kind=st.sampled_from(["cournot", "counterexample"]),
+        params=st.tuples(*[st.floats(0.5, 2.0)] * 2, st.floats(-1.0, 1.0), st.floats(0.5, 2.0)),
+        replay=st.booleans(),
+        alphas=st.tuples(*[st.one_of(st.just(1.0), st.floats(0.05, 1.0))] * 2),
+        horizon=st.integers(1, 40),
+        window_kind=st.sampled_from([None, "one", "shorter", "covering"]),
+        pinned=st.booleans(),
+        x0=st.one_of(
+            st.none(),
+            st.tuples(*[st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))] * 2),
+        ),
+        # seeds repeat across algorithms and within a block
+        columns=st.lists(
+            st.tuples(st.integers(0, 3), st.sampled_from(["algorithm1", "unbiased-fo"])),
+            min_size=1,
+            max_size=5,
+        ),
+    )
+    # a subnormal own action: every cost rounds to the intercept although s > 0
+    @example(
+        kind="cournot",
+        params=(1.0, 1.0, 0.0, 1.0),
+        replay=False,
+        alphas=(1.0, 1.0),
+        horizon=3,
+        window_kind=None,
+        pinned=False,
+        x0=(0.0, 2.2250738585e-313),
+        columns=[(0, "unbiased-fo"), (0, "algorithm1"), (1, "algorithm1")],
+    )
+    def test_columns_equal_single_runs(
+        self, kind, params, replay, alphas, horizon, window_kind, pinned, x0, columns
+    ):
+        game = self.game(kind, params, replay)
+        window = {None: None, "one": 1, "shorter": max(1, horizon // 3), "covering": horizon + 1}[
+            window_kind
+        ]
+        schedule = StepSchedule.constant(5.0) if pinned else StepSchedule.auto()
+        x0 = None if x0 is None else np.asarray(x0) * game.action_sets[0].upper[0]
+        block = _run(game, alphas, horizon, schedule, x0, window, columns)
+        assert len(block) == len(columns)
+        for (seed, algorithm), trace in zip(columns, block):
+            run = run_algorithm1 if algorithm == "algorithm1" else run_unbiased_baseline
+            alone = run(game, alphas, horizon, schedule=schedule, x0=x0, seed=seed, window=window)
+            assert trace.config == alone.config
+            for field in ("actions", "nu", "nu_star", "err_sq"):
+                a, b = getattr(trace, field), getattr(alone, field)
+                assert (a is None) == (b is None)
+                assert a is None or np.array_equal(a, b)
+
+    def test_pinned_block_reaches_the_faces(self):
+        # a step of 5 drives the columns onto the box faces, where x_i = 0 ties every cost
+        columns = [(seed, alg) for seed in (4, 5) for alg in ("algorithm1", "unbiased-fo")]
+        for game in (CournotGame(), ReplayGame(QuadraticCounterexampleGame())):
+            block = _run(game, (1.0, 0.4), 40, StepSchedule.constant(5.0), None, 7, columns)
+            for (seed, algorithm), trace in zip(columns, block):
+                run = run_algorithm1 if algorithm == "algorithm1" else run_unbiased_baseline
+                alone = run(game, (1.0, 0.4), 40, StepSchedule.constant(5.0), seed=seed, window=7)
+                assert np.any(trace.actions == 0.0)
+                assert np.array_equal(trace.actions, alone.actions)
+                assert np.array_equal(trace.nu, alone.nu)
+                assert np.array_equal(trace.nu_star, alone.nu_star)
 
 
 class TestBiasDecay:
