@@ -34,7 +34,6 @@ from .games import (
 )
 from .learning import (
     GradientEstimate,
-    StepSchedule,
     cvar_gradient_estimate,
     run_algorithm1,
     run_unbiased_baseline,
@@ -52,7 +51,6 @@ __all__ = [
     "GradientEstimate",
     "QuadraticCounterexampleGame",
     "RunTrace",
-    "StepSchedule",
     "StochasticGame",
     "Uniform",
     "UnsupportedGameError",

@@ -11,7 +11,7 @@ tight).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,14 +31,15 @@ __all__ = [
 
 @dataclass
 class RunTrace:
-    """Per-episode record of one learning run.
+    """Per-episode record of one learning run: the columns of its trial file.
 
     ``actions[t - 1]`` is the joint action played at episode t (so the
     initial action is row 0 and there are exactly ``horizon`` rows).
     ``nu`` holds the VaR value each agent used in its gradient estimate;
     ``nu_star`` the true VaR at the same action when the game provides
-    it. ``err_sq`` is the squared distance to the equilibrium ``x_star``
-    when one is known. ``config`` snapshots everything needed to rerun.
+    it. ``err_sq`` is the squared distance to the game's equilibrium
+    when one is known. The run's description (game, risk levels, step,
+    seed) is not part of the trace.
     """
 
     episodes: np.ndarray
@@ -46,8 +47,6 @@ class RunTrace:
     nu: np.ndarray
     nu_star: np.ndarray | None
     err_sq: np.ndarray | None
-    x_star: np.ndarray | None
-    config: dict = field(default_factory=dict)
 
     def __post_init__(self):
         t = self.episodes.size
@@ -198,39 +197,31 @@ def density_range(game, trace: RunTrace, agent: int) -> tuple[float, float]:
 
 
 def validate_lemma4(
-    trace: RunTrace,
-    agent: int,
-    gamma: float = 0.05,
-    B: float | None = None,
-    L0: float | None = None,
-    p_lower: float | None = None,
+    game, trace: RunTrace, agent: int, alpha: float, gamma: float = 0.05
 ) -> BoundReport:
-    """Check the accumulated gradient-bias bound along one run.
+    """Check the accumulated gradient-bias bound along one run of ``game``.
 
-    The per-episode bias proxy is (B * L0 / alpha_i) |nu_t - nu*_t|; its
+    The per-episode bias proxy is (B * L0 / alpha) |nu_t - nu*_t|; its
     running sum must stay below
 
-        sqrt(2) * B * L0 / (alpha_i * p_lower) * sqrt(ln(2T/gamma)) * sqrt(T')
+        sqrt(2) * B * L0 / (alpha * p_lower) * sqrt(ln(2T/gamma)) * sqrt(T')
 
     for every prefix T' <= T, where the log factor comes from a union
-    bound over episodes at per-episode confidence gamma/T. B defaults to
-    the game's gradient bound from the trace config; L0 and p_lower, the
-    density constants, must be given (``density_range`` derives them).
+    bound over episodes at per-episode confidence gamma/T. B is the game's
+    gradient bound and (L0, p_lower) come from ``density_range``; where
+    the cost density is unbounded along the run the bound does not apply,
+    and the row has ``passed`` None.
     """
     if trace.nu_star is None:
         raise ValueError("trace has no true VaR series")
     if not 0.0 < gamma < 1.0:
         raise ValueError("gamma must be in (0, 1)")
-    alphas = trace.config.get("alphas")
-    if alphas is None:
-        raise ValueError("trace config is missing the risk levels")
-    alpha = check_risk_level(alphas[agent])
-    if B is None:
-        B = trace.config.get("grad_bound")
-        if B is None:
-            raise ValueError("no gradient bound in trace config; pass B explicitly")
-    if L0 is None or p_lower is None:
-        raise ValueError("L0 and p_lower must be given; density_range derives them")
+    alpha = check_risk_level(alpha)
+    try:
+        L0, p_lower = density_range(game, trace, agent)
+    except ValueError as exc:
+        return BoundReport("lemma4", math.nan, math.nan, None, str(exc))
+    B = game.grad_bound
 
     horizon = trace.horizon
     err = np.abs(trace.nu[:, agent] - trace.nu_star[:, agent])
@@ -238,14 +229,15 @@ def validate_lemma4(
     prefixes = np.arange(1, horizon + 1, dtype=np.float64)
     log_factor = math.sqrt(math.log(2.0 * horizon / gamma))
     rhs = (math.sqrt(2.0) * B * L0 / (alpha * p_lower)) * log_factor * np.sqrt(prefixes)
-    worst = float(np.max(sums / rhs))
+    ratios = sums / rhs
+    worst = int(np.argmax(ratios))
     return BoundReport(
         name="lemma4",
         empirical=float(sums[-1]),
         bound=float(rhs[-1]),
         passed=bool(np.all(sums <= rhs)),
         detail=(
-            f"agent={agent}, gamma={gamma}, worst prefix ratio {worst:.4f}, "
-            f"B={B:.4g}, L0={L0:.4g}, p_lower={p_lower:.4g}"
+            f"agent={agent}, gamma={gamma}, worst prefix ratio {ratios[worst]:.4f} "
+            f"at T'={worst + 1}, B={B:.4g}, L0={L0:.4g}, p_lower={p_lower:.4g}"
         ),
     )

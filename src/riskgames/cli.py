@@ -30,7 +30,6 @@ from .analysis import (
     AggregateTrace,
     BoundReport,
     RunTrace,
-    density_range,
     fit_rate,
     time_averaged_error,
     validate_lemma3,
@@ -40,7 +39,7 @@ from .distributions import dkw_confidence_width
 from .games import CournotGame, QuadraticCounterexampleGame, StochasticGame
 # run_algorithm1 and run_unbiased_baseline are not called here; the
 # benchmark's span tracer patches them in this namespace
-from .learning import StepSchedule, _run, run_algorithm1, run_unbiased_baseline
+from .learning import _run, run_algorithm1, run_unbiased_baseline
 from .plotting import emit_plot
 
 __all__ = [
@@ -291,15 +290,16 @@ def _blocks(config: ExperimentConfig, workers: int) -> list[list]:
 
 def _run_block(config: ExperimentConfig, block) -> list[RunTrace]:
     """One lockstep run of the block's (algorithm, trial) columns."""
-    game = build_game(config)
-    schedule = StepSchedule.auto() if config.eta is None else StepSchedule.constant(config.eta)
     columns = [(_trial_seed(config, idx), alg) for alg, idx in block]
-    traces = _run(
-        game, config.alphas, config.horizon, schedule, np.array(config.x0), config.window, columns
+    return _run(
+        build_game(config),
+        config.alphas,
+        config.horizon,
+        config.eta,
+        np.array(config.x0),
+        config.window,
+        columns,
     )
-    for (alg, idx), trace in zip(block, traces):
-        trace.config["seed"] = f"{config.seed}:{idx}"
-    return traces
 
 
 def _run_blocks(config: ExperimentConfig, blocks, workers: int):
@@ -374,16 +374,17 @@ def write_trace_csv(trace: RunTrace, path) -> None:
     _write_csv(path, header, zip(*columns))
 
 
-def read_trace_csv(path, config: ExperimentConfig, algorithm: str) -> RunTrace:
-    """Rebuild a RunTrace from a trial CSV plus the bundle's config.
+def read_trace_csv(path, config: ExperimentConfig) -> RunTrace:
+    """Rebuild a RunTrace from a trial CSV of a run of ``config``.
 
     Raises ``ConfigError``, naming the file, when its header or shape does
-    not match what a run of that config writes.
+    not match what a run of that config writes, when its ``t`` column is
+    not 1..T in order, or when a cell is not a finite number or breaks
+    ``RunTrace``'s own checks.
     """
     game = build_game(config)
-    x_star = game.nash_equilibrium(config.alphas)
     columns = _trial_columns(game.dimension, game.num_agents)
-    if x_star is None:
+    if game.nash_equilibrium(config.alphas) is None:
         del columns["err_sq"]
     expected = [name for names in columns.values() for name in names]
     with open(path, "r", encoding="utf-8") as fh:
@@ -404,29 +405,30 @@ def read_trace_csv(path, config: ExperimentConfig, algorithm: str) -> RunTrace:
         f"trial file {path}: expected {config.horizon} rows of {len(expected)} values, "
         f"got {data.shape[0]} of {data.shape[1]}",
     )
+    bad = np.argwhere(~np.isfinite(data))
+    if bad.size:
+        row, col = bad[0]
+        raise ConfigError(
+            f"trial file {path}: row {row + 1}, column {expected[col]}: "
+            f"expected a finite number, got {data[row, col]}"
+        )
+    _require(
+        np.array_equal(data[:, 0], np.arange(1, config.horizon + 1)),
+        f"trial file {path}: column t must count episodes 1..{config.horizon} in order",
+    )
     ends = np.cumsum([len(names) for names in columns.values()])
     blocks = dict(zip(columns, np.split(data, ends[:-1], axis=1)))
     err_sq = blocks.get("err_sq")
-    eta = config.eta
-    if eta is None:
-        eta = StepSchedule.auto().resolve(game, config.horizon)
-    return RunTrace(
-        episodes=blocks["episodes"][:, 0].astype(int),
-        actions=blocks["actions"],
-        nu=blocks["nu"],
-        nu_star=blocks["nu_star"],
-        err_sq=None if err_sq is None else err_sq[:, 0],
-        x_star=x_star,
-        config={
-            "game": config.game,
-            "alphas": list(config.alphas),
-            "eta": float(eta),
-            "horizon": config.horizon,
-            "algorithm": algorithm,
-            "window": config.window,
-            "grad_bound": game.grad_bound,
-        },
-    )
+    try:
+        return RunTrace(
+            episodes=blocks["episodes"][:, 0].astype(int),
+            actions=blocks["actions"],
+            nu=blocks["nu"],
+            nu_star=blocks["nu_star"],
+            err_sq=None if err_sq is None else err_sq[:, 0],
+        )
+    except ValueError as exc:  # a negative squared distance
+        raise ConfigError(f"trial file {path}: {exc}") from None
 
 
 def _aggregate(traces: list[RunTrace]) -> dict:
@@ -472,13 +474,8 @@ def compute_reports(config: ExperimentConfig, traces: dict) -> list[BoundReport]
     for trial, trace in enumerate(traces.get("algorithm1", [])):
         if trace.nu_star is None:
             continue
-        for agent in range(trace.num_agents):
-            try:
-                L0, p_lower = density_range(game, trace, agent)
-            except ValueError as exc:
-                rep = BoundReport("lemma4", math.nan, math.nan, None, str(exc))
-            else:
-                rep = validate_lemma4(trace, agent, L0=L0, p_lower=p_lower)
+        for agent, alpha in enumerate(config.alphas):
+            rep = validate_lemma4(game, trace, agent, alpha)
             rep.detail = f"trial={trial}, " + rep.detail
             reports.append(rep)
 
@@ -600,7 +597,7 @@ def load_bundle_traces(bundle_dir: str) -> tuple[ExperimentConfig, dict]:
             path = os.path.join(bundle_dir, "trials", trial_filename(alg, idx))
             if not os.path.exists(path):
                 raise FileNotFoundError(f"bundle is missing trial file {path}")
-            traces[alg].append(read_trace_csv(path, config, alg))
+            traces[alg].append(read_trace_csv(path, config))
     return config, traces
 
 

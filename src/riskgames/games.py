@@ -176,30 +176,21 @@ class StochasticGame(ABC):
     def affine_noise(self, agent: int, x: np.ndarray):
         """Coefficients (c0, s, g0, g1) of a cost affine in scalar noise, when known.
 
-        A game returns them when, at the joint action x, the agent's cost
-        is c0 + s * xi and its gradient g0 + g1 * xi for every scalar draw
-        xi (noise_dim 1). c0 and s are scalars, g0 and g1 scalars or arrays
-        of shape (d_i,). The slope s must be >= 0 at every feasible x, so
-        that the cost order is the noise order; the learning loop raises a
-        ``ValueError`` that names the agent and the first episode of a
-        negative one. When every agent gives them, the game must also give
-        ``noise_distribution(agent)``, the law ``sample_noise`` draws from:
-        the run draws each agent's whole history with one
-        ``sample(rng, size=T)`` call, the same stream as T single draws,
-        and takes its tails from those draws before the first episode, as
-        sets of noise ranks, evaluating no cost: the top t - k + 1 draws,
-        or for the exact-VaR baseline the draws at or above the noise
-        quantile q. Each episode then needs only g0 and g1, from one call
-        with x a (dimension, columns) stack of the joint actions of a block
-        of runs. After the last episode one call per agent and run over its
-        (dimension, T) action path gives c0 and s, which fix the recorded
-        VaR, c0 + xi_(k) * s, and the exact one, c0 + s * q. Ties with the
-        VaR, as at s = 0, do not change the tail size. The recorded VaR
-        equals the k-th smallest replayed cost when ``cost_batch``
-        evaluates the same expression; an ``AffineNoiseGame`` derives
-        ``cost_batch`` from these coefficients, so the two agree by
-        construction. A game without such a description returns None, the
-        default, and the loop replays its history.
+        At the joint action x the agent's cost is c0 + s * xi and its
+        gradient g0 + g1 * xi for every scalar draw xi (noise_dim 1). The
+        contract:
+
+        - s >= 0 at every feasible x; the learning loop raises a
+          ``ValueError`` naming the agent and episode of a negative slope.
+        - The coefficients broadcast over a (dimension, ...) stack of joint
+          actions: at one x, c0 and s are scalars and g0, g1 scalars or
+          arrays of shape (d_i,).
+        - The game also gives ``noise_distribution(agent)``, whose
+          ``sample(rng, size=T)`` is the stream of T single draws of
+          ``sample_noise``.
+
+        A game without such a description returns None, the default, and
+        the learning loop replays its history.
         """
         return None
 

@@ -60,42 +60,12 @@ from .distributions import _tail_start, check_risk_level, empirical_var
 from .games import StochasticGame, UnsupportedGameError
 
 __all__ = [
-    "StepSchedule",
     "GradientEstimate",
     "cvar_gradient_estimate",
     "unbiased_cvar_gradient",
     "run_algorithm1",
     "run_unbiased_baseline",
 ]
-
-
-@dataclass(frozen=True)
-class StepSchedule:
-    """Constant step size, either explicit or horizon-tuned.
-
-    ``auto()`` resolves to (D / B) / sqrt(T) where D is the largest
-    per-agent action-set diameter and B the game's gradient bound.
-    """
-
-    eta: float | None = None
-
-    def __post_init__(self):
-        if self.eta is not None and self.eta < 0:
-            raise ValueError("step size must be nonnegative")
-
-    @classmethod
-    def auto(cls) -> "StepSchedule":
-        return cls(None)
-
-    @classmethod
-    def constant(cls, eta: float) -> "StepSchedule":
-        return cls(float(eta))
-
-    def resolve(self, game: StochasticGame, horizon: int) -> float:
-        if self.eta is not None:
-            return self.eta
-        diameter = max(box.diameter for box in game.action_sets)
-        return (diameter / game.grad_bound) / np.sqrt(horizon)
 
 
 @dataclass
@@ -222,7 +192,7 @@ def _run(
     game: StochasticGame,
     alphas,
     horizon: int,
-    schedule: StepSchedule,
+    eta: float | None,
     x0,
     window: int | None,
     columns,
@@ -231,8 +201,9 @@ def _run(
 
     Each column is a (seed, algorithm) pair, with algorithm
     "algorithm1" or "unbiased-fo"; all share the game, risk levels,
-    horizon, step, start and window. The columns' generators are
-    spawned from their seeds in column order.
+    horizon, step, start and window; a step of None is tuned to the
+    horizon as in ``run_algorithm1``. The columns' generators are spawned
+    from their seeds in column order.
     """
     alphas = [check_risk_level(a) for a in alphas]
     if len(alphas) != game.num_agents:
@@ -241,6 +212,12 @@ def _run(
         raise ValueError("horizon must be >= 1")
     if window is not None and window < 1:
         raise ValueError("window must be >= 1 when set")
+    if eta is None:
+        diameter = max(box.diameter for box in game.action_sets)
+        eta = (diameter / game.grad_bound) / np.sqrt(horizon)
+    elif eta < 0:
+        raise ValueError("step size must be nonnegative")
+    eta = float(eta)
 
     num_agents = game.num_agents
     boxes = game.action_sets
@@ -256,7 +233,6 @@ def _run(
             raise ValueError(f"infeasible initial action {x!r}")
         # feasible() allows 1e-9 of slack; start exactly on the box
         x = np.clip(x, lower, upper)
-    eta = float(schedule.resolve(game, horizon))
 
     x_star = game.nash_equilibrium(alphas)
     track_true_var = True
@@ -341,21 +317,11 @@ def _run(
                     nu_star[c, :, i] = true_var
 
     traces = []
-    for c, (seed, algorithm) in enumerate(columns):
+    for c in range(width):
         err_sq = None
         if x_star is not None:
             d = actions[c] - x_star
             err_sq = (d[:, None, :] @ d[:, :, None]).ravel()
-        config = {
-            "game": getattr(game, "name", type(game).__name__.lower()),
-            "alphas": list(alphas),
-            "eta": eta,
-            "horizon": horizon,
-            "seed": seed if isinstance(seed, int) else repr(seed),
-            "algorithm": algorithm,
-            "window": window,
-            "grad_bound": game.grad_bound,
-        }
         traces.append(
             RunTrace(
                 episodes=np.arange(1, horizon + 1),
@@ -363,8 +329,6 @@ def _run(
                 nu=nu[c],
                 nu_star=None if nu_star is None else nu_star[c],
                 err_sq=err_sq,
-                x_star=x_star,
-                config=config,
             )
         )
     return traces
@@ -374,7 +338,7 @@ def run_algorithm1(
     game: StochasticGame,
     alphas,
     horizon: int,
-    schedule: StepSchedule | None = None,
+    eta: float | None = None,
     x0=None,
     seed=0,
     window: int | None = None,
@@ -384,22 +348,23 @@ def run_algorithm1(
     All agents play simultaneously; each draws one fresh noise sample per
     episode and estimates its gradient from its whole noise history (or
     the last ``window`` draws if a window is set), with the empirical VaR
-    as the threshold. Runs with equal seeds and configuration are
-    bit-identical.
+    as the threshold. ``eta`` is the constant step size; None, the
+    default, tunes it to the horizon as (D / B) / sqrt(T), with D the
+    largest per-agent action-set diameter and B the game's gradient
+    bound. A negative step is a ``ValueError``. Runs with equal seeds and
+    configuration are bit-identical.
     """
-    schedule = schedule or StepSchedule.auto()
-    return _run(game, alphas, horizon, schedule, x0, window, [(seed, "algorithm1")])[0]
+    return _run(game, alphas, horizon, eta, x0, window, [(seed, "algorithm1")])[0]
 
 
 def run_unbiased_baseline(
     game: StochasticGame,
     alphas,
     horizon: int,
-    schedule: StepSchedule | None = None,
+    eta: float | None = None,
     x0=None,
     seed=0,
     window: int | None = None,
 ) -> RunTrace:
     """Identical loop with the estimated VaR replaced by the exact one."""
-    schedule = schedule or StepSchedule.auto()
-    return _run(game, alphas, horizon, schedule, x0, window, [(seed, "unbiased-fo")])[0]
+    return _run(game, alphas, horizon, eta, x0, window, [(seed, "unbiased-fo")])[0]

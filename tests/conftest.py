@@ -16,7 +16,7 @@ import pytest
 
 from riskgames.cli import run_experiment, validate_config
 from riskgames.games import CournotGame
-from riskgames.learning import StepSchedule, _run
+from riskgames.learning import _run
 
 _WORKERS = min(4, os.cpu_count() or 1)
 
@@ -41,7 +41,7 @@ def _long_block(keys):
         for entropy, spawn_key in keys
     ]
     return _run(
-        CournotGame(), (0.4, 0.8), LONG_HORIZON, StepSchedule.auto(), np.array([0.5, 0.5]), None, columns
+        CournotGame(), (0.4, 0.8), LONG_HORIZON, None, np.array([0.5, 0.5]), None, columns
     )
 
 

@@ -15,15 +15,14 @@ from riskgames.analysis import (
 )
 from riskgames.distributions import Uniform, dkw_confidence_width
 from riskgames.games import CournotGame, QuadraticCounterexampleGame
-from riskgames.learning import StepSchedule, run_algorithm1, run_unbiased_baseline
+from riskgames.learning import run_algorithm1, run_unbiased_baseline
 
 GAME = CournotGame()
 ALPHAS = (0.4, 0.8)
 
 
-def lemma4(trace, agent, game=GAME, **kwargs):
-    L0, p_lower = density_range(game, trace, agent)
-    return validate_lemma4(trace, agent, L0=L0, p_lower=p_lower, **kwargs)
+def lemma4(trace, agent, **kwargs):
+    return validate_lemma4(GAME, trace, agent, ALPHAS[agent], **kwargs)
 
 
 def trace_with_errors(err_sq):
@@ -35,8 +34,6 @@ def trace_with_errors(err_sq):
         nu=np.zeros((t, 2)),
         nu_star=None,
         err_sq=err_sq,
-        x_star=np.zeros(2),
-        config={"alphas": list(ALPHAS), "game": "cournot", "grad_bound": 2.2},
     )
 
 
@@ -175,6 +172,7 @@ class TestValidateLemma4:
         bound = math.sqrt(2.0) * 2.2 * L0 / (ALPHAS[agent] * p) * math.sqrt(math.log(2.0 / gamma))
         assert rep.empirical == pytest.approx(proxy)
         assert rep.bound == pytest.approx(bound)
+        assert "worst prefix ratio" in rep.detail and " at T'=1, " in rep.detail
 
     def test_learning_run_stays_under_bound(self):
         trace = run_algorithm1(GAME, ALPHAS, 400, seed=5)
@@ -195,15 +193,15 @@ class TestValidateLemma4:
         with pytest.raises(ValueError):
             lemma4(trace, 0)
 
-    def test_non_cournot_needs_explicit_constants(self):
-        # no game is special-cased: every trace needs L0 and p_lower
+    def test_unbounded_density_gives_na_row(self):
+        # an own action of 0 leaves the cost density unbounded: no L0, no bound
         trace = run_algorithm1(GAME, ALPHAS, 5, seed=7)
-        for name in ("custom", "cournot"):
-            trace.config["game"] = name
-            with pytest.raises(ValueError):
-                validate_lemma4(trace, 0)
-        rep = validate_lemma4(trace, 0, L0=2.0, p_lower=1.0)
-        assert isinstance(rep, BoundReport)
+        trace.actions[2, 0] = 0.0
+        rep = lemma4(trace, 0)
+        assert rep.passed is None
+        assert math.isnan(rep.empirical) and math.isnan(rep.bound)
+        assert rep.detail == "agent=0, cost-law width 0 at episode 3: the density is unbounded there"
+        assert lemma4(trace, 1).passed is not None
 
     def test_zero_action_guard(self):
         trace = run_algorithm1(GAME, ALPHAS, 5, seed=8)
@@ -222,7 +220,7 @@ class TestValidateLemma4:
     def test_counterexample_density_range(self):
         # width (4a/3d) x_i x_{-i} * d = (4a/3) x_i x_{-i}
         game = QuadraticCounterexampleGame(a=2.0, b=1.0, c=0.0, d=0.5)
-        trace = run_algorithm1(game, (0.5, 0.5), 50, schedule=StepSchedule.constant(0.01), seed=10)
+        trace = run_algorithm1(game, (0.5, 0.5), 50, eta=0.01, seed=10)
         widths = (8.0 / 3.0) * trace.actions[:, 0] * trace.actions[:, 1]
         L0, p_lower = density_range(game, trace, 0)
         assert L0 == pytest.approx(1.0 / widths.min(), rel=1e-12)
@@ -238,7 +236,6 @@ class TestTraceValidation:
                 nu=np.zeros((3, 2)),
                 nu_star=None,
                 err_sq=None,
-                x_star=None,
             )
 
     def test_negative_distances_rejected(self):

@@ -12,7 +12,6 @@ from riskgames.games import (
     UnsupportedGameError,
 )
 from riskgames.learning import (
-    StepSchedule,
     _rank_tails,
     _run,
     _replay_gradient,
@@ -153,15 +152,27 @@ class TestProjectBox:
 
 class TestStepSchedule:
     def test_auto_resolves_to_horizon_rule(self):
-        eta = StepSchedule.auto().resolve(GAME, 5000)
-        assert eta == pytest.approx((1.0 / 2.2) / np.sqrt(5000))
+        # the default step is (D / B) / sqrt(T): D = 1 and B = 2.2 on Cournot
+        for run in (run_algorithm1, run_unbiased_baseline):
+            auto = run(GAME, ALPHAS, 300, seed=1)
+            explicit = run(GAME, ALPHAS, 300, eta=(1.0 / 2.2) / np.sqrt(300), seed=1)
+            assert np.array_equal(auto.actions, explicit.actions)
+            assert np.array_equal(auto.nu, explicit.nu)
 
     def test_constant(self):
-        assert StepSchedule.constant(0.01).resolve(GAME, 10) == 0.01
+        # an explicit step does not depend on the horizon, so a shorter run is a prefix
+        short = run_algorithm1(GAME, ALPHAS, 10, eta=0.01, seed=2)
+        long = run_algorithm1(GAME, ALPHAS, 20, eta=0.01, seed=2)
+        assert np.array_equal(short.actions, long.actions[:10])
+        assert not np.array_equal(
+            run_algorithm1(GAME, ALPHAS, 10, seed=2).actions,
+            run_algorithm1(GAME, ALPHAS, 20, seed=2).actions[:10],
+        )
 
     def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            StepSchedule.constant(-1.0)
+        for run in (run_algorithm1, run_unbiased_baseline):
+            with pytest.raises(ValueError, match="step size must be nonnegative"):
+                run(GAME, ALPHAS, 10, eta=-1.0)
 
 
 class TestCvarGradientEstimate:
@@ -261,18 +272,13 @@ class TestRunLoop:
         assert trace.horizon == 1
         assert np.array_equal(trace.actions[0], [0.5, 0.5])
         assert trace.err_sq is not None and trace.nu_star is not None
-        assert trace.config["algorithm"] == "algorithm1"
 
     def test_zero_step_freezes_iterates(self):
-        trace = run_algorithm1(
-            GAME, ALPHAS, 50, schedule=StepSchedule.constant(0.0), seed=1
-        )
+        trace = run_algorithm1(GAME, ALPHAS, 50, eta=0.0, seed=1)
         assert np.all(trace.actions == trace.actions[0])
 
     def test_iterates_stay_feasible_under_large_steps(self):
-        trace = run_algorithm1(
-            GAME, ALPHAS, 200, schedule=StepSchedule.constant(5.0), seed=2
-        )
+        trace = run_algorithm1(GAME, ALPHAS, 200, eta=5.0, seed=2)
         assert np.all(trace.actions >= 0.0) and np.all(trace.actions <= 1.0)
 
     def test_default_start_is_box_center(self):
@@ -345,9 +351,7 @@ class TestRunLoop:
     def test_trace_metadata(self):
         trace = run_algorithm1(GAME, ALPHAS, 10, seed=13)
         assert np.array_equal(trace.episodes, np.arange(1, 11))
-        assert trace.config["game"] == "cournot"
-        assert trace.config["grad_bound"] == pytest.approx(2.2)
-        assert trace.x_star == pytest.approx(NE)
+        assert trace.err_sq == pytest.approx(((trace.actions - NE) ** 2).sum(axis=1))
 
 
 class CountingCournotGame(CournotGame):
@@ -496,10 +500,10 @@ class TestSortedPathMatchesReplay:
             if fast is not None:
                 assert np.max(np.abs(fast - slow)) <= 1e-12
 
-    def run_both(self, kind, params, alphas, horizon, window, schedule, x0, seed):
+    def run_both(self, kind, params, alphas, horizon, window, eta, x0, seed):
         fast, slow = self.games(kind, params)
         x0 = None if x0 is None else np.asarray(x0) * fast.action_sets[0].upper[0]
-        kwargs = dict(schedule=schedule, x0=x0, seed=seed, window=window)
+        kwargs = dict(eta=eta, x0=x0, seed=seed, window=window)
         for run in (run_algorithm1, run_unbiased_baseline):
             a = run(fast, alphas, horizon, **kwargs)
             b = run(slow, alphas, horizon, **kwargs)
@@ -538,8 +542,8 @@ class TestSortedPathMatchesReplay:
             "shorter": max(1, horizon // 3),
             "covering": horizon + seed % 3,
         }[window_kind]
-        schedule = StepSchedule.constant(5.0) if pinned else StepSchedule.auto()
-        self.run_both(kind, params, alphas, horizon, window, schedule, x0, seed)
+        eta = 5.0 if pinned else None
+        self.run_both(kind, params, alphas, horizon, window, eta, x0, seed)
 
     @pytest.mark.parametrize("window", [None, 1, 7, 40])
     @pytest.mark.parametrize("kind,alphas", [("cournot", (1.0, 0.4)), ("counterexample", (0.5, 1.0))])
@@ -547,7 +551,7 @@ class TestSortedPathMatchesReplay:
         # a step of 5 drives the iterates onto the box faces; at x_i = 0 the
         # noise slope is 0 and every cost ties with the VaR
         trace = self.run_both(
-            kind, (1.0, 1.0, 0.0, 1.0), alphas, 40, window, StepSchedule.constant(5.0), None, 4
+            kind, (1.0, 1.0, 0.0, 1.0), alphas, 40, window, 5.0, None, 4
         )
         assert np.any(trace.actions == 0.0)
 
@@ -609,14 +613,13 @@ class TestBlock:
         window = {None: None, "one": 1, "shorter": max(1, horizon // 3), "covering": horizon + 1}[
             window_kind
         ]
-        schedule = StepSchedule.constant(5.0) if pinned else StepSchedule.auto()
+        eta = 5.0 if pinned else None
         x0 = None if x0 is None else np.asarray(x0) * game.action_sets[0].upper[0]
-        block = _run(game, alphas, horizon, schedule, x0, window, columns)
+        block = _run(game, alphas, horizon, eta, x0, window, columns)
         assert len(block) == len(columns)
         for (seed, algorithm), trace in zip(columns, block):
             run = run_algorithm1 if algorithm == "algorithm1" else run_unbiased_baseline
-            alone = run(game, alphas, horizon, schedule=schedule, x0=x0, seed=seed, window=window)
-            assert trace.config == alone.config
+            alone = run(game, alphas, horizon, eta=eta, x0=x0, seed=seed, window=window)
             for field in ("actions", "nu", "nu_star", "err_sq"):
                 a, b = getattr(trace, field), getattr(alone, field)
                 assert (a is None) == (b is None)
@@ -626,10 +629,10 @@ class TestBlock:
         # a step of 5 drives the columns onto the box faces, where x_i = 0 ties every cost
         columns = [(seed, alg) for seed in (4, 5) for alg in ("algorithm1", "unbiased-fo")]
         for game in (CournotGame(), ReplayGame(QuadraticCounterexampleGame())):
-            block = _run(game, (1.0, 0.4), 40, StepSchedule.constant(5.0), None, 7, columns)
+            block = _run(game, (1.0, 0.4), 40, 5.0, None, 7, columns)
             for (seed, algorithm), trace in zip(columns, block):
                 run = run_algorithm1 if algorithm == "algorithm1" else run_unbiased_baseline
-                alone = run(game, (1.0, 0.4), 40, StepSchedule.constant(5.0), seed=seed, window=7)
+                alone = run(game, (1.0, 0.4), 40, 5.0, seed=seed, window=7)
                 assert np.any(trace.actions == 0.0)
                 assert np.array_equal(trace.actions, alone.actions)
                 assert np.array_equal(trace.nu, alone.nu)
