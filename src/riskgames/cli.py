@@ -482,19 +482,22 @@ def compute_reports(config: ExperimentConfig, traces: dict) -> list[BoundReport]
     for alg, alg_traces in traces.items():
         if not alg_traces or alg_traces[0].err_sq is None:
             continue
-        series = AggregateTrace.from_series(
-            alg_traces[0].episodes, [time_averaged_error(t) for t in alg_traces]
-        )
+        errors = [time_averaged_error(t) for t in alg_traces]
+        series = AggregateTrace.from_series(alg_traces[0].episodes, errors)
         window = (100, config.horizon)
         if config.horizon >= 200:
             slope = fit_rate(series, window)
+            worst = int(np.argmax([e[-1] for e in errors]))
             reports.append(
                 BoundReport(
                     name="rate",
                     empirical=slope,
                     bound=-0.4,
                     passed=slope <= -0.4,
-                    detail=f"algorithm={alg}, log-log slope of mean time-averaged sq error over {window}",
+                    detail=(
+                        f"algorithm={alg}, log-log slope of mean time-averaged sq error "
+                        f"over {window}, worst trial={worst} with final value {errors[worst][-1]:.4g}"
+                    ),
                 )
             )
     return reports

@@ -36,15 +36,14 @@ def check_risk_level(alpha: float) -> float:
     return alpha
 
 
-def _tail_start(t: int, alpha: float) -> int:
-    """1-based index k of the (1 - alpha)-quantile order statistic.
+def _tail_start(t, alpha: float):
+    """1-based index k of the (1 - alpha)-quantile order statistic, elementwise in t.
 
     k is the smallest integer with k/t >= 1 - alpha.  The 1e-9 guard
     absorbs float noise in ``t * (1 - alpha)`` without changing exact
     cases; alpha = 1 lands on k = 1 (the minimum sample).
     """
-    k = math.ceil(t * (1.0 - alpha) - 1e-9)
-    return max(1, k)
+    return np.maximum(1, np.ceil(np.multiply(t, 1.0 - alpha) - 1e-9)).astype(np.int64)
 
 
 def empirical_var(values: np.ndarray, alpha: float) -> float:

@@ -16,10 +16,11 @@ Two paths compute the same estimate, and a run picks one before its
 first episode. When every agent reports its cost as c0 + s * xi in a
 scalar noise (``affine_noise``), s must be >= 0, so the cost order is
 the noise order and each episode's tail depends on the draws alone. The
-run then draws every agent's history at once, and ``_rank_tails`` gives
-per episode the lowest tail draw xi_(k), the tail size and the tail sum.
-The loop holds only the joint action: the tail gradient is
-(count * g0 + g1 * sum of the tail draws) / (t * alpha), and after the
+run then draws every agent's history at once, and ``_rank_tails`` takes
+every episode's lowest tail draw xi_(k), tail size and tail sum in one
+vectorized pass over the draws' ranks, O(T log T) per series and no loop
+over episodes. The loop holds only the joint action: the tail gradient
+is (count * g0 + g1 * sum of the tail draws) / (t * alpha), and after the
 last episode the recorded VaR is read off the action path, c0 + s * xi_(k)
 for Algorithm 1 and c0 + s * VaR_alpha(xi) for the baseline. Generic
 games replay the history: ``cvar_gradient_estimate`` and
@@ -152,31 +153,40 @@ def _rank_tails(draws, alpha: float, window: int | None, q=None):
     size and the sum of the tail draws. With ``q`` None the tail is the top
     t - k + 1 draws, as in ``cvar_gradient_estimate``; with ``q`` it is the
     draws >= q, as in ``unbiased_cvar_gradient``, and an empty tail has a
-    NaN lowest draw. The draws are kept sorted, with a binary search and
-    one shift per insert or eviction.
+    NaN lowest draw. All episodes at once ask a wavelet matrix over the
+    draws' ranks for the k-th smallest draw of their window. Per rank bit,
+    highest first, a level holds the prefix count of 0-bits and the prefix
+    sum of the 1-bit draws, then stably moves the 0-bits first; a query
+    that goes to the 0-bits adds its range's 1-bit draws, all above its
+    target, to the tail sum. O(T log T) in all.
     """
     draws = draws[:, 0]
     horizon = draws.size
-    values = np.empty(horizon if window is None else min(horizon, window))
-    low = np.full(horizon, np.nan)
-    count = np.empty(horizon, dtype=np.int64)
-    total = np.empty(horizon)
-    n = 0
-    for t in range(horizon):
-        if window is not None and t >= window:
-            pos = int(values[:n].searchsorted(draws[t - window]))
-            values[pos : n - 1] = values[pos + 1 : n]
-            n -= 1
-        pos = int(values[:n].searchsorted(draws[t]))
-        values[pos + 1 : n + 1] = values[pos:n]
-        values[pos] = draws[t]
-        n += 1
-        start = _tail_start(n, alpha) - 1 if q is None else int(values[:n].searchsorted(q))
-        if start < n:
-            low[t] = values[start]
-        count[t] = n - start
-        total[t] = values[start:n].sum()
-    return low, count, total
+    hi = np.arange(1, horizon + 1)
+    lo = np.zeros_like(hi) if window is None else np.maximum(hi - window, 0)
+    if q is None:
+        k = _tail_start(hi - lo, alpha) - 1
+    else:
+        below = np.concatenate(([0], np.cumsum(draws < q)))
+        k = below[hi] - below[lo]
+    count = hi - lo - k
+    rank = np.argsort(np.argsort(draws, kind="stable"))
+    values, total = draws, np.zeros(horizon)
+    for bit in reversed(range((horizon - 1).bit_length())):
+        ones = ((rank >> bit) & 1).astype(bool)
+        zeros = np.concatenate(([0], np.cumsum(~ones)))
+        sums = np.concatenate(([0.0], np.cumsum(np.where(ones, values, 0.0))))
+        z_lo, z_hi = zeros[lo], zeros[hi]
+        left = k < z_hi - z_lo
+        total += np.where(left, sums[hi] - sums[lo], 0.0)
+        k = np.where(left, k, k - (z_hi - z_lo))
+        lo = np.where(left, z_lo, zeros[-1] + lo - z_lo)
+        hi = np.where(left, z_hi, zeros[-1] + hi - z_hi)
+        order = np.argsort(ones, kind="stable")
+        rank, values = rank[order], values[order]
+    # a leaf holds at most one draw, the k-th smallest when k < hi - lo
+    low = np.where(k < hi - lo, values[np.minimum(lo, horizon - 1)], np.nan)
+    return low, count, total + np.nan_to_num(low)
 
 
 def _as_rngs(game: StochasticGame, seed) -> list[np.random.Generator]:

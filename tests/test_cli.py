@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import yaml
 
-from riskgames.analysis import AggregateTrace, RunTrace
+from riskgames.analysis import AggregateTrace, RunTrace, time_averaged_error
 from riskgames.cli import (
     ConfigError,
     build_game,
@@ -276,6 +276,15 @@ class TestBundle:
         rows = [r for r in bundle.reports if r.name == "lemma4"]
         assert [r.detail.split(", ")[:2] for r in rows] == [["trial=0", "agent=0"], ["trial=0", "agent=1"]]
         assert all(r.passed for r in rows)
+
+    def test_rate_rows_name_their_worst_trial(self, reference_bundle):
+        rows = [r for r in reference_bundle.reports if r.name == "rate"]
+        assert len(rows) == 2
+        for row, (alg, traces) in zip(rows, reference_bundle.traces.items()):
+            finals = [time_averaged_error(trace)[-1] for trace in traces]
+            worst = int(np.argmax(finals))
+            assert row.detail.startswith(f"algorithm={alg}, ")
+            assert row.detail.endswith(f", worst trial={worst} with final value {finals[worst]:.4g}")
 
     def test_report_recomputation_matches(self, tmp_path):
         cfg = validate_config(dict(SMALL_RAW))

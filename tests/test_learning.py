@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from riskgames.distributions import Uniform, _tail_start
+from riskgames.distributions import Uniform, _tail_start, empirical_var
 from riskgames.games import (
     Box,
     CournotGame,
@@ -480,6 +480,44 @@ class TestSortedNoise:
             assert fast[1] == t - _tail_start(t, alpha) + 1
         exact = game.exact_risk_averse_gradient(0, x, alpha)
         assert np.max(np.abs(fast[2] - exact)) < 0.02
+
+
+class TestRankTailsLongSeries:
+    """``_rank_tails`` against a fresh sort of every episode's window."""
+
+    @pytest.mark.parametrize("window", [None, 1, 100, "longer"])
+    @pytest.mark.parametrize("ties", [False, True], ids=["continuous", "ties"])
+    @pytest.mark.parametrize("horizon", [1, 2, 3, 64, 65, 3000])
+    def test_matches_sorted_windows(self, horizon, ties, window):
+        # past the 40 draws of the hypothesis tests: many rank levels, and
+        # 2^k + 1 draws, where one draw alone sets the top rank bit
+        rng = np.random.default_rng(horizon)
+        if ties:
+            draws = rng.choice([0.0, 0.25, 0.5, 1.0], size=horizon)
+        else:
+            draws = rng.uniform(0.0, 1.0, size=horizon)
+        window = horizon + 7 if window == "longer" else window
+        alpha = 0.4
+        # inside the draws, tied with one; below all of them; above all (empty tail)
+        qs = (None, draws[horizon // 2], -1.0, 2.0)
+        expected = np.empty((len(qs), 3, horizon))
+        for t in range(1, horizon + 1):
+            ordered = np.sort(draws[0 if window is None else max(0, t - window) : t])
+            for j, q in enumerate(qs):
+                if q is None:
+                    k = _tail_start(ordered.size, alpha) - 1
+                else:
+                    k = int(np.searchsorted(ordered, q))
+                low = ordered[k] if k < ordered.size else np.nan
+                expected[j, :, t - 1] = low, ordered.size - k, ordered[k:].sum()
+        for q, (low, count, total) in zip(qs, expected):
+            fast = _rank_tails(draws[:, None], alpha, window, q)
+            assert np.array_equal(fast[0], low, equal_nan=True)
+            assert np.array_equal(fast[1], count)
+            assert np.all(np.abs(fast[2] - total) <= 1e-12 * np.maximum(count, 1))
+        # the lowest tail draw of Algorithm 1 is the empirical VaR of the window
+        kept = draws[0 if window is None else max(0, horizon - window) :]
+        assert expected[0, 0, -1] == empirical_var(kept, alpha)
 
 
 class TestSortedPathMatchesReplay:
