@@ -341,12 +341,31 @@ def trial_filename(algorithm: str, index: int) -> str:
 
 
 def _write_csv(path, header, rows) -> None:
-    """One header line, then the rows. ``csv.writer`` writes a float as its
-    repr, which round-trips exactly, and quotes cells that hold commas."""
+    """One header line, then the rows, through ``csv.writer``.
+
+    Only ``bounds.csv`` comes here: its ``detail`` cells hold commas, which
+    ``csv.writer`` quotes. The numeric files go through ``_write_numeric_csv``.
+    """
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
+
+
+def _write_numeric_csv(path, header, episodes, block) -> None:
+    """One header line, then per episode ``t`` and that row of ``block``.
+
+    Each float is written as its repr, which round-trips exactly. No cell
+    holds a comma or a quote, so these are the bytes ``csv.writer`` writes,
+    without its per-cell quoting checks. Rows are streamed, not joined into
+    one string.
+    """
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(
+            f"{t}," + ",".join(map(repr, row)) + "\n"
+            for t, row in zip(episodes.tolist(), block.tolist())
+        )
 
 
 def _trial_columns(dim: int, num_agents: int) -> dict[str, list[str]]:
@@ -365,13 +384,14 @@ def _trial_columns(dim: int, num_agents: int) -> dict[str, list[str]]:
 
 def write_trace_csv(trace: RunTrace, path) -> None:
     """One row per episode; full round-trip float precision."""
-    header, columns = [], []
-    for field, names in _trial_columns(trace.actions.shape[1], trace.num_agents).items():
+    columns = _trial_columns(trace.actions.shape[1], trace.num_agents)
+    header, blocks = columns.pop("episodes"), []
+    for field, names in columns.items():
         values = getattr(trace, field)
         if values is not None:
             header += names
-            columns += np.reshape(values, (trace.horizon, len(names))).T.tolist()
-    _write_csv(path, header, zip(*columns))
+            blocks.append(np.reshape(values, (trace.horizon, len(names))))
+    _write_numeric_csv(path, header, trace.episodes, np.hstack(blocks))
 
 
 def read_trace_csv(path, config: ExperimentConfig) -> RunTrace:
@@ -442,14 +462,14 @@ def _aggregate(traces: list[RunTrace]) -> dict:
 
 def write_aggregate_csv(aggregates: dict, algorithms, path) -> None:
     """Columns: t, then mean/std of the squared and plain distance per algorithm."""
-    header = ["t"]
-    columns = [aggregates[algorithms[0]]["err_sq"].episodes]
+    header, columns = ["t"], []
     for alg in algorithms:
         sq = aggregates[alg]["err_sq"]
         dist = aggregates[alg]["dist"]
         header += [f"{alg}_mean_err_sq", f"{alg}_std_err_sq", f"{alg}_mean_dist", f"{alg}_std_dist"]
         columns += [sq.mean, sq.std, dist.mean, dist.std]
-    _write_csv(path, header, zip(*(column.tolist() for column in columns)))
+    episodes = aggregates[algorithms[0]]["err_sq"].episodes
+    _write_numeric_csv(path, header, episodes, np.column_stack(columns))
 
 
 def compute_reports(config: ExperimentConfig, traces: dict) -> list[BoundReport]:

@@ -2,8 +2,10 @@
 
 Self-contained SVG with no scripting and no rendering dependencies:
 one labeled mean line per series plus a translucent band of one
-standard deviation, on a log-scaled error axis. Output bytes depend
-only on the input data, so plots are reproducible artifacts.
+standard deviation, on a log-scaled error axis. A long curve is drawn
+as its per-pixel-column envelope, so the file's size is bounded by the
+plot's width, not the horizon. Output bytes depend only on the input
+data, so plots are reproducible artifacts.
 """
 
 from __future__ import annotations
@@ -35,11 +37,36 @@ def _nice_step(span: float) -> float:
     return 10.0 * mag
 
 
+def _envelope(column: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Ascending indices of the points of one curve that the plot draws.
+
+    ``column`` is each point's pixel column, nondecreasing along the curve.
+    A column of at most 4 points keeps them all; a fuller one keeps its
+    first, lowest, highest and last point.
+    """
+    starts = np.flatnonzero(np.r_[True, column[1:] != column[:-1]])
+    counts = np.diff(np.r_[starts, column.size])
+    ends = starts + counts - 1
+    keep = np.repeat(counts <= 4, counts)
+    # sorted by y within each column, so a column's lowest point sits at its start
+    by_y = np.lexsort((y, column))
+    keep[np.r_[starts, ends, by_y[starts], by_y[ends]]] = True
+    return np.flatnonzero(keep)
+
+
 def emit_plot(series: list[tuple[str, AggregateTrace]], path) -> None:
     """Write an SVG overlaying mean curves with +/- one std bands.
 
     ``series`` pairs a legend label with an aggregate; the y axis is
     log-scaled, so nonpositive band edges are clamped to the axis floor.
+
+    Each mean line and each band edge is cut to its per-pixel-column
+    envelope. A point at episode x falls in column
+    ``floor((x - x_min) / (x_max - x_min) * plot_w)`` of the ``plot_w``-px
+    plot area. A column of at most 4 points keeps them all; a fuller one
+    keeps its first, lowest, highest and last point, in episode order. So
+    a curve draws at most about ``4 * plot_w`` points, whatever its length,
+    and a plot with no column over 4 points draws every point.
     """
     if not series:
         raise ValueError("nothing to plot")
@@ -115,20 +142,21 @@ def emit_plot(series: list[tuple[str, AggregateTrace]], path) -> None:
         f"{escape(_Y_LABEL)}</text>"
     )
 
+    def points(xs: np.ndarray, ys: np.ndarray) -> list[str]:
+        column = np.floor((xs - x_min) / (x_max - x_min or 1.0) * plot_w)
+        kept = _envelope(column, ys)
+        return [f"{sx(x):.2f},{sy(y):.2f}" for x, y in zip(xs[kept].tolist(), ys[kept].tolist())]
+
     for idx, (label, agg) in enumerate(series):
         color = _PALETTE[idx % len(_PALETTE)]
         xs = agg.episodes.astype(float)
-        upper = agg.mean + agg.std
-        lower = np.maximum(agg.mean - agg.std, y_floor)
-        band = " ".join(
-            f"{sx(x):.2f},{sy(y):.2f}" for x, y in zip(xs, upper)
-        ) + " " + " ".join(
-            f"{sx(x):.2f},{sy(y):.2f}" for x, y in zip(xs[::-1], lower[::-1])
-        )
+        upper = points(xs, agg.mean + agg.std)
+        lower = points(xs, np.maximum(agg.mean - agg.std, y_floor))
+        band = " ".join(upper + lower[::-1])
         out.append(
             f'<polygon points="{band}" fill="{color}" fill-opacity="0.18" stroke="none"/>'
         )
-        line = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in zip(xs, agg.mean))
+        line = " ".join(points(xs, agg.mean))
         out.append(
             f'<polyline points="{line}" fill="none" stroke="{color}" stroke-width="1.8"/>'
         )

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -150,6 +151,17 @@ class TestValidateLemma3:
     def test_input_validation(self):
         with pytest.raises(ValueError):
             validate_lemma3(Uniform(0, 1), 0.4, 100, 0, 0.1, np.random.default_rng(0))
+
+    def test_memory_peak_is_one_draw_matrix(self):
+        # the (repeats, t) draws are selected in place, not copied
+        repeats, t = 400, 1000
+        tracemalloc.start()
+        try:
+            validate_lemma3(Uniform(0, 1), 0.4, t, repeats, 0.05, np.random.default_rng(6))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * repeats * t * 8
 
 
 class TestValidateLemma4:

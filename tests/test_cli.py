@@ -1,6 +1,7 @@
 import csv
 import io
 import os
+import xml.etree.ElementTree as ET
 from dataclasses import fields, replace
 
 import numpy as np
@@ -19,12 +20,18 @@ from riskgames.cli import (
     run_experiment,
     trial_filename,
     validate_config,
+    write_aggregate_csv,
     write_trace_csv,
     _BLOCK_BYTES,
+    _aggregate,
     _blocks,
 )
-from riskgames.learning import run_algorithm1
+from riskgames.learning import run_algorithm1, run_unbiased_baseline
+from riskgames import plotting
 from riskgames.plotting import emit_plot
+
+SVG = "{http://www.w3.org/2000/svg}"
+PLOT_W = int(plotting._WIDTH - plotting._LEFT - plotting._RIGHT)
 
 SMALL_RAW = {"game": "cournot", "T": 40, "trials": 2, "seed": 5}
 
@@ -199,6 +206,59 @@ class TestBundle:
         with open(bundle.aggregate_path, "rb") as fh:
             assert fh.read() == PINNED_AGGREGATE.encode()
 
+    def test_numeric_writers_match_csv_writer(self, tmp_path):
+        def oracle(header, columns):
+            buf = io.StringIO()
+            writer = csv.writer(buf, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows(zip(*(np.asarray(c).tolist() for c in columns)))
+            return buf.getvalue().encode()
+
+        def trace_bytes(trace):
+            header, columns = ["t"], [trace.episodes]
+            header += [f"x{j}" for j in range(trace.actions.shape[1])]
+            columns += list(trace.actions.T)
+            if trace.err_sq is not None:
+                header.append("err_sq")
+                columns.append(trace.err_sq)
+            header += [f"nu_agent{i}" for i in range(trace.num_agents)]
+            columns += list(trace.nu.T)
+            header += [f"nu_star_agent{i}" for i in range(trace.num_agents)]
+            columns += list(trace.nu_star.T)
+            return oracle(header, columns)
+
+        cournot = build_game(validate_config(SMALL_RAW))
+        counter = build_game(validate_config({"game": "quadratic-counterexample", "T": 25}))
+        extreme = run_algorithm1(cournot, (0.4, 0.8), 4, seed=3)
+        extreme.actions[0] = [-0.0, 5e-324]
+        extreme.nu[1] = [1.7976931348623157e308, -1.7976931348623157e308]
+        extreme.nu_star[2] = [0.30000000000000004, 2.2250738585072014e-308]
+        extreme.err_sq[:] = [-0.0, 5e-324, 1.2345678901234567e-5, 1.7976931348623157e308]
+        cases = {
+            "extreme": extreme,
+            "one-episode": run_algorithm1(cournot, (0.4, 0.8), 1, seed=3),
+            "counterexample": run_algorithm1(counter, (0.5, 0.5), 25, seed=3),
+        }
+        assert cases["counterexample"].err_sq is None
+        for name, trace in cases.items():
+            path = tmp_path / f"{name}.csv"
+            write_trace_csv(trace, path)
+            assert path.read_bytes() == trace_bytes(trace), name
+
+        runs = {
+            "algorithm1": [run_algorithm1(cournot, (0.4, 0.8), 30, seed=s) for s in (1, 2)],
+            "unbiased-fo": [run_unbiased_baseline(cournot, (0.4, 0.8), 30, seed=s) for s in (1, 2)],
+        }
+        aggregates = {alg: _aggregate(traces) for alg, traces in runs.items()}
+        header, columns = ["t"], [runs["algorithm1"][0].episodes]
+        for alg, agg in aggregates.items():
+            for kind, stat in (("err_sq", "mean"), ("err_sq", "std"), ("dist", "mean"), ("dist", "std")):
+                header.append(f"{alg}_{stat}_{kind}")
+                columns.append(getattr(agg[kind], stat))
+        path = tmp_path / "aggregate.csv"
+        write_aggregate_csv(aggregates, list(runs), path)
+        assert path.read_bytes() == oracle(header, columns)
+
     def test_rerun_is_byte_identical(self, tmp_path):
         cfg = validate_config(dict(SMALL_RAW))
         b1 = run_experiment(cfg, out_dir=str(tmp_path / "one"))
@@ -335,6 +395,77 @@ class TestPlot:
     def test_empty_input_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             emit_plot([], tmp_path / "x.svg")
+
+    @staticmethod
+    def curves(path):
+        """Each series' mean line, upper band edge and lower band edge, as
+        lists of "x,y" strings in episode order."""
+        root = ET.parse(path).getroot()
+        lines = [el.get("points").split() for el in root.iter(SVG + "polyline")]
+        bands = [el.get("points").split() for el in root.iter(SVG + "polygon")]
+        out = []
+        for line, band in zip(lines, bands):
+            # the band runs along the upper edge to the last episode, then back
+            last_x = line[-1].split(",")[0]
+            turn = [pt.split(",")[0] for pt in band].index(last_x) + 1
+            out += [line, band[:turn], band[turn:][::-1]]
+        return out
+
+    def render(self, tmp_path, monkeypatch, series):
+        emit_plot(series, tmp_path / "envelope.svg")
+        with monkeypatch.context() as patch:
+            patch.setattr(plotting, "_envelope", lambda column, y: np.arange(column.size))
+            emit_plot(series, tmp_path / "full.svg")
+        return tmp_path / "envelope.svg", tmp_path / "full.svg"
+
+    def noisy(self, horizon, seed):
+        rng = np.random.default_rng(seed)
+        t = np.arange(1, horizon + 1)
+        mean = np.exp(rng.normal(size=horizon)) / np.sqrt(t)
+        # a band that often crosses zero, so the lower edge sits on the floor
+        return self.agg(mean, std=mean * rng.uniform(0.2, 1.5, horizon))
+
+    def test_long_series_keep_a_per_column_envelope(self, tmp_path, monkeypatch):
+        horizon = 10_000
+        series = [("a", self.noisy(horizon, 1)), ("b", self.noisy(horizon, 2))]
+        envelope, full = self.render(tmp_path, monkeypatch, series)
+        for kept, every in zip(self.curves(envelope), self.curves(full)):
+            assert len(every) == horizon
+            assert kept[0] == every[0] and kept[-1] == every[-1]
+            # x at 2 decimals names the episode: 0.06 px apart here
+            index = {pt.split(",")[0]: i for i, pt in enumerate(every)}
+            assert len(index) == horizon
+            rows = np.array([index[pt.split(",")[0]] for pt in kept])
+            assert np.all(np.diff(rows) > 0)
+            assert all(every[i] == pt for i, pt in zip(rows, kept))
+            column = np.floor(np.arange(horizon) / (horizon - 1) * PLOT_W).astype(int)
+            counts = np.bincount(column[rows], minlength=PLOT_W + 1)
+            assert counts.min() >= 1 and counts.max() <= 4
+            # each column's first and last point, and its lowest and highest y
+            starts = np.flatnonzero(np.diff(column, prepend=-1))
+            ends = np.r_[starts[1:] - 1, horizon - 1]
+            assert set(starts) | set(ends) <= set(rows)
+            kept_y = np.array([float(pt.split(",")[1]) for pt in kept])
+            every_y = np.array([float(pt.split(",")[1]) for pt in every])
+            kept_starts = np.r_[0, np.cumsum(counts)[:-1]]
+            for reduce in (np.minimum.reduceat, np.maximum.reduceat):
+                assert np.array_equal(reduce(kept_y, kept_starts), reduce(every_y, starts))
+        assert os.path.getsize(envelope) < os.path.getsize(full) / 4
+
+    @pytest.mark.parametrize("horizon", [1, 2, 50, 2000])
+    def test_short_series_draw_every_point(self, tmp_path, monkeypatch, horizon):
+        # at T = 2000 a column holds 3 or 4 points, so first, lowest,
+        # highest and last alone would drop some
+        envelope, full = self.render(tmp_path, monkeypatch, [("a", self.noisy(horizon, 3))])
+        assert envelope.read_bytes() == full.read_bytes()
+        assert [len(c) for c in self.curves(envelope)] == [horizon] * 3
+
+    def test_reference_plot_is_well_formed(self, reference_bundle):
+        root = ET.parse(reference_bundle.plot_path).getroot()
+        assert root.tag == SVG + "svg"
+        assert len(list(root.iter(SVG + "polyline"))) == 2
+        for curve in self.curves(reference_bundle.plot_path):
+            assert 4 < len(curve) <= 4 * (PLOT_W + 1)
 
 
 class TestMain:
