@@ -539,13 +539,14 @@ def run_experiment(
 ) -> OutputBundle:
     """Execute all configured trials and write the output bundle.
 
-    Each (algorithm, trial) pair is one column of a lockstep run. The
-    columns, in (algorithm, trial) order, are cut into one near-equal
-    block per worker, or into more blocks when a block's tail arrays
-    would pass a fixed byte budget; blocks run in parallel up to
-    ``workers``, with one ``progress`` line per finished block. A
-    column's trace does not depend on its block, and results are reduced
-    in (algorithm, trial) order, so the artifacts do not depend on
+    Every built-in game is an ``AffineNoiseGame``, so each (algorithm,
+    trial) pair is one column of a lockstep run of the rank engine,
+    ``learning._run``. The columns, in (algorithm, trial) order, are cut
+    into one near-equal block per worker, or into more blocks when a
+    block's tail arrays would pass a fixed byte budget; blocks run in
+    parallel up to ``workers``, with one ``progress`` line per finished
+    block. A column's trace does not depend on its block, and results are
+    reduced in (algorithm, trial) order, so the artifacts do not depend on
     scheduling.
     """
     out_dir = out_dir or config.out_dir or "out"

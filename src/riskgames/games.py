@@ -173,27 +173,6 @@ class StochasticGame(ABC):
         """Risk-averse Nash equilibrium for the alpha profile, when unique and known."""
         return None
 
-    def affine_noise(self, agent: int, x: np.ndarray):
-        """Coefficients (c0, s, g0, g1) of a cost affine in scalar noise, when known.
-
-        At the joint action x the agent's cost is c0 + s * xi and its
-        gradient g0 + g1 * xi for every scalar draw xi (noise_dim 1). The
-        contract:
-
-        - s >= 0 at every feasible x; the learning loop raises a
-          ``ValueError`` naming the agent and episode of a negative slope.
-        - The coefficients broadcast over a (dimension, ...) stack of joint
-          actions: at one x, c0 and s are scalars and g0, g1 scalars or
-          arrays of shape (d_i,).
-        - The game also gives ``noise_distribution(agent)``, whose
-          ``sample(rng, size=T)`` is the stream of T single draws of
-          ``sample_noise``.
-
-        A game without such a description returns None, the default, and
-        the learning loop replays its history.
-        """
-        return None
-
 
 class AffineNoiseGame(StochasticGame):
     """A game whose costs are affine in one uniform noise draw per agent.
@@ -209,9 +188,15 @@ class AffineNoiseGame(StochasticGame):
         VaR_alpha = c0 + s VaR_alpha(xi),   CVaR_alpha = c0 + s CVaR_alpha(xi),
 
     and, CVaR being positively homogeneous, the CVaR gradient is
-    g0 + g1 CVaR_alpha(xi). ``affine_noise`` must index ``x[agent]`` as a
-    scalar, so that it also broadcasts over a (dimension, ...) stack of
-    joint actions.
+    g0 + g1 CVaR_alpha(xi).
+
+    ``affine_noise`` must broadcast. ``agent`` is an int or an array of
+    agent indices, and ``x`` a joint action or a (dimension, ...) stack of
+    them; indexing ``x[agent]`` (and ``x[1 - agent]`` in a two-agent game)
+    handles both, and each coefficient is a scalar or an array of the
+    shape of ``x[agent]``. The learning loop asks for every agent's
+    coefficients at once and raises a ``ValueError`` naming the agent and
+    episode of a negative slope.
     """
 
     def __init_subclass__(cls, **kwargs):

@@ -12,28 +12,23 @@ The exact-VaR baseline runs the identical loop with the estimated
 quantile replaced by the game's closed-form VaR, which removes the only
 source of bias and isolates its effect.
 
-Two paths compute the same estimate, and a run picks one before its
-first episode. When every agent reports its cost as c0 + s * xi in a
-scalar noise (``affine_noise``), s must be >= 0, so the cost order is
-the noise order and each episode's tail depends on the draws alone. The
-run then draws every agent's history at once, and ``_rank_tails`` takes
-every episode's lowest tail draw xi_(k), tail size and tail sum in one
-vectorized pass over the draws' ranks, O(T log T) per series and no loop
-over episodes. The loop holds only the joint action: the tail gradient
-is (count * g0 + g1 * sum of the tail draws) / (t * alpha), and after the
-last episode the recorded VaR is read off the action path, c0 + s * xi_(k)
-for Algorithm 1 and c0 + s * VaR_alpha(xi) for the baseline. Generic
-games replay the history: ``cvar_gradient_estimate`` and
-``unbiased_cvar_gradient`` re-evaluate every stored draw, O(t) per
-episode and O(T^2) per run. The replay is also the reference oracle the
-rank path is tested against.
-
-A run is one column of a block. ``_run`` plays a block of columns, each
-a (seed, algorithm) pair with its own draws, as one recursion over a
-(dimension, columns) joint action: on the rank path one ``affine_noise``
-call per agent and one clip per episode serve every column, and on the
-replay path each column replays its own history in the same loop.
-Columns never interact, so each equals its run alone bit for bit.
+Two engines compute the same estimate; ``run_algorithm1`` and
+``run_unbiased_baseline`` pick one by the game's type. ``_run``, the rank
+engine, takes an ``AffineNoiseGame``: every cost is c0 + s * xi in a
+scalar noise with s >= 0, so the cost order is the noise order and each
+episode's tail depends on the draws alone. ``_rank_tails`` takes every
+episode's lowest tail draw xi_(k), tail size and tail sum in one
+vectorized pass over the draws' ranks, O(T log T) per series. ``_run``
+plays a block of columns, each a (seed, algorithm) pair with its own
+draws, in lockstep over a (dimension, columns) joint action: an episode
+is one ``affine_noise`` call for all agents, one expression for every
+gradient, (count * g0 + g1 * sum of the tail draws) / (t * alpha), and
+one clip. The recorded VaRs are read off the action path afterwards,
+c0 + s * xi_(k) for Algorithm 1 and c0 + s * VaR_alpha(xi) for the
+baseline. Columns never interact, so each equals its run alone bit for
+bit. ``_replay`` is a plain single-run loop for any game, whose
+estimators re-evaluate every kept draw, O(T^2) per run; it is the oracle
+the rank engine is tested against.
 
 The tail is a set of noise ranks. Algorithm 1 takes the top t - k + 1
 draws; the replay orders its rows by (cost, noise) and takes as many.
@@ -52,13 +47,14 @@ knob, not part of the analyzed algorithm, and is off by default.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .analysis import RunTrace
 from .distributions import _tail_start, check_risk_level, empirical_var
-from .games import StochasticGame, UnsupportedGameError
+from .games import AffineNoiseGame, StochasticGame, UnsupportedGameError
 
 __all__ = [
     "GradientEstimate",
@@ -191,50 +187,29 @@ def _rank_tails(draws, alpha: float, window: int | None, q=None):
 
 def _as_rngs(game: StochasticGame, seed) -> list[np.random.Generator]:
     """Independent per-agent generators spawned from one master seed."""
-    if isinstance(seed, np.random.SeedSequence):
-        root = seed
-    else:
-        root = np.random.SeedSequence(seed)
+    root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     return [np.random.default_rng(s) for s in root.spawn(game.num_agents)]
 
 
-def _run(
-    game: StochasticGame,
-    alphas,
-    horizon: int,
-    eta: float | None,
-    x0,
-    window: int | None,
-    columns,
-) -> list[RunTrace]:
-    """Play a block of runs in lockstep, one trace per column.
-
-    Each column is a (seed, algorithm) pair, with algorithm
-    "algorithm1" or "unbiased-fo"; all share the game, risk levels,
-    horizon, step, start and window; a step of None is tuned to the
-    horizon as in ``run_algorithm1``. The columns' generators are spawned
-    from their seeds in column order.
-    """
-    alphas = [check_risk_level(a) for a in alphas]
+def _setup(game: StochasticGame, alphas, horizon: int, eta, x0, window):
+    """Checked risk levels (an array) and step, start action and joint box bounds."""
+    alphas = np.array([check_risk_level(a) for a in alphas])
     if len(alphas) != game.num_agents:
         raise ValueError("expected one risk level per agent")
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    if window is not None and window < 1:
-        raise ValueError("window must be >= 1 when set")
+    if window is not None and not (isinstance(window, numbers.Integral) and window >= 1):
+        raise ValueError(f"window must be an integer >= 1 when set, got window={window!r}")
     if eta is None:
         diameter = max(box.diameter for box in game.action_sets)
         eta = (diameter / game.grad_bound) / np.sqrt(horizon)
-    elif eta < 0:
-        raise ValueError("step size must be nonnegative")
+    elif not 0 <= eta < np.inf:
+        raise ValueError(f"step size must be nonnegative and finite, got eta={eta!r}")
     eta = float(eta)
 
-    num_agents = game.num_agents
     boxes = game.action_sets
-    blocks = [game.block_slice(i) for i in range(num_agents)]
     lower = np.concatenate([box.lower for box in boxes])
     upper = np.concatenate([box.upper for box in boxes])
-
     if x0 is None:
         x = np.concatenate([box.center for box in boxes])
     else:
@@ -243,105 +218,121 @@ def _run(
             raise ValueError(f"infeasible initial action {x!r}")
         # feasible() allows 1e-9 of slack; start exactly on the box
         x = np.clip(x, lower, upper)
+    return alphas, eta, x, lower, upper
 
-    x_star = game.nash_equilibrium(alphas)
-    track_true_var = True
-    try:
-        game.exact_var(0, x, alphas[0])
-    except UnsupportedGameError:
-        track_true_var = False
-    unbiased = [algorithm == "unbiased-fo" for _, algorithm in columns]
-    if any(unbiased) and not track_true_var:
-        raise UnsupportedGameError(
-            "the exact-VaR baseline needs a game with closed-form VaR"
-        )
-    affine = all(game.affine_noise(i, x) is not None for i in range(num_agents))
 
-    width = len(columns)
-    if affine:
-        # per agent, episode and column: lowest tail draw, tail size, tail sum
-        low, count, total = (np.empty((num_agents, horizon, width)) for _ in range(3))
-    else:
-        histories = np.empty((width, num_agents, horizon, game.noise_dim))
+def _trace(actions, nu, nu_star, x_star) -> RunTrace:
+    """The trace of one run's (T, dimension) actions and (T, agents) VaRs."""
+    err_sq = None
+    if x_star is not None:
+        d = actions - x_star
+        err_sq = (d[:, None, :] @ d[:, :, None]).ravel()
+    return RunTrace(np.arange(1, len(actions) + 1), actions, nu, nu_star, err_sq)
+
+
+def _run(
+    game: AffineNoiseGame,
+    alphas,
+    horizon: int,
+    eta: float | None,
+    x0,
+    window: int | None,
+    columns,
+) -> list[RunTrace]:
+    """Play a block of runs in lockstep on the rank engine, one trace per column.
+
+    Each column is a (seed, algorithm) pair, with algorithm "algorithm1"
+    or "unbiased-fo"; the columns share the game and every other argument.
+    """
+    alphas, eta, x, lower, upper = _setup(game, alphas, horizon, eta, x0, window)
+    num_agents, width = game.num_agents, len(columns)
+    laws = [game.noise_distribution(i) for i in range(num_agents)]
+    quantiles = np.array([law.var(alpha) for law, alpha in zip(laws, alphas)])
+    unbiased = np.array([algorithm == "unbiased-fo" for _, algorithm in columns])
+
+    # per agent, episode and column: lowest tail draw, tail size, tail sum
+    low, count, total = (np.empty((num_agents, horizon, width)) for _ in range(3))
     for c, (seed, _) in enumerate(columns):
         for i, rng in enumerate(_as_rngs(game, seed)):
-            if affine:
-                law = game.noise_distribution(i)
-                draws = law.sample(rng, size=horizon)[:, None]
-                # the baseline's tail is the draws at or above the noise quantile
-                q = law.var(alphas[i]) if unbiased[c] else None
-                low[i, :, c], count[i, :, c], total[i, :, c] = _rank_tails(
-                    draws, alphas[i], window, q
-                )
-            else:
-                for t in range(horizon):
-                    histories[c, i, t] = game.sample_noise(i, rng)
+            draws = laws[i].sample(rng, size=horizon)[:, None]
+            # the baseline's tail is the draws at or above the noise quantile
+            q = quantiles[i] if unbiased[c] else None
+            low[i, :, c], count[i, :, c], total[i, :, c] = _rank_tails(
+                draws, alphas[i], window, q
+            )
 
+    agents = np.arange(num_agents)
     x = np.repeat(x[:, None], width, axis=1)
     lower, upper = lower[:, None], upper[:, None]
-    grads = np.empty_like(x)
-    actions = np.empty((width, horizon, x.shape[0]))
-    nu = np.empty((width, horizon, num_agents))
-    nu_star = np.empty_like(nu) if track_true_var else None
-
+    actions = np.empty((width, horizon, num_agents))
     for t in range(1, horizon + 1):
         actions[:, t - 1] = x.T
         start = 0 if window is None else max(0, t - window)
-        for i, block in enumerate(blocks):
-            if affine:
-                _, _, g0, g1 = game.affine_noise(i, x)
-                n_alpha = (t - start) * alphas[i]
-                grads[block] = (count[i, t - 1] * g0 + g1 * total[i, t - 1]) / n_alpha
-            else:
-                for c in range(width):
-                    xc = x[:, c]
-                    true_var = game.exact_var(i, xc, alphas[i]) if track_true_var else None
-                    draws = histories[c, i, start:t]
-                    if unbiased[c]:
-                        est = unbiased_cvar_gradient(game, i, xc, draws, alphas[i], true_var)
-                    else:
-                        est = cvar_gradient_estimate(game, i, xc, draws, alphas[i])
-                    grads[block, c] = est.g
-                    nu[c, t - 1, i] = est.var_used
-                    if nu_star is not None:
-                        nu_star[c, t - 1, i] = true_var
+        _, _, g0, g1 = game.affine_noise(agents, x)
+        grads = (count[:, t - 1] * g0 + g1 * total[:, t - 1]) / ((t - start) * alphas[:, None])
         # simultaneous play: all updates use the same joint action
         x = np.clip(x - eta * grads, lower, upper)
 
-    if affine:
-        for c in range(width):
-            path = actions[c].T
-            for i, alpha in enumerate(alphas):
-                c0, s, _, _ = game.affine_noise(i, path)
-                s = np.broadcast_to(s, horizon)
-                negative = np.flatnonzero(s < 0)
-                if negative.size:
-                    k = negative[0]
-                    raise ValueError(
-                        f"agent {i} at episode {k + 1}: affine_noise needs a "
-                        f"nonnegative noise slope, got {s[k]}"
-                    )
-                true_var = c0 + s * game.noise_distribution(i).var(alpha)
-                nu[c, :, i] = true_var if unbiased[c] else c0 + low[i, :, c] * s
-                if nu_star is not None:
-                    nu_star[c, :, i] = true_var
-
-    traces = []
-    for c in range(width):
-        err_sq = None
-        if x_star is not None:
-            d = actions[c] - x_star
-            err_sq = (d[:, None, :] @ d[:, :, None]).ravel()
-        traces.append(
-            RunTrace(
-                episodes=np.arange(1, horizon + 1),
-                actions=actions[c],
-                nu=nu[c],
-                nu_star=None if nu_star is None else nu_star[c],
-                err_sq=err_sq,
-            )
+    # the VaRs off the (agents, T, columns) action path
+    c0, s, _, _ = game.affine_noise(agents, actions.T)
+    s = np.broadcast_to(s, low.shape)
+    negative = np.argwhere(s < 0)
+    if negative.size:
+        i, k, c = negative[0]
+        raise ValueError(
+            f"agent {i} at episode {k + 1}: affine_noise needs a nonnegative "
+            f"noise slope, got {s[i, k, c]}"
         )
-    return traces
+    nu_star = c0 + s * quantiles[:, None, None]
+    nu = np.where(unbiased, nu_star, c0 + low * s)
+    x_star = game.nash_equilibrium(alphas)
+    return [
+        _trace(actions[c], nu[:, :, c].T, nu_star[:, :, c].T, x_star) for c in range(width)
+    ]
+
+
+def _replay(
+    game: StochasticGame, alphas, horizon: int, eta, x0, window, seed, algorithm: str
+) -> RunTrace:
+    """One run of ``algorithm`` on any game, replaying the kept draws every episode.
+
+    Episode t passes each agent's draws[start:t], all drawn up front with
+    ``sample_noise``, to the estimator. nu* is recorded when the game
+    gives ``exact_var``, which the baseline needs. The oracle for ``_run``.
+    """
+    alphas, eta, x, lower, upper = _setup(game, alphas, horizon, eta, x0, window)
+    unbiased = algorithm == "unbiased-fo"
+    nu = np.empty((horizon, game.num_agents))
+    nu_star = np.empty_like(nu)
+    try:
+        game.exact_var(0, x, alphas[0])
+    except UnsupportedGameError:
+        if unbiased:
+            raise
+        nu_star = None
+
+    histories = [
+        np.array([game.sample_noise(i, rng) for _ in range(horizon)])
+        for i, rng in enumerate(_as_rngs(game, seed))
+    ]
+    actions = np.empty((horizon, x.size))
+    grads = np.empty_like(x)
+    for t in range(1, horizon + 1):
+        actions[t - 1] = x
+        start = 0 if window is None else max(0, t - window)
+        for i, history in enumerate(histories):
+            true_var = None if nu_star is None else game.exact_var(i, x, alphas[i])
+            draws = history[start:t]
+            if unbiased:
+                est = unbiased_cvar_gradient(game, i, x, draws, alphas[i], true_var)
+            else:
+                est = cvar_gradient_estimate(game, i, x, draws, alphas[i])
+            grads[game.block_slice(i)] = est.g
+            nu[t - 1, i] = est.var_used
+            if nu_star is not None:
+                nu_star[t - 1, i] = true_var
+        x = np.clip(x - eta * grads, lower, upper)
+    return _trace(actions, nu, nu_star, game.nash_equilibrium(alphas))
 
 
 def run_algorithm1(
@@ -361,10 +352,14 @@ def run_algorithm1(
     as the threshold. ``eta`` is the constant step size; None, the
     default, tunes it to the horizon as (D / B) / sqrt(T), with D the
     largest per-agent action-set diameter and B the game's gradient
-    bound. A negative step is a ``ValueError``. Runs with equal seeds and
-    configuration are bit-identical.
+    bound. A negative or non-finite step, or a window that is not a
+    positive integer, is a ``ValueError``. Runs with equal seeds and
+    configuration are bit-identical. An ``AffineNoiseGame`` plays on the
+    rank engine, any other game on the replay.
     """
-    return _run(game, alphas, horizon, eta, x0, window, [(seed, "algorithm1")])[0]
+    if isinstance(game, AffineNoiseGame):
+        return _run(game, alphas, horizon, eta, x0, window, [(seed, "algorithm1")])[0]
+    return _replay(game, alphas, horizon, eta, x0, window, seed, "algorithm1")
 
 
 def run_unbiased_baseline(
@@ -377,4 +372,6 @@ def run_unbiased_baseline(
     window: int | None = None,
 ) -> RunTrace:
     """Identical loop with the estimated VaR replaced by the exact one."""
-    return _run(game, alphas, horizon, eta, x0, window, [(seed, "unbiased-fo")])[0]
+    if isinstance(game, AffineNoiseGame):
+        return _run(game, alphas, horizon, eta, x0, window, [(seed, "unbiased-fo")])[0]
+    return _replay(game, alphas, horizon, eta, x0, window, seed, "unbiased-fo")

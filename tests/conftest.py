@@ -5,7 +5,8 @@ a 20-trial reference experiment (both algorithms, T = 5000) and a
 50-seed batch of long Algorithm-1 runs (T = 10^4). They are built once
 per session, in parallel, and reused by the learning, analysis, and
 acceptance tests. Each worker plays its share of the runs as one
-lockstep block.
+lockstep block of the rank engine, ``learning._run``, which the learning
+tests hold equal to the replay oracle.
 """
 
 import os

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import os
 import xml.etree.ElementTree as ET
@@ -49,6 +50,42 @@ t,algorithm1_mean_err_sq,algorithm1_std_err_sq,algorithm1_mean_dist,algorithm1_s
 2,0.10151178603896244,0.0,0.31860914305613147,0.0,0.0821361911077327,0.0,0.2865941225980266,0.0
 3,0.13717798677407894,0.0,0.3703754672951206,0.0,0.09042344520500972,0.0,0.300704913835823,0.0
 """
+
+# sha256 of every CSV of a bundle; a speedup must leave these bytes alone
+GOLDEN_BUNDLES = {
+    "cournot": (
+        {"game": "cournot", "T": 400, "trials": 2, "seed": 0},
+        {
+            "trials/algorithm1-trial000.csv": "8f90d47ece57147b99535d61a67b601b1ceae84ca91cd12580282953ae37f3eb",
+            "trials/algorithm1-trial001.csv": "3052d2c0d153d62dfca38ff921d796f93ace699ed54b07a9fc2a5cbc77ab9ce7",
+            "trials/unbiased-fo-trial000.csv": "a5e76f78ee2116c7f548b2512ff742b51b4d95b41098177ad034a8ae339d8504",
+            "trials/unbiased-fo-trial001.csv": "a8247671644bbe01b7e0852df03e21afaa708c9660f1a4f0c0d5771024ec92bf",
+            "aggregate.csv": "7a4f2c61157538ec164995baa7984c57b3f32d6697fa287ee2cef5e0545cdee5",
+            "bounds.csv": "e45da85e49632e1d5e9da0800073d613e4beaa1d5c9287fc7e2001b7ae5b5132",
+        },
+    ),
+    "windowed": (
+        {"game": "cournot", "T": 400, "trials": 2, "seed": 0, "window": 50},
+        {
+            "trials/algorithm1-trial000.csv": "8825321e961d8bac6e07773518d5bc534107ce0e259cfc4622ef226a292c3052",
+            "trials/algorithm1-trial001.csv": "1a20de2692e326cf29568f9966d123f865ff4ee6f04316ce66c9bbf6c838b6ab",
+            "trials/unbiased-fo-trial000.csv": "82ae454a8a2e89ddac0baaf94c115c46726bf4e8d9a6fbf1b869378862f8faae",
+            "trials/unbiased-fo-trial001.csv": "26a3a607e80da85a4c5487bb3f791b242ae823829033eeb928c3030a983edb30",
+            "aggregate.csv": "59fcc9c5435a30731fb87719b68b139f469cea108b14c3fbf8cc7b019d29b35a",
+            "bounds.csv": "785e14dd3fd018163b7c8a93737360c32f861eb86ae79443be8273151eef6e34",
+        },
+    ),
+    "pinned": (
+        {"game": "quadratic-counterexample", "alphas": [0.5, 1.0], "T": 400, "trials": 2, "seed": 0, "eta": 5.0},
+        {
+            "trials/algorithm1-trial000.csv": "cbb575a1aec214a08e022157057e8503d7b9151585a11248f729aa4c95b647cf",
+            "trials/algorithm1-trial001.csv": "ade5adc12ec0b4af7ff6862eebeadb5c7ed825a8913dd7715913b58e36e3e243",
+            "trials/unbiased-fo-trial000.csv": "1eec756ff11dc36e4c5f02033b663fbafa547784b11e23918089ab272ed4fdef",
+            "trials/unbiased-fo-trial001.csv": "1eec756ff11dc36e4c5f02033b663fbafa547784b11e23918089ab272ed4fdef",
+            "bounds.csv": "52186d900c279a5a1261058ef2cbb3a114ccadb7200ae813a6213ac0a53df6f5",
+        },
+    ),
+}
 
 
 def write_config(tmp_path, raw, name="config.yaml"):
@@ -205,6 +242,20 @@ class TestBundle:
             assert fh.read() == PINNED_TRIAL.encode()
         with open(bundle.aggregate_path, "rb") as fh:
             assert fh.read() == PINNED_AGGREGATE.encode()
+
+    @pytest.mark.parametrize("name", list(GOLDEN_BUNDLES))
+    def test_bundle_hashes_are_pinned(self, tmp_path, name):
+        # both algorithms at T = 400: no window, a 50-draw window, and steps
+        # that pin the counterexample game to its box faces (no error curves,
+        # so no aggregate.csv)
+        raw, expected = GOLDEN_BUNDLES[name]
+        run_experiment(validate_config(dict(raw)), out_dir=str(tmp_path))
+        paths = sorted(tmp_path.glob("trials/*.csv")) + sorted(tmp_path.glob("*.csv"))
+        digests = {
+            path.relative_to(tmp_path).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in paths
+        }
+        assert digests == expected
 
     def test_numeric_writers_match_csv_writer(self, tmp_path):
         def oracle(header, columns):

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from riskgames.distributions import Uniform, empirical_var_cvar
 from riskgames.games import (
+    AffineNoiseGame,
     Box,
     CournotGame,
     QuadraticCounterexampleGame,
@@ -347,7 +348,7 @@ class TestInterfaceDefaults:
         with pytest.raises(UnsupportedGameError):
             game.noise_distribution(0)
         assert game.nash_equilibrium([0.5]) is None
-        assert game.affine_noise(0, np.array([0.0])) is None
+        assert not isinstance(game, AffineNoiseGame)
 
     def test_noise_distributions(self):
         assert COURNOT.noise_distribution(0) == Uniform(0.0, 1.0)

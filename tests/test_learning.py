@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from riskgames.distributions import Uniform, _tail_start, empirical_var
 from riskgames.games import (
+    AffineNoiseGame,
     Box,
     CournotGame,
     QuadraticCounterexampleGame,
@@ -13,8 +14,9 @@ from riskgames.games import (
 )
 from riskgames.learning import (
     _rank_tails,
-    _run,
+    _replay,
     _replay_gradient,
+    _run,
     cvar_gradient_estimate,
     run_algorithm1,
     run_unbiased_baseline,
@@ -53,17 +55,25 @@ class NoClosedFormGame(StochasticGame):
         return GAME.grad(agent, x, xi)
 
 
-class NegativeSlopeGame(NoClosedFormGame):
+class NegativeSlopeGame(AffineNoiseGame):
     """Costs x_i * (1 - xi): affine in the noise with slope -x_i < 0."""
+
+    _BOX = Box(np.zeros(1), np.ones(1))
+
+    @property
+    def num_agents(self):
+        return 2
+
+    @property
+    def action_sets(self):
+        return (self._BOX, self._BOX)
+
+    @property
+    def grad_bound(self):
+        return 1.0
 
     def noise_distribution(self, agent):
         return Uniform(0.0, 1.0)
-
-    def cost(self, agent, x, xi):
-        return x[agent] * (1.0 - xi[0])
-
-    def grad(self, agent, x, xi):
-        return np.array([1.0 - xi[0]])
 
     def affine_noise(self, agent, x):
         return x[agent], -x[agent], 1.0, -1.0
@@ -74,7 +84,8 @@ class LateNegativeSlopeGame(NegativeSlopeGame):
     at least 1, so the first step takes x_1 below 0.45."""
 
     def affine_noise(self, agent, x):
-        return x[agent], x[agent] - 0.45 * agent, 1.0, 1.0
+        # transposed so that an agent index array meets the agent axis of x[agent]
+        return x[agent], (x[agent].T - 0.45 * agent).T, 1.0, 1.0
 
 
 class ReplayGame(StochasticGame):
@@ -131,16 +142,6 @@ class ReplayGame(StochasticGame):
         return self.game.nash_equilibrium(alphas)
 
 
-class ReplayCournotGame(ReplayGame):
-    def __init__(self):
-        super().__init__(CournotGame())
-
-
-class ReplayCounterexampleGame(ReplayGame):
-    def __init__(self, *params):
-        super().__init__(QuadraticCounterexampleGame(*params))
-
-
 class TestProjectBox:
     def test_examples(self):
         box = Box(np.zeros(1), np.ones(1))
@@ -173,6 +174,27 @@ class TestStepSchedule:
         for run in (run_algorithm1, run_unbiased_baseline):
             with pytest.raises(ValueError, match="step size must be nonnegative"):
                 run(GAME, ALPHAS, 10, eta=-1.0)
+
+    @pytest.mark.parametrize("game", [GAME, ReplayGame(GAME)], ids=["rank", "replay"])
+    def test_nan_rejected(self, game):
+        # a NaN step used to give an all-NaN trace
+        for run in (run_algorithm1, run_unbiased_baseline):
+            with pytest.raises(ValueError, match=r"step size .* got eta=nan$"):
+                run(game, ALPHAS, 5, eta=float("nan"))
+
+    @pytest.mark.parametrize("game", [GAME, ReplayGame(GAME)], ids=["rank", "replay"])
+    def test_infinite_rejected(self, game):
+        # an infinite step used to pin the iterates to the box faces
+        for run in (run_algorithm1, run_unbiased_baseline):
+            with pytest.raises(ValueError, match=r"step size .* got eta=inf$"):
+                run(game, ALPHAS, 5, eta=float("inf"))
+
+    @pytest.mark.parametrize("game", [GAME, ReplayGame(GAME)], ids=["rank", "replay"])
+    def test_fractional_window_rejected(self, game):
+        # a fractional window used to die inside numpy with an IndexError
+        for run in (run_algorithm1, run_unbiased_baseline):
+            with pytest.raises(ValueError, match=r"^window must be .* got window=2\.5$"):
+                run(game, ALPHAS, 5, window=2.5)
 
 
 class TestCvarGradientEstimate:
@@ -520,32 +542,30 @@ class TestRankTailsLongSeries:
         assert expected[0, 0, -1] == empirical_var(kept, alpha)
 
 
+def built_in_game(kind, params):
+    return CournotGame() if kind == "cournot" else QuadraticCounterexampleGame(*params)
+
+
+def assert_close(a, b):
+    """Traces a and b agree to 1e-12 in every field."""
+    assert np.max(np.abs(a.actions - b.actions)) <= 1e-12
+    assert np.max(np.abs(a.nu - b.nu)) <= 1e-12
+    for fast, slow in ((a.err_sq, b.err_sq), (a.nu_star, b.nu_star)):
+        assert (fast is None) == (slow is None)
+        if fast is not None:
+            assert np.max(np.abs(fast - slow)) <= 1e-12
+
+
 class TestSortedPathMatchesReplay:
-    """Runs on the built-in games equal runs forced onto the replay."""
-
-    @staticmethod
-    def games(kind, params):
-        if kind == "cournot":
-            return CournotGame(), ReplayCournotGame()
-        return QuadraticCounterexampleGame(*params), ReplayCounterexampleGame(*params)
-
-    @staticmethod
-    def assert_close(a, b):
-        assert np.max(np.abs(a.actions - b.actions)) <= 1e-12
-        assert np.max(np.abs(a.nu - b.nu)) <= 1e-12
-        for fast, slow in ((a.err_sq, b.err_sq), (a.nu_star, b.nu_star)):
-            assert (fast is None) == (slow is None)
-            if fast is not None:
-                assert np.max(np.abs(fast - slow)) <= 1e-12
+    """Runs on the built-in games equal the replay oracle on the same game."""
 
     def run_both(self, kind, params, alphas, horizon, window, eta, x0, seed):
-        fast, slow = self.games(kind, params)
-        x0 = None if x0 is None else np.asarray(x0) * fast.action_sets[0].upper[0]
-        kwargs = dict(eta=eta, x0=x0, seed=seed, window=window)
-        for run in (run_algorithm1, run_unbiased_baseline):
-            a = run(fast, alphas, horizon, **kwargs)
-            b = run(slow, alphas, horizon, **kwargs)
-            self.assert_close(a, b)
+        game = built_in_game(kind, params)
+        x0 = None if x0 is None else np.asarray(x0) * game.action_sets[0].upper[0]
+        for run, algorithm in ((run_algorithm1, "algorithm1"), (run_unbiased_baseline, "unbiased-fo")):
+            a = run(game, alphas, horizon, eta=eta, x0=x0, seed=seed, window=window)
+            b = _replay(ReplayGame(game), alphas, horizon, eta, x0, window, seed, algorithm)
+            assert_close(a, b)
         return a
 
     @settings(max_examples=60, deadline=None)
@@ -598,25 +618,33 @@ class TestSortedPathMatchesReplay:
         game = CountingReplayGame()
         run_unbiased_baseline(game, ALPHAS, 25, seed=0)
         assert game.exact_var_calls == 1 + 2 * 25
-        # the rank path reads the VaR off the action path after the loop: the probe only
+        # the rank path reads the VaR off the action path after the loop: no call
         game = CountingCournotGame()
         run_unbiased_baseline(game, ALPHAS, 25, seed=0)
-        assert game.exact_var_calls == 1
+        assert game.exact_var_calls == 0
 
 
 class TestBlock:
-    """A lockstep block of columns equals each column run on its own."""
+    """A lockstep block of columns equals each column run on its own and its replay."""
 
     @staticmethod
-    def game(kind, params, replay):
-        game = CournotGame() if kind == "cournot" else QuadraticCounterexampleGame(*params)
-        return ReplayGame(game) if replay else game
+    def assert_columns(game, block, columns, alphas, horizon, eta, x0, window):
+        """Each column equals its run alone bit for bit and its replay to 1e-12."""
+        assert len(block) == len(columns)
+        for (seed, algorithm), trace in zip(columns, block):
+            run = run_algorithm1 if algorithm == "algorithm1" else run_unbiased_baseline
+            alone = run(game, alphas, horizon, eta=eta, x0=x0, seed=seed, window=window)
+            for field in ("actions", "nu", "nu_star", "err_sq"):
+                a, b = getattr(trace, field), getattr(alone, field)
+                assert (a is None) == (b is None)
+                assert a is None or np.array_equal(a, b)
+            replay = _replay(ReplayGame(game), alphas, horizon, eta, x0, window, seed, algorithm)
+            assert_close(trace, replay)
 
     @settings(max_examples=60, deadline=None)
     @given(
         kind=st.sampled_from(["cournot", "counterexample"]),
         params=st.tuples(*[st.floats(0.5, 2.0)] * 2, st.floats(-1.0, 1.0), st.floats(0.5, 2.0)),
-        replay=st.booleans(),
         alphas=st.tuples(*[st.one_of(st.just(1.0), st.floats(0.05, 1.0))] * 2),
         horizon=st.integers(1, 40),
         window_kind=st.sampled_from([None, "one", "shorter", "covering"]),
@@ -636,7 +664,6 @@ class TestBlock:
     @example(
         kind="cournot",
         params=(1.0, 1.0, 0.0, 1.0),
-        replay=False,
         alphas=(1.0, 1.0),
         horizon=3,
         window_kind=None,
@@ -645,36 +672,24 @@ class TestBlock:
         columns=[(0, "unbiased-fo"), (0, "algorithm1"), (1, "algorithm1")],
     )
     def test_columns_equal_single_runs(
-        self, kind, params, replay, alphas, horizon, window_kind, pinned, x0, columns
+        self, kind, params, alphas, horizon, window_kind, pinned, x0, columns
     ):
-        game = self.game(kind, params, replay)
+        game = built_in_game(kind, params)
         window = {None: None, "one": 1, "shorter": max(1, horizon // 3), "covering": horizon + 1}[
             window_kind
         ]
         eta = 5.0 if pinned else None
         x0 = None if x0 is None else np.asarray(x0) * game.action_sets[0].upper[0]
         block = _run(game, alphas, horizon, eta, x0, window, columns)
-        assert len(block) == len(columns)
-        for (seed, algorithm), trace in zip(columns, block):
-            run = run_algorithm1 if algorithm == "algorithm1" else run_unbiased_baseline
-            alone = run(game, alphas, horizon, eta=eta, x0=x0, seed=seed, window=window)
-            for field in ("actions", "nu", "nu_star", "err_sq"):
-                a, b = getattr(trace, field), getattr(alone, field)
-                assert (a is None) == (b is None)
-                assert a is None or np.array_equal(a, b)
+        self.assert_columns(game, block, columns, alphas, horizon, eta, x0, window)
 
     def test_pinned_block_reaches_the_faces(self):
         # a step of 5 drives the columns onto the box faces, where x_i = 0 ties every cost
         columns = [(seed, alg) for seed in (4, 5) for alg in ("algorithm1", "unbiased-fo")]
-        for game in (CournotGame(), ReplayGame(QuadraticCounterexampleGame())):
+        for game in (CournotGame(), QuadraticCounterexampleGame()):
             block = _run(game, (1.0, 0.4), 40, 5.0, None, 7, columns)
-            for (seed, algorithm), trace in zip(columns, block):
-                run = run_algorithm1 if algorithm == "algorithm1" else run_unbiased_baseline
-                alone = run(game, (1.0, 0.4), 40, 5.0, seed=seed, window=7)
-                assert np.any(trace.actions == 0.0)
-                assert np.array_equal(trace.actions, alone.actions)
-                assert np.array_equal(trace.nu, alone.nu)
-                assert np.array_equal(trace.nu_star, alone.nu_star)
+            assert all(np.any(trace.actions == 0.0) for trace in block)
+            self.assert_columns(game, block, columns, (1.0, 0.4), 40, 5.0, None, 7)
 
 
 class TestBiasDecay:
