@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -65,7 +66,9 @@ def empirical_var_cvar(values: np.ndarray, alpha: float) -> tuple[float, float]:
     """(VaR, CVaR) of a raw sample array in one pass.
 
     CVaR is the plug-in value nu + sum((v - nu)_+) / (alpha * t) with nu
-    the empirical VaR.
+    the empirical VaR, taken as the mean of the worst alpha * t draws:
+    every draw above the VaR order statistic in full, and nu with the
+    fractional weight that makes up the rest.
     """
     check_risk_level(alpha)
     values = np.asarray(values, dtype=np.float64)
@@ -75,10 +78,15 @@ def empirical_var_cvar(values: np.ndarray, alpha: float) -> tuple[float, float]:
     k = _tail_start(t, alpha)
     part = np.partition(values, k - 1)
     nu = float(part[k - 1])
-    # Elements before k-1 are <= nu, so they contribute nothing to (v - nu)_+.
-    tail = part[k - 1 :]
-    cvar = nu + float(np.sum(tail - nu)) / (alpha * t)
-    return nu, cvar
+    # Summing the tail draws themselves, rather than adding their excesses
+    # over nu back onto nu, keeps a large |nu| from cancelling against a
+    # CVaR near zero. Only the tail sum is rounded; the weighting is exact,
+    # so a tail of ties returns nu itself. The exact value is >= nu, and
+    # the max keeps CVaR >= VaR when the rounded sum falls an ulp short.
+    weight = Fraction(alpha) * t
+    above = Fraction(math.fsum(part[k:].tolist()))
+    cvar = float((above + (weight - (t - int(k))) * Fraction(nu)) / weight)
+    return nu, max(nu, cvar)
 
 
 @dataclass(frozen=True)

@@ -128,6 +128,8 @@ class TestEmpiricalDistribution:
         alpha=alpha_strategy,
         scale=st.floats(min_value=1e-3, max_value=1e3),
     )
+    # a large VaR far below a CVaR near zero
+    @example(samples=[5.960464477539063e-08, -384303.0], alpha=0.5, scale=349.25)
     @settings(max_examples=100)
     def test_positive_homogeneity(self, samples, alpha, scale):
         scaled = np.asarray(samples) * scale
@@ -144,8 +146,8 @@ class TestEmpiricalDistribution:
     def test_cvar_solves_variational_form(self, samples, alpha):
         # independent route: CVaR = min over nu of nu + sum((s - nu)_+) / (alpha t),
         # and the minimum of this piecewise-linear objective sits at a sample.
-        # The reference is exact. The estimator rounds t excesses, their sum,
-        # one division and one addition, each by at most eps/2 of |nu| plus
+        # The reference is exact. The estimator rounds the sum of the draws
+        # above nu and the final quotient, each by at most eps/2 of |nu| plus
         # the tail term, so (t + 2) eps of that bounds its error.
         t = len(samples)
         exact_alpha = Fraction(alpha)
