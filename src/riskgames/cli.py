@@ -17,11 +17,12 @@ from __future__ import annotations
 
 import argparse
 import csv
+import inspect
 import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import yaml
@@ -55,27 +56,15 @@ __all__ = [
 
 ALGORITHMS = ("algorithm1", "unbiased-fo")
 
-GAME_DEFAULT_ALPHAS = {
-    "cournot": (0.4, 0.8),
-    "quadratic-counterexample": (0.5, 0.5),
-}
+# each game class names itself, carries its default risk levels and takes
+# its config parameters as constructor arguments
+_GAMES = {cls.name: cls for cls in (CournotGame, QuadraticCounterexampleGame)}
+_GAME_PARAMS = {name: tuple(inspect.signature(cls).parameters) for name, cls in _GAMES.items()}
 
-_GAME_PARAM_KEYS = ("a", "b", "c", "d")
-
-_KNOWN_KEYS = {
-    "game",
-    "alphas",
-    "T",
-    "trials",
-    "seed",
-    "eta",
-    "algorithms",
-    "window",
-    "edf",
-    "x0",
-    "out_dir",
-    *_GAME_PARAM_KEYS,
+_CONFIG_KEYS = {
+    "game", "alphas", "T", "trials", "seed", "eta", "algorithms", "window", "edf", "x0", "out_dir"
 }
+_KNOWN_KEYS = _CONFIG_KEYS.union(*_GAME_PARAMS.values())
 
 # lemma-3 report parameters (U-family concentration check at fixed size)
 _LEMMA3_T = 1000
@@ -103,11 +92,7 @@ class ExperimentConfig:
 
 
 def build_game(config: ExperimentConfig) -> StochasticGame:
-    if config.game == "cournot":
-        return CournotGame()
-    if config.game == "quadratic-counterexample":
-        return QuadraticCounterexampleGame(**dict(config.game_params))
-    raise ConfigError(f"game: unknown game {config.game!r}")
+    return _GAMES[config.game](**dict(config.game_params))
 
 
 def _require(condition: bool, message: str):
@@ -135,8 +120,9 @@ def validate_config(raw: dict) -> ExperimentConfig:
     """Check a flat key-value document and fill in the documented defaults.
 
     Defaults: trials=20, seed=0, eta=auto, both algorithms, window off,
-    exact EDF, x0 at the box centers, and the built-in risk levels of the
-    selected game. Unknown keys are rejected.
+    exact EDF, and, from the selected game's class, its risk levels
+    ``default_alphas`` and x0 at the centers of its action boxes. Game
+    parameters are its constructor's arguments. Unknown keys are rejected.
     """
     _require(isinstance(raw, dict), f"config: expected a mapping, got {type(raw).__name__}")
     unknown = set(raw) - _KNOWN_KEYS
@@ -145,16 +131,16 @@ def validate_config(raw: dict) -> ExperimentConfig:
 
     game = raw.get("game")
     _require(game is not None, "game: required")
-    _require(game in GAME_DEFAULT_ALPHAS, f"game: unknown game {game!r}")
+    _require(isinstance(game, str) and game in _GAMES, f"game: unknown game {game!r}")
 
     params = {}
-    for key in _GAME_PARAM_KEYS:
-        if key in raw:
-            _require(
-                game == "quadratic-counterexample",
-                f"{key}: game parameter only applies to quadratic-counterexample",
-            )
-            params[key] = _as_float(raw[key], key)
+    for key in sorted(set(raw) - _CONFIG_KEYS):
+        _require(key in _GAME_PARAMS[game], f"{key}: not a parameter of game {game!r}")
+        params[key] = _as_float(raw[key], key)
+    try:
+        game_obj = _GAMES[game](**params)
+    except ValueError as exc:  # the game's own checks name the parameter
+        raise ConfigError(str(exc)) from None
 
     horizon = _as_int(raw.get("T"), "T", 1) if "T" in raw else None
     _require(horizon is not None, "T: required")
@@ -187,22 +173,7 @@ def validate_config(raw: dict) -> ExperimentConfig:
     _require(not removed, f"edf: the binned EDF was removed, got {edf!r}; use 'exact'")
     _require(edf == "exact", f"edf: expected 'exact', got {edf!r}")
 
-    config = ExperimentConfig(
-        game=game,
-        game_params=tuple(sorted(params.items())),
-        alphas=(),
-        horizon=horizon,
-        trials=trials,
-        seed=seed,
-        eta=eta,
-        algorithms=tuple(algorithms),
-        window=window,
-        x0=(),
-        out_dir=raw.get("out_dir"),
-    )
-    game_obj = build_game(config)
-
-    alphas = raw.get("alphas", list(GAME_DEFAULT_ALPHAS[game]))
+    alphas = raw.get("alphas", list(game_obj.default_alphas))
     _require(isinstance(alphas, (list, tuple)), "alphas: expected a list")
     _require(
         len(alphas) == game_obj.num_agents,
@@ -226,10 +197,23 @@ def validate_config(raw: dict) -> ExperimentConfig:
     else:
         x0 = tuple(float(v) for v in np.concatenate([b.center for b in game_obj.action_sets]))
 
-    if config.out_dir is not None:
-        _require(isinstance(config.out_dir, str), f"out_dir: expected a string, got {config.out_dir!r}")
+    out_dir = raw.get("out_dir")
+    if out_dir is not None:
+        _require(isinstance(out_dir, str), f"out_dir: expected a string, got {out_dir!r}")
 
-    return replace(config, alphas=tuple(checked), x0=x0)
+    return ExperimentConfig(
+        game=game,
+        game_params=tuple(sorted(params.items())),
+        alphas=tuple(checked),
+        horizon=horizon,
+        trials=trials,
+        seed=seed,
+        eta=eta,
+        algorithms=tuple(algorithms),
+        window=window,
+        x0=x0,
+        out_dir=out_dir,
+    )
 
 
 def load_config(path) -> ExperimentConfig:
@@ -238,6 +222,8 @@ def load_config(path) -> ExperimentConfig:
             raw = yaml.safe_load(fh)
         except yaml.YAMLError as exc:
             raise ConfigError(f"config: not valid YAML ({exc})") from None
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config: not UTF-8 text ({exc})") from None
     return validate_config(raw if raw is not None else {})
 
 
@@ -263,26 +249,33 @@ def resolved_document(config: ExperimentConfig) -> dict:
 
 
 def _trial_seed(config: ExperimentConfig, index: int) -> np.random.SeedSequence:
-    return np.random.SeedSequence(config.seed).spawn(config.trials + 1)[index]
+    # equal to SeedSequence(seed).spawn(n)[index] for any n > index, but
+    # O(1): spawning them all per column was quadratic in the trial count
+    return np.random.SeedSequence(config.seed, spawn_key=(index,))
 
 
 def _report_rng(config: ExperimentConfig) -> np.random.Generator:
     return np.random.default_rng(_trial_seed(config, config.trials))
 
 
-# cap on a block's tail arrays, three float64s per agent, episode and
-# column; one block holds all 40 columns of a two-agent run at T = 10^4
-_BLOCK_BYTES = 32 << 20
+# cap on what ``learning._run`` holds at its peak, in float64s per episode:
+# five per agent and column (three tail arrays and the action path in the
+# loop; the action path, the lowest tail draws and the two VaR series
+# after it), and up to 24 for the one series or column it works on; one
+# block holds all 40 columns of a two-agent run at T = 10^4
+_BLOCK_BYTES = 64 << 20
+_BLOCK_ARRAYS, _SERIES_ARRAYS = 5, 24
 
 
 def _blocks(config: ExperimentConfig, workers: int) -> list[list]:
     """The (algorithm, trial) columns in order, cut into near-equal blocks.
 
-    At least one block per worker, and more only when a block's tail
-    arrays would pass ``_BLOCK_BYTES``.
+    At least one block per worker, and more only when a block's run would
+    hold more than ``_BLOCK_BYTES``.
     """
     columns = [(alg, idx) for alg in config.algorithms for idx in range(config.trials)]
-    per_block = max(1, _BLOCK_BYTES // (3 * 8 * len(config.alphas) * config.horizon))
+    per_episode = _BLOCK_BYTES // (8 * config.horizon) - _SERIES_ARRAYS
+    per_block = max(1, per_episode // (_BLOCK_ARRAYS * len(config.alphas)))
     count = min(len(columns), max(workers, math.ceil(len(columns) / per_block)))
     cuts = [len(columns) * n // count for n in range(count + 1)]
     return [columns[a:b] for a, b in zip(cuts, cuts[1:])]
@@ -543,7 +536,7 @@ def run_experiment(
     trial) pair is one column of a lockstep run of the rank engine,
     ``learning._run``. The columns, in (algorithm, trial) order, are cut
     into one near-equal block per worker, or into more blocks when a
-    block's tail arrays would pass a fixed byte budget; blocks run in
+    block's run would hold more than a fixed byte budget; blocks run in
     parallel up to ``workers``, with one ``progress`` line per finished
     block. A column's trace does not depend on its block, and results are
     reduced in (algorithm, trial) order, so the artifacts do not depend on

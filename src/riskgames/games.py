@@ -3,7 +3,7 @@
 The interface, ``StochasticGame``, and ``AffineNoiseGame``, which derives
 costs, gradients, noise draws and the VaR/CVaR closed forms from one
 description: each agent's cost and gradient as affine functions of a
-uniform noise draw. Two built-in two-agent games use it: a Cournot
+scalar uniform noise draw. Two built-in two-agent games use it: a Cournot
 duopoly whose risk-averse equilibrium is unique and computable in closed
 form, and a quadratic game whose risk-averse (alpha = 0.5) equilibria
 form a whole line segment even though its risk-neutral version is
@@ -13,6 +13,10 @@ relies on.
 
 Joint actions are flat float vectors; agent ``i`` owns the coordinates
 ``game.block_slice(i)``. Both built-in games use one coordinate per agent.
+A noise draw is a float and a history of draws a 1-d array; costs and
+gradients are only evaluated over such a history, in one batch call.
+Each built-in game class carries its config ``name``, its
+``default_alphas`` and, as its constructor's parameters, its config keys.
 """
 
 from __future__ import annotations
@@ -91,8 +95,8 @@ class StochasticGame(ABC):
     Each agent's cost must be convex in its own action block for every
     rival action and noise realization, and the per-sample gradients must
     be bounded by ``grad_bound`` over the feasible set and noise support.
-    Noise draws are arrays of shape (noise_dim,); histories stack them as
-    (t, noise_dim).
+    A noise draw is a float; a history of t draws is an array of shape
+    (t,), and the batch methods evaluate the cost and gradient over one.
     """
 
     @property
@@ -107,10 +111,6 @@ class StochasticGame(ABC):
     @abstractmethod
     def grad_bound(self) -> float:
         """Uniform bound B on the per-sample gradient norm."""
-
-    @property
-    def noise_dim(self) -> int:
-        return 1
 
     @property
     def dims(self) -> tuple[int, ...]:
@@ -134,23 +134,16 @@ class StochasticGame(ABC):
         )
 
     @abstractmethod
-    def sample_noise(self, agent: int, rng: np.random.Generator) -> np.ndarray:
-        """One noise draw for the agent, shape (noise_dim,)."""
+    def sample_noise(self, agent: int, rng: np.random.Generator) -> float:
+        """One noise draw for the agent."""
 
     @abstractmethod
-    def cost(self, agent: int, x: np.ndarray, xi: np.ndarray) -> float: ...
-
-    @abstractmethod
-    def grad(self, agent: int, x: np.ndarray, xi: np.ndarray) -> np.ndarray:
-        """Gradient of the agent's cost w.r.t. its own block, shape (d_i,)."""
-
     def cost_batch(self, agent: int, x: np.ndarray, xi_batch: np.ndarray) -> np.ndarray:
-        """Costs for a stack of noise draws, shape (t,). Override for speed."""
-        return np.array([self.cost(agent, x, xi) for xi in xi_batch])
+        """The agent's costs at x for a (t,) history of draws, shape (t,)."""
 
+    @abstractmethod
     def grad_batch(self, agent: int, x: np.ndarray, xi_batch: np.ndarray) -> np.ndarray:
-        """Gradients for a stack of noise draws, shape (t, d_i). Override for speed."""
-        return np.stack([self.grad(agent, x, xi) for xi in xi_batch])
+        """Gradients of those costs w.r.t. the agent's own block, shape (t, d_i)."""
 
     def noise_distribution(self, agent: int) -> Uniform:
         """Closed-form law of the agent's noise, when known."""
@@ -181,7 +174,7 @@ class AffineNoiseGame(StochasticGame):
     coefficients (c0, s, g0, g1) of its cost c0 + s * xi and gradient
     g0 + g1 * xi at the joint action x, and by ``noise_distribution(agent)``,
     the uniform law U(a, b) of xi. Each agent has one action coordinate, so
-    all four coefficients are scalars. Costs, gradients, their batches, the
+    all four coefficients are scalars. The cost and gradient batches, the
     noise draw and the closed forms all follow from those two. For s >= 0
     the cost at x is uniform on [c0 + s a, c0 + s b], so
 
@@ -219,24 +212,16 @@ class AffineNoiseGame(StochasticGame):
             raise ValueError(f"exact {quantity} requires a nonnegative noise slope, got {coeffs[1]}")
         return coeffs
 
-    def sample_noise(self, agent: int, rng: np.random.Generator) -> np.ndarray:
-        return self.noise_distribution(agent).sample(rng, size=1)
-
-    def cost(self, agent: int, x, xi) -> float:
-        c0, s, _, _ = self.affine_noise(agent, x)
-        return c0 + float(np.asarray(xi).ravel()[0]) * s
-
-    def grad(self, agent: int, x, xi) -> np.ndarray:
-        _, _, g0, g1 = self.affine_noise(agent, x)
-        return np.array([g0 + g1 * float(np.asarray(xi).ravel()[0])])
+    def sample_noise(self, agent: int, rng: np.random.Generator) -> float:
+        return self.noise_distribution(agent).sample(rng)
 
     def cost_batch(self, agent: int, x, xi_batch) -> np.ndarray:
         c0, s, _, _ = self.affine_noise(agent, x)
-        return c0 + xi_batch[:, 0] * s
+        return c0 + xi_batch * s
 
     def grad_batch(self, agent: int, x, xi_batch) -> np.ndarray:
         _, _, g0, g1 = self.affine_noise(agent, x)
-        return (g0 + g1 * xi_batch[:, 0])[:, None]
+        return (g0 + g1 * xi_batch)[:, None]
 
     def exact_var(self, agent: int, x, alpha: float) -> float:
         c0, s, _, _ = self._nonnegative_slope(agent, x, "VaR")
@@ -271,6 +256,7 @@ class CournotGame(AffineNoiseGame):
     """
 
     name = "cournot"
+    default_alphas = (0.4, 0.8)
     _BOX = Box(np.zeros(1), np.ones(1))
     _NOISE = Uniform(0.0, 1.0)
 
@@ -336,14 +322,13 @@ class QuadraticCounterexampleGame(AffineNoiseGame):
     d: float = 1.0
 
     name = "quadratic-counterexample"
+    default_alphas = (0.5, 0.5)
 
     def __post_init__(self):
-        if self.a <= 0:
-            raise ValueError("a must be positive")
-        if self.b <= 0:
-            raise ValueError("b must be positive (actions live in [0, b])")
-        if self.d <= 0:
-            raise ValueError("d must be positive (noise lives on [0, d])")
+        for field, why in (("a", ""), ("b", " (actions live in [0, b])"), ("d", " (noise lives on [0, d])")):
+            value = getattr(self, field)
+            if not value > 0:
+                raise ValueError(f"{field}: must be positive{why}, got {value!r}")
         object.__setattr__(self, "_box", Box(np.zeros(1), np.array([self.b])))
         object.__setattr__(self, "_noise", Uniform(0.0, self.d))
 
@@ -481,11 +466,9 @@ def decomposition_check(
             # keep the agent's own block fixed, vary only the rivals
             blk = game.block_slice(agent)
             x_alt[blk] = x[blk]
-            xi = game.sample_noise(agent, rng)
-            xi_alt = game.sample_noise(agent, rng)
-            delta = (game.cost(agent, x, xi) - game.cost(agent, x, xi_alt)) - (
-                game.cost(agent, x_alt, xi) - game.cost(agent, x_alt, xi_alt)
-            )
+            xis = np.array([game.sample_noise(agent, rng), game.sample_noise(agent, rng)])
+            here, there = game.cost_batch(agent, x, xis), game.cost_batch(agent, x_alt, xis)
+            delta = (here[0] - here[1]) - (there[0] - there[1])
             if abs(delta) > tol:
                 return False
     return True

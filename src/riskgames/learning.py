@@ -1,7 +1,8 @@
 """First-order risk-averse learning.
 
-Each episode every agent evaluates its noise history at the current
-joint action, estimates the VaR of the resulting cost sample, averages
+Each episode every agent draws one scalar noise sample and evaluates its
+noise history, the 1-d array of its draws so far, at the current joint
+action, estimates the VaR of the resulting cost sample, averages
 the per-sample gradients over the tail at or above that estimate
 (scaled by 1/alpha), and takes a projected gradient step:
 
@@ -84,19 +85,21 @@ def _replay_gradient(
     """
     check_risk_level(alpha)
     noise_history = np.asarray(noise_history, dtype=np.float64)
-    if noise_history.ndim != 2 or noise_history.shape[0] == 0:
-        raise ValueError("noise history must be a nonempty (t, noise_dim) array")
+    if noise_history.ndim != 1 or noise_history.size == 0:
+        raise ValueError(
+            f"noise history must be a nonempty 1-d array of shape (t,), got shape {noise_history.shape}"
+        )
     costs = game.cost_batch(agent, x, noise_history)
     grads = game.grad_batch(agent, x, noise_history)
     if threshold is None:
         nu = empirical_var(costs, alpha)
         # np.lexsort sorts by its last key first
-        order = np.lexsort((*noise_history.T[::-1], costs))
+        order = np.lexsort((noise_history, costs))
         mask = np.zeros(costs.size, dtype=bool)
         mask[order[_tail_start(costs.size, alpha) - 1 :]] = True
     else:
         nu, q = threshold
-        mask = (costs > nu) | ((costs == nu) & (noise_history[:, 0] >= q))
+        mask = (costs > nu) | ((costs == nu) & (noise_history >= q))
     # the mask keeps history order, so alpha = 1 sums exactly as a plain mean
     g = grads[mask].sum(axis=0) / (costs.size * alpha)
     return GradientEstimate(g=g, var_used=float(nu), tail_count=int(mask.sum()))
@@ -111,7 +114,8 @@ def cvar_gradient_estimate(
 ) -> GradientEstimate:
     """CVaR gradient estimate from the replayed noise history.
 
-    Re-evaluates every stored draw at the current joint action, takes
+    ``noise_history`` is the agent's kept draws, a 1-d array of shape
+    (t,). Re-evaluates every stored draw at the current joint action, takes
     the empirical VaR nu of the costs, the k-th smallest, and averages
     the gradients of the t - k + 1 rows at or above rank k in (cost,
     noise) order, scaled by 1 / alpha. Rows tied with nu below that rank
@@ -143,7 +147,7 @@ def unbiased_cvar_gradient(
 
 
 def _rank_tails(draws, alpha: float, window: int | None, q=None):
-    """Per episode t, the tail of the scalar draws[start:t] as noise ranks.
+    """Per episode t, the tail of draws[start:t], a 1-d array, as noise ranks.
 
     Returns three arrays over the episodes: the lowest tail draw, the tail
     size and the sum of the tail draws. With ``q`` None the tail is the top
@@ -156,7 +160,6 @@ def _rank_tails(draws, alpha: float, window: int | None, q=None):
     that goes to the 0-bits adds its range's 1-bit draws, all above its
     target, to the tail sum. O(T log T) in all.
     """
-    draws = draws[:, 0]
     horizon = draws.size
     hi = np.arange(1, horizon + 1)
     lo = np.zeros_like(hi) if window is None else np.maximum(hi - window, 0)
@@ -254,7 +257,7 @@ def _run(
     low, count, total = (np.empty((num_agents, horizon, width)) for _ in range(3))
     for c, (seed, _) in enumerate(columns):
         for i, rng in enumerate(_as_rngs(game, seed)):
-            draws = laws[i].sample(rng, size=horizon)[:, None]
+            draws = laws[i].sample(rng, size=horizon)
             # the baseline's tail is the draws at or above the noise quantile
             q = quantiles[i] if unbiased[c] else None
             low[i, :, c], count[i, :, c], total[i, :, c] = _rank_tails(
@@ -273,22 +276,25 @@ def _run(
         # simultaneous play: all updates use the same joint action
         x = np.clip(x - eta * grads, lower, upper)
 
-    # the VaRs off the (agents, T, columns) action path
-    c0, s, _, _ = game.affine_noise(agents, actions.T)
-    s = np.broadcast_to(s, low.shape)
-    negative = np.argwhere(s < 0)
-    if negative.size:
-        i, k, c = negative[0]
-        raise ValueError(
-            f"agent {i} at episode {k + 1}: affine_noise needs a nonnegative "
-            f"noise slope, got {s[i, k, c]}"
-        )
-    nu_star = c0 + s * quantiles[:, None, None]
-    nu = np.where(unbiased, nu_star, c0 + low * s)
+    del count, total
     x_star = game.nash_equilibrium(alphas)
-    return [
-        _trace(actions[c], nu[:, :, c].T, nu_star[:, :, c].T, x_star) for c in range(width)
-    ]
+    traces = []
+    for c in range(width):
+        # the VaRs off the column's (agents, T) action path, one column at a
+        # time so that no block-sized temporaries pile up
+        c0, s, _, _ = game.affine_noise(agents, actions[c].T)
+        s = np.broadcast_to(s, (num_agents, horizon))
+        negative = np.argwhere(s < 0)
+        if negative.size:
+            i, k = negative[0]
+            raise ValueError(
+                f"agent {i} at episode {k + 1}: affine_noise needs a nonnegative "
+                f"noise slope, got {s[i, k]}"
+            )
+        nu_star = c0 + s * quantiles[:, None]
+        nu = nu_star if unbiased[c] else c0 + low[:, :, c] * s
+        traces.append(_trace(actions[c], nu.T, nu_star.T, x_star))
+    return traces
 
 
 def _replay(

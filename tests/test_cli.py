@@ -2,6 +2,7 @@ import csv
 import hashlib
 import io
 import os
+import tracemalloc
 import xml.etree.ElementTree as ET
 from dataclasses import fields, replace
 
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 import yaml
 
+from riskgames import cli
 from riskgames.analysis import AggregateTrace, RunTrace, time_averaged_error
 from riskgames.cli import (
     ConfigError,
@@ -23,9 +25,12 @@ from riskgames.cli import (
     validate_config,
     write_aggregate_csv,
     write_trace_csv,
+    _BLOCK_ARRAYS,
     _BLOCK_BYTES,
+    _SERIES_ARRAYS,
     _aggregate,
     _blocks,
+    _run_block,
 )
 from riskgames.learning import run_algorithm1, run_unbiased_baseline
 from riskgames import plotting
@@ -150,6 +155,10 @@ class TestValidateConfig:
             ({"game": "cournot", "T": "many"}, "T"),
             ([1, 2], "mapping"),
             ({"game": "cournot", "T": 10, "edf": "binned:200"}, "edf: the binned EDF was removed"),
+            ({"game": "quadratic-counterexample", "T": 10, "a": -1}, "a: must be positive"),
+            ({"game": "quadratic-counterexample", "T": 10, "b": 0}, "b: must be positive"),
+            ({"game": "quadratic-counterexample", "T": 10, "d": 0}, "d: must be positive"),
+            ({"game": [1], "T": 10}, "game: unknown game"),
         ],
     )
     def test_rejections_name_the_field(self, raw, fragment):
@@ -352,7 +361,7 @@ class TestBundle:
         assert capsys.readouterr().out == ""
 
     @pytest.mark.parametrize(
-        "horizon,workers,count", [(5000, 1, 1), (5000, 3, 3), (10**5, 2, 7), (10**6, 1, 40)]
+        "horizon,workers,count", [(5000, 1, 1), (5000, 3, 3), (10**5, 2, 8), (10**6, 1, 40)]
     )
     def test_blocks_follow_workers_and_the_byte_budget(self, horizon, workers, count):
         cfg = validate_config({"game": "cournot", "T": horizon, "trials": 20})
@@ -362,7 +371,45 @@ class TestBundle:
         assert max(map(len, blocks)) - min(map(len, blocks)) <= 1
         assert [c for b in blocks for c in b] == [(a, i) for a in cfg.algorithms for i in range(20)]
         for block in blocks:
-            assert len(block) == 1 or len(block) * 3 * 8 * 2 * horizon <= _BLOCK_BYTES
+            held = 8 * horizon * (_SERIES_ARRAYS + _BLOCK_ARRAYS * 2 * len(block))
+            assert len(block) == 1 or held <= _BLOCK_BYTES
+
+    @pytest.mark.parametrize("per_block,window", [(1, None), (8, 100)])
+    def test_a_block_peaks_within_the_byte_budget(self, monkeypatch, per_block, window):
+        # the smallest cap at which _blocks puts per_block columns in a block
+        horizon = 5000
+        cap = 8 * horizon * (_SERIES_ARRAYS + _BLOCK_ARRAYS * 2 * per_block)
+        monkeypatch.setattr(cli, "_BLOCK_BYTES", cap)
+        cfg = validate_config({"game": "cournot", "T": horizon, "trials": 4, "window": window})
+        block = _blocks(cfg, 1)[0]
+        assert len(block) == per_block
+        # a first run imports what the engine loads lazily, which is no block's cost
+        _run_block(validate_config({"game": "cournot", "T": 2, "trials": 1}), [("algorithm1", 0)])
+        tracemalloc.start()
+        try:
+            _run_block(cfg, block)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= cap
+
+    def test_seeding_is_linear_in_trials(self, tmp_path, monkeypatch):
+        # every column's seed used to spawn all trials + 1 children
+        spawned = []
+
+        class CountingSeedSequence(np.random.SeedSequence):
+            def spawn(self, n_children):
+                spawned.append(n_children)
+                return super().spawn(n_children)
+
+        monkeypatch.setattr(np.random, "SeedSequence", CountingSeedSequence)
+        children = []
+        for trials in (5, 20):
+            spawned.clear()
+            cfg = validate_config({"game": "cournot", "T": 1, "trials": trials})
+            run_experiment(cfg, out_dir=str(tmp_path / str(trials)))
+            children.append(sum(spawned))
+        assert children[1] <= 4 * children[0]
 
     def test_counterexample_bundle_has_no_error_curves(self, tmp_path):
         cfg = validate_config(
@@ -536,6 +583,12 @@ class TestMain:
         path.write_text("game: quadratic-counterexample\nT: 10\nd: .nan\n", encoding="utf-8")
         assert main(["validate", "--config", str(path)]) == 2
         assert "d: must be finite" in capsys.readouterr().err
+
+    def test_validate_rejects_non_utf8_file(self, tmp_path, capsys):
+        path = tmp_path / "config.yaml"
+        path.write_bytes(b"game: cournot\nT: 10\nout_dir: caf\xe9\n")
+        assert main(["validate", "--config", str(path)]) == 2
+        assert "error: config: not UTF-8 text" in capsys.readouterr().err
 
     def test_missing_file(self, capsys):
         assert main(["validate", "--config", "/nonexistent/cfg.yaml"]) == 2

@@ -36,7 +36,7 @@ def cvar_of(samples, alpha):
 
 def rank_tails(values, alpha):
     """Per episode, the lowest tail draw, tail size and tail sum of the history so far."""
-    return _rank_tails(np.array(values)[:, None], alpha, None)
+    return _rank_tails(np.array(values), alpha, None)
 
 
 class TestEmpiricalDistribution:

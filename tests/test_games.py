@@ -39,13 +39,13 @@ class MinimalGame(StochasticGame):
         return 2.0
 
     def sample_noise(self, agent, rng):
-        return rng.uniform(0.0, 1.0, size=1)
+        return rng.uniform(0.0, 1.0)
 
-    def cost(self, agent, x, xi):
-        return float(x[0] ** 2)
+    def cost_batch(self, agent, x, xi_batch):
+        return np.full(len(xi_batch), x[0] ** 2)
 
-    def grad(self, agent, x, xi):
-        return np.array([2.0 * x[0]])
+    def grad_batch(self, agent, x, xi_batch):
+        return np.full((len(xi_batch), 1), 2.0 * x[0])
 
 
 class TestBox:
@@ -97,7 +97,7 @@ class TestCournotEquilibrium:
         # minimizes a Monte Carlo CVaR estimate over an action grid
         grid = np.linspace(0.0, 1.0, 101)
         rng = np.random.default_rng(99)
-        draws = [rng.uniform(0.0, 1.0, size=(20_000, 1)) for _ in (0, 1)]
+        draws = [rng.uniform(0.0, 1.0, size=20_000) for _ in (0, 1)]
 
         def best_response(agent, other_action):
             values = []
@@ -120,22 +120,21 @@ class TestCostAndGradient:
     def test_zero_production_cost(self):
         # with x_own = 0 the whole cost collapses to the constant 1
         x = np.array([0.0, 0.5])
-        for xi in (0.0, 0.3, 1.0):
-            cost, grad = COURNOT.cost(0, x, np.array([xi])), COURNOT.grad(0, x, np.array([xi]))
-            assert cost == 1.0
-            assert grad[0] == pytest.approx(xi - 1.3)
+        xi = np.array([0.0, 0.3, 1.0])
+        assert np.all(COURNOT.cost_batch(0, x, xi) == 1.0)
+        assert COURNOT.grad_batch(0, x, xi)[:, 0] == pytest.approx(xi - 1.3)
 
     def test_gradient_vanishes_at_equilibrium_tail_point(self):
         # for the alpha = 0.8 agent the per-sample gradient at xi = 0.6
         # equals its exact CVaR gradient, which is zero at the equilibrium
         x = COURNOT.nash_equilibrium([0.4, 0.8])
-        grad = COURNOT.grad(1, x, np.array([0.6]))
+        grad = COURNOT.grad_batch(1, x, np.array([0.6]))[0]
         assert abs(grad[0]) < 1e-12
 
     def test_counterexample_stationary_on_equilibrium_line(self):
         # (0.25, 0.25) lies on x_1 + x_2 = b/2; xi = 0.75 is the alpha = 0.5
         # tail mean of U(0, 1)
-        grad = COUNTER.grad(0, np.array([0.25, 0.25]), np.array([0.75]))
+        grad = COUNTER.grad_batch(0, np.array([0.25, 0.25]), np.array([0.75]))[0]
         assert abs(grad[0]) < 1e-12
         assert np.linalg.norm(
             COUNTER.exact_risk_averse_gradient(0, np.array([0.25, 0.25]), 0.5)
@@ -160,51 +159,31 @@ class TestCostAndGradient:
             for agent in (0, 1):
                 xi = game.sample_noise(agent, rng)
                 for row in x[:: 100]:
-                    worst = max(worst, abs(game.grad(agent, row, xi)[0]))
+                    worst = max(worst, abs(game.grad_batch(agent, row, np.array([xi]))[0, 0]))
         # vectorized sweep over 1e5 (x, xi) pairs
         xs = rng.uniform(lower, upper, size=(100_000, 2))
         for agent in (0, 1):
-            xis = rng.uniform(0.0, 1.0, size=(100_000, 1))
+            xis = rng.uniform(0.0, 1.0, size=100_000)
             if isinstance(game, QuadraticCounterexampleGame):
                 xis *= game.d
             grads = np.array(
-                [game.grad(agent, xs[j], xis[j])[0] for j in range(0, 100_000, 37)]
+                [game.grad_batch(agent, xs[j], xis[j : j + 1])[0, 0] for j in range(0, 100_000, 37)]
             )
             worst = max(worst, float(np.max(np.abs(grads))))
         assert worst <= bound + 1e-9
         assert game.grad_bound == pytest.approx(bound)
 
-    def test_batch_matches_scalar(self):
-        rng = np.random.default_rng(3)
-        xi_batch = rng.uniform(0, 1, size=(50, 1))
-        for game in (COURNOT, COUNTER):
-            x = np.array([0.3, 0.6]) * game.action_sets[0].upper[0]
-            for agent in (0, 1):
-                costs = game.cost_batch(agent, x, xi_batch)
-                grads = game.grad_batch(agent, x, xi_batch)
-                for k in range(50):
-                    assert costs[k] == pytest.approx(game.cost(agent, x, xi_batch[k]))
-                    assert grads[k, 0] == pytest.approx(game.grad(agent, x, xi_batch[k])[0])
-
     def test_affine_noise_reproduces_batches(self):
         # bit-exact, since the learning loop reads the VaR off these coefficients
-        xi_batch = np.random.default_rng(4).uniform(0, 1, size=(50, 1))
+        xi_batch = np.random.default_rng(4).uniform(0, 1, size=50)
         for game in (COURNOT, COUNTER, QuadraticCounterexampleGame(a=2.0, b=1.5, c=-0.5, d=0.7)):
             upper = game.action_sets[0].upper[0]
             for x in (np.array([0.3, 0.6]) * upper, np.array([0.0, upper])):
                 for agent in (0, 1):
                     c0, s, g0, g1 = game.affine_noise(agent, x)
                     assert s >= 0
-                    noise = xi_batch[:, 0]
-                    assert np.array_equal(c0 + noise * s, game.cost_batch(agent, x, xi_batch))
-                    assert np.array_equal(g0 + g1 * noise, game.grad_batch(agent, x, xi_batch)[:, 0])
-
-    def test_default_batch_fallback(self):
-        game = MinimalGame()
-        xi = np.zeros((4, 1))
-        x = np.array([0.5])
-        assert np.allclose(game.cost_batch(0, x, xi), 0.25)
-        assert game.grad_batch(0, x, xi).shape == (4, 1)
+                    assert np.array_equal(c0 + xi_batch * s, game.cost_batch(agent, x, xi_batch))
+                    assert np.array_equal(g0 + g1 * xi_batch, game.grad_batch(agent, x, xi_batch)[:, 0])
 
 
 class TestClosedFormsAgainstMonteCarlo:
@@ -212,7 +191,7 @@ class TestClosedFormsAgainstMonteCarlo:
         rng = np.random.default_rng(21)
         x = np.array([0.3, 0.6])
         for agent, alpha in ((0, 0.4), (1, 0.8)):
-            costs = COURNOT.cost_batch(agent, x, rng.uniform(0, 1, size=(1_000_000, 1)))
+            costs = COURNOT.cost_batch(agent, x, rng.uniform(0, 1, size=1_000_000))
             var, cvar = empirical_var_cvar(costs, alpha)
             assert var == pytest.approx(COURNOT.exact_var(agent, x, alpha), abs=2e-3)
             assert cvar == pytest.approx(COURNOT.exact_cvar(agent, x, alpha), abs=2e-3)
@@ -222,7 +201,7 @@ class TestClosedFormsAgainstMonteCarlo:
         rng = np.random.default_rng(11)
         for x in (np.array([0.3, 0.6]), np.array([0.7, 0.2])):
             for agent, alpha in ((0, 0.4), (1, 0.8)):
-                xi = rng.uniform(0, 1, size=(1_000_000, 1))
+                xi = rng.uniform(0, 1, size=1_000_000)
                 costs = COURNOT.cost_batch(agent, x, xi)
                 grads = COURNOT.grad_batch(agent, x, xi)[:, 0]
                 nu = COURNOT.exact_var(agent, x, alpha)
@@ -234,7 +213,7 @@ class TestClosedFormsAgainstMonteCarlo:
         # at (0.3, 0.3) with a=1, b=1, c=0, d=1 the alpha = 0.5 CVaR is
         # 0.09 + 2 * 0.09 - 0.3 = -0.03
         rng = np.random.default_rng(5)
-        costs = COUNTER.cost_batch(0, np.array([0.3, 0.3]), rng.uniform(0, 1, size=(1_000_000, 1)))
+        costs = COUNTER.cost_batch(0, np.array([0.3, 0.3]), rng.uniform(0, 1, size=1_000_000))
         _, cvar = empirical_var_cvar(costs, 0.5)
         assert cvar == pytest.approx(-0.03, rel=0.01)
         assert COUNTER.exact_cvar(0, np.array([0.3, 0.3]), 0.5) == pytest.approx(-0.03)

@@ -46,13 +46,13 @@ class NoClosedFormGame(StochasticGame):
         return 2.2
 
     def sample_noise(self, agent, rng):
-        return rng.uniform(0.0, 1.0, size=1)
+        return rng.uniform(0.0, 1.0)
 
-    def cost(self, agent, x, xi):
-        return GAME.cost(agent, x, xi)
+    def cost_batch(self, agent, x, xi_batch):
+        return GAME.cost_batch(agent, x, xi_batch)
 
-    def grad(self, agent, x, xi):
-        return GAME.grad(agent, x, xi)
+    def grad_batch(self, agent, x, xi_batch):
+        return GAME.grad_batch(agent, x, xi_batch)
 
 
 class NegativeSlopeGame(AffineNoiseGame):
@@ -113,12 +113,6 @@ class ReplayGame(StochasticGame):
 
     def sample_noise(self, agent, rng):
         return self.game.sample_noise(agent, rng)
-
-    def cost(self, agent, x, xi):
-        return self.game.cost(agent, x, xi)
-
-    def grad(self, agent, x, xi):
-        return self.game.grad(agent, x, xi)
 
     def cost_batch(self, agent, x, xi_batch):
         return self.game.cost_batch(agent, x, xi_batch)
@@ -199,33 +193,40 @@ class TestStepSchedule:
 
 class TestCvarGradientEstimate:
     def test_single_sample(self):
-        xi = np.array([[0.7]])
+        xi = np.array([0.7])
         x = np.array([0.4, 0.4])
         est = cvar_gradient_estimate(GAME, 0, x, xi, 0.4)
-        cost = GAME.cost(0, x, xi[0])
-        grad = GAME.grad(0, x, xi[0])
+        cost = GAME.cost_batch(0, x, xi)[0]
+        grad = GAME.grad_batch(0, x, xi)[0]
         assert est.var_used == cost
         assert est.tail_count == 1
         assert est.g == pytest.approx(grad / 0.4)
 
     def test_alpha_one_is_plain_average(self):
         rng = np.random.default_rng(2)
-        xi = rng.uniform(0, 1, size=(500, 1))
+        xi = rng.uniform(0, 1, size=500)
         x = np.array([0.3, 0.7])
         est = cvar_gradient_estimate(GAME, 1, x, xi, 1.0)
         assert est.tail_count == 500
         assert est.g == pytest.approx(GAME.grad_batch(1, x, xi).mean(axis=0))
 
     def test_empty_history_rejected(self):
-        empty = np.empty((0, 1))
+        empty = np.empty(0)
         with pytest.raises(ValueError):
             cvar_gradient_estimate(GAME, 0, NE, empty, 0.4)
         with pytest.raises(ValueError):
             unbiased_cvar_gradient(GAME, 0, NE, empty, 0.4)
 
+    def test_two_dimensional_history_rejected(self):
+        # a history is a 1-d array of scalar draws; a (t, 1) column is an error
+        column = np.full((3, 1), 0.5)
+        for estimate in (cvar_gradient_estimate, unbiased_cvar_gradient):
+            with pytest.raises(ValueError, match=r"1-d array of shape \(t,\), got shape \(3, 1\)$"):
+                estimate(GAME, 0, NE, column, 0.4)
+
     def test_tail_size_without_ties(self):
         rng = np.random.default_rng(3)
-        xi = rng.uniform(0, 1, size=(1000, 1))
+        xi = rng.uniform(0, 1, size=1000)
         x = np.array([0.5, 0.5])
         for alpha in (0.25, 0.4, 0.8):
             est = cvar_gradient_estimate(GAME, 0, x, xi, alpha)
@@ -237,7 +238,7 @@ class TestCvarGradientEstimate:
         rng = np.random.default_rng(4)
         for _ in range(50):
             t = int(rng.integers(1, 400))
-            xi = rng.uniform(0, 1, size=(t, 1))
+            xi = rng.uniform(0, 1, size=t)
             x = rng.uniform(0, 1, size=2)
             alpha = float(rng.uniform(0.05, 1.0))
             est = cvar_gradient_estimate(GAME, 0, x, xi, alpha)
@@ -245,7 +246,7 @@ class TestCvarGradientEstimate:
 
     def test_near_zero_at_equilibrium(self):
         rng = np.random.default_rng(12)
-        xi = rng.uniform(0, 1, size=(100_000, 1))
+        xi = rng.uniform(0, 1, size=100_000)
         for agent in (0, 1):
             est = cvar_gradient_estimate(GAME, agent, NE, xi, ALPHAS[agent])
             assert abs(est.g[0]) < 0.02
@@ -256,11 +257,11 @@ class TestCvarGradientEstimate:
         # quantile hit by nu and G the deterministic gradient part
         rng = np.random.default_rng(31)
         for agent, alpha, q in ((0, 0.4, 0.2), (1, 0.8, 0.5)):
-            base = GAME.cost(agent, NE, np.array([0.0]))
+            base = GAME.cost_batch(agent, NE, np.zeros(1))[0]
             nu = base + q * NE[agent]
             g_det = 2 * NE[agent] + NE[1 - agent] - 1.8
             expected = ((1 - q) * g_det + (1 - q * q) / 2) / alpha
-            xi = rng.uniform(0, 1, size=(1_000_000, 1))
+            xi = rng.uniform(0, 1, size=1_000_000)
             est = unbiased_cvar_gradient(GAME, agent, NE, xi, alpha, exact_var=nu)
             assert est.g[0] == pytest.approx(expected, rel=0.01)
 
@@ -268,19 +269,19 @@ class TestCvarGradientEstimate:
         rng = np.random.default_rng(11)
         for x in (np.array([0.3, 0.6]), np.array([0.7, 0.2])):
             for agent in (0, 1):
-                xi = rng.uniform(0, 1, size=(1_000_000, 1))
+                xi = rng.uniform(0, 1, size=1_000_000)
                 est = unbiased_cvar_gradient(GAME, agent, x, xi, ALPHAS[agent])
                 exact = GAME.exact_risk_averse_gradient(agent, x, ALPHAS[agent])[0]
                 assert est.g[0] == pytest.approx(exact, rel=0.005)
 
     def test_unbiased_requires_closed_form(self):
-        xi = np.array([[0.5]])
+        xi = np.array([0.5])
         with pytest.raises(UnsupportedGameError):
             unbiased_cvar_gradient(NoClosedFormGame(), 0, np.array([0.4, 0.4]), xi, 0.4)
 
     def test_alpha_one_estimators_coincide(self):
         rng = np.random.default_rng(5)
-        xi = rng.uniform(0, 1, size=(200, 1))
+        xi = rng.uniform(0, 1, size=200)
         x = np.array([0.6, 0.3])
         a = cvar_gradient_estimate(GAME, 0, x, xi, 1.0)
         b = unbiased_cvar_gradient(GAME, 0, x, xi, 1.0)
@@ -452,7 +453,7 @@ class TestSortedNoise:
         window = {None: None, "one": 1, "shorter": max(1, horizon // 3), "covering": horizon + 1}[
             window_kind
         ]
-        history = np.array(draws)[:, None]
+        history = np.array(draws)
         coeffs = GAME.affine_noise(agent, x)
         # a threshold at a replayed (cost, draw) pair ties with that cost exactly;
         # the exact one is (VaR, noise quantile)
@@ -488,7 +489,7 @@ class TestSortedNoise:
         # at x_i = 0 every cost ties with the VaR; the tail is still a set of
         # noise ranks of about alpha * t draws, not the whole history
         t = 10_000
-        draws = np.random.default_rng(8).uniform(0, 1, size=(t, 1))
+        draws = np.random.default_rng(8).uniform(0, 1, size=t)
         x = np.array([0.0, 0.5])
         q = game.noise_distribution(0).var(alpha)
         nu = game.exact_var(0, x, alpha) if baseline else None
@@ -533,7 +534,7 @@ class TestRankTailsLongSeries:
                 low = ordered[k] if k < ordered.size else np.nan
                 expected[j, :, t - 1] = low, ordered.size - k, ordered[k:].sum()
         for q, (low, count, total) in zip(qs, expected):
-            fast = _rank_tails(draws[:, None], alpha, window, q)
+            fast = _rank_tails(draws, alpha, window, q)
             assert np.array_equal(fast[0], low, equal_nan=True)
             assert np.array_equal(fast[1], count)
             assert np.all(np.abs(fast[2] - total) <= 1e-12 * np.maximum(count, 1))
