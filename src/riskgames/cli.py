@@ -121,7 +121,7 @@ def validate_config(raw: dict) -> ExperimentConfig:
 
     Defaults: trials=20, seed=0, eta=auto, both algorithms, window off,
     exact EDF, and, from the selected game's class, its risk levels
-    ``default_alphas`` and x0 at the centers of its action boxes. Game
+    ``default_alphas`` and x0 at the centre of its ``bounds``. Game
     parameters are its constructor's arguments. Unknown keys are rejected.
     """
     _require(isinstance(raw, dict), f"config: expected a mapping, got {type(raw).__name__}")
@@ -189,13 +189,13 @@ def validate_config(raw: dict) -> ExperimentConfig:
         x0_raw = raw["x0"]
         _require(isinstance(x0_raw, (list, tuple)), "x0: expected a list")
         _require(
-            len(x0_raw) == game_obj.dimension,
-            f"x0: expected {game_obj.dimension} coordinates, got {len(x0_raw)}",
+            len(x0_raw) == game_obj.num_agents,
+            f"x0: expected {game_obj.num_agents} coordinates, got {len(x0_raw)}",
         )
         x0 = tuple(_as_float(v, f"x0[{i}]") for i, v in enumerate(x0_raw))
         _require(game_obj.feasible(np.array(x0)), "x0: outside the action boxes")
     else:
-        x0 = tuple(float(v) for v in np.concatenate([b.center for b in game_obj.action_sets]))
+        x0 = tuple((0.5 * np.add(*game_obj.bounds)).tolist())
 
     out_dir = raw.get("out_dir")
     if out_dir is not None:
@@ -271,7 +271,8 @@ def _blocks(config: ExperimentConfig, workers: int) -> list[list]:
     """The (algorithm, trial) columns in order, cut into near-equal blocks.
 
     At least one block per worker, and more only when a block's run would
-    hold more than ``_BLOCK_BYTES``.
+    hold more than ``_BLOCK_BYTES``; but never less than one column, which
+    for two agents alone exceeds that budget from about T = 2.5e5.
     """
     columns = [(alg, idx) for alg in config.algorithms for idx in range(config.trials)]
     per_episode = _BLOCK_BYTES // (8 * config.horizon) - _SERIES_ARRAYS
@@ -361,14 +362,14 @@ def _write_numeric_csv(path, header, episodes, block) -> None:
         )
 
 
-def _trial_columns(dim: int, num_agents: int) -> dict[str, list[str]]:
+def _trial_columns(num_agents: int) -> dict[str, list[str]]:
     """Trial-file column names in file order, per ``RunTrace`` field.
 
     A trace whose ``err_sq`` or ``nu_star`` is None has no such columns.
     """
     return {
         "episodes": ["t"],
-        "actions": [f"x{j}" for j in range(dim)],
+        "actions": [f"x{j}" for j in range(num_agents)],
         "err_sq": ["err_sq"],
         "nu": [f"nu_agent{i}" for i in range(num_agents)],
         "nu_star": [f"nu_star_agent{i}" for i in range(num_agents)],
@@ -377,7 +378,7 @@ def _trial_columns(dim: int, num_agents: int) -> dict[str, list[str]]:
 
 def write_trace_csv(trace: RunTrace, path) -> None:
     """One row per episode; full round-trip float precision."""
-    columns = _trial_columns(trace.actions.shape[1], trace.num_agents)
+    columns = _trial_columns(trace.num_agents)
     header, blocks = columns.pop("episodes"), []
     for field, names in columns.items():
         values = getattr(trace, field)
@@ -390,29 +391,33 @@ def write_trace_csv(trace: RunTrace, path) -> None:
 def read_trace_csv(path, config: ExperimentConfig) -> RunTrace:
     """Rebuild a RunTrace from a trial CSV of a run of ``config``.
 
-    Raises ``ConfigError``, naming the file, when its header or shape does
-    not match what a run of that config writes, when its ``t`` column is
-    not 1..T in order, or when a cell is not a finite number or breaks
-    ``RunTrace``'s own checks.
+    Raises ``ConfigError``, naming the file, when it is not UTF-8 text,
+    when its header or shape does not match what a run of that config
+    writes, when its ``t`` column is not 1..T in order, or when a cell is
+    not a finite number or breaks ``RunTrace``'s own checks.
     """
     game = build_game(config)
-    columns = _trial_columns(game.dimension, game.num_agents)
+    columns = _trial_columns(game.num_agents)
     if game.nash_equilibrium(config.alphas) is None:
         del columns["err_sq"]
     expected = [name for names in columns.values() for name in names]
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n").split(",")
-        _require(header == expected, f"trial file {path}: expected columns {expected}, got {header}")
-        body = fh.tell()
-        _require(
-            any(line.strip() for line in fh),
-            f"trial file {path}: expected {config.horizon} rows of {len(expected)} values, got 0 rows",
-        )
-        fh.seek(body)
-        try:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            header = fh.readline().rstrip("\n").split(",")
+            _require(header == expected, f"trial file {path}: expected columns {expected}, got {header}")
+            body = fh.tell()
+            _require(
+                any(line.strip() for line in fh),
+                f"trial file {path}: expected {config.horizon} rows of {len(expected)} values, got 0 rows",
+            )
+            fh.seek(body)
             data = np.loadtxt(fh, delimiter=",", ndmin=2)
-        except ValueError as exc:
-            raise ConfigError(f"trial file {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"trial file {path}: not UTF-8 text ({exc})") from None
+    except ConfigError:
+        raise
+    except ValueError as exc:  # a cell loadtxt cannot parse
+        raise ConfigError(f"trial file {path}: {exc}") from None
     _require(
         data.shape == (config.horizon, len(expected)),
         f"trial file {path}: expected {config.horizon} rows of {len(expected)} values, "

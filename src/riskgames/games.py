@@ -11,10 +11,12 @@ strongly monotone. Also numerical probes for strong monotonicity and for
 the additive noise-decomposition structure that the convergence theory
 relies on.
 
-Joint actions are flat float vectors; agent ``i`` owns the coordinates
-``game.block_slice(i)``. Both built-in games use one coordinate per agent.
-A noise draw is a float and a history of draws a 1-d array; costs and
-gradients are only evaluated over such a history, in one batch call.
+An agent's action is a float in an interval, its ``Box``; a joint
+action is a float vector with one entry per agent, and ``game.bounds``
+is the joint box as a (lower, upper) pair of such vectors. A noise draw
+is a float and a history of draws a 1-d array; costs and gradients are
+only evaluated over such a history, in one batch call, and a gradient is
+the float derivative in the agent's own action.
 Each built-in game class carries its config ``name``, its
 ``default_alphas`` and, as its constructor's parameters, its config keys.
 """
@@ -48,53 +50,35 @@ class UnsupportedGameError(RuntimeError):
 
 @dataclass(frozen=True)
 class Box:
-    """Axis-aligned box action set with componentwise bounds."""
+    """One agent's action set, the interval [lower, upper]."""
 
-    lower: np.ndarray
-    upper: np.ndarray
+    lower: float
+    upper: float
 
     def __post_init__(self):
-        lo = np.atleast_1d(np.asarray(self.lower, dtype=np.float64))
-        hi = np.atleast_1d(np.asarray(self.upper, dtype=np.float64))
-        if lo.shape != hi.shape or lo.ndim != 1:
-            raise ValueError("bounds must be 1-d arrays of equal length")
-        if not np.all(lo < hi):
-            raise ValueError("lower bounds must be strictly below upper bounds")
-        lo.flags.writeable = False
-        hi.flags.writeable = False
+        lo, hi = float(self.lower), float(self.upper)
+        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+            raise ValueError(f"bounds must be finite with lower < upper, got [{lo}, {hi}]")
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", hi)
 
-    @property
-    def dim(self) -> int:
-        return self.lower.size
-
-    @property
-    def diameter(self) -> float:
-        return float(np.linalg.norm(self.upper - self.lower))
-
-    @property
-    def center(self) -> np.ndarray:
-        return 0.5 * (self.lower + self.upper)
-
     def project(self, x) -> np.ndarray:
-        """Euclidean projection; separable for boxes, so a componentwise clamp."""
+        """Euclidean projection onto the interval, a clamp."""
         return np.clip(np.asarray(x, dtype=np.float64), self.lower, self.upper)
 
-    def contains(self, x, tol: float = 1e-9) -> bool:
-        x = np.asarray(x, dtype=np.float64)
-        return bool(np.all(x >= self.lower - tol) and np.all(x <= self.upper + tol))
 
-    def sample(self, rng: np.random.Generator) -> np.ndarray:
-        return rng.uniform(self.lower, self.upper)
+def _joint_bounds(action_sets) -> tuple[np.ndarray, np.ndarray]:
+    return np.array([box.lower for box in action_sets]), np.array([box.upper for box in action_sets])
 
 
 class StochasticGame(ABC):
     """N-agent game with per-agent stochastic costs J_i(x, xi_i).
 
-    Each agent's cost must be convex in its own action block for every
-    rival action and noise realization, and the per-sample gradients must
-    be bounded by ``grad_bound`` over the feasible set and noise support.
+    Agent i's action is one float in ``action_sets[i]``, and a joint
+    action x a float vector of shape (num_agents,) inside ``bounds``.
+    Each agent's cost must be convex in its own action for every rival
+    action and noise realization, and the per-sample gradients must be
+    bounded by ``grad_bound`` over the feasible set and noise support.
     A noise draw is a float; a history of t draws is an array of shape
     (t,), and the batch methods evaluate the cost and gradient over one.
     """
@@ -113,25 +97,14 @@ class StochasticGame(ABC):
         """Uniform bound B on the per-sample gradient norm."""
 
     @property
-    def dims(self) -> tuple[int, ...]:
-        return tuple(box.dim for box in self.action_sets)
-
-    @property
-    def dimension(self) -> int:
-        return sum(self.dims)
-
-    def block_slice(self, agent: int) -> slice:
-        offsets = np.cumsum((0,) + self.dims)
-        return slice(int(offsets[agent]), int(offsets[agent + 1]))
+    def bounds(self) -> tuple[np.ndarray, np.ndarray]:
+        """The joint box as (lower, upper) arrays, one entry per agent."""
+        return _joint_bounds(self.action_sets)
 
     def feasible(self, x, tol: float = 1e-9) -> bool:
         x = np.asarray(x, dtype=np.float64)
-        if x.shape != (self.dimension,):
-            return False
-        return all(
-            box.contains(x[self.block_slice(i)], tol)
-            for i, box in enumerate(self.action_sets)
-        )
+        lower, upper = self.bounds
+        return x.shape == lower.shape and bool(np.all(x >= lower - tol) and np.all(x <= upper + tol))
 
     @abstractmethod
     def sample_noise(self, agent: int, rng: np.random.Generator) -> float:
@@ -143,7 +116,7 @@ class StochasticGame(ABC):
 
     @abstractmethod
     def grad_batch(self, agent: int, x: np.ndarray, xi_batch: np.ndarray) -> np.ndarray:
-        """Gradients of those costs w.r.t. the agent's own block, shape (t, d_i)."""
+        """Derivatives of those costs in the agent's own action, shape (t,)."""
 
     def noise_distribution(self, agent: int) -> Uniform:
         """Closed-form law of the agent's noise, when known."""
@@ -156,10 +129,8 @@ class StochasticGame(ABC):
     def exact_cvar(self, agent: int, x: np.ndarray, alpha: float) -> float:
         raise UnsupportedGameError(f"{type(self).__name__} has no exact CVaR")
 
-    def exact_risk_averse_gradient(
-        self, agent: int, x: np.ndarray, alpha: float
-    ) -> np.ndarray:
-        """Gradient of CVaR_alpha[J_i(x, xi_i)] w.r.t. the agent's block, when known."""
+    def exact_risk_averse_gradient(self, agent: int, x: np.ndarray, alpha: float) -> float:
+        """Derivative of CVaR_alpha[J_i(x, xi_i)] in the agent's own action, when known."""
         raise UnsupportedGameError(f"{type(self).__name__} has no exact CVaR gradient")
 
     def nash_equilibrium(self, alphas) -> np.ndarray | None:
@@ -173,8 +144,8 @@ class AffineNoiseGame(StochasticGame):
     A subclass describes agent i by ``affine_noise(agent, x)``, the
     coefficients (c0, s, g0, g1) of its cost c0 + s * xi and gradient
     g0 + g1 * xi at the joint action x, and by ``noise_distribution(agent)``,
-    the uniform law U(a, b) of xi. Each agent has one action coordinate, so
-    all four coefficients are scalars. The cost and gradient batches, the
+    the uniform law U(a, b) of xi. An action is a float per agent, so all
+    four coefficients are scalars. The cost and gradient batches, the
     noise draw and the closed forms all follow from those two. For s >= 0
     the cost at x is uniform on [c0 + s a, c0 + s b], so
 
@@ -184,7 +155,7 @@ class AffineNoiseGame(StochasticGame):
     g0 + g1 CVaR_alpha(xi).
 
     ``affine_noise`` must broadcast. ``agent`` is an int or an array of
-    agent indices, and ``x`` a joint action or a (dimension, ...) stack of
+    agent indices, and ``x`` a joint action or a (num_agents, ...) stack of
     them; indexing ``x[agent]`` (and ``x[1 - agent]`` in a two-agent game)
     handles both, and each coefficient is a scalar or an array of the
     shape of ``x[agent]``. The learning loop asks for every agent's
@@ -221,7 +192,7 @@ class AffineNoiseGame(StochasticGame):
 
     def grad_batch(self, agent: int, x, xi_batch) -> np.ndarray:
         _, _, g0, g1 = self.affine_noise(agent, x)
-        return (g0 + g1 * xi_batch)[:, None]
+        return g0 + g1 * xi_batch
 
     def exact_var(self, agent: int, x, alpha: float) -> float:
         c0, s, _, _ = self._nonnegative_slope(agent, x, "VaR")
@@ -231,9 +202,9 @@ class AffineNoiseGame(StochasticGame):
         c0, s, _, _ = self._nonnegative_slope(agent, x, "CVaR")
         return c0 + s * self.noise_distribution(agent).cvar(alpha)
 
-    def exact_risk_averse_gradient(self, agent: int, x, alpha: float) -> np.ndarray:
+    def exact_risk_averse_gradient(self, agent: int, x, alpha: float) -> float:
         _, _, g0, g1 = self._nonnegative_slope(agent, x, "CVaR gradient")
-        return np.array([g0 + g1 * self.noise_distribution(agent).cvar(alpha)])
+        return float(g0 + g1 * self.noise_distribution(agent).cvar(alpha))
 
 
 class CournotGame(AffineNoiseGame):
@@ -257,7 +228,7 @@ class CournotGame(AffineNoiseGame):
 
     name = "cournot"
     default_alphas = (0.4, 0.8)
-    _BOX = Box(np.zeros(1), np.ones(1))
+    _BOX = Box(0.0, 1.0)
     _NOISE = Uniform(0.0, 1.0)
 
     @property
@@ -327,9 +298,11 @@ class QuadraticCounterexampleGame(AffineNoiseGame):
     def __post_init__(self):
         for field, why in (("a", ""), ("b", " (actions live in [0, b])"), ("d", " (noise lives on [0, d])")):
             value = getattr(self, field)
-            if not value > 0:
-                raise ValueError(f"{field}: must be positive{why}, got {value!r}")
-        object.__setattr__(self, "_box", Box(np.zeros(1), np.array([self.b])))
+            if not 0 < value < math.inf:
+                raise ValueError(f"{field}: must be positive and finite{why}, got {value!r}")
+        if not math.isfinite(self.c):
+            raise ValueError(f"c: must be finite, got {self.c!r}")
+        object.__setattr__(self, "_box", Box(0.0, self.b))
         object.__setattr__(self, "_noise", Uniform(0.0, self.d))
 
     @property
@@ -369,7 +342,7 @@ def exact_gradient_oracle(game: StochasticGame, alphas):
     if len(alphas) != game.num_agents:
         raise ValueError("expected one risk level per agent")
 
-    def oracle(agent: int, x) -> np.ndarray:
+    def oracle(agent: int, x) -> float:
         return game.exact_risk_averse_gradient(agent, x, alphas[agent])
 
     return oracle
@@ -385,13 +358,14 @@ def monotonicity_probe(
 ) -> float:
     """Sampled lower estimate of the game's monotonicity constant.
 
-    Draws ``num_pairs`` random pairs (x, x') from the joint box and
-    returns the minimum of
+    Draws ``num_pairs`` random pairs (x, x') of joint actions, one float
+    per agent, from the joint box of ``action_sets`` and returns the
+    minimum of
 
-        sum_i <F_i(x) - F_i(x'), x_i - x_i'> / ||x - x'||^2,
+        sum_i (F_i(x) - F_i(x')) (x_i - x_i') / ||x - x'||^2,
 
-    where F_i = grad_oracle(i, .). This is an upper bound on the true
-    constant m (a certificate would need the full infimum). With
+    where F_i = grad_oracle(i, .) is a float. This is an upper bound on
+    the true constant m (a certificate would need the full infimum). With
     ``direction`` set, x' is displaced from x along that fixed direction
     only, which probes degenerate directions. Pairs closer than
     ``min_separation`` are rejected; exhausting the rejection budget is
@@ -399,26 +373,13 @@ def monotonicity_probe(
     """
     if num_pairs < 1:
         raise ValueError("num_pairs must be >= 1")
-    dims = [box.dim for box in action_sets]
-    offsets = np.cumsum([0] + dims)
-    dim = offsets[-1]
-    lower = np.concatenate([box.lower for box in action_sets])
-    upper = np.concatenate([box.upper for box in action_sets])
+    lower, upper = _joint_bounds(action_sets)
     if direction is not None:
         direction = np.asarray(direction, dtype=np.float64)
-        if direction.shape != (dim,) or not np.linalg.norm(direction) > 0:
+        if direction.shape != lower.shape or not np.linalg.norm(direction) > 0:
             raise ValueError("direction must be a nonzero joint-space vector")
         direction = direction / np.linalg.norm(direction)
     scale = float(np.max(upper - lower))
-
-    def stacked(x):
-        return np.concatenate(
-            [
-                np.asarray(grad_oracle(i, x), dtype=np.float64).ravel()
-                for i in range(len(action_sets))
-            ]
-        )
-
     best = math.inf
     attempts_left = 100 * num_pairs
     found = 0
@@ -438,7 +399,8 @@ def monotonicity_probe(
         dist = float(np.linalg.norm(diff))
         if dist < min_separation:
             continue
-        ratio = float(np.dot(stacked(x) - stacked(x_alt), diff)) / (dist * dist)
+        gaps = [grad_oracle(i, x) - grad_oracle(i, x_alt) for i in range(len(action_sets))]
+        ratio = float(np.dot(gaps, diff)) / (dist * dist)
         best = min(best, ratio)
         found += 1
     return best
@@ -459,13 +421,13 @@ def decomposition_check(
     """
     if num_samples < 1:
         raise ValueError("num_samples must be >= 1")
+    lower, upper = game.bounds
     for _ in range(num_samples):
         for agent in range(game.num_agents):
-            x = np.concatenate([box.sample(rng) for box in game.action_sets])
-            x_alt = np.concatenate([box.sample(rng) for box in game.action_sets])
-            # keep the agent's own block fixed, vary only the rivals
-            blk = game.block_slice(agent)
-            x_alt[blk] = x[blk]
+            x = rng.uniform(lower, upper)
+            x_alt = rng.uniform(lower, upper)
+            # keep the agent's own action fixed, vary only the rivals
+            x_alt[agent] = x[agent]
             xis = np.array([game.sample_noise(agent, rng), game.sample_noise(agent, rng)])
             here, there = game.cost_batch(agent, x, xis), game.cost_batch(agent, x_alt, xis)
             delta = (here[0] - here[1]) - (there[0] - there[1])

@@ -21,7 +21,7 @@ episode's tail depends on the draws alone. ``_rank_tails`` takes every
 episode's lowest tail draw xi_(k), tail size and tail sum in one
 vectorized pass over the draws' ranks, O(T log T) per series. ``_run``
 plays a block of columns, each a (seed, algorithm) pair with its own
-draws, in lockstep over a (dimension, columns) joint action: an episode
+draws, in lockstep over an (agents, columns) joint action: an episode
 is one ``affine_noise`` call for all agents, one expression for every
 gradient, (count * g0 + g1 * sum of the tail draws) / (t * alpha), and
 one clip. The recorded VaRs are read off the action path afterwards,
@@ -70,7 +70,7 @@ __all__ = [
 class GradientEstimate:
     """Tail-weighted gradient average, the VaR it used, and the tail size."""
 
-    g: np.ndarray
+    g: float
     var_used: float
     tail_count: int
 
@@ -101,7 +101,7 @@ def _replay_gradient(
         nu, q = threshold
         mask = (costs > nu) | ((costs == nu) & (noise_history >= q))
     # the mask keeps history order, so alpha = 1 sums exactly as a plain mean
-    g = grads[mask].sum(axis=0) / (costs.size * alpha)
+    g = float(grads[mask].sum() / (costs.size * alpha))
     return GradientEstimate(g=g, var_used=float(nu), tail_count=int(mask.sum()))
 
 
@@ -195,7 +195,7 @@ def _as_rngs(game: StochasticGame, seed) -> list[np.random.Generator]:
 
 
 def _setup(game: StochasticGame, alphas, horizon: int, eta, x0, window):
-    """Checked risk levels (an array) and step, start action and joint box bounds."""
+    """Checked risk levels (an array) and step, start action and the game's bounds."""
     alphas = np.array([check_risk_level(a) for a in alphas])
     if len(alphas) != game.num_agents:
         raise ValueError("expected one risk level per agent")
@@ -203,18 +203,15 @@ def _setup(game: StochasticGame, alphas, horizon: int, eta, x0, window):
         raise ValueError("horizon must be >= 1")
     if window is not None and not (isinstance(window, numbers.Integral) and window >= 1):
         raise ValueError(f"window must be an integer >= 1 when set, got window={window!r}")
+    lower, upper = game.bounds
     if eta is None:
-        diameter = max(box.diameter for box in game.action_sets)
-        eta = (diameter / game.grad_bound) / np.sqrt(horizon)
+        eta = (np.max(upper - lower) / game.grad_bound) / np.sqrt(horizon)
     elif not 0 <= eta < np.inf:
         raise ValueError(f"step size must be nonnegative and finite, got eta={eta!r}")
     eta = float(eta)
 
-    boxes = game.action_sets
-    lower = np.concatenate([box.lower for box in boxes])
-    upper = np.concatenate([box.upper for box in boxes])
     if x0 is None:
-        x = np.concatenate([box.center for box in boxes])
+        x = 0.5 * (lower + upper)
     else:
         x = np.asarray(x0, dtype=np.float64)
         if not game.feasible(x):
@@ -225,7 +222,7 @@ def _setup(game: StochasticGame, alphas, horizon: int, eta, x0, window):
 
 
 def _trace(actions, nu, nu_star, x_star) -> RunTrace:
-    """The trace of one run's (T, dimension) actions and (T, agents) VaRs."""
+    """The trace of one run's (T, agents) actions and VaRs."""
     err_sq = None
     if x_star is not None:
         d = actions - x_star
@@ -333,7 +330,7 @@ def _replay(
                 est = unbiased_cvar_gradient(game, i, x, draws, alphas[i], true_var)
             else:
                 est = cvar_gradient_estimate(game, i, x, draws, alphas[i])
-            grads[game.block_slice(i)] = est.g
+            grads[i] = est.g
             nu[t - 1, i] = est.var_used
             if nu_star is not None:
                 nu_star[t - 1, i] = true_var
@@ -357,7 +354,7 @@ def run_algorithm1(
     the last ``window`` draws if a window is set), with the empirical VaR
     as the threshold. ``eta`` is the constant step size; None, the
     default, tunes it to the horizon as (D / B) / sqrt(T), with D the
-    largest per-agent action-set diameter and B the game's gradient
+    width of the widest action interval and B the game's gradient
     bound. A negative or non-finite step, or a window that is not a
     positive integer, is a ``ValueError``. Runs with equal seeds and
     configuration are bit-identical. An ``AffineNoiseGame`` plays on the

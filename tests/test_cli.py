@@ -657,12 +657,22 @@ class TestMain:
             "nan cell": lines[:5] + [",".join(cells[:-1] + ["nan\n"])] + lines[6:],
             "negative err_sq": lines[:5] + [",".join(cells[:3] + ["-1.0"] + cells[4:])] + lines[6:],
         }
+        damaged = {case: "".join(content).encode("utf-8") for case, content in damaged.items()}
+        text, row = "".join(lines).encode("utf-8"), len("".join(lines[:5]).encode("utf-8"))
+        not_utf8 = {
+            "utf-16 byte order mark": b"\xff\xfe" + text,
+            "byte 0xff in a row": text[:row] + b"\xff" + text[row:],
+            # past the reader's first 8 KiB chunk, so np.loadtxt meets it
+            "byte 0xff after 8 KiB": text + lines[-1].encode("utf-8") * 100 + b"\xff\n",
+        }
         capsys.readouterr()
-        for case, content in damaged.items():
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.writelines(content)
+        for case, content in {**damaged, **not_utf8}.items():
+            with open(path, "wb") as fh:
+                fh.write(content)
             assert main(["report", "--bundle", out]) == 2, case
-            assert f"error: trial file {path}: " in capsys.readouterr().err, case
+            err = capsys.readouterr().err
+            assert f"error: trial file {path}: " in err, case
+            assert ("not UTF-8 text" in err) == (case in not_utf8), case
 
 
 def test_trial_filename_is_stable():

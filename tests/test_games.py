@@ -24,7 +24,7 @@ COUNTER = QuadraticCounterexampleGame(a=1.0, b=1.0, c=0.0, d=1.0)
 class MinimalGame(StochasticGame):
     """One-agent quadratic cost with unused noise; exercises interface defaults."""
 
-    _BOX = Box(np.array([-1.0]), np.array([1.0]))
+    _BOX = Box(-1.0, 1.0)
 
     @property
     def num_agents(self):
@@ -45,28 +45,28 @@ class MinimalGame(StochasticGame):
         return np.full(len(xi_batch), x[0] ** 2)
 
     def grad_batch(self, agent, x, xi_batch):
-        return np.full((len(xi_batch), 1), 2.0 * x[0])
+        return np.full(len(xi_batch), 2.0 * x[0])
 
 
 class TestBox:
     def test_validation(self):
-        with pytest.raises(ValueError):
-            Box(np.array([0.0]), np.array([0.0]))
-        with pytest.raises(ValueError):
-            Box(np.array([0.0, 1.0]), np.array([1.0]))
+        for lower, upper in ((0.0, 0.0), (1.0, 0.0), (0.0, np.inf), (-np.inf, 0.0), (np.nan, 1.0)):
+            with pytest.raises(ValueError, match="finite with lower < upper"):
+                Box(lower, upper)
 
     def test_geometry(self):
-        box = Box(np.array([0.0, -1.0]), np.array([1.0, 1.0]))
-        assert box.diameter == pytest.approx(np.sqrt(5.0))
-        assert np.array_equal(box.center, [0.5, 0.0])
-        assert np.array_equal(box.project([1.2, -3.0]), [1.0, -1.0])
-        assert box.contains([0.5, 0.0]) and not box.contains([0.5, 2.0])
+        box = Box(-1, 1)
+        assert (box.lower, box.upper) == (-1.0, 1.0) and isinstance(box.lower, float)
+        assert np.array_equal(box.project([1.2, -3.0, 0.5]), [1.0, -1.0, 0.5])
+        lower, upper = QuadraticCounterexampleGame(b=2.5).bounds
+        assert np.array_equal(lower, [0.0, 0.0]) and np.array_equal(upper, [2.5, 2.5])
 
     def test_sample_inside(self):
-        box = Box(np.array([2.0]), np.array([3.0]))
+        # draws from the joint box are feasible without slack
         rng = np.random.default_rng(0)
-        for _ in range(100):
-            assert box.contains(box.sample(rng), tol=0.0)
+        for game in (COURNOT, QuadraticCounterexampleGame(b=2.5)):
+            for _ in range(100):
+                assert game.feasible(rng.uniform(*game.bounds), tol=0.0)
 
 
 class TestCournotEquilibrium:
@@ -122,20 +122,20 @@ class TestCostAndGradient:
         x = np.array([0.0, 0.5])
         xi = np.array([0.0, 0.3, 1.0])
         assert np.all(COURNOT.cost_batch(0, x, xi) == 1.0)
-        assert COURNOT.grad_batch(0, x, xi)[:, 0] == pytest.approx(xi - 1.3)
+        assert COURNOT.grad_batch(0, x, xi) == pytest.approx(xi - 1.3)
 
     def test_gradient_vanishes_at_equilibrium_tail_point(self):
         # for the alpha = 0.8 agent the per-sample gradient at xi = 0.6
         # equals its exact CVaR gradient, which is zero at the equilibrium
         x = COURNOT.nash_equilibrium([0.4, 0.8])
         grad = COURNOT.grad_batch(1, x, np.array([0.6]))[0]
-        assert abs(grad[0]) < 1e-12
+        assert abs(grad) < 1e-12
 
     def test_counterexample_stationary_on_equilibrium_line(self):
         # (0.25, 0.25) lies on x_1 + x_2 = b/2; xi = 0.75 is the alpha = 0.5
         # tail mean of U(0, 1)
         grad = COUNTER.grad_batch(0, np.array([0.25, 0.25]), np.array([0.75]))[0]
-        assert abs(grad[0]) < 1e-12
+        assert abs(grad) < 1e-12
         assert np.linalg.norm(
             COUNTER.exact_risk_averse_gradient(0, np.array([0.25, 0.25]), 0.5)
         ) < 1e-12
@@ -152,14 +152,13 @@ class TestCostAndGradient:
     def test_gradient_bound_audit(self, game, bound):
         rng = np.random.default_rng(17)
         worst = 0.0
-        lower = np.concatenate([b.lower for b in game.action_sets])
-        upper = np.concatenate([b.upper for b in game.action_sets])
+        lower, upper = game.bounds
         for _ in range(100):
             x = rng.uniform(lower, upper, size=(1000, 2))
             for agent in (0, 1):
                 xi = game.sample_noise(agent, rng)
                 for row in x[:: 100]:
-                    worst = max(worst, abs(game.grad_batch(agent, row, np.array([xi]))[0, 0]))
+                    worst = max(worst, abs(game.grad_batch(agent, row, np.array([xi]))[0]))
         # vectorized sweep over 1e5 (x, xi) pairs
         xs = rng.uniform(lower, upper, size=(100_000, 2))
         for agent in (0, 1):
@@ -167,7 +166,7 @@ class TestCostAndGradient:
             if isinstance(game, QuadraticCounterexampleGame):
                 xis *= game.d
             grads = np.array(
-                [game.grad_batch(agent, xs[j], xis[j : j + 1])[0, 0] for j in range(0, 100_000, 37)]
+                [game.grad_batch(agent, xs[j], xis[j : j + 1])[0] for j in range(0, 100_000, 37)]
             )
             worst = max(worst, float(np.max(np.abs(grads))))
         assert worst <= bound + 1e-9
@@ -177,13 +176,13 @@ class TestCostAndGradient:
         # bit-exact, since the learning loop reads the VaR off these coefficients
         xi_batch = np.random.default_rng(4).uniform(0, 1, size=50)
         for game in (COURNOT, COUNTER, QuadraticCounterexampleGame(a=2.0, b=1.5, c=-0.5, d=0.7)):
-            upper = game.action_sets[0].upper[0]
+            upper = game.action_sets[0].upper
             for x in (np.array([0.3, 0.6]) * upper, np.array([0.0, upper])):
                 for agent in (0, 1):
                     c0, s, g0, g1 = game.affine_noise(agent, x)
                     assert s >= 0
                     assert np.array_equal(c0 + xi_batch * s, game.cost_batch(agent, x, xi_batch))
-                    assert np.array_equal(g0 + g1 * xi_batch, game.grad_batch(agent, x, xi_batch)[:, 0])
+                    assert np.array_equal(g0 + g1 * xi_batch, game.grad_batch(agent, x, xi_batch))
 
 
 class TestClosedFormsAgainstMonteCarlo:
@@ -203,10 +202,10 @@ class TestClosedFormsAgainstMonteCarlo:
             for agent, alpha in ((0, 0.4), (1, 0.8)):
                 xi = rng.uniform(0, 1, size=1_000_000)
                 costs = COURNOT.cost_batch(agent, x, xi)
-                grads = COURNOT.grad_batch(agent, x, xi)[:, 0]
+                grads = COURNOT.grad_batch(agent, x, xi)
                 nu = COURNOT.exact_var(agent, x, alpha)
                 mc = float(np.mean(grads * (costs >= nu))) / alpha
-                exact = COURNOT.exact_risk_averse_gradient(agent, x, alpha)[0]
+                exact = COURNOT.exact_risk_averse_gradient(agent, x, alpha)
                 assert mc == pytest.approx(exact, rel=0.01)
 
     def test_counterexample_cvar_value(self):
@@ -221,7 +220,7 @@ class TestClosedFormsAgainstMonteCarlo:
     def test_counterexample_risk_neutral_gradient(self):
         # alpha = 1 reduces to the expected-cost gradient 2a x_i + (5a/3) x_j - ab
         x = np.array([0.4, 0.7])
-        g = COUNTER.exact_risk_averse_gradient(0, x, 1.0)[0]
+        g = COUNTER.exact_risk_averse_gradient(0, x, 1.0)
         assert g == pytest.approx(2 * 0.4 + (5 / 3) * 0.7 - 1.0)
 
 
@@ -245,7 +244,7 @@ class TestDerivedClosedForms:
         assert COURNOT.exact_cvar(agent, x, alpha) == pytest.approx(
             c0 + own * (1 - alpha / 2), abs=1e-12
         )
-        assert COURNOT.exact_risk_averse_gradient(agent, x, alpha)[0] == pytest.approx(
+        assert COURNOT.exact_risk_averse_gradient(agent, x, alpha) == pytest.approx(
             2 * own + other - 0.8 - alpha / 2, abs=1e-12
         )
 
@@ -254,7 +253,7 @@ class TestDerivedClosedForms:
         x = x * b
         own, other = x[agent], x[1 - agent]
         expected = 2 * a * own + a * other - a * b + (4 * a / 3) * (1 - alpha / 2) * other
-        assert game.exact_risk_averse_gradient(agent, x, alpha)[0] == pytest.approx(expected, abs=1e-12)
+        assert game.exact_risk_averse_gradient(agent, x, alpha) == pytest.approx(expected, abs=1e-12)
 
 
 class TestStructuralProbes:
@@ -333,12 +332,14 @@ class TestInterfaceDefaults:
         assert COURNOT.noise_distribution(0) == Uniform(0.0, 1.0)
         assert QuadraticCounterexampleGame(d=2.5).noise_distribution(1) == Uniform(0.0, 2.5)
 
-    def test_block_layout(self):
-        assert COURNOT.dimension == 2
-        assert COURNOT.block_slice(0) == slice(0, 1)
-        assert COURNOT.block_slice(1) == slice(1, 2)
+    def test_action_layout(self):
+        # one float per agent: the joint action has shape (num_agents,)
+        assert [b.shape for b in COURNOT.bounds] == [(2,), (2,)]
         assert COURNOT.feasible(np.array([0.0, 1.0]))
         assert not COURNOT.feasible(np.array([0.0, 1.2]))
+        assert not COURNOT.feasible(np.array([0.5]))
+        assert not COURNOT.feasible(np.array([[0.5], [0.5]]))
+        assert isinstance(COURNOT.exact_risk_averse_gradient(0, np.array([0.3, 0.6]), 0.4), float)
 
     def test_counterexample_parameter_validation(self):
         with pytest.raises(ValueError):
@@ -347,3 +348,6 @@ class TestInterfaceDefaults:
             QuadraticCounterexampleGame(d=0.0)
         with pytest.raises(ValueError):
             QuadraticCounterexampleGame(b=-2.0)
+        for field, value in (("a", np.inf), ("b", np.inf), ("c", np.nan), ("c", -np.inf), ("d", np.inf)):
+            with pytest.raises(ValueError, match=f"^{field}: must be .*finite"):
+                QuadraticCounterexampleGame(**{field: value})
