@@ -26,8 +26,6 @@ from .games import (
     Box,
     CournotGame,
     QuadraticCounterexampleGame,
-    StochasticGame,
-    UnsupportedGameError,
     decomposition_check,
     exact_gradient_oracle,
     monotonicity_probe,
@@ -51,9 +49,7 @@ __all__ = [
     "GradientEstimate",
     "QuadraticCounterexampleGame",
     "RunTrace",
-    "StochasticGame",
     "Uniform",
-    "UnsupportedGameError",
     "cvar_gradient_estimate",
     "decomposition_check",
     "density_range",

@@ -36,23 +36,23 @@ class RunTrace:
     ``actions[t - 1]`` is the joint action played at episode t (so the
     initial action is row 0 and there are exactly ``horizon`` rows).
     ``nu`` holds the VaR value each agent used in its gradient estimate;
-    ``nu_star`` the true VaR at the same action when the game provides
-    it. ``err_sq`` is the squared distance to the game's equilibrium
-    when one is known. The run's description (game, risk levels, step,
-    seed) is not part of the trace.
+    ``nu_star`` the true VaR at the same action. ``err_sq`` is the
+    squared distance to the game's equilibrium when one is known. The
+    run's description (game, risk levels, step, seed) is not part of the
+    trace.
     """
 
     episodes: np.ndarray
     actions: np.ndarray
     nu: np.ndarray
-    nu_star: np.ndarray | None
+    nu_star: np.ndarray
     err_sq: np.ndarray | None
 
     def __post_init__(self):
         t = self.episodes.size
         if self.actions.shape[0] != t or self.nu.shape[0] != t:
             raise ValueError("trace arrays must have one row per episode")
-        if self.nu_star is not None and self.nu_star.shape != self.nu.shape:
+        if self.nu_star.shape != self.nu.shape:
             raise ValueError("nu_star must match nu in shape")
         if self.err_sq is not None:
             if self.err_sq.shape != (t,):
@@ -213,8 +213,6 @@ def validate_lemma4(
     the cost density is unbounded along the run the bound does not apply,
     and the row has ``passed`` None.
     """
-    if trace.nu_star is None:
-        raise ValueError("trace has no true VaR series")
     if not 0.0 < gamma < 1.0:
         raise ValueError("gamma must be in (0, 1)")
     alpha = check_risk_level(alpha)

@@ -37,7 +37,7 @@ from .analysis import (
     validate_lemma4,
 )
 from .distributions import dkw_confidence_width
-from .games import CournotGame, QuadraticCounterexampleGame, StochasticGame
+from .games import AffineNoiseGame, CournotGame, QuadraticCounterexampleGame
 # run_algorithm1 and run_unbiased_baseline are not called here; the
 # benchmark's span tracer patches them in this namespace
 from .learning import _run, run_algorithm1, run_unbiased_baseline
@@ -91,7 +91,7 @@ class ExperimentConfig:
     out_dir: str | None
 
 
-def build_game(config: ExperimentConfig) -> StochasticGame:
+def build_game(config: ExperimentConfig) -> AffineNoiseGame:
     return _GAMES[config.game](**dict(config.game_params))
 
 
@@ -365,7 +365,8 @@ def _write_numeric_csv(path, header, episodes, block) -> None:
 def _trial_columns(num_agents: int) -> dict[str, list[str]]:
     """Trial-file column names in file order, per ``RunTrace`` field.
 
-    A trace whose ``err_sq`` or ``nu_star`` is None has no such columns.
+    ``err_sq`` is the one optional column: a trace of a game with no
+    unique equilibrium has it None, and its file has no such column.
     """
     return {
         "episodes": ["t"],
@@ -475,9 +476,9 @@ def compute_reports(config: ExperimentConfig, traces: dict) -> list[BoundReport]
 
     The concentration check runs on the game's noise law per agent at a
     fixed sample size; the bias check runs per algorithm-1 trial and
-    agent (it needs true VaR values, and a cost density bounded along the
-    run, or its row has ``passed`` None); the rate fit needs equilibrium
-    distances and a long enough horizon.
+    agent (where the cost density is unbounded along the run its row has
+    ``passed`` None); the rate fit needs equilibrium distances and a long
+    enough horizon.
     """
     game = build_game(config)
     reports = []
@@ -490,8 +491,6 @@ def compute_reports(config: ExperimentConfig, traces: dict) -> list[BoundReport]
         reports.append(rep)
 
     for trial, trace in enumerate(traces.get("algorithm1", [])):
-        if trace.nu_star is None:
-            continue
         for agent, alpha in enumerate(config.alphas):
             rep = validate_lemma4(game, trace, agent, alpha)
             rep.detail = f"trial={trial}, " + rep.detail
@@ -542,10 +541,10 @@ def run_experiment(
     ``learning._run``. The columns, in (algorithm, trial) order, are cut
     into one near-equal block per worker, or into more blocks when a
     block's run would hold more than a fixed byte budget; blocks run in
-    parallel up to ``workers``, with one ``progress`` line per finished
-    block. A column's trace does not depend on its block, and results are
-    reduced in (algorithm, trial) order, so the artifacts do not depend on
-    scheduling.
+    parallel up to ``workers``, capped at the CPU count, with one
+    ``progress`` line per finished block. A column's trace does not
+    depend on its block, and results are reduced in (algorithm, trial)
+    order, so the artifacts do not depend on scheduling.
     """
     out_dir = out_dir or config.out_dir or "out"
     os.makedirs(out_dir, exist_ok=True)
@@ -556,6 +555,8 @@ def run_experiment(
         if progress is not None:
             print(msg, file=progress)
 
+    # a process pool starts all its workers at once
+    workers = min(workers, os.cpu_count() or 1)
     blocks = _blocks(config, workers)
     say(
         f"running {len(config.algorithms) * config.trials} trials in {len(blocks)} blocks "

@@ -1,9 +1,9 @@
 """Game models with stochastic costs.
 
-The interface, ``StochasticGame``, and ``AffineNoiseGame``, which derives
-costs, gradients, noise draws and the VaR/CVaR closed forms from one
-description: each agent's cost and gradient as affine functions of a
-scalar uniform noise draw. Two built-in two-agent games use it: a Cournot
+Every game is an ``AffineNoiseGame``: it describes each agent's cost and
+gradient as affine functions of a scalar uniform noise draw, and derives
+the cost and gradient batches, noise draws and the VaR/CVaR closed forms
+from that one description. Two built-in two-agent games: a Cournot
 duopoly whose risk-averse equilibrium is unique and computable in closed
 form, and a quadratic game whose risk-averse (alpha = 0.5) equilibria
 form a whole line segment even though its risk-neutral version is
@@ -33,19 +33,13 @@ from .distributions import Uniform, check_risk_level
 
 __all__ = [
     "Box",
-    "StochasticGame",
     "AffineNoiseGame",
     "CournotGame",
     "QuadraticCounterexampleGame",
-    "UnsupportedGameError",
     "exact_gradient_oracle",
     "monotonicity_probe",
     "decomposition_check",
 ]
-
-
-class UnsupportedGameError(RuntimeError):
-    """The game does not provide the requested closed-form quantity."""
 
 
 @dataclass(frozen=True)
@@ -71,17 +65,42 @@ def _joint_bounds(action_sets) -> tuple[np.ndarray, np.ndarray]:
     return np.array([box.lower for box in action_sets]), np.array([box.upper for box in action_sets])
 
 
-class StochasticGame(ABC):
-    """N-agent game with per-agent stochastic costs J_i(x, xi_i).
+class AffineNoiseGame(ABC):
+    """N-agent game whose costs are affine in one uniform noise draw per agent.
 
     Agent i's action is one float in ``action_sets[i]``, and a joint
     action x a float vector of shape (num_agents,) inside ``bounds``.
-    Each agent's cost must be convex in its own action for every rival
-    action and noise realization, and the per-sample gradients must be
-    bounded by ``grad_bound`` over the feasible set and noise support.
-    A noise draw is a float; a history of t draws is an array of shape
-    (t,), and the batch methods evaluate the cost and gradient over one.
+    A subclass describes agent i by ``affine_noise(agent, x)``, the
+    coefficients (c0, s, g0, g1) of its cost c0 + s * xi and gradient
+    g0 + g1 * xi at x, and by ``noise_distribution(agent)``, the uniform
+    law U(a, b) of xi; all four coefficients are scalars. The cost and
+    gradient batches over a (t,) history of draws, the noise draw and the
+    closed forms all follow from those two. Each cost must be convex in
+    the agent's own action, and ``grad_bound`` must bound the per-sample
+    gradient over the feasible set and noise support. For s >= 0 the cost
+    at x is uniform on [c0 + s a, c0 + s b], so
+
+        VaR_alpha = c0 + s VaR_alpha(xi),   CVaR_alpha = c0 + s CVaR_alpha(xi),
+
+    and, CVaR being positively homogeneous, the CVaR gradient is
+    g0 + g1 CVaR_alpha(xi).
+
+    ``affine_noise`` must broadcast. ``agent`` is an int or an array of
+    agent indices, and ``x`` a joint action or a (num_agents, ...) stack of
+    them; indexing ``x[agent]`` (and ``x[1 - agent]`` in a two-agent game)
+    handles both, and each coefficient is a scalar or an array of the
+    shape of ``x[agent]``. The learning loop asks for every agent's
+    coefficients at once and raises a ``ValueError`` naming the agent and
+    episode of a negative slope.
     """
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # perfbench/tracing.py times these by patching them in each game's
+        # own namespace (``vars(CournotGame)``), so every game holds them
+        for name in ("cost_batch", "grad_batch", "sample_noise", "exact_var"):
+            if name not in vars(cls):
+                setattr(cls, name, getattr(cls, name))
 
     @property
     @abstractmethod
@@ -107,75 +126,14 @@ class StochasticGame(ABC):
         return x.shape == lower.shape and bool(np.all(x >= lower - tol) and np.all(x <= upper + tol))
 
     @abstractmethod
-    def sample_noise(self, agent: int, rng: np.random.Generator) -> float:
-        """One noise draw for the agent."""
-
-    @abstractmethod
-    def cost_batch(self, agent: int, x: np.ndarray, xi_batch: np.ndarray) -> np.ndarray:
-        """The agent's costs at x for a (t,) history of draws, shape (t,)."""
-
-    @abstractmethod
-    def grad_batch(self, agent: int, x: np.ndarray, xi_batch: np.ndarray) -> np.ndarray:
-        """Derivatives of those costs in the agent's own action, shape (t,)."""
-
-    def noise_distribution(self, agent: int) -> Uniform:
-        """Closed-form law of the agent's noise, when known."""
-        raise UnsupportedGameError(f"{type(self).__name__} has no closed-form noise law")
-
-    def exact_var(self, agent: int, x: np.ndarray, alpha: float) -> float:
-        """True VaR of J_i(x, xi_i) at the given joint action, when known."""
-        raise UnsupportedGameError(f"{type(self).__name__} has no exact VaR")
-
-    def exact_cvar(self, agent: int, x: np.ndarray, alpha: float) -> float:
-        raise UnsupportedGameError(f"{type(self).__name__} has no exact CVaR")
-
-    def exact_risk_averse_gradient(self, agent: int, x: np.ndarray, alpha: float) -> float:
-        """Derivative of CVaR_alpha[J_i(x, xi_i)] in the agent's own action, when known."""
-        raise UnsupportedGameError(f"{type(self).__name__} has no exact CVaR gradient")
-
-    def nash_equilibrium(self, alphas) -> np.ndarray | None:
-        """Risk-averse Nash equilibrium for the alpha profile, when unique and known."""
-        return None
-
-
-class AffineNoiseGame(StochasticGame):
-    """A game whose costs are affine in one uniform noise draw per agent.
-
-    A subclass describes agent i by ``affine_noise(agent, x)``, the
-    coefficients (c0, s, g0, g1) of its cost c0 + s * xi and gradient
-    g0 + g1 * xi at the joint action x, and by ``noise_distribution(agent)``,
-    the uniform law U(a, b) of xi. An action is a float per agent, so all
-    four coefficients are scalars. The cost and gradient batches, the
-    noise draw and the closed forms all follow from those two. For s >= 0
-    the cost at x is uniform on [c0 + s a, c0 + s b], so
-
-        VaR_alpha = c0 + s VaR_alpha(xi),   CVaR_alpha = c0 + s CVaR_alpha(xi),
-
-    and, CVaR being positively homogeneous, the CVaR gradient is
-    g0 + g1 CVaR_alpha(xi).
-
-    ``affine_noise`` must broadcast. ``agent`` is an int or an array of
-    agent indices, and ``x`` a joint action or a (num_agents, ...) stack of
-    them; indexing ``x[agent]`` (and ``x[1 - agent]`` in a two-agent game)
-    handles both, and each coefficient is a scalar or an array of the
-    shape of ``x[agent]``. The learning loop asks for every agent's
-    coefficients at once and raises a ``ValueError`` naming the agent and
-    episode of a negative slope.
-    """
-
-    def __init_subclass__(cls, **kwargs):
-        super().__init_subclass__(**kwargs)
-        # perfbench/tracing.py times these by patching them in each game's
-        # own namespace (``vars(CournotGame)``), so every game holds them
-        for name in ("cost_batch", "grad_batch", "sample_noise", "exact_var"):
-            if name not in vars(cls):
-                setattr(cls, name, getattr(cls, name))
-
-    @abstractmethod
     def affine_noise(self, agent: int, x: np.ndarray): ...
 
     @abstractmethod
     def noise_distribution(self, agent: int) -> Uniform: ...
+
+    def nash_equilibrium(self, alphas) -> np.ndarray | None:
+        """Risk-averse Nash equilibrium for the alpha profile, when unique and known."""
+        return None
 
     def _nonnegative_slope(self, agent: int, x, quantity: str):
         coeffs = self.affine_noise(agent, x)
@@ -187,14 +145,17 @@ class AffineNoiseGame(StochasticGame):
         return self.noise_distribution(agent).sample(rng)
 
     def cost_batch(self, agent: int, x, xi_batch) -> np.ndarray:
+        """The agent's costs at x for a (t,) history of draws, shape (t,)."""
         c0, s, _, _ = self.affine_noise(agent, x)
         return c0 + xi_batch * s
 
     def grad_batch(self, agent: int, x, xi_batch) -> np.ndarray:
+        """Derivatives of those costs in the agent's own action, shape (t,)."""
         _, _, g0, g1 = self.affine_noise(agent, x)
         return g0 + g1 * xi_batch
 
     def exact_var(self, agent: int, x, alpha: float) -> float:
+        """True VaR of J_i(x, xi_i) at the joint action x."""
         c0, s, _, _ = self._nonnegative_slope(agent, x, "VaR")
         return c0 + s * self.noise_distribution(agent).var(alpha)
 
@@ -203,6 +164,7 @@ class AffineNoiseGame(StochasticGame):
         return c0 + s * self.noise_distribution(agent).cvar(alpha)
 
     def exact_risk_averse_gradient(self, agent: int, x, alpha: float) -> float:
+        """Derivative of CVaR_alpha[J_i(x, xi_i)] in the agent's own action."""
         _, _, g0, g1 = self._nonnegative_slope(agent, x, "CVaR gradient")
         return float(g0 + g1 * self.noise_distribution(agent).cvar(alpha))
 
@@ -333,7 +295,7 @@ class QuadraticCounterexampleGame(AffineNoiseGame):
         )
 
 
-def exact_gradient_oracle(game: StochasticGame, alphas):
+def exact_gradient_oracle(game: AffineNoiseGame, alphas):
     """Callable (agent, x) -> exact CVaR gradient for a fixed alpha profile.
 
     alpha = 1 for every agent gives the risk-neutral pseudo-gradient.
@@ -407,7 +369,7 @@ def monotonicity_probe(
 
 
 def decomposition_check(
-    game: StochasticGame,
+    game: AffineNoiseGame,
     num_samples: int,
     rng: np.random.Generator,
     tol: float = 1e-9,

@@ -13,23 +13,23 @@ The exact-VaR baseline runs the identical loop with the estimated
 quantile replaced by the game's closed-form VaR, which removes the only
 source of bias and isolates its effect.
 
-Two engines compute the same estimate; ``run_algorithm1`` and
-``run_unbiased_baseline`` pick one by the game's type. ``_run``, the rank
-engine, takes an ``AffineNoiseGame``: every cost is c0 + s * xi in a
+Every game is an ``AffineNoiseGame``: each cost is c0 + s * xi in a
 scalar noise with s >= 0, so the cost order is the noise order and each
-episode's tail depends on the draws alone. ``_rank_tails`` takes every
-episode's lowest tail draw xi_(k), tail size and tail sum in one
-vectorized pass over the draws' ranks, O(T log T) per series. ``_run``
-plays a block of columns, each a (seed, algorithm) pair with its own
-draws, in lockstep over an (agents, columns) joint action: an episode
-is one ``affine_noise`` call for all agents, one expression for every
-gradient, (count * g0 + g1 * sum of the tail draws) / (t * alpha), and
-one clip. The recorded VaRs are read off the action path afterwards,
-c0 + s * xi_(k) for Algorithm 1 and c0 + s * VaR_alpha(xi) for the
-baseline. Columns never interact, so each equals its run alone bit for
-bit. ``_replay`` is a plain single-run loop for any game, whose
-estimators re-evaluate every kept draw, O(T^2) per run; it is the oracle
-the rank engine is tested against.
+episode's tail depends on the draws alone. ``run_algorithm1`` and
+``run_unbiased_baseline`` run on ``_run``, the rank engine.
+``_rank_tails`` takes every episode's lowest tail draw xi_(k), tail size
+and tail sum in one vectorized pass over the draws' ranks, O(T log T)
+per series. ``_run`` plays a block of columns, each a (seed, algorithm)
+pair with its own draws, in lockstep over an (agents, columns) joint
+action: an episode is one ``affine_noise`` call for all agents, one
+expression for every gradient, (count * g0 + g1 * sum of the tail draws)
+/ (t * alpha), and one clip. The recorded VaRs are read off the action
+path afterwards, c0 + s * xi_(k) for Algorithm 1 and c0 + s *
+VaR_alpha(xi) for the baseline. Columns never interact, so each equals
+its run alone bit for bit. ``_replay`` is a plain single-run loop whose
+estimators re-evaluate every kept draw through the game's cost and
+gradient batches, O(T^2) per run; it is the oracle the rank engine is
+tested against.
 
 The tail is a set of noise ranks. Algorithm 1 takes the top t - k + 1
 draws; the replay orders its rows by (cost, noise) and takes as many.
@@ -55,7 +55,7 @@ import numpy as np
 
 from .analysis import RunTrace
 from .distributions import _tail_start, check_risk_level, empirical_var
-from .games import AffineNoiseGame, StochasticGame, UnsupportedGameError
+from .games import AffineNoiseGame
 
 __all__ = [
     "GradientEstimate",
@@ -76,7 +76,7 @@ class GradientEstimate:
 
 
 def _replay_gradient(
-    game: StochasticGame, agent: int, x, noise_history, alpha: float, threshold=None
+    game: AffineNoiseGame, agent: int, x, noise_history, alpha: float, threshold=None
 ) -> GradientEstimate:
     """Replayed tail average over the top t - k + 1 rows in (cost, noise) order.
 
@@ -106,7 +106,7 @@ def _replay_gradient(
 
 
 def cvar_gradient_estimate(
-    game: StochasticGame,
+    game: AffineNoiseGame,
     agent: int,
     x: np.ndarray,
     noise_history: np.ndarray,
@@ -125,7 +125,7 @@ def cvar_gradient_estimate(
 
 
 def unbiased_cvar_gradient(
-    game: StochasticGame,
+    game: AffineNoiseGame,
     agent: int,
     x: np.ndarray,
     noise_history: np.ndarray,
@@ -137,8 +137,8 @@ def unbiased_cvar_gradient(
     With the exact quantile the tail indicator has the correct
     expectation, so this estimator is unbiased for the CVaR gradient.
     Rows whose cost ties with the VaR count when their draw is at or
-    above the noise quantile VaR_alpha(xi). The game must supply its
-    noise law, and the closed-form VaR unless one is passed in.
+    above the noise quantile VaR_alpha(xi). ``exact_var`` defaults to
+    the game's closed-form VaR.
     """
     if exact_var is None:
         exact_var = game.exact_var(agent, x, alpha)
@@ -188,13 +188,13 @@ def _rank_tails(draws, alpha: float, window: int | None, q=None):
     return low, count, total + np.nan_to_num(low)
 
 
-def _as_rngs(game: StochasticGame, seed) -> list[np.random.Generator]:
+def _as_rngs(game: AffineNoiseGame, seed) -> list[np.random.Generator]:
     """Independent per-agent generators spawned from one master seed."""
     root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     return [np.random.default_rng(s) for s in root.spawn(game.num_agents)]
 
 
-def _setup(game: StochasticGame, alphas, horizon: int, eta, x0, window):
+def _setup(game: AffineNoiseGame, alphas, horizon: int, eta, x0, window):
     """Checked risk levels (an array) and step, start action and the game's bounds."""
     alphas = np.array([check_risk_level(a) for a in alphas])
     if len(alphas) != game.num_agents:
@@ -295,25 +295,18 @@ def _run(
 
 
 def _replay(
-    game: StochasticGame, alphas, horizon: int, eta, x0, window, seed, algorithm: str
+    game: AffineNoiseGame, alphas, horizon: int, eta, x0, window, seed, algorithm: str
 ) -> RunTrace:
-    """One run of ``algorithm`` on any game, replaying the kept draws every episode.
+    """One run of ``algorithm``, replaying the kept draws every episode.
 
     Episode t passes each agent's draws[start:t], all drawn up front with
-    ``sample_noise``, to the estimator. nu* is recorded when the game
-    gives ``exact_var``, which the baseline needs. The oracle for ``_run``.
+    ``sample_noise``, to the estimator, and records the game's exact VaR
+    as nu*. The oracle for ``_run``.
     """
     alphas, eta, x, lower, upper = _setup(game, alphas, horizon, eta, x0, window)
     unbiased = algorithm == "unbiased-fo"
     nu = np.empty((horizon, game.num_agents))
     nu_star = np.empty_like(nu)
-    try:
-        game.exact_var(0, x, alphas[0])
-    except UnsupportedGameError:
-        if unbiased:
-            raise
-        nu_star = None
-
     histories = [
         np.array([game.sample_noise(i, rng) for _ in range(horizon)])
         for i, rng in enumerate(_as_rngs(game, seed))
@@ -324,22 +317,20 @@ def _replay(
         actions[t - 1] = x
         start = 0 if window is None else max(0, t - window)
         for i, history in enumerate(histories):
-            true_var = None if nu_star is None else game.exact_var(i, x, alphas[i])
+            nu_star[t - 1, i] = game.exact_var(i, x, alphas[i])
             draws = history[start:t]
             if unbiased:
-                est = unbiased_cvar_gradient(game, i, x, draws, alphas[i], true_var)
+                est = unbiased_cvar_gradient(game, i, x, draws, alphas[i], nu_star[t - 1, i])
             else:
                 est = cvar_gradient_estimate(game, i, x, draws, alphas[i])
             grads[i] = est.g
             nu[t - 1, i] = est.var_used
-            if nu_star is not None:
-                nu_star[t - 1, i] = true_var
         x = np.clip(x - eta * grads, lower, upper)
     return _trace(actions, nu, nu_star, game.nash_equilibrium(alphas))
 
 
 def run_algorithm1(
-    game: StochasticGame,
+    game: AffineNoiseGame,
     alphas,
     horizon: int,
     eta: float | None = None,
@@ -357,16 +348,13 @@ def run_algorithm1(
     width of the widest action interval and B the game's gradient
     bound. A negative or non-finite step, or a window that is not a
     positive integer, is a ``ValueError``. Runs with equal seeds and
-    configuration are bit-identical. An ``AffineNoiseGame`` plays on the
-    rank engine, any other game on the replay.
+    configuration are bit-identical.
     """
-    if isinstance(game, AffineNoiseGame):
-        return _run(game, alphas, horizon, eta, x0, window, [(seed, "algorithm1")])[0]
-    return _replay(game, alphas, horizon, eta, x0, window, seed, "algorithm1")
+    return _run(game, alphas, horizon, eta, x0, window, [(seed, "algorithm1")])[0]
 
 
 def run_unbiased_baseline(
-    game: StochasticGame,
+    game: AffineNoiseGame,
     alphas,
     horizon: int,
     eta: float | None = None,
@@ -375,6 +363,4 @@ def run_unbiased_baseline(
     window: int | None = None,
 ) -> RunTrace:
     """Identical loop with the estimated VaR replaced by the exact one."""
-    if isinstance(game, AffineNoiseGame):
-        return _run(game, alphas, horizon, eta, x0, window, [(seed, "unbiased-fo")])[0]
-    return _replay(game, alphas, horizon, eta, x0, window, seed, "unbiased-fo")
+    return _run(game, alphas, horizon, eta, x0, window, [(seed, "unbiased-fo")])[0]

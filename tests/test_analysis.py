@@ -33,7 +33,7 @@ def trace_with_errors(err_sq):
         episodes=np.arange(1, t + 1),
         actions=np.full((t, 2), 0.5),
         nu=np.zeros((t, 2)),
-        nu_star=None,
+        nu_star=np.zeros((t, 2)),
         err_sq=err_sq,
     )
 
@@ -199,12 +199,6 @@ class TestValidateLemma4:
         )
         assert passes >= 19
 
-    def test_requires_true_var_series(self):
-        trace = run_algorithm1(GAME, ALPHAS, 5, seed=6)
-        trace.nu_star = None
-        with pytest.raises(ValueError):
-            lemma4(trace, 0)
-
     def test_unbounded_density_gives_na_row(self):
         # an own action of 0 leaves the cost density unbounded: no L0, no bound
         trace = run_algorithm1(GAME, ALPHAS, 5, seed=7)
@@ -246,7 +240,7 @@ class TestTraceValidation:
                 episodes=np.arange(1, 4),
                 actions=np.zeros((2, 2)),
                 nu=np.zeros((3, 2)),
-                nu_star=None,
+                nu_star=np.zeros((3, 2)),
                 err_sq=None,
             )
 

@@ -331,8 +331,10 @@ class TestBundle:
             other = b2.trial_paths[key]
             assert open(path, "rb").read() == open(other, "rb").read()
 
-    def test_parallel_matches_serial(self, tmp_path):
-        # 3 workers cut the 4 columns into uneven blocks
+    def test_parallel_matches_serial(self, tmp_path, monkeypatch):
+        # 3 workers cut the 4 columns into uneven blocks; workers are capped
+        # at the CPU count, so pin one that does not cap them
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
         cfg = validate_config(dict(SMALL_RAW))
         serial = run_experiment(cfg, out_dir=str(tmp_path / "serial"), workers=1)
         for workers in (2, 3):
@@ -346,8 +348,39 @@ class TestBundle:
                 with open(path, "rb") as a, open(parallel.trial_paths[key], "rb") as b:
                     assert a.read() == b.read()
 
+    def test_workers_capped_at_cpu_count(self, tmp_path, monkeypatch):
+        # a process pool starts all its workers at once, so --workers 500
+        # must not fork 500 processes; an in-process pool records its size
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        cfg = validate_config(dict(SMALL_RAW))
+        serial = run_experiment(cfg, out_dir=str(tmp_path / "serial"), workers=1)
+        wide = run_experiment(cfg, out_dir=str(tmp_path / "wide"), workers=500)
+        assert sizes and max(sizes) <= 2
+        assert wide.trial_paths.keys() == serial.trial_paths.keys()
+        for key, path in serial.trial_paths.items():
+            with open(path, "rb") as a, open(wide.trial_paths[key], "rb") as b:
+                assert a.read() == b.read()
+
     @pytest.mark.parametrize("workers,blocks", [(1, 1), (2, 2), (3, 3), (8, 4)])
-    def test_one_progress_line_per_block(self, tmp_path, capsys, workers, blocks):
+    def test_one_progress_line_per_block(self, tmp_path, capsys, monkeypatch, workers, blocks):
+        # a CPU count that does not cap the workers
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
         progress = io.StringIO()
         cfg = validate_config(dict(SMALL_RAW))
         run_experiment(cfg, out_dir=str(tmp_path / "out"), workers=workers, progress=progress)

@@ -5,12 +5,9 @@ from hypothesis import strategies as st
 
 from riskgames.distributions import Uniform, empirical_var_cvar
 from riskgames.games import (
-    AffineNoiseGame,
     Box,
     CournotGame,
     QuadraticCounterexampleGame,
-    StochasticGame,
-    UnsupportedGameError,
     decomposition_check,
     exact_gradient_oracle,
     monotonicity_probe,
@@ -19,33 +16,6 @@ from riskgames.learning import run_algorithm1
 
 COURNOT = CournotGame()
 COUNTER = QuadraticCounterexampleGame(a=1.0, b=1.0, c=0.0, d=1.0)
-
-
-class MinimalGame(StochasticGame):
-    """One-agent quadratic cost with unused noise; exercises interface defaults."""
-
-    _BOX = Box(-1.0, 1.0)
-
-    @property
-    def num_agents(self):
-        return 1
-
-    @property
-    def action_sets(self):
-        return (self._BOX,)
-
-    @property
-    def grad_bound(self):
-        return 2.0
-
-    def sample_noise(self, agent, rng):
-        return rng.uniform(0.0, 1.0)
-
-    def cost_batch(self, agent, x, xi_batch):
-        return np.full(len(xi_batch), x[0] ** 2)
-
-    def grad_batch(self, agent, x, xi_batch):
-        return np.full(len(xi_batch), 2.0 * x[0])
 
 
 class TestBox:
@@ -313,21 +283,9 @@ class TestStructuralProbes:
         rng = np.random.default_rng(8)
         assert decomposition_check(COURNOT, 200, rng) is True
         assert decomposition_check(COUNTER, 200, rng) is False
-        assert decomposition_check(MinimalGame(), 50, rng) is True
 
 
 class TestInterfaceDefaults:
-    def test_unsupported_closed_forms(self):
-        game = MinimalGame()
-        with pytest.raises(UnsupportedGameError):
-            game.exact_var(0, np.array([0.0]), 0.5)
-        with pytest.raises(UnsupportedGameError):
-            game.exact_risk_averse_gradient(0, np.array([0.0]), 0.5)
-        with pytest.raises(UnsupportedGameError):
-            game.noise_distribution(0)
-        assert game.nash_equilibrium([0.5]) is None
-        assert not isinstance(game, AffineNoiseGame)
-
     def test_noise_distributions(self):
         assert COURNOT.noise_distribution(0) == Uniform(0.0, 1.0)
         assert QuadraticCounterexampleGame(d=2.5).noise_distribution(1) == Uniform(0.0, 2.5)

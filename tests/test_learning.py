@@ -9,8 +9,6 @@ from riskgames.games import (
     Box,
     CournotGame,
     QuadraticCounterexampleGame,
-    StochasticGame,
-    UnsupportedGameError,
 )
 from riskgames.learning import (
     _rank_tails,
@@ -26,33 +24,6 @@ from riskgames.learning import (
 GAME = CournotGame()
 ALPHAS = (0.4, 0.8)
 NE = GAME.nash_equilibrium(ALPHAS)
-
-
-class NoClosedFormGame(StochasticGame):
-    """Cournot costs without any closed-form helpers."""
-
-    _BOX = Box(0.0, 1.0)
-
-    @property
-    def num_agents(self):
-        return 2
-
-    @property
-    def action_sets(self):
-        return (self._BOX, self._BOX)
-
-    @property
-    def grad_bound(self):
-        return 2.2
-
-    def sample_noise(self, agent, rng):
-        return rng.uniform(0.0, 1.0)
-
-    def cost_batch(self, agent, x, xi_batch):
-        return GAME.cost_batch(agent, x, xi_batch)
-
-    def grad_batch(self, agent, x, xi_batch):
-        return GAME.grad_batch(agent, x, xi_batch)
 
 
 class NegativeSlopeGame(AffineNoiseGame):
@@ -88,52 +59,20 @@ class LateNegativeSlopeGame(NegativeSlopeGame):
         return x[agent], (x[agent].T - 0.45 * agent).T, 1.0, 1.0
 
 
-class ReplayGame(StochasticGame):
-    """A game with its affine-noise description hidden: forces the replay.
+def replay_runner(algorithm):
+    """``_replay`` behind the signature of ``run_algorithm1``."""
 
-    Every other method forwards to the wrapped game, whose own batches
-    and closed forms derive from that description.
-    """
+    def run(game, alphas, horizon, eta=None, x0=None, seed=0, window=None):
+        return _replay(game, alphas, horizon, eta, x0, window, seed, algorithm)
 
-    def __init__(self, game):
-        self.game = game
-        self.name = game.name
+    return run
 
-    @property
-    def num_agents(self):
-        return self.game.num_agents
 
-    @property
-    def action_sets(self):
-        return self.game.action_sets
-
-    @property
-    def grad_bound(self):
-        return self.game.grad_bound
-
-    def sample_noise(self, agent, rng):
-        return self.game.sample_noise(agent, rng)
-
-    def cost_batch(self, agent, x, xi_batch):
-        return self.game.cost_batch(agent, x, xi_batch)
-
-    def grad_batch(self, agent, x, xi_batch):
-        return self.game.grad_batch(agent, x, xi_batch)
-
-    def noise_distribution(self, agent):
-        return self.game.noise_distribution(agent)
-
-    def exact_var(self, agent, x, alpha):
-        return self.game.exact_var(agent, x, alpha)
-
-    def exact_cvar(self, agent, x, alpha):
-        return self.game.exact_cvar(agent, x, alpha)
-
-    def exact_risk_averse_gradient(self, agent, x, alpha):
-        return self.game.exact_risk_averse_gradient(agent, x, alpha)
-
-    def nash_equilibrium(self, alphas):
-        return self.game.nash_equilibrium(alphas)
+# (Algorithm 1, baseline) on the rank engine and on the replay oracle
+RUNNERS = {
+    "rank": (run_algorithm1, run_unbiased_baseline),
+    "replay": (replay_runner("algorithm1"), replay_runner("unbiased-fo")),
+}
 
 
 class TestProjectBox:
@@ -164,30 +103,30 @@ class TestStepSchedule:
         )
 
     def test_negative_rejected(self):
-        for run in (run_algorithm1, run_unbiased_baseline):
+        for run in RUNNERS["rank"] + RUNNERS["replay"]:
             with pytest.raises(ValueError, match="step size must be nonnegative"):
                 run(GAME, ALPHAS, 10, eta=-1.0)
 
-    @pytest.mark.parametrize("game", [GAME, ReplayGame(GAME)], ids=["rank", "replay"])
-    def test_nan_rejected(self, game):
+    @pytest.mark.parametrize("runs", list(RUNNERS.values()), ids=list(RUNNERS))
+    def test_nan_rejected(self, runs):
         # a NaN step used to give an all-NaN trace
-        for run in (run_algorithm1, run_unbiased_baseline):
+        for run in runs:
             with pytest.raises(ValueError, match=r"step size .* got eta=nan$"):
-                run(game, ALPHAS, 5, eta=float("nan"))
+                run(GAME, ALPHAS, 5, eta=float("nan"))
 
-    @pytest.mark.parametrize("game", [GAME, ReplayGame(GAME)], ids=["rank", "replay"])
-    def test_infinite_rejected(self, game):
+    @pytest.mark.parametrize("runs", list(RUNNERS.values()), ids=list(RUNNERS))
+    def test_infinite_rejected(self, runs):
         # an infinite step used to pin the iterates to the box faces
-        for run in (run_algorithm1, run_unbiased_baseline):
+        for run in runs:
             with pytest.raises(ValueError, match=r"step size .* got eta=inf$"):
-                run(game, ALPHAS, 5, eta=float("inf"))
+                run(GAME, ALPHAS, 5, eta=float("inf"))
 
-    @pytest.mark.parametrize("game", [GAME, ReplayGame(GAME)], ids=["rank", "replay"])
-    def test_fractional_window_rejected(self, game):
+    @pytest.mark.parametrize("runs", list(RUNNERS.values()), ids=list(RUNNERS))
+    def test_fractional_window_rejected(self, runs):
         # a fractional window used to die inside numpy with an IndexError
-        for run in (run_algorithm1, run_unbiased_baseline):
+        for run in runs:
             with pytest.raises(ValueError, match=r"^window must be .* got window=2\.5$"):
-                run(game, ALPHAS, 5, window=2.5)
+                run(GAME, ALPHAS, 5, window=2.5)
 
 
 class TestCvarGradientEstimate:
@@ -273,11 +212,6 @@ class TestCvarGradientEstimate:
                 exact = GAME.exact_risk_averse_gradient(agent, x, ALPHAS[agent])
                 assert est.g == pytest.approx(exact, rel=0.005)
 
-    def test_unbiased_requires_closed_form(self):
-        xi = np.array([0.5])
-        with pytest.raises(UnsupportedGameError):
-            unbiased_cvar_gradient(NoClosedFormGame(), 0, np.array([0.4, 0.4]), xi, 0.4)
-
     def test_alpha_one_estimators_coincide(self):
         rng = np.random.default_rng(5)
         xi = rng.uniform(0, 1, size=200)
@@ -330,10 +264,6 @@ class TestRunLoop:
         trace = run_unbiased_baseline(GAME, ALPHAS, 40, seed=10)
         assert np.array_equal(trace.nu, trace.nu_star)
 
-    def test_baseline_needs_closed_form(self):
-        with pytest.raises(UnsupportedGameError):
-            run_unbiased_baseline(NoClosedFormGame(), ALPHAS, 5, seed=0)
-
     def test_window_covering_horizon_changes_nothing(self):
         a = run_algorithm1(GAME, ALPHAS, 80, seed=11)
         b = run_algorithm1(GAME, ALPHAS, 80, seed=11, window=80)
@@ -346,14 +276,15 @@ class TestRunLoop:
         assert not np.array_equal(a.nu, b.nu)
 
     def test_input_validation(self):
-        with pytest.raises(ValueError):
-            run_algorithm1(GAME, ALPHAS, 0, seed=0)
-        with pytest.raises(ValueError):
-            run_algorithm1(GAME, ALPHAS, 5, seed=0, window=0)
-        with pytest.raises(ValueError):
-            run_algorithm1(GAME, ALPHAS, 5, x0=np.array([2.0, 0.5]), seed=0)
-        with pytest.raises(ValueError):
-            run_algorithm1(GAME, (0.4,), 5, seed=0)
+        for run in (RUNNERS["rank"][0], RUNNERS["replay"][0]):
+            with pytest.raises(ValueError):
+                run(GAME, ALPHAS, 0, seed=0)
+            with pytest.raises(ValueError):
+                run(GAME, ALPHAS, 5, seed=0, window=0)
+            with pytest.raises(ValueError):
+                run(GAME, ALPHAS, 5, x0=np.array([2.0, 0.5]), seed=0)
+            with pytest.raises(ValueError):
+                run(GAME, (0.4,), 5, seed=0)
 
     @pytest.mark.parametrize("x0,start", [([-1e-10, 0.5], [0.0, 0.5]), ([0.5, -1e-10], [0.5, 0.0])])
     def test_start_within_tolerance_is_projected(self, x0, start):
@@ -383,15 +314,6 @@ class CountingCournotGame(CournotGame):
     def exact_var(self, agent, x, alpha):
         self.exact_var_calls += 1
         return super().exact_var(agent, x, alpha)
-
-
-class CountingReplayGame(ReplayGame):
-    def __init__(self):
-        super().__init__(CountingCournotGame())
-
-    @property
-    def exact_var_calls(self):
-        return self.game.exact_var_calls
 
 
 class FixedDraws:
@@ -564,7 +486,7 @@ class TestSortedPathMatchesReplay:
         x0 = None if x0 is None else np.asarray(x0) * game.action_sets[0].upper
         for run, algorithm in ((run_algorithm1, "algorithm1"), (run_unbiased_baseline, "unbiased-fo")):
             a = run(game, alphas, horizon, eta=eta, x0=x0, seed=seed, window=window)
-            b = _replay(ReplayGame(game), alphas, horizon, eta, x0, window, seed, algorithm)
+            b = _replay(game, alphas, horizon, eta, x0, window, seed, algorithm)
             assert_close(a, b)
         return a
 
@@ -614,10 +536,10 @@ class TestSortedPathMatchesReplay:
         assert np.any(trace.actions == 0.0)
 
     def test_one_exact_var_call_per_agent_episode(self):
-        # the replay: one probe before the loop, then one call per agent and episode
-        game = CountingReplayGame()
-        run_unbiased_baseline(game, ALPHAS, 25, seed=0)
-        assert game.exact_var_calls == 1 + 2 * 25
+        # the replay: one call per agent and episode
+        game = CountingCournotGame()
+        _replay(game, ALPHAS, 25, None, None, None, 0, "unbiased-fo")
+        assert game.exact_var_calls == 2 * 25
         # the rank path reads the VaR off the action path after the loop: no call
         game = CountingCournotGame()
         run_unbiased_baseline(game, ALPHAS, 25, seed=0)
@@ -638,7 +560,7 @@ class TestBlock:
                 a, b = getattr(trace, field), getattr(alone, field)
                 assert (a is None) == (b is None)
                 assert a is None or np.array_equal(a, b)
-            replay = _replay(ReplayGame(game), alphas, horizon, eta, x0, window, seed, algorithm)
+            replay = _replay(game, alphas, horizon, eta, x0, window, seed, algorithm)
             assert_close(trace, replay)
 
     @settings(max_examples=60, deadline=None)
