@@ -133,7 +133,7 @@ def fit_rate(series: AggregateTrace, window: tuple[float, float]) -> float:
         raise ValueError(f"window {window} selects fewer than two points")
     values = series.mean[mask]
     if np.any(values <= 0):
-        raise ValueError("series must be positive inside the fit window")
+        raise ValueError(f"series must be positive inside the fit window {window}")
     slope = np.polyfit(np.log(series.episodes[mask]), np.log(values), 1)[0]
     return float(slope)
 

@@ -259,10 +259,12 @@ def _report_rng(config: ExperimentConfig) -> np.random.Generator:
 
 
 # cap on what ``learning._run`` holds at its peak, in float64s per episode:
-# five per agent and column (three tail arrays and the action path in the
-# loop; the action path, the lowest tail draws and the two VaR series
-# after it), and up to 24 for the one series or column it works on; one
-# block holds all 40 columns of a two-agent run at T = 10^4
+# five per agent and column (a finished column keeps its action path, its
+# two VaR series and its err_sq), and up to 24 for the one column it
+# plays (its three tail arrays, its action path and the rank passes'
+# temporaries; the float play's lists hold a chunk of at most 1024
+# episodes and a quarter of the run); one block holds all 40 columns of a
+# two-agent run at T = 10^4
 _BLOCK_BYTES = 64 << 20
 _BLOCK_ARRAYS, _SERIES_ARRAYS = 5, 24
 
@@ -283,7 +285,7 @@ def _blocks(config: ExperimentConfig, workers: int) -> list[list]:
 
 
 def _run_block(config: ExperimentConfig, block) -> list[RunTrace]:
-    """One lockstep run of the block's (algorithm, trial) columns."""
+    """One ``_run`` of the block's (algorithm, trial) columns."""
     columns = [(_trial_seed(config, idx), alg) for alg, idx in block]
     return _run(
         build_game(config),
@@ -478,7 +480,8 @@ def compute_reports(config: ExperimentConfig, traces: dict) -> list[BoundReport]
     fixed sample size; the bias check runs per algorithm-1 trial and
     agent (where the cost density is unbounded along the run its row has
     ``passed`` None); the rate fit needs equilibrium distances and a long
-    enough horizon.
+    enough horizon, and its row has ``passed`` None where the mean error
+    is not positive throughout the fit window.
     """
     game = build_game(config)
     reports = []
@@ -503,7 +506,11 @@ def compute_reports(config: ExperimentConfig, traces: dict) -> list[BoundReport]
         series = AggregateTrace.from_series(alg_traces[0].episodes, errors)
         window = (100, config.horizon)
         if config.horizon >= 200:
-            slope = fit_rate(series, window)
+            try:
+                slope = fit_rate(series, window)
+            except ValueError as exc:  # a run that never leaves the equilibrium
+                reports.append(BoundReport("rate", math.nan, -0.4, None, f"algorithm={alg}, {exc}"))
+                continue
             worst = int(np.argmax([e[-1] for e in errors]))
             reports.append(
                 BoundReport(
@@ -537,7 +544,7 @@ def run_experiment(
     """Execute all configured trials and write the output bundle.
 
     Every built-in game is an ``AffineNoiseGame``, so each (algorithm,
-    trial) pair is one column of a lockstep run of the rank engine,
+    trial) pair is one column of a block run of the rank engine,
     ``learning._run``. The columns, in (algorithm, trial) order, are cut
     into one near-equal block per worker, or into more blocks when a
     block's run would hold more than a fixed byte budget; blocks run in

@@ -50,7 +50,10 @@ class Box:
     upper: float
 
     def __post_init__(self):
-        lo, hi = float(self.lower), float(self.upper)
+        # + 0.0 turns a -0.0 bound into 0.0, so that a clamp never meets a
+        # zero of the other sign, where np.clip and a clamp by comparisons
+        # pick differently
+        lo, hi = float(self.lower) + 0.0, float(self.upper) + 0.0
         if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
             raise ValueError(f"bounds must be finite with lower < upper, got [{lo}, {hi}]")
         object.__setattr__(self, "lower", lo)
@@ -89,9 +92,12 @@ class AffineNoiseGame(ABC):
     agent indices, and ``x`` a joint action or a (num_agents, ...) stack of
     them; indexing ``x[agent]`` (and ``x[1 - agent]`` in a two-agent game)
     handles both, and each coefficient is a scalar or an array of the
-    shape of ``x[agent]``. The learning loop asks for every agent's
-    coefficients at once and raises a ``ValueError`` naming the agent and
-    episode of a negative slope.
+    shape of ``x[agent]``. It is also called with an int agent and ``x`` a
+    list of Python floats, and should then return floats: the learning
+    loop plays each run that way, one agent at a time. After the loop the
+    VaR read-off asks for every agent's coefficients at once over the
+    action path and raises a ``ValueError`` naming the agent and episode
+    of a negative slope.
     """
 
     def __init_subclass__(cls, **kwargs):

@@ -20,16 +20,18 @@ episode's tail depends on the draws alone. ``run_algorithm1`` and
 ``_rank_tails`` takes every episode's lowest tail draw xi_(k), tail size
 and tail sum in one vectorized pass over the draws' ranks, O(T log T)
 per series. ``_run`` plays a block of columns, each a (seed, algorithm)
-pair with its own draws, in lockstep over an (agents, columns) joint
-action: an episode is one ``affine_noise`` call for all agents, one
-expression for every gradient, (count * g0 + g1 * sum of the tail draws)
-/ (t * alpha), and one clip. The recorded VaRs are read off the action
-path afterwards, c0 + s * xi_(k) for Algorithm 1 and c0 + s *
-VaR_alpha(xi) for the baseline. Columns never interact, so each equals
-its run alone bit for bit. ``_replay`` is a plain single-run loop whose
-estimators re-evaluate every kept draw through the game's cost and
-gradient batches, O(T^2) per run; it is the oracle the rank engine is
-tested against.
+pair with its own draws. An episode's step is the gradient (count * g0
++ g1 * sum of the tail draws) / (t * alpha), then a clip to the box.
+Algorithm 1 is sequential, so every run pays one Python-level step per
+episode; ``_run`` plays each column alone in Python floats, one
+``affine_noise`` call per agent and episode, where a numpy call's fixed
+overhead would cost more than the arithmetic it does. The recorded
+VaRs are read off the action path afterwards, c0 + s * xi_(k) for
+Algorithm 1 and c0 + s * VaR_alpha(xi) for the baseline. Columns never
+interact, so each equals its run alone bit for bit. ``_replay`` is a
+plain single-run loop whose estimators re-evaluate every kept draw
+through the game's cost and gradient batches, O(T^2) per run; it is the
+oracle the rank engine is tested against.
 
 The tail is a set of noise ranks. Algorithm 1 takes the top t - k + 1
 draws; the replay orders its rows by (cost, noise) and takes as many.
@@ -230,6 +232,48 @@ def _trace(actions, nu, nu_star, x_star) -> RunTrace:
     return RunTrace(np.arange(1, len(actions) + 1), actions, nu, nu_star, err_sq)
 
 
+# episodes per chunk of the float play, which bounds its lists of Python
+# floats: they take about four times the bytes of the arrays they copy,
+# so a chunk is also at most a quarter of the run
+_FLOAT_PLAY_CHUNK = 1024
+
+
+def _play_column(game, count, total, denoms, eta, x, lower, upper) -> np.ndarray:
+    """Play one column in Python floats; its (T, agents) action path.
+
+    ``count`` and ``total`` are the column's (agents, T) tail sizes and
+    tail sums, and ``denoms`` each agent's and episode's (t - start) *
+    alpha. Each episode calls ``affine_noise`` with an int agent and the
+    joint action as a list of floats.
+    """
+    horizon = count.shape[1]
+    agents, noise = range(game.num_agents), game.affine_noise
+    lower, upper, x = lower.tolist(), upper.tolist(), x.tolist()
+    path = np.empty((horizon, len(agents)))
+    chunk = min(_FLOAT_PLAY_CHUNK, max(1, horizon // 4))
+    for a in range(0, horizon, chunk):
+        b = a + chunk
+        tails = [
+            zip(count[i, a:b].tolist(), total[i, a:b].tolist(), denoms[i, a:b].tolist())
+            for i in agents
+        ]
+        played = []
+        for episode in zip(*tails):
+            played += x
+            step = []
+            # simultaneous play: all updates use the same joint action
+            for i in agents:
+                k, tail, d = episode[i]
+                _, _, g0, g1 = noise(i, x)
+                v = x[i] - eta * ((k * g0 + g1 * tail) / d)
+                # np.clip(v, lower, upper) as the replay steps, since no
+                # games.Box bound is -0.0
+                step.append(lower[i] if v < lower[i] else upper[i] if v > upper[i] else v)
+            x = step
+        path[a:b] = np.reshape(played, (-1, len(agents)))
+    return path
+
+
 def _run(
     game: AffineNoiseGame,
     alphas,
@@ -239,47 +283,38 @@ def _run(
     window: int | None,
     columns,
 ) -> list[RunTrace]:
-    """Play a block of runs in lockstep on the rank engine, one trace per column.
+    """Play a block of runs on the rank engine, one trace per column.
 
     Each column is a (seed, algorithm) pair, with algorithm "algorithm1"
     or "unbiased-fo"; the columns share the game and every other argument.
+    Each column plays alone, in Python floats (``_play_column``), and its
+    tail arrays are freed before the next column's are made.
     """
     alphas, eta, x, lower, upper = _setup(game, alphas, horizon, eta, x0, window)
-    num_agents, width = game.num_agents, len(columns)
+    num_agents = game.num_agents
     laws = [game.noise_distribution(i) for i in range(num_agents)]
     quantiles = np.array([law.var(alpha) for law, alpha in zip(laws, alphas)])
-    unbiased = np.array([algorithm == "unbiased-fo" for _, algorithm in columns])
+    agents = np.arange(num_agents)
+    episodes = np.arange(1, horizon + 1)
+    spans = episodes if window is None else np.minimum(episodes, window)
+    denoms = spans * alphas[:, None]
+    x_star = game.nash_equilibrium(alphas)
 
-    # per agent, episode and column: lowest tail draw, tail size, tail sum
-    low, count, total = (np.empty((num_agents, horizon, width)) for _ in range(3))
-    for c, (seed, _) in enumerate(columns):
+    traces = []
+    for seed, algorithm in columns:
+        unbiased = algorithm == "unbiased-fo"
+        # per agent and episode: lowest tail draw, tail size, tail sum
+        low, count, total = (np.empty((num_agents, horizon)) for _ in range(3))
         for i, rng in enumerate(_as_rngs(game, seed)):
             draws = laws[i].sample(rng, size=horizon)
             # the baseline's tail is the draws at or above the noise quantile
-            q = quantiles[i] if unbiased[c] else None
-            low[i, :, c], count[i, :, c], total[i, :, c] = _rank_tails(
-                draws, alphas[i], window, q
-            )
+            q = quantiles[i] if unbiased else None
+            low[i], count[i], total[i] = _rank_tails(draws, alphas[i], window, q)
+        actions = _play_column(game, count, total, denoms, eta, x, lower, upper)
+        del count, total
 
-    agents = np.arange(num_agents)
-    x = np.repeat(x[:, None], width, axis=1)
-    lower, upper = lower[:, None], upper[:, None]
-    actions = np.empty((width, horizon, num_agents))
-    for t in range(1, horizon + 1):
-        actions[:, t - 1] = x.T
-        start = 0 if window is None else max(0, t - window)
-        _, _, g0, g1 = game.affine_noise(agents, x)
-        grads = (count[:, t - 1] * g0 + g1 * total[:, t - 1]) / ((t - start) * alphas[:, None])
-        # simultaneous play: all updates use the same joint action
-        x = np.clip(x - eta * grads, lower, upper)
-
-    del count, total
-    x_star = game.nash_equilibrium(alphas)
-    traces = []
-    for c in range(width):
-        # the VaRs off the column's (agents, T) action path, one column at a
-        # time so that no block-sized temporaries pile up
-        c0, s, _, _ = game.affine_noise(agents, actions[c].T)
+        # the VaRs off the (agents, T) action path
+        c0, s, _, _ = game.affine_noise(agents, actions.T)
         s = np.broadcast_to(s, (num_agents, horizon))
         negative = np.argwhere(s < 0)
         if negative.size:
@@ -289,8 +324,8 @@ def _run(
                 f"noise slope, got {s[i, k]}"
             )
         nu_star = c0 + s * quantiles[:, None]
-        nu = nu_star if unbiased[c] else c0 + low[:, :, c] * s
-        traces.append(_trace(actions[c], nu.T, nu_star.T, x_star))
+        nu = nu_star if unbiased else c0 + low * s
+        traces.append(_trace(actions, nu.T, nu_star.T, x_star))
     return traces
 
 

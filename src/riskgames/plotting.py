@@ -58,7 +58,9 @@ def emit_plot(series: list[tuple[str, AggregateTrace]], path) -> None:
     """Write an SVG overlaying mean curves with +/- one std bands.
 
     ``series`` pairs a legend label with an aggregate; the y axis is
-    log-scaled, so nonpositive band edges are clamped to the axis floor.
+    log-scaled, so nonpositive values are clamped to the axis floor: the
+    power of ten at or below the lowest positive mean, or 1 when no mean
+    is positive, as in a run that never leaves the equilibrium.
 
     Each mean line and each band edge is cut to its per-pixel-column
     envelope. A point at episode x falls in column
@@ -74,10 +76,8 @@ def emit_plot(series: list[tuple[str, AggregateTrace]], path) -> None:
     x_max = max(float(agg.episodes.max()) for _, agg in series)
     x_min = min(float(agg.episodes.min()) for _, agg in series)
     positive = np.concatenate([agg.mean[agg.mean > 0] for _, agg in series])
-    if positive.size == 0:
-        raise ValueError("all mean values are nonpositive; nothing to plot on a log axis")
     hi = max(float((agg.mean + agg.std).max()) for _, agg in series)
-    y_lo_dec = math.floor(math.log10(float(positive.min())))
+    y_lo_dec = math.floor(math.log10(float(positive.min()))) if positive.size else 0
     y_hi_dec = math.ceil(math.log10(hi)) if hi > 0 else y_lo_dec + 1
     if y_hi_dec <= y_lo_dec:
         y_hi_dec = y_lo_dec + 1

@@ -5,9 +5,9 @@ a 20-trial reference experiment (both algorithms, T = 5000) and a
 50-seed batch of long Algorithm-1 runs (T = 10^4). They are built once
 per session, in parallel, and reused by the learning, analysis, and
 acceptance tests. Both go through the experiment runner's scheduler:
-each worker plays its share of the runs as one lockstep block of the
-rank engine, ``learning._run``, which the learning tests hold equal to
-the replay oracle.
+each worker plays its share of the runs as one block of the rank
+engine, ``learning._run``, which the learning tests hold equal to the
+replay oracle.
 """
 
 import os

@@ -409,22 +409,23 @@ class TestBundle:
 
     @pytest.mark.parametrize("per_block,window", [(1, None), (8, 100)])
     def test_a_block_peaks_within_the_byte_budget(self, monkeypatch, per_block, window):
-        # the smallest cap at which _blocks puts per_block columns in a block
-        horizon = 5000
-        cap = 8 * horizon * (_SERIES_ARRAYS + _BLOCK_ARRAYS * 2 * per_block)
-        monkeypatch.setattr(cli, "_BLOCK_BYTES", cap)
-        cfg = validate_config({"game": "cournot", "T": horizon, "trials": 4, "window": window})
-        block = _blocks(cfg, 1)[0]
-        assert len(block) == per_block
         # a first run imports what the engine loads lazily, which is no block's cost
         _run_block(validate_config({"game": "cournot", "T": 2, "trials": 1}), [("algorithm1", 0)])
-        tracemalloc.start()
-        try:
-            _run_block(cfg, block)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= cap
+        # below T = 4096 the float play's chunk is a quarter of the run
+        for horizon in (5000, 300):
+            # the smallest cap at which _blocks puts per_block columns in a block
+            cap = 8 * horizon * (_SERIES_ARRAYS + _BLOCK_ARRAYS * 2 * per_block)
+            monkeypatch.setattr(cli, "_BLOCK_BYTES", cap)
+            cfg = validate_config({"game": "cournot", "T": horizon, "trials": 4, "window": window})
+            block = _blocks(cfg, 1)[0]
+            assert len(block) == per_block
+            tracemalloc.start()
+            try:
+                _run_block(cfg, block)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= cap, horizon
 
     def test_seeding_is_linear_in_trials(self, tmp_path, monkeypatch):
         # every column's seed used to spawn all trials + 1 children
@@ -506,6 +507,16 @@ class TestPlot:
         polyline = text.split('<polyline points="')[1].split('"')[0]
         ys = {pt.split(",")[1] for pt in polyline.split()}
         assert len(ys) == 1
+
+    def test_zero_series_lies_on_the_floor(self, tmp_path):
+        # no positive mean: the axis floor is 1 and the curve is drawn on it
+        path = tmp_path / "zero.svg"
+        emit_plot([("still", self.agg(np.zeros(50)))], path)
+        text = path.read_text()
+        assert ">1e0</text>" in text
+        polyline = text.split('<polyline points="')[1].split('"')[0]
+        ys = {pt.split(",")[1] for pt in polyline.split()}
+        assert ys == {f"{plotting._HEIGHT - plotting._BOTTOM:.2f}"}
 
     def test_two_series_have_legend_and_distinct_colors(self, tmp_path):
         path = tmp_path / "two.svg"
@@ -668,6 +679,28 @@ class TestMain:
                 expected = fh.read()
             with open(os.path.join(out_below, "trials", name), "rb") as fh:
                 assert fh.read() == expected
+
+    def test_run_that_stays_at_the_equilibrium(self, tmp_path):
+        # a step under half an ulp from x*: every err_sq is 0, so there is no
+        # positive error to plot on a log axis or to fit a log-log slope to
+        x_star = build_game(validate_config(dict(SMALL_RAW))).nash_equilibrium((0.4, 0.8))
+        raw = {"game": "cournot", "T": 300, "trials": 2, "eta": 1.0e-20, "x0": x_star.tolist()}
+        path = write_config(tmp_path, raw)
+        out = str(tmp_path / "still")
+        assert main(["run", "--strict", "--config", path, "--out", out]) == 0
+        for name in ("aggregate.csv", "convergence.svg", "bounds.csv", "config.yaml"):
+            assert os.path.exists(os.path.join(out, name)), name
+        bounds = os.path.join(out, "bounds.csv")
+        original = open(bounds, "rb").read()
+        with open(bounds) as fh:
+            rows = [r for r in csv.DictReader(fh) if r["name"] == "rate"]
+        assert [r["passed"] for r in rows] == ["none", "none"]
+        assert [r["detail"] for r in rows] == [
+            f"algorithm={alg}, series must be positive inside the fit window (100, 300)"
+            for alg in ("algorithm1", "unbiased-fo")
+        ]
+        assert main(["report", "--strict", "--bundle", out]) == 0
+        assert open(bounds, "rb").read() == original
 
     def test_report_on_missing_bundle(self, capsys):
         assert main(["report", "--bundle", "/nonexistent"]) == 2

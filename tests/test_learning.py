@@ -55,8 +55,9 @@ class LateNegativeSlopeGame(NegativeSlopeGame):
     at least 1, so the first step takes x_1 below 0.45."""
 
     def affine_noise(self, agent, x):
-        # transposed so that an agent index array meets the agent axis of x[agent]
-        return x[agent], (x[agent].T - 0.45 * agent).T, 1.0, 1.0
+        # transposed so that an agent index array meets the agent axis of x[agent];
+        # an int agent of a list of floats gives a float, made an array for .T
+        return x[agent], (np.asarray(x[agent]).T - 0.45 * agent).T, 1.0, 1.0
 
 
 def replay_runner(algorithm):
@@ -547,7 +548,7 @@ class TestSortedPathMatchesReplay:
 
 
 class TestBlock:
-    """A lockstep block of columns equals each column run on its own and its replay."""
+    """A block of columns equals each column run on its own and its replay."""
 
     @staticmethod
     def assert_columns(game, block, columns, alphas, horizon, eta, x0, window):
