@@ -258,35 +258,9 @@ def _report_rng(config: ExperimentConfig) -> np.random.Generator:
     return np.random.default_rng(_trial_seed(config, config.trials))
 
 
-# cap on what ``learning._run`` holds at its peak, in float64s per episode:
-# five per agent and column (a finished column keeps its action path, its
-# two VaR series and its err_sq), and up to 24 for the one column it
-# plays (its three tail arrays, its action path and the rank passes'
-# temporaries; the float play's lists hold a chunk of at most 1024
-# episodes and a quarter of the run); one block holds all 40 columns of a
-# two-agent run at T = 10^4
-_BLOCK_BYTES = 64 << 20
-_BLOCK_ARRAYS, _SERIES_ARRAYS = 5, 24
-
-
-def _blocks(config: ExperimentConfig, workers: int) -> list[list]:
-    """The (algorithm, trial) columns in order, cut into near-equal blocks.
-
-    At least one block per worker, and more only when a block's run would
-    hold more than ``_BLOCK_BYTES``; but never less than one column, which
-    for two agents alone exceeds that budget from about T = 2.5e5.
-    """
-    columns = [(alg, idx) for alg in config.algorithms for idx in range(config.trials)]
-    per_episode = _BLOCK_BYTES // (8 * config.horizon) - _SERIES_ARRAYS
-    per_block = max(1, per_episode // (_BLOCK_ARRAYS * len(config.alphas)))
-    count = min(len(columns), max(workers, math.ceil(len(columns) / per_block)))
-    cuts = [len(columns) * n // count for n in range(count + 1)]
-    return [columns[a:b] for a, b in zip(cuts, cuts[1:])]
-
-
-def _run_block(config: ExperimentConfig, block) -> list[RunTrace]:
-    """One ``_run`` of the block's (algorithm, trial) columns."""
-    columns = [(_trial_seed(config, idx), alg) for alg, idx in block]
+def _run_trial(config: ExperimentConfig, column) -> RunTrace:
+    """The trace of one (algorithm, trial) ``column`` of ``config``."""
+    alg, idx = column
     return _run(
         build_game(config),
         config.alphas,
@@ -294,17 +268,25 @@ def _run_block(config: ExperimentConfig, block) -> list[RunTrace]:
         config.eta,
         np.array(config.x0),
         config.window,
-        columns,
+        _trial_seed(config, idx),
+        alg,
     )
 
 
-def _run_blocks(config: ExperimentConfig, blocks, workers: int):
-    """Each block's traces, in block order; one process per block when parallel."""
-    if workers > 1 and len(blocks) > 1:
-        with ProcessPoolExecutor(max_workers=min(workers, len(blocks))) as pool:
-            yield from pool.map(_run_block, [config] * len(blocks), blocks)
+def _run_trials(config: ExperimentConfig, columns, workers: int):
+    """Each column's trace, in column order; one pool task per trial when parallel."""
+    if workers > 1 and len(columns) > 1:
+        with ProcessPoolExecutor(max_workers=min(workers, len(columns))) as pool:
+            yield from pool.map(_run_trial, [config] * len(columns), columns)
     else:
-        yield from map(_run_block, [config] * len(blocks), blocks)
+        yield from map(_run_trial, [config] * len(columns), columns)
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _all_passed(reports) -> bool:
@@ -543,15 +525,13 @@ def run_experiment(
 ) -> OutputBundle:
     """Execute all configured trials and write the output bundle.
 
-    Every built-in game is an ``AffineNoiseGame``, so each (algorithm,
-    trial) pair is one column of a block run of the rank engine,
-    ``learning._run``. The columns, in (algorithm, trial) order, are cut
-    into one near-equal block per worker, or into more blocks when a
-    block's run would hold more than a fixed byte budget; blocks run in
-    parallel up to ``workers``, capped at the CPU count, with one
-    ``progress`` line per finished block. A column's trace does not
-    depend on its block, and results are reduced in (algorithm, trial)
-    order, so the artifacts do not depend on scheduling.
+    Each (algorithm, trial) pair is one run of the rank engine,
+    ``learning._run``. Trials run in parallel up to ``workers``, capped
+    at the CPUs this process may run on, one pool task per trial, with
+    one ``progress`` line per finished trial. A trial's trace depends
+    only on the config and its index, and results are reduced in
+    (algorithm, trial) order, so the artifacts do not depend on
+    scheduling.
     """
     out_dir = out_dir or config.out_dir or "out"
     os.makedirs(out_dir, exist_ok=True)
@@ -563,17 +543,13 @@ def run_experiment(
             print(msg, file=progress)
 
     # a process pool starts all its workers at once
-    workers = min(workers, os.cpu_count() or 1)
-    blocks = _blocks(config, workers)
-    say(
-        f"running {len(config.algorithms) * config.trials} trials in {len(blocks)} blocks "
-        f"({config.game}, T={config.horizon}, workers={workers})"
-    )
+    workers = min(workers, _usable_cpus())
+    columns = [(alg, idx) for alg in config.algorithms for idx in range(config.trials)]
+    say(f"running {len(columns)} trials ({config.game}, T={config.horizon}, workers={workers})")
     traces = {alg: [] for alg in config.algorithms}
-    for n, (block, results) in enumerate(zip(blocks, _run_blocks(config, blocks, workers)), 1):
-        for (alg, _), trace in zip(block, results):
-            traces[alg].append(trace)
-        say(f"block {n}/{len(blocks)} done: {len(block)} trials")
+    for n, ((alg, idx), trace) in enumerate(zip(columns, _run_trials(config, columns, workers)), 1):
+        traces[alg].append(trace)
+        say(f"trial {n}/{len(columns)} done: {alg} {idx}")
 
     trial_paths = {}
     for alg in config.algorithms:

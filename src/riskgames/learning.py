@@ -19,19 +19,18 @@ episode's tail depends on the draws alone. ``run_algorithm1`` and
 ``run_unbiased_baseline`` run on ``_run``, the rank engine.
 ``_rank_tails`` takes every episode's lowest tail draw xi_(k), tail size
 and tail sum in one vectorized pass over the draws' ranks, O(T log T)
-per series. ``_run`` plays a block of columns, each a (seed, algorithm)
-pair with its own draws. An episode's step is the gradient (count * g0
-+ g1 * sum of the tail draws) / (t * alpha), then a clip to the box.
-Algorithm 1 is sequential, so every run pays one Python-level step per
-episode; ``_run`` plays each column alone in Python floats, one
+per series. ``_run`` plays one (seed, algorithm) run. An episode's step
+is the gradient (count * g0 + g1 * sum of the tail draws) / (t * alpha),
+then a clip to the box. Algorithm 1 is sequential, so every run pays one
+Python-level step per episode; ``_run`` plays it in Python floats, one
 ``affine_noise`` call per agent and episode, where a numpy call's fixed
 overhead would cost more than the arithmetic it does. The recorded
 VaRs are read off the action path afterwards, c0 + s * xi_(k) for
-Algorithm 1 and c0 + s * VaR_alpha(xi) for the baseline. Columns never
-interact, so each equals its run alone bit for bit. ``_replay`` is a
-plain single-run loop whose estimators re-evaluate every kept draw
-through the game's cost and gradient batches, O(T^2) per run; it is the
-oracle the rank engine is tested against.
+Algorithm 1 and c0 + s * VaR_alpha(xi) for the baseline. ``_replay``
+takes the same arguments as ``_run``: a plain loop whose estimators
+re-evaluate every kept draw through the game's cost and gradient
+batches, O(T^2) per run; it is the oracle the rank engine is tested
+against.
 
 The tail is a set of noise ranks. Algorithm 1 takes the top t - k + 1
 draws; the replay orders its rows by (cost, noise) and takes as many.
@@ -238,10 +237,10 @@ def _trace(actions, nu, nu_star, x_star) -> RunTrace:
 _FLOAT_PLAY_CHUNK = 1024
 
 
-def _play_column(game, count, total, denoms, eta, x, lower, upper) -> np.ndarray:
-    """Play one column in Python floats; its (T, agents) action path.
+def _play(game, count, total, denoms, eta, x, lower, upper) -> np.ndarray:
+    """Play one run in Python floats; its (T, agents) action path.
 
-    ``count`` and ``total`` are the column's (agents, T) tail sizes and
+    ``count`` and ``total`` are the run's (agents, T) tail sizes and
     tail sums, and ``denoms`` each agent's and episode's (t - start) *
     alpha. Each episode calls ``affine_noise`` with an int agent and the
     joint action as a list of floats.
@@ -275,58 +274,46 @@ def _play_column(game, count, total, denoms, eta, x, lower, upper) -> np.ndarray
 
 
 def _run(
-    game: AffineNoiseGame,
-    alphas,
-    horizon: int,
-    eta: float | None,
-    x0,
-    window: int | None,
-    columns,
-) -> list[RunTrace]:
-    """Play a block of runs on the rank engine, one trace per column.
+    game: AffineNoiseGame, alphas, horizon: int, eta, x0, window, seed, algorithm: str
+) -> RunTrace:
+    """One run of ``algorithm``, "algorithm1" or "unbiased-fo", on the rank engine.
 
-    Each column is a (seed, algorithm) pair, with algorithm "algorithm1"
-    or "unbiased-fo"; the columns share the game and every other argument.
-    Each column plays alone, in Python floats (``_play_column``), and its
-    tail arrays are freed before the next column's are made.
+    One ``_rank_tails`` pass per agent gives the tails, ``_play`` plays
+    the run in Python floats, and the tail arrays are freed before the
+    VaRs are read off the action path.
     """
     alphas, eta, x, lower, upper = _setup(game, alphas, horizon, eta, x0, window)
     num_agents = game.num_agents
     laws = [game.noise_distribution(i) for i in range(num_agents)]
     quantiles = np.array([law.var(alpha) for law, alpha in zip(laws, alphas)])
-    agents = np.arange(num_agents)
     episodes = np.arange(1, horizon + 1)
     spans = episodes if window is None else np.minimum(episodes, window)
     denoms = spans * alphas[:, None]
-    x_star = game.nash_equilibrium(alphas)
+    unbiased = algorithm == "unbiased-fo"
 
-    traces = []
-    for seed, algorithm in columns:
-        unbiased = algorithm == "unbiased-fo"
-        # per agent and episode: lowest tail draw, tail size, tail sum
-        low, count, total = (np.empty((num_agents, horizon)) for _ in range(3))
-        for i, rng in enumerate(_as_rngs(game, seed)):
-            draws = laws[i].sample(rng, size=horizon)
-            # the baseline's tail is the draws at or above the noise quantile
-            q = quantiles[i] if unbiased else None
-            low[i], count[i], total[i] = _rank_tails(draws, alphas[i], window, q)
-        actions = _play_column(game, count, total, denoms, eta, x, lower, upper)
-        del count, total
+    # per agent and episode: lowest tail draw, tail size, tail sum
+    low, count, total = (np.empty((num_agents, horizon)) for _ in range(3))
+    for i, rng in enumerate(_as_rngs(game, seed)):
+        draws = laws[i].sample(rng, size=horizon)
+        # the baseline's tail is the draws at or above the noise quantile
+        q = quantiles[i] if unbiased else None
+        low[i], count[i], total[i] = _rank_tails(draws, alphas[i], window, q)
+    actions = _play(game, count, total, denoms, eta, x, lower, upper)
+    del count, total
 
-        # the VaRs off the (agents, T) action path
-        c0, s, _, _ = game.affine_noise(agents, actions.T)
-        s = np.broadcast_to(s, (num_agents, horizon))
-        negative = np.argwhere(s < 0)
-        if negative.size:
-            i, k = negative[0]
-            raise ValueError(
-                f"agent {i} at episode {k + 1}: affine_noise needs a nonnegative "
-                f"noise slope, got {s[i, k]}"
-            )
-        nu_star = c0 + s * quantiles[:, None]
-        nu = nu_star if unbiased else c0 + low * s
-        traces.append(_trace(actions, nu.T, nu_star.T, x_star))
-    return traces
+    # the VaRs off the (agents, T) action path
+    c0, s, _, _ = game.affine_noise(np.arange(num_agents), actions.T)
+    s = np.broadcast_to(s, (num_agents, horizon))
+    negative = np.argwhere(s < 0)
+    if negative.size:
+        i, k = negative[0]
+        raise ValueError(
+            f"agent {i} at episode {k + 1}: affine_noise needs a nonnegative "
+            f"noise slope, got {s[i, k]}"
+        )
+    nu_star = c0 + s * quantiles[:, None]
+    nu = nu_star if unbiased else c0 + low * s
+    return _trace(actions, nu.T, nu_star.T, game.nash_equilibrium(alphas))
 
 
 def _replay(
@@ -385,7 +372,7 @@ def run_algorithm1(
     positive integer, is a ``ValueError``. Runs with equal seeds and
     configuration are bit-identical.
     """
-    return _run(game, alphas, horizon, eta, x0, window, [(seed, "algorithm1")])[0]
+    return _run(game, alphas, horizon, eta, x0, window, seed, "algorithm1")
 
 
 def run_unbiased_baseline(
@@ -398,4 +385,4 @@ def run_unbiased_baseline(
     window: int | None = None,
 ) -> RunTrace:
     """Identical loop with the estimated VaR replaced by the exact one."""
-    return _run(game, alphas, horizon, eta, x0, window, [(seed, "unbiased-fo")])[0]
+    return _run(game, alphas, horizon, eta, x0, window, seed, "unbiased-fo")

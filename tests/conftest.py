@@ -5,18 +5,15 @@ a 20-trial reference experiment (both algorithms, T = 5000) and a
 50-seed batch of long Algorithm-1 runs (T = 10^4). They are built once
 per session, in parallel, and reused by the learning, analysis, and
 acceptance tests. Both go through the experiment runner's scheduler:
-each worker plays its share of the runs as one block of the rank
-engine, ``learning._run``, which the learning tests hold equal to the
-replay oracle.
+each pool task plays one run on the rank engine, ``learning._run``,
+which the learning tests hold equal to the replay oracle.
 """
-
-import os
 
 import pytest
 
-from riskgames.cli import _blocks, _run_blocks, run_experiment, validate_config
+from riskgames.cli import _run_trials, _usable_cpus, run_experiment, validate_config
 
-_WORKERS = min(4, os.cpu_count() or 1)
+_WORKERS = min(4, _usable_cpus())
 
 REFERENCE_RAW_CONFIG = {
     "game": "cournot",
@@ -50,5 +47,5 @@ def reference_bundle(tmp_path_factory):
 def cournot_long_traces():
     """50 seeded Algorithm-1 runs at T = 10^4."""
     config = validate_config(dict(LONG_RAW_CONFIG))
-    blocks = _run_blocks(config, _blocks(config, _WORKERS), _WORKERS)
-    return [trace for block in blocks for trace in block]
+    columns = [("algorithm1", idx) for idx in range(config.trials)]
+    return list(_run_trials(config, columns, _WORKERS))

@@ -25,12 +25,8 @@ from riskgames.cli import (
     validate_config,
     write_aggregate_csv,
     write_trace_csv,
-    _BLOCK_ARRAYS,
-    _BLOCK_BYTES,
-    _SERIES_ARRAYS,
     _aggregate,
-    _blocks,
-    _run_block,
+    _run_trial,
 )
 from riskgames.learning import run_algorithm1, run_unbiased_baseline
 from riskgames import plotting
@@ -97,6 +93,33 @@ def write_config(tmp_path, raw, name="config.yaml"):
     path = tmp_path / name
     path.write_text(yaml.safe_dump(raw), encoding="utf-8")
     return str(path)
+
+
+def pin_cpus(monkeypatch, count):
+    """Make this process see ``count`` usable CPUs, with or without an affinity call."""
+    monkeypatch.setattr(os, "cpu_count", lambda: count)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
+def record_pool_sizes(monkeypatch) -> list:
+    """Swap the process pool for an in-process one; the list gets each pool's size."""
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    return sizes
 
 
 class TestValidateConfig:
@@ -332,9 +355,9 @@ class TestBundle:
             assert open(path, "rb").read() == open(other, "rb").read()
 
     def test_parallel_matches_serial(self, tmp_path, monkeypatch):
-        # 3 workers cut the 4 columns into uneven blocks; workers are capped
-        # at the CPU count, so pin one that does not cap them
-        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        # 3 workers share the 4 trials unevenly; workers are capped at the
+        # usable CPUs, so pin a count that does not cap them
+        pin_cpus(monkeypatch, 4)
         cfg = validate_config(dict(SMALL_RAW))
         serial = run_experiment(cfg, out_dir=str(tmp_path / "serial"), workers=1)
         for workers in (2, 3):
@@ -350,24 +373,9 @@ class TestBundle:
 
     def test_workers_capped_at_cpu_count(self, tmp_path, monkeypatch):
         # a process pool starts all its workers at once, so --workers 500
-        # must not fork 500 processes; an in-process pool records its size
-        sizes = []
-
-        class RecordingPool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables):
-                return map(fn, *iterables)
-
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        # must not fork 500 processes
+        sizes = record_pool_sizes(monkeypatch)
+        pin_cpus(monkeypatch, 2)
         cfg = validate_config(dict(SMALL_RAW))
         serial = run_experiment(cfg, out_dir=str(tmp_path / "serial"), workers=1)
         wide = run_experiment(cfg, out_dir=str(tmp_path / "wide"), workers=500)
@@ -377,51 +385,54 @@ class TestBundle:
             with open(path, "rb") as a, open(wide.trial_paths[key], "rb") as b:
                 assert a.read() == b.read()
 
-    @pytest.mark.parametrize("workers,blocks", [(1, 1), (2, 2), (3, 3), (8, 4)])
-    def test_one_progress_line_per_block(self, tmp_path, capsys, monkeypatch, workers, blocks):
-        # a CPU count that does not cap the workers
-        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    @pytest.mark.parametrize("affinity", [True, False], ids=["affinity", "no-affinity"])
+    def test_workers_capped_at_the_usable_cpus(self, tmp_path, monkeypatch, affinity):
+        # under taskset or a container's CPU set the process may run on
+        # fewer CPUs than the host has; without an affinity call the CPU
+        # count is the cap
+        sizes = record_pool_sizes(monkeypatch)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8 if affinity else 3)
+        if affinity:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 5, 6}, raising=False)
+        else:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        cfg = validate_config(dict(SMALL_RAW))
+        run_experiment(cfg, out_dir=str(tmp_path / "out"), workers=8)
+        assert sizes == [3]
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 8])
+    def test_one_progress_line_per_trial(self, tmp_path, capsys, monkeypatch, workers):
+        pin_cpus(monkeypatch, 8)
         progress = io.StringIO()
         cfg = validate_config(dict(SMALL_RAW))
         run_experiment(cfg, out_dir=str(tmp_path / "out"), workers=workers, progress=progress)
         lines = progress.getvalue().splitlines()
-        assert lines[0].startswith(f"running 4 trials in {blocks} blocks")
-        done = [line.split(": ") for line in lines if line.startswith("block ")]
-        assert [head for head, _ in done] == [f"block {n}/{blocks} done" for n in range(1, blocks + 1)]
-        sizes = [int(tail.split()[0]) for _, tail in done]
-        assert sum(sizes) == 4 and max(sizes) - min(sizes) <= 1
+        assert lines[0] == f"running 4 trials (cournot, T=40, workers={workers})"
+        done = [line for line in lines if line.startswith("trial ")]
+        # in (algorithm, trial) order, whatever the scheduling
+        assert done == [
+            f"trial {n}/4 done: {alg} {idx}"
+            for n, (alg, idx) in enumerate(
+                [(a, i) for a in ("algorithm1", "unbiased-fo") for i in range(2)], 1
+            )
+        ]
         # data only goes to files
         assert capsys.readouterr().out == ""
 
-    @pytest.mark.parametrize(
-        "horizon,workers,count", [(5000, 1, 1), (5000, 3, 3), (10**5, 2, 8), (10**6, 1, 40)]
-    )
-    def test_blocks_follow_workers_and_the_byte_budget(self, horizon, workers, count):
-        cfg = validate_config({"game": "cournot", "T": horizon, "trials": 20})
-        blocks = _blocks(cfg, workers)
-        assert len(blocks) == count
-        # near-equal, and in (algorithm, trial) order
-        assert max(map(len, blocks)) - min(map(len, blocks)) <= 1
-        assert [c for b in blocks for c in b] == [(a, i) for a in cfg.algorithms for i in range(20)]
-        for block in blocks:
-            held = 8 * horizon * (_SERIES_ARRAYS + _BLOCK_ARRAYS * 2 * len(block))
-            assert len(block) == 1 or held <= _BLOCK_BYTES
-
-    @pytest.mark.parametrize("per_block,window", [(1, None), (8, 100)])
-    def test_a_block_peaks_within_the_byte_budget(self, monkeypatch, per_block, window):
-        # a first run imports what the engine loads lazily, which is no block's cost
-        _run_block(validate_config({"game": "cournot", "T": 2, "trials": 1}), [("algorithm1", 0)])
+    @pytest.mark.parametrize("window", [None, 100])
+    @pytest.mark.parametrize("algorithm", ["algorithm1", "unbiased-fo"])
+    def test_a_trial_peaks_within_34_floats_per_episode(self, algorithm, window):
+        # a first run imports what the engine loads lazily, which is no trial's cost
+        _run_trial(validate_config({"game": "cournot", "T": 2, "trials": 1}), ("algorithm1", 0))
         # below T = 4096 the float play's chunk is a quarter of the run
         for horizon in (5000, 300):
-            # the smallest cap at which _blocks puts per_block columns in a block
-            cap = 8 * horizon * (_SERIES_ARRAYS + _BLOCK_ARRAYS * 2 * per_block)
-            monkeypatch.setattr(cli, "_BLOCK_BYTES", cap)
-            cfg = validate_config({"game": "cournot", "T": horizon, "trials": 4, "window": window})
-            block = _blocks(cfg, 1)[0]
-            assert len(block) == per_block
+            # per episode: up to 24 float64s for the run being played and
+            # 5 per agent for the trace it returns
+            cap = 8 * horizon * (24 + 5 * 2)
+            cfg = validate_config({"game": "cournot", "T": horizon, "trials": 1, "window": window})
             tracemalloc.start()
             try:
-                _run_block(cfg, block)
+                _run_trial(cfg, (algorithm, 0))
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
