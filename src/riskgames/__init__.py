@@ -18,24 +18,16 @@ from .analysis import (
 from .distributions import (
     Uniform,
     dkw_confidence_width,
-    empirical_var,
-    empirical_var_cvar,
 )
 from .games import (
     AffineNoiseGame,
     Box,
     CournotGame,
     QuadraticCounterexampleGame,
-    decomposition_check,
-    exact_gradient_oracle,
-    monotonicity_probe,
 )
 from .learning import (
-    GradientEstimate,
-    cvar_gradient_estimate,
     run_algorithm1,
     run_unbiased_baseline,
-    unbiased_cvar_gradient,
 )
 
 __version__ = "0.1.0"
@@ -46,23 +38,15 @@ __all__ = [
     "BoundReport",
     "Box",
     "CournotGame",
-    "GradientEstimate",
     "QuadraticCounterexampleGame",
     "RunTrace",
     "Uniform",
-    "cvar_gradient_estimate",
-    "decomposition_check",
     "density_range",
     "dkw_confidence_width",
-    "empirical_var",
-    "empirical_var_cvar",
-    "exact_gradient_oracle",
     "fit_rate",
-    "monotonicity_probe",
     "run_algorithm1",
     "run_unbiased_baseline",
     "time_averaged_error",
-    "unbiased_cvar_gradient",
     "validate_lemma3",
     "validate_lemma4",
 ]

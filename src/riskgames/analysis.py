@@ -76,7 +76,6 @@ class AggregateTrace:
     episodes: np.ndarray
     mean: np.ndarray
     std: np.ndarray
-    n_trials: int
 
     @classmethod
     def from_series(cls, episodes, rows) -> "AggregateTrace":
@@ -90,9 +89,8 @@ class AggregateTrace:
         if stack.shape[1] != episodes.size:
             raise ValueError("series length must match the episode axis")
         mean = stack.mean(axis=0)
-        n = stack.shape[0]
-        std = stack.std(axis=0, ddof=1) if n > 1 else np.zeros_like(mean)
-        return cls(episodes=episodes, mean=mean, std=std, n_trials=n)
+        std = stack.std(axis=0, ddof=1) if stack.shape[0] > 1 else np.zeros_like(mean)
+        return cls(episodes=episodes, mean=mean, std=std)
 
 
 @dataclass
@@ -121,20 +119,22 @@ def time_averaged_error(trace: RunTrace) -> np.ndarray:
     return np.cumsum(trace.err_sq) / np.arange(1, trace.horizon + 1, dtype=np.float64)
 
 
-def fit_rate(series: AggregateTrace, window: tuple[float, float]) -> float:
-    """Log-log OLS slope of a mean error series over an episode window.
+def fit_rate(series, window: tuple[float, float]) -> float:
+    """Log-log OLS slope of an error series over an episode window.
 
-    A series decaying like T^(-r) yields slope -r; the fit is invariant
-    to positive rescaling of the series.
+    ``series[t - 1]`` is the value at episode t, for t = 1..T. A series
+    decaying like T^(-r) yields slope -r; the fit is invariant to
+    positive rescaling of the series.
     """
     lo, hi = window
-    mask = (series.episodes >= lo) & (series.episodes <= hi)
+    episodes = np.arange(1, len(series) + 1)
+    mask = (episodes >= lo) & (episodes <= hi)
     if int(mask.sum()) < 2:
         raise ValueError(f"window {window} selects fewer than two points")
-    values = series.mean[mask]
+    values = np.asarray(series, dtype=np.float64)[mask]
     if np.any(values <= 0):
         raise ValueError(f"series must be positive inside the fit window {window}")
-    slope = np.polyfit(np.log(series.episodes[mask]), np.log(values), 1)[0]
+    slope = np.polyfit(np.log(episodes[mask]), np.log(values), 1)[0]
     return float(slope)
 
 

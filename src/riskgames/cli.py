@@ -163,10 +163,8 @@ def validate_config(raw: dict) -> ExperimentConfig:
         _require(alg in ALGORITHMS, f"algorithms: unknown algorithm {alg!r} (choose from {list(ALGORITHMS)})")
     _require(len(set(algorithms)) == len(algorithms), "algorithms: duplicate entries")
 
-    raw_window = raw.get("window", 0)
-    window = None
-    if raw_window not in (0, None):
-        window = _as_int(raw_window, "window", 1)
+    raw_window = raw.get("window")
+    window = None if raw_window is None else _as_int(raw_window, "window", 0) or None
 
     edf = raw.get("edf", "exact")
     removed = isinstance(edf, str) and edf.startswith("binned")
@@ -254,10 +252,6 @@ def _trial_seed(config: ExperimentConfig, index: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(config.seed, spawn_key=(index,))
 
 
-def _report_rng(config: ExperimentConfig) -> np.random.Generator:
-    return np.random.default_rng(_trial_seed(config, config.trials))
-
-
 def _run_trial(config: ExperimentConfig, column) -> RunTrace:
     """The trace of one (algorithm, trial) ``column`` of ``config``."""
     alg, idx = column
@@ -309,25 +303,9 @@ class OutputBundle:
     report_path: str
     config_path: str
 
-    @property
-    def all_passed(self) -> bool:
-        return _all_passed(self.reports)
-
 
 def trial_filename(algorithm: str, index: int) -> str:
     return f"{algorithm}-trial{index:03d}.csv"
-
-
-def _write_csv(path, header, rows) -> None:
-    """One header line, then the rows, through ``csv.writer``.
-
-    Only ``bounds.csv`` comes here: its ``detail`` cells hold commas, which
-    ``csv.writer`` quotes. The numeric files go through ``_write_numeric_csv``.
-    """
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
 
 
 def _write_numeric_csv(path, header, episodes, block) -> None:
@@ -467,7 +445,7 @@ def compute_reports(config: ExperimentConfig, traces: dict) -> list[BoundReport]
     """
     game = build_game(config)
     reports = []
-    rng = _report_rng(config)
+    rng = np.random.default_rng(_trial_seed(config, config.trials))
     for agent, alpha in enumerate(config.alphas):
         dist = game.noise_distribution(agent)
         eps = dkw_confidence_width(_LEMMA3_T, _LEMMA3_GAMMA_BAR, dist.density_lower_bound)
@@ -482,39 +460,43 @@ def compute_reports(config: ExperimentConfig, traces: dict) -> list[BoundReport]
             reports.append(rep)
 
     for alg, alg_traces in traces.items():
-        if not alg_traces or alg_traces[0].err_sq is None:
+        if config.horizon < 200 or not alg_traces or alg_traces[0].err_sq is None:
             continue
         errors = [time_averaged_error(t) for t in alg_traces]
-        series = AggregateTrace.from_series(alg_traces[0].episodes, errors)
         window = (100, config.horizon)
-        if config.horizon >= 200:
-            try:
-                slope = fit_rate(series, window)
-            except ValueError as exc:  # a run that never leaves the equilibrium
-                reports.append(BoundReport("rate", math.nan, -0.4, None, f"algorithm={alg}, {exc}"))
-                continue
-            worst = int(np.argmax([e[-1] for e in errors]))
-            reports.append(
-                BoundReport(
-                    name="rate",
-                    empirical=slope,
-                    bound=-0.4,
-                    passed=slope <= -0.4,
-                    detail=(
-                        f"algorithm={alg}, log-log slope of mean time-averaged sq error "
-                        f"over {window}, worst trial={worst} with final value {errors[worst][-1]:.4g}"
-                    ),
-                )
+        try:
+            slope = fit_rate(np.mean(errors, axis=0), window)
+        except ValueError as exc:  # a run that never leaves the equilibrium
+            reports.append(BoundReport("rate", math.nan, -0.4, None, f"algorithm={alg}, {exc}"))
+            continue
+        worst = int(np.argmax([e[-1] for e in errors]))
+        reports.append(
+            BoundReport(
+                name="rate",
+                empirical=slope,
+                bound=-0.4,
+                passed=slope <= -0.4,
+                detail=(
+                    f"algorithm={alg}, log-log slope of mean time-averaged sq error "
+                    f"over {window}, worst trial={worst} with final value {errors[worst][-1]:.4g}"
+                ),
             )
+        )
     return reports
 
 
 def write_report_csv(reports: list[BoundReport], path) -> None:
-    _write_csv(
-        path,
-        ["name", "empirical", "bound", "passed", "detail"],
-        ([r.name, float(r.empirical), float(r.bound), str(r.passed).lower(), r.detail] for r in reports),
-    )
+    """``bounds.csv``: a header line, then one row per report.
+
+    It goes through ``csv.writer``, which quotes the commas that
+    ``detail`` cells hold. The numeric files go through ``_write_numeric_csv``.
+    """
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["name", "empirical", "bound", "passed", "detail"])
+        writer.writerows(
+            [r.name, float(r.empirical), float(r.bound), str(r.passed).lower(), r.detail] for r in reports
+        )
 
 
 def run_experiment(
@@ -527,14 +509,13 @@ def run_experiment(
 
     Each (algorithm, trial) pair is one run of the rank engine,
     ``learning._run``. Trials run in parallel up to ``workers``, capped
-    at the CPUs this process may run on, one pool task per trial, with
-    one ``progress`` line per finished trial. A trial's trace depends
-    only on the config and its index, and results are reduced in
-    (algorithm, trial) order, so the artifacts do not depend on
-    scheduling.
+    at the CPUs this process may run on, one pool task per trial. Each
+    trial's file is written as its trace arrives, before its
+    ``progress`` line. A trial's trace depends only on the config and
+    its index, and traces arrive in (algorithm, trial) order, so the
+    artifacts do not depend on scheduling.
     """
     out_dir = out_dir or config.out_dir or "out"
-    os.makedirs(out_dir, exist_ok=True)
     trials_dir = os.path.join(out_dir, "trials")
     os.makedirs(trials_dir, exist_ok=True)
 
@@ -547,16 +528,13 @@ def run_experiment(
     columns = [(alg, idx) for alg in config.algorithms for idx in range(config.trials)]
     say(f"running {len(columns)} trials ({config.game}, T={config.horizon}, workers={workers})")
     traces = {alg: [] for alg in config.algorithms}
+    trial_paths = {}
     for n, ((alg, idx), trace) in enumerate(zip(columns, _run_trials(config, columns, workers)), 1):
+        path = os.path.join(trials_dir, trial_filename(alg, idx))
+        write_trace_csv(trace, path)
+        trial_paths[(alg, idx)] = path
         traces[alg].append(trace)
         say(f"trial {n}/{len(columns)} done: {alg} {idx}")
-
-    trial_paths = {}
-    for alg in config.algorithms:
-        for idx, trace in enumerate(traces[alg]):
-            path = os.path.join(trials_dir, trial_filename(alg, idx))
-            write_trace_csv(trace, path)
-            trial_paths[(alg, idx)] = path
 
     aggregates = {alg: _aggregate(traces[alg]) for alg in config.algorithms}
     aggregate_path = None
@@ -595,7 +573,12 @@ def run_experiment(
 
 
 def load_bundle_traces(bundle_dir: str) -> tuple[ExperimentConfig, dict]:
+    """A bundle's config and traces; a trial file the config does not name is a ``ConfigError``."""
     config = load_config(os.path.join(bundle_dir, "config.yaml"))
+    expected = {trial_filename(alg, idx) for alg in config.algorithms for idx in range(config.trials)}
+    for name in sorted(os.listdir(os.path.join(bundle_dir, "trials"))):
+        path = os.path.join(bundle_dir, "trials", name)
+        _require(name in expected, f"bundle has trial file {path}, which its config.yaml does not name")
     traces = {}
     for alg in config.algorithms:
         traces[alg] = []
@@ -642,7 +625,7 @@ def main(argv=None) -> int:
             )
             for rep in bundle.reports:
                 print(rep, file=sys.stderr)
-            if args.strict and not bundle.all_passed:
+            if args.strict and not _all_passed(bundle.reports):
                 return 1
             return 0
 

@@ -7,9 +7,9 @@ from that one description. Two built-in two-agent games: a Cournot
 duopoly whose risk-averse equilibrium is unique and computable in closed
 form, and a quadratic game whose risk-averse (alpha = 0.5) equilibria
 form a whole line segment even though its risk-neutral version is
-strongly monotone. Also numerical probes for strong monotonicity and for
-the additive noise-decomposition structure that the convergence theory
-relies on.
+strongly monotone. Also two numerical probes of a game: one for strong
+monotonicity of its exact CVaR gradients, and one for the additive
+noise-decomposition structure that the convergence theory relies on.
 
 An agent's action is a float in an interval, its ``Box``; a joint
 action is a float vector with one entry per agent, and ``game.bounds``
@@ -36,7 +36,6 @@ __all__ = [
     "AffineNoiseGame",
     "CournotGame",
     "QuadraticCounterexampleGame",
-    "exact_gradient_oracle",
     "monotonicity_probe",
     "decomposition_check",
 ]
@@ -62,10 +61,6 @@ class Box:
     def project(self, x) -> np.ndarray:
         """Euclidean projection onto the interval, a clamp."""
         return np.clip(np.asarray(x, dtype=np.float64), self.lower, self.upper)
-
-
-def _joint_bounds(action_sets) -> tuple[np.ndarray, np.ndarray]:
-    return np.array([box.lower for box in action_sets]), np.array([box.upper for box in action_sets])
 
 
 class AffineNoiseGame(ABC):
@@ -124,7 +119,8 @@ class AffineNoiseGame(ABC):
     @property
     def bounds(self) -> tuple[np.ndarray, np.ndarray]:
         """The joint box as (lower, upper) arrays, one entry per agent."""
-        return _joint_bounds(self.action_sets)
+        boxes = self.action_sets
+        return np.array([box.lower for box in boxes]), np.array([box.upper for box in boxes])
 
     def feasible(self, x, tol: float = 1e-9) -> bool:
         x = np.asarray(x, dtype=np.float64)
@@ -301,53 +297,42 @@ class QuadraticCounterexampleGame(AffineNoiseGame):
         )
 
 
-def exact_gradient_oracle(game: AffineNoiseGame, alphas):
-    """Callable (agent, x) -> exact CVaR gradient for a fixed alpha profile.
-
-    alpha = 1 for every agent gives the risk-neutral pseudo-gradient.
-    """
-    alphas = [check_risk_level(a) for a in alphas]
-    if len(alphas) != game.num_agents:
-        raise ValueError("expected one risk level per agent")
-
-    def oracle(agent: int, x) -> float:
-        return game.exact_risk_averse_gradient(agent, x, alphas[agent])
-
-    return oracle
-
-
 def monotonicity_probe(
-    grad_oracle,
-    action_sets: tuple[Box, ...],
+    game: AffineNoiseGame,
+    alphas,
     num_pairs: int,
     rng: np.random.Generator,
     direction: np.ndarray | None = None,
     min_separation: float = 1e-6,
 ) -> float:
-    """Sampled lower estimate of the game's monotonicity constant.
+    """Sampled lower estimate of the game's monotonicity constant at ``alphas``.
 
     Draws ``num_pairs`` random pairs (x, x') of joint actions, one float
-    per agent, from the joint box of ``action_sets`` and returns the
-    minimum of
+    per agent, from ``game.bounds`` and returns the minimum of
 
         sum_i (F_i(x) - F_i(x')) (x_i - x_i') / ||x - x'||^2,
 
-    where F_i = grad_oracle(i, .) is a float. This is an upper bound on
-    the true constant m (a certificate would need the full infimum). With
-    ``direction`` set, x' is displaced from x along that fixed direction
-    only, which probes degenerate directions. Pairs closer than
-    ``min_separation`` are rejected; exhausting the rejection budget is
-    an error.
+    where F_i(x) = ``game.exact_risk_averse_gradient(i, x, alphas[i])``;
+    alpha = 1 for every agent gives the risk-neutral pseudo-gradient.
+    This is an upper bound on the true constant m (a certificate would
+    need the full infimum). With ``direction`` set, x' is displaced from
+    x along that fixed direction only, which probes degenerate
+    directions. Pairs closer than ``min_separation`` are rejected;
+    exhausting the rejection budget is an error.
     """
+    alphas = [check_risk_level(a) for a in alphas]
+    if len(alphas) != game.num_agents:
+        raise ValueError("expected one risk level per agent")
     if num_pairs < 1:
         raise ValueError("num_pairs must be >= 1")
-    lower, upper = _joint_bounds(action_sets)
+    lower, upper = game.bounds
     if direction is not None:
         direction = np.asarray(direction, dtype=np.float64)
         if direction.shape != lower.shape or not np.linalg.norm(direction) > 0:
             raise ValueError("direction must be a nonzero joint-space vector")
         direction = direction / np.linalg.norm(direction)
     scale = float(np.max(upper - lower))
+    grad = game.exact_risk_averse_gradient
     best = math.inf
     attempts_left = 100 * num_pairs
     found = 0
@@ -367,7 +352,7 @@ def monotonicity_probe(
         dist = float(np.linalg.norm(diff))
         if dist < min_separation:
             continue
-        gaps = [grad_oracle(i, x) - grad_oracle(i, x_alt) for i in range(len(action_sets))]
+        gaps = [grad(i, x, alpha) - grad(i, x_alt, alpha) for i, alpha in enumerate(alphas)]
         ratio = float(np.dot(gaps, diff)) / (dist * dist)
         best = min(best, ratio)
         found += 1

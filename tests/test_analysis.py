@@ -71,7 +71,6 @@ class TestAggregateTrace:
         stack = np.stack(rows)
         assert np.array_equal(agg.mean, stack.mean(axis=0))
         assert np.array_equal(agg.std, stack.std(axis=0, ddof=1))
-        assert agg.n_trials == 3
 
     def test_single_trial_has_zero_std(self):
         agg = AggregateTrace.from_series(np.arange(1, 3), [np.array([1.0, 2.0])])
@@ -83,34 +82,28 @@ class TestAggregateTrace:
 
 
 class TestFitRate:
-    @staticmethod
-    def agg(values):
-        values = np.asarray(values, dtype=float)
-        t = np.arange(1, values.size + 1)
-        return AggregateTrace(episodes=t, mean=values, std=np.zeros_like(values), n_trials=1)
-
     def test_exact_power_law(self):
         t = np.arange(1, 2001, dtype=float)
-        assert fit_rate(self.agg(t**-0.5), (10, 2000)) == pytest.approx(-0.5, abs=1e-12)
+        assert fit_rate(t**-0.5, (10, 2000)) == pytest.approx(-0.5, abs=1e-12)
 
     def test_flat_series(self):
-        assert fit_rate(self.agg(np.full(500, 3.0)), (10, 500)) == pytest.approx(0.0, abs=1e-12)
+        assert fit_rate(np.full(500, 3.0), (10, 500)) == pytest.approx(0.0, abs=1e-12)
 
     def test_scale_invariance(self):
         t = np.arange(1, 1001, dtype=float)
         series = t**-0.7
-        a = fit_rate(self.agg(series), (5, 1000))
-        b = fit_rate(self.agg(7.3 * series), (5, 1000))
+        a = fit_rate(series, (5, 1000))
+        b = fit_rate(7.3 * series, (5, 1000))
         assert a == pytest.approx(b, abs=1e-12)
 
     def test_rejects_nonpositive_values(self):
         vals = np.linspace(1.0, -0.5, 100)
         with pytest.raises(ValueError):
-            fit_rate(self.agg(vals), (1, 100))
+            fit_rate(vals, (1, 100))
 
     def test_rejects_tiny_window(self):
         with pytest.raises(ValueError):
-            fit_rate(self.agg(np.ones(100)), (50, 50))
+            fit_rate(np.ones(100), (50, 50))
 
 
 class TestValidateLemma3:

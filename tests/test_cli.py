@@ -182,6 +182,8 @@ class TestValidateConfig:
             ({"game": "quadratic-counterexample", "T": 10, "b": 0}, "b: must be positive"),
             ({"game": "quadratic-counterexample", "T": 10, "d": 0}, "d: must be positive"),
             ({"game": [1], "T": 10}, "game: unknown game"),
+            ({"game": "cournot", "T": 10, "window": False}, "window"),
+            ({"game": "cournot", "T": 10, "window": 0.0}, "window"),
         ],
     )
     def test_rejections_name_the_field(self, raw, fragment):
@@ -419,6 +421,25 @@ class TestBundle:
         # data only goes to files
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_each_trial_file_is_written_before_its_progress_line(self, tmp_path, monkeypatch, workers):
+        pin_cpus(monkeypatch, 2)
+        trials = tmp_path / "out" / "trials"
+        seen = []
+
+        class Progress:
+            def write(self, text):
+                if text.startswith("trial "):
+                    alg, idx = text.split(": ")[1].split()
+                    path = trials / trial_filename(alg, int(idx))
+                    assert path.exists(), text
+                    assert len(path.read_text().splitlines()) == 1 + SMALL_RAW["T"], text
+                    seen.append(text)
+
+        cfg = validate_config(dict(SMALL_RAW))
+        run_experiment(cfg, out_dir=str(tmp_path / "out"), workers=workers, progress=Progress())
+        assert len(seen) == 4
+
     @pytest.mark.parametrize("window", [None, 100])
     @pytest.mark.parametrize("algorithm", ["algorithm1", "unbiased-fo"])
     def test_a_trial_peaks_within_34_floats_per_episode(self, algorithm, window):
@@ -507,9 +528,7 @@ class TestPlot:
     def agg(values, std=None):
         values = np.asarray(values, dtype=float)
         std = np.zeros_like(values) if std is None else np.asarray(std, dtype=float)
-        return AggregateTrace(
-            episodes=np.arange(1, values.size + 1), mean=values, std=std, n_trials=3
-        )
+        return AggregateTrace(episodes=np.arange(1, values.size + 1), mean=values, std=std)
 
     def test_constant_series_is_horizontal(self, tmp_path):
         path = tmp_path / "flat.svg"
@@ -711,6 +730,30 @@ class TestMain:
             for alg in ("algorithm1", "unbiased-fo")
         ]
         assert main(["report", "--strict", "--bundle", out]) == 0
+        assert open(bounds, "rb").read() == original
+
+    @pytest.mark.parametrize(
+        "edit,first_extra",
+        [
+            ({"trials": 1}, trial_filename("algorithm1", 1)),
+            ({"algorithms": ["algorithm1"]}, trial_filename("unbiased-fo", 0)),
+        ],
+        ids=["fewer-trials", "dropped-algorithm"],
+    )
+    def test_report_refuses_trial_files_the_config_does_not_name(self, tmp_path, capsys, edit, first_extra):
+        out = str(tmp_path / "bundle")
+        assert main(["run", "--config", write_config(tmp_path, {**SMALL_RAW, "trials": 3}), "--out", out]) == 0
+        config_path = os.path.join(out, "config.yaml")
+        with open(config_path, encoding="utf-8") as fh:
+            doc = yaml.safe_load(fh)
+        with open(config_path, "w", encoding="utf-8") as fh:
+            yaml.safe_dump({**doc, **edit}, fh, sort_keys=False)
+        bounds = os.path.join(out, "bounds.csv")
+        original = open(bounds, "rb").read()
+        capsys.readouterr()
+        assert main(["report", "--bundle", out]) == 2
+        path = os.path.join(out, "trials", first_extra)
+        assert f"error: bundle has trial file {path}, which its config.yaml does not name" in capsys.readouterr().err
         assert open(bounds, "rb").read() == original
 
     def test_report_on_missing_bundle(self, capsys):

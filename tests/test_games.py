@@ -9,7 +9,6 @@ from riskgames.games import (
     CournotGame,
     QuadraticCounterexampleGame,
     decomposition_check,
-    exact_gradient_oracle,
     monotonicity_probe,
 )
 from riskgames.learning import run_algorithm1
@@ -228,17 +227,15 @@ class TestDerivedClosedForms:
 
 class TestStructuralProbes:
     def test_monotonicity_cournot(self):
-        oracle = exact_gradient_oracle(COURNOT, [0.4, 0.8])
         m_hat = monotonicity_probe(
-            oracle, COURNOT.action_sets, 10_000, np.random.default_rng(1)
+            COURNOT, [0.4, 0.8], 10_000, np.random.default_rng(1)
         )
         assert 0.95 <= m_hat <= 1.05
 
     def test_monotonicity_counterexample_degenerate_direction(self):
-        oracle = exact_gradient_oracle(COUNTER, [0.5, 0.5])
         ratio = monotonicity_probe(
-            oracle,
-            COUNTER.action_sets,
+            COUNTER,
+            [0.5, 0.5],
             2000,
             np.random.default_rng(2),
             direction=np.array([1.0, -1.0]),
@@ -248,32 +245,29 @@ class TestStructuralProbes:
     def test_monotonicity_counterexample_risk_neutral(self):
         # the risk-neutral pseudo-gradient Jacobian [[2a, 5a/3], [5a/3, 2a]]
         # has minimum symmetric eigenvalue a/3
-        oracle = exact_gradient_oracle(COUNTER, [1.0, 1.0])
         m_hat = monotonicity_probe(
-            oracle, COUNTER.action_sets, 10_000, np.random.default_rng(3)
+            COUNTER, [1.0, 1.0], 10_000, np.random.default_rng(3)
         )
         assert m_hat > 0
         assert m_hat == pytest.approx(1.0 / 3.0, abs=0.05)
 
     def test_probe_rejects_degenerate_pairs(self):
-        oracle = exact_gradient_oracle(COURNOT, [1.0, 1.0])
         with pytest.raises(RuntimeError):
             monotonicity_probe(
-                oracle,
-                COURNOT.action_sets,
+                COURNOT,
+                [1.0, 1.0],
                 1,
                 np.random.default_rng(4),
                 min_separation=1e9,
             )
 
     def test_probe_validates_inputs(self):
-        oracle = exact_gradient_oracle(COURNOT, [1.0, 1.0])
         with pytest.raises(ValueError):
-            monotonicity_probe(oracle, COURNOT.action_sets, 0, np.random.default_rng(0))
+            monotonicity_probe(COURNOT, [1.0, 1.0], 0, np.random.default_rng(0))
         with pytest.raises(ValueError):
             monotonicity_probe(
-                oracle,
-                COURNOT.action_sets,
+                COURNOT,
+                [1.0, 1.0],
                 10,
                 np.random.default_rng(0),
                 direction=np.zeros(2),
