@@ -10,7 +10,11 @@ A run executes every configured algorithm for the configured number of
 trials (seeds split deterministically from the master seed), then writes
 per-trial trace CSVs, an aggregate CSV, a convergence SVG, a bound
 report CSV, and the resolved config. Re-running an identical config
-byte-reproduces the CSVs. Progress goes to stderr; data only to files.
+byte-reproduces the CSVs. Every float in the trial and aggregate CSVs is
+written as its ``repr``, which round-trips exactly; orjson formats a chunk
+of rows at a time, and ``repr`` only the cells it lays out otherwise.
+``--workers`` must be at least 1. Progress goes to stderr; data only to
+files.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
+import orjson
 import yaml
 
 from .analysis import (
@@ -308,20 +313,40 @@ def trial_filename(algorithm: str, index: int) -> str:
     return f"{algorithm}-trial{index:03d}.csv"
 
 
-def _write_numeric_csv(path, header, episodes, block) -> None:
-    """One header line, then per episode ``t`` and that row of ``block``.
+# rows formatted per orjson call: bounds the bytes a write holds at once
+_CSV_CHUNK_ROWS = 1024
 
-    Each float is written as its repr, which round-trips exactly. No cell
-    holds a comma or a quote, so these are the bytes ``csv.writer`` writes,
-    without its per-cell quoting checks. Rows are streamed, not joined into
-    one string.
+
+def _write_numeric_csv(path, header, episodes, block) -> None:
+    """One header line, then per episode ``t`` and that row of the float64 ``block``.
+
+    Each float is written as its ``repr``, which round-trips exactly. No
+    cell holds a comma or a quote, so these are the bytes ``csv.writer``
+    writes. orjson formats a chunk of rows at once with the same shortest
+    digits as ``repr``, but lays some out differently: ``0.000012345`` for
+    ``1.2345e-05``, ``1e-6`` for ``1e-06``, ``1e16`` for ``1e+16`` and
+    ``null`` for a non-finite value. So every nonzero cell outside
+    ``1e-4 <= |v| < 1e16``, and every non-finite one, is re-formatted with
+    ``repr``. Chunks of ``_CSV_CHUNK_ROWS`` rows bound the bytes held at once.
     """
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        fh.writelines(
-            f"{t}," + ",".join(map(repr, row)) + "\n"
-            for t, row in zip(episodes.tolist(), block.tolist())
-        )
+    width = block.shape[1] + 1
+    with open(path, "wb") as fh:
+        fh.write(",".join(header).encode())
+        for start in range(0, len(block), _CSV_CHUNK_ROWS):
+            chunk = block[start : start + _CSV_CHUNK_ROWS]
+            flat = chunk.ravel()
+            cells = orjson.dumps(flat, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].split(b",")
+            size = np.abs(flat)
+            relaid = np.flatnonzero(~((size >= 1e-4) & (size < 1e16)) & (flat != 0))
+            for i, value in zip(relaid.tolist(), flat[relaid].tolist()):
+                cells[i] = repr(value).encode()
+            # a leading "\n" on each t token ends the previous row
+            rows = [b""] * (len(chunk) * width)
+            rows[::width] = [b"\n%d" % t for t in episodes[start : start + _CSV_CHUNK_ROWS].tolist()]
+            for j in range(1, width):
+                rows[j::width] = cells[j - 1 :: width - 1]
+            fh.write(b",".join(rows).replace(b",\n", b"\n"))
+        fh.write(b"\n")
 
 
 def _trial_columns(num_agents: int) -> dict[str, list[str]]:
@@ -513,8 +538,11 @@ def run_experiment(
     trial's file is written as its trace arrives, before its
     ``progress`` line. A trial's trace depends only on the config and
     its index, and traces arrive in (algorithm, trial) order, so the
-    artifacts do not depend on scheduling.
+    artifacts do not depend on scheduling. ``workers`` below 1 is a
+    ``ValueError``.
     """
+    if workers < 1:
+        raise ValueError(f"workers: must be >= 1, got {workers}")
     out_dir = out_dir or config.out_dir or "out"
     trials_dir = os.path.join(out_dir, "trials")
     os.makedirs(trials_dir, exist_ok=True)
@@ -611,6 +639,8 @@ def main(argv=None) -> int:
     p_rep.add_argument("--strict", action="store_true")
 
     args = parser.parse_args(argv)
+    if args.command == "run" and args.workers < 1:
+        p_run.error(f"argument --workers: must be >= 1, got {args.workers}")
 
     try:
         if args.command == "validate":
@@ -621,7 +651,7 @@ def main(argv=None) -> int:
         if args.command == "run":
             config = load_config(args.config)
             bundle = run_experiment(
-                config, out_dir=args.out, workers=max(1, args.workers), progress=sys.stderr
+                config, out_dir=args.out, workers=args.workers, progress=sys.stderr
             )
             for rep in bundle.reports:
                 print(rep, file=sys.stderr)

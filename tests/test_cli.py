@@ -2,6 +2,7 @@ import csv
 import hashlib
 import io
 import os
+import struct
 import tracemalloc
 import xml.etree.ElementTree as ET
 from dataclasses import fields, replace
@@ -9,6 +10,8 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 import yaml
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from riskgames import cli
 from riskgames.analysis import AggregateTrace, RunTrace, time_averaged_error
@@ -27,6 +30,7 @@ from riskgames.cli import (
     write_trace_csv,
     _aggregate,
     _run_trial,
+    _write_numeric_csv,
 )
 from riskgames.learning import run_algorithm1, run_unbiased_baseline
 from riskgames import plotting
@@ -87,6 +91,27 @@ GOLDEN_BUNDLES = {
         },
     ),
 }
+
+
+def csv_writer_bytes(header, episodes, block) -> bytes:
+    """What ``csv.writer`` writes for a header and per episode ``t`` and that row of ``block``."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([t, *row] for t, row in zip(episodes.tolist(), block.tolist()))
+    return buf.getvalue().encode()
+
+
+# any float64 bit pattern: NaNs with any payload, infinities, signed zeros, subnormals
+_ANY_FLOAT64 = st.integers(0, 2**64 - 1).map(lambda bits: struct.unpack("<d", struct.pack("<Q", bits))[0])
+
+
+@st.composite
+def float_blocks(draw):
+    """A float64 block of 1-40 rows and 1-3 columns."""
+    rows, cols = draw(st.integers(1, 40)), draw(st.integers(1, 3))
+    cells = draw(st.lists(st.one_of(st.floats(), _ANY_FLOAT64), min_size=rows * cols, max_size=rows * cols))
+    return np.array(cells, dtype=np.float64).reshape(rows, cols)
 
 
 def write_config(tmp_path, raw, name="config.yaml"):
@@ -343,6 +368,52 @@ class TestBundle:
         path = tmp_path / "aggregate.csv"
         write_aggregate_csv(aggregates, list(runs), path)
         assert path.read_bytes() == oracle(header, columns)
+
+    # the edges of orjson's layout, where it stops writing what repr writes
+    @example(
+        block=np.array(
+            [[9.999999999999999e-05, 1e-4, 1e-5, -1.2345e-05, 9.999999999999999e-06, 9999999999999998.0, 1e16]]
+        ).T
+    )
+    # more than two chunks of rows, so that chunk boundaries are crossed
+    @example(
+        block=np.random.default_rng(0)
+        .integers(0, 2**64, size=(2 * cli._CSV_CHUNK_ROWS + 5, 3), dtype=np.uint64)
+        .view(np.float64)
+    )
+    @given(block=float_blocks())
+    @settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_numeric_writer_writes_what_csv_writer_writes(self, tmp_path, block):
+        header = ["t"] + [f"c{j}" for j in range(block.shape[1])]
+        episodes = np.arange(1, len(block) + 1)
+        path = tmp_path / "block.csv"
+        _write_numeric_csv(path, header, episodes, block)
+        assert path.read_bytes() == csv_writer_bytes(header, episodes, block)
+
+    def test_numeric_writer_peak_does_not_grow_with_rows(self, tmp_path):
+        # the writer holds one chunk of rows at a time, 170-180 bytes per
+        # cell as measured; a whole 10^4-row file in memory breaks this cap
+        width = 3
+        cap = 256 * cli._CSV_CHUNK_ROWS * (1 + width)
+        header = ["t"] + [f"c{j}" for j in range(width)]
+        rng = np.random.default_rng(0)
+        for rows in (10**4, 10**5):
+            # a quarter of the cells below 1e-4, which repr re-formats
+            block = rng.random((rows, width)) * 10.0 ** rng.integers(-5, 3, size=(rows, width))
+            episodes = np.arange(1, rows + 1)
+            tracemalloc.start()
+            try:
+                _write_numeric_csv(tmp_path / "block.csv", header, episodes, block)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= cap, rows
+
+    def test_run_experiment_rejects_fewer_than_one_worker(self, tmp_path):
+        out = tmp_path / "out"
+        with pytest.raises(ValueError, match="workers: must be >= 1, got 0"):
+            run_experiment(validate_config(dict(SMALL_RAW)), out_dir=str(out), workers=0)
+        assert not out.exists()
 
     def test_rerun_is_byte_identical(self, tmp_path):
         cfg = validate_config(dict(SMALL_RAW))
@@ -674,6 +745,15 @@ class TestMain:
         assert os.path.exists(os.path.join(out, "convergence.svg"))
         assert main(["report", "--bundle", out]) == 0
         assert "lemma3" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("workers", ["0", "-4"])
+    def test_run_rejects_fewer_than_one_worker(self, tmp_path, capsys, workers):
+        out = tmp_path / "bundle"
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--workers", workers, "--config", write_config(tmp_path, SMALL_RAW), "--out", str(out)])
+        assert exc.value.code == 2
+        assert f"argument --workers: must be >= 1, got {workers}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_run_strict_passes_on_good_bundle(self, tmp_path):
         path = write_config(tmp_path, SMALL_RAW)
