@@ -1,6 +1,6 @@
 """Risk-averse learning in convex games.
 
-Empirical VaR/CVaR estimation, first-order Nash equilibrium seeking
+Empirical VaR estimation, first-order Nash equilibrium seeking
 under CVaR objectives, and empirical validation of the estimator's
 concentration and convergence guarantees.
 """

@@ -1,11 +1,12 @@
 """Run traces, cross-trial aggregation, and empirical bound validators.
 
-The validators check the theory's inequalities against simulation: the
-DKW-based VaR concentration bound, the accumulated gradient-bias bound
-along a learning run, and the T^{-1/2} decay of the time-averaged
-squared distance to equilibrium. All checks are one-sided (empirical at
-or below the theoretical value passes; the bounds are not expected to be
-tight).
+A trace holds one row per episode: row t - 1 is episode t, so the
+episode axis is the row index and no trace stores it. The validators
+check the theory's inequalities against simulation: the DKW-based VaR
+concentration bound, the accumulated gradient-bias bound along a
+learning run, and the T^{-1/2} decay of the time-averaged squared
+distance to equilibrium. All checks are one-sided (empirical at or below
+the theoretical value passes; the bounds are not expected to be tight).
 """
 
 from __future__ import annotations
@@ -33,24 +34,24 @@ __all__ = [
 class RunTrace:
     """Per-episode record of one learning run: the columns of its trial file.
 
-    ``actions[t - 1]`` is the joint action played at episode t (so the
-    initial action is row 0 and there are exactly ``horizon`` rows).
-    ``nu`` holds the VaR value each agent used in its gradient estimate;
-    ``nu_star`` the true VaR at the same action. ``err_sq`` is the
-    squared distance to the game's equilibrium when one is known. The
-    run's description (game, risk levels, step, seed) is not part of the
-    trace.
+    Every array has one row per episode, row t - 1 for episode t, which
+    the trial file's ``t`` column numbers: ``actions[t - 1]`` is the
+    joint action played at episode t, so the initial action is row 0 and
+    there are exactly ``horizon`` rows. ``nu`` holds the VaR value
+    each agent used in its gradient estimate; ``nu_star`` the true VaR at
+    the same action. ``err_sq`` is the squared distance to the game's
+    equilibrium when one is known. The run's description (game, risk
+    levels, step, seed) is not part of the trace.
     """
 
-    episodes: np.ndarray
     actions: np.ndarray
     nu: np.ndarray
     nu_star: np.ndarray
     err_sq: np.ndarray | None
 
     def __post_init__(self):
-        t = self.episodes.size
-        if self.actions.shape[0] != t or self.nu.shape[0] != t:
+        t = self.actions.shape[0]
+        if self.nu.shape[0] != t:
             raise ValueError("trace arrays must have one row per episode")
         if self.nu_star.shape != self.nu.shape:
             raise ValueError("nu_star must match nu in shape")
@@ -62,7 +63,7 @@ class RunTrace:
 
     @property
     def horizon(self) -> int:
-        return int(self.episodes.size)
+        return int(self.actions.shape[0])
 
     @property
     def num_agents(self) -> int:
@@ -71,26 +72,22 @@ class RunTrace:
 
 @dataclass
 class AggregateTrace:
-    """Mean and standard deviation of an error series across trials."""
+    """Mean and standard deviation of an error series across trials, per episode."""
 
-    episodes: np.ndarray
     mean: np.ndarray
     std: np.ndarray
 
     @classmethod
-    def from_series(cls, episodes, rows) -> "AggregateTrace":
+    def from_series(cls, rows) -> "AggregateTrace":
         """Aggregate a list of per-trial series (each of length T).
 
         Uses the unbiased (n - 1) std denominator; a single trial gets
-        zero std.
+        zero std. Series of different lengths are a ``ValueError``.
         """
-        episodes = np.asarray(episodes)
         stack = np.stack([np.asarray(r, dtype=np.float64) for r in rows])
-        if stack.shape[1] != episodes.size:
-            raise ValueError("series length must match the episode axis")
         mean = stack.mean(axis=0)
         std = stack.std(axis=0, ddof=1) if stack.shape[0] > 1 else np.zeros_like(mean)
-        return cls(episodes=episodes, mean=mean, std=std)
+        return cls(mean=mean, std=std)
 
 
 @dataclass
@@ -192,7 +189,7 @@ def density_range(game, trace: RunTrace, agent: int) -> tuple[float, float]:
     if flat.size:
         raise ValueError(
             f"agent={agent}, cost-law width {float(widths[flat[0]]):.4g} at episode "
-            f"{int(trace.episodes[flat[0]])}: the density is unbounded there"
+            f"{int(flat[0]) + 1}: the density is unbounded there"
         )
     return 1.0 / float(widths.min()), 1.0 / float(widths.max())
 

@@ -317,8 +317,8 @@ def trial_filename(algorithm: str, index: int) -> str:
 _CSV_CHUNK_ROWS = 1024
 
 
-def _write_numeric_csv(path, header, episodes, block) -> None:
-    """One header line, then per episode ``t`` and that row of the float64 ``block``.
+def _write_numeric_csv(path, header, block) -> None:
+    """One header line, then per row of the float64 ``block`` its number ``t`` and its cells.
 
     Each float is written as its ``repr``, which round-trips exactly. No
     cell holds a comma or a quote, so these are the bytes ``csv.writer``
@@ -342,7 +342,7 @@ def _write_numeric_csv(path, header, episodes, block) -> None:
                 cells[i] = repr(value).encode()
             # a leading "\n" on each t token ends the previous row
             rows = [b""] * (len(chunk) * width)
-            rows[::width] = [b"\n%d" % t for t in episodes[start : start + _CSV_CHUNK_ROWS].tolist()]
+            rows[::width] = [b"\n%d" % t for t in range(start + 1, start + len(chunk) + 1)]
             for j in range(1, width):
                 rows[j::width] = cells[j - 1 :: width - 1]
             fh.write(b",".join(rows).replace(b",\n", b"\n"))
@@ -350,13 +350,12 @@ def _write_numeric_csv(path, header, episodes, block) -> None:
 
 
 def _trial_columns(num_agents: int) -> dict[str, list[str]]:
-    """Trial-file column names in file order, per ``RunTrace`` field.
+    """Trial-file column names after ``t``, in file order, per ``RunTrace`` field.
 
     ``err_sq`` is the one optional column: a trace of a game with no
     unique equilibrium has it None, and its file has no such column.
     """
     return {
-        "episodes": ["t"],
         "actions": [f"x{j}" for j in range(num_agents)],
         "err_sq": ["err_sq"],
         "nu": [f"nu_agent{i}" for i in range(num_agents)],
@@ -366,14 +365,13 @@ def _trial_columns(num_agents: int) -> dict[str, list[str]]:
 
 def write_trace_csv(trace: RunTrace, path) -> None:
     """One row per episode; full round-trip float precision."""
-    columns = _trial_columns(trace.num_agents)
-    header, blocks = columns.pop("episodes"), []
-    for field, names in columns.items():
+    header, blocks = ["t"], []
+    for field, names in _trial_columns(trace.num_agents).items():
         values = getattr(trace, field)
         if values is not None:
             header += names
             blocks.append(np.reshape(values, (trace.horizon, len(names))))
-    _write_numeric_csv(path, header, trace.episodes, np.hstack(blocks))
+    _write_numeric_csv(path, header, np.hstack(blocks))
 
 
 def read_trace_csv(path, config: ExperimentConfig) -> RunTrace:
@@ -388,7 +386,7 @@ def read_trace_csv(path, config: ExperimentConfig) -> RunTrace:
     columns = _trial_columns(game.num_agents)
     if game.nash_equilibrium(config.alphas) is None:
         del columns["err_sq"]
-    expected = [name for names in columns.values() for name in names]
+    expected = ["t"] + [name for names in columns.values() for name in names]
     try:
         with open(path, "r", encoding="utf-8") as fh:
             header = fh.readline().rstrip("\n").split(",")
@@ -423,11 +421,10 @@ def read_trace_csv(path, config: ExperimentConfig) -> RunTrace:
         f"trial file {path}: column t must count episodes 1..{config.horizon} in order",
     )
     ends = np.cumsum([len(names) for names in columns.values()])
-    blocks = dict(zip(columns, np.split(data, ends[:-1], axis=1)))
+    blocks = dict(zip(columns, np.split(data[:, 1:], ends[:-1], axis=1)))
     err_sq = blocks.get("err_sq")
     try:
         return RunTrace(
-            episodes=blocks["episodes"][:, 0].astype(int),
             actions=blocks["actions"],
             nu=blocks["nu"],
             nu_star=blocks["nu_star"],
@@ -438,11 +435,10 @@ def read_trace_csv(path, config: ExperimentConfig) -> RunTrace:
 
 
 def _aggregate(traces: list[RunTrace]) -> dict:
-    episodes = traces[0].episodes
     out = {}
     if traces[0].err_sq is not None:
-        out["err_sq"] = AggregateTrace.from_series(episodes, [t.err_sq for t in traces])
-        out["dist"] = AggregateTrace.from_series(episodes, [np.sqrt(t.err_sq) for t in traces])
+        out["err_sq"] = AggregateTrace.from_series([t.err_sq for t in traces])
+        out["dist"] = AggregateTrace.from_series([np.sqrt(t.err_sq) for t in traces])
     return out
 
 
@@ -454,8 +450,7 @@ def write_aggregate_csv(aggregates: dict, algorithms, path) -> None:
         dist = aggregates[alg]["dist"]
         header += [f"{alg}_mean_err_sq", f"{alg}_std_err_sq", f"{alg}_mean_dist", f"{alg}_std_dist"]
         columns += [sq.mean, sq.std, dist.mean, dist.std]
-    episodes = aggregates[algorithms[0]]["err_sq"].episodes
-    _write_numeric_csv(path, header, episodes, np.column_stack(columns))
+    _write_numeric_csv(path, header, np.column_stack(columns))
 
 
 def compute_reports(config: ExperimentConfig, traces: dict) -> list[BoundReport]:

@@ -1,10 +1,9 @@
-"""Tail-risk estimators for scalar samples, and the uniform law.
+"""The VaR estimator for scalar samples, and the uniform law.
 
-Order-statistic quantiles (VaR) and tail means (CVaR) of raw sample
-arrays, read off the sample EDF as in the paper, whose DKW bound
-(Lemma 3) covers them; the uniform law with closed-form VaR and CVaR
-(the noise law of the built-in games); and DKW-based confidence widths
-for quantile estimates.
+Order-statistic quantiles (VaR) of raw sample arrays, read off the
+sample EDF as in the paper, whose DKW bound (Lemma 3) covers them; the
+uniform law with closed-form VaR and CVaR (the noise law of the built-in
+games); and DKW-based confidence widths for quantile estimates.
 
 Conventions: costs are minimized, so the risky tail is the *upper* tail.
 For a risk level ``alpha`` in (0, 1], VaR is the (1 - alpha)-quantile and
@@ -16,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -24,7 +22,6 @@ __all__ = [
     "Uniform",
     "check_risk_level",
     "empirical_var",
-    "empirical_var_cvar",
     "dkw_confidence_width",
 ]
 
@@ -60,33 +57,6 @@ def empirical_var(values: np.ndarray, alpha: float) -> float:
         raise ValueError("empty sample set has no quantiles")
     k = _tail_start(t, alpha)
     return float(np.partition(values, k - 1)[k - 1])
-
-
-def empirical_var_cvar(values: np.ndarray, alpha: float) -> tuple[float, float]:
-    """(VaR, CVaR) of a raw sample array in one pass.
-
-    CVaR is the plug-in value nu + sum((v - nu)_+) / (alpha * t) with nu
-    the empirical VaR, taken as the mean of the worst alpha * t draws:
-    every draw above the VaR order statistic in full, and nu with the
-    fractional weight that makes up the rest.
-    """
-    check_risk_level(alpha)
-    values = np.asarray(values, dtype=np.float64)
-    t = values.size
-    if t == 0:
-        raise ValueError("empty sample set has no quantiles")
-    k = _tail_start(t, alpha)
-    part = np.partition(values, k - 1)
-    nu = float(part[k - 1])
-    # Summing the tail draws themselves, rather than adding their excesses
-    # over nu back onto nu, keeps a large |nu| from cancelling against a
-    # CVaR near zero. Only the tail sum is rounded; the weighting is exact,
-    # so a tail of ties returns nu itself. The exact value is >= nu, and
-    # the max keeps CVaR >= VaR when the rounded sum falls an ulp short.
-    weight = Fraction(alpha) * t
-    above = Fraction(math.fsum(part[k:].tolist()))
-    cvar = float((above + (weight - (t - int(k))) * Fraction(nu)) / weight)
-    return nu, max(nu, cvar)
 
 
 @dataclass(frozen=True)

@@ -2,14 +2,12 @@
 
 Every game is an ``AffineNoiseGame``: it describes each agent's cost and
 gradient as affine functions of a scalar uniform noise draw, and derives
-the cost and gradient batches, noise draws and the VaR/CVaR closed forms
-from that one description. Two built-in two-agent games: a Cournot
-duopoly whose risk-averse equilibrium is unique and computable in closed
-form, and a quadratic game whose risk-averse (alpha = 0.5) equilibria
-form a whole line segment even though its risk-neutral version is
-strongly monotone. Also two numerical probes of a game: one for strong
-monotonicity of its exact CVaR gradients, and one for the additive
-noise-decomposition structure that the convergence theory relies on.
+the cost and gradient batches, noise draws and the VaR closed form from
+that one description. Two built-in two-agent games: a Cournot duopoly
+whose risk-averse equilibrium is unique and computable in closed form,
+and a quadratic game whose risk-averse (alpha = 0.5) equilibria form a
+whole line segment even though its risk-neutral version is strongly
+monotone.
 
 An agent's action is a float in an interval, its ``Box``; a joint
 action is a float vector with one entry per agent, and ``game.bounds``
@@ -36,8 +34,6 @@ __all__ = [
     "AffineNoiseGame",
     "CournotGame",
     "QuadraticCounterexampleGame",
-    "monotonicity_probe",
-    "decomposition_check",
 ]
 
 
@@ -73,7 +69,7 @@ class AffineNoiseGame(ABC):
     g0 + g1 * xi at x, and by ``noise_distribution(agent)``, the uniform
     law U(a, b) of xi; all four coefficients are scalars. The cost and
     gradient batches over a (t,) history of draws, the noise draw and the
-    closed forms all follow from those two. Each cost must be convex in
+    closed-form VaR all follow from those two. Each cost must be convex in
     the agent's own action, and ``grad_bound`` must bound the per-sample
     gradient over the feasible set and noise support. For s >= 0 the cost
     at x is uniform on [c0 + s a, c0 + s b], so
@@ -83,16 +79,12 @@ class AffineNoiseGame(ABC):
     and, CVaR being positively homogeneous, the CVaR gradient is
     g0 + g1 CVaR_alpha(xi).
 
-    ``affine_noise`` must broadcast. ``agent`` is an int or an array of
-    agent indices, and ``x`` a joint action or a (num_agents, ...) stack of
-    them; indexing ``x[agent]`` (and ``x[1 - agent]`` in a two-agent game)
-    handles both, and each coefficient is a scalar or an array of the
-    shape of ``x[agent]``. It is also called with an int agent and ``x`` a
-    list of Python floats, and should then return floats: the learning
-    loop plays each run that way, one agent at a time. After the loop the
-    VaR read-off asks for every agent's coefficients at once over the
-    action path and raises a ``ValueError`` naming the agent and episode
-    of a negative slope.
+    ``agent`` is always an int. ``x`` is one joint action, as an array
+    or, in the learning loop, a list of Python floats, for which the
+    coefficients should be floats; or the (num_agents, T) action path,
+    for which each is a scalar or a (T,) array. The VaR read-off after
+    the loop raises a ``ValueError`` naming the agent and episode of a
+    negative slope.
     """
 
     def __init_subclass__(cls, **kwargs):
@@ -137,12 +129,6 @@ class AffineNoiseGame(ABC):
         """Risk-averse Nash equilibrium for the alpha profile, when unique and known."""
         return None
 
-    def _nonnegative_slope(self, agent: int, x, quantity: str):
-        coeffs = self.affine_noise(agent, x)
-        if coeffs[1] < 0:
-            raise ValueError(f"exact {quantity} requires a nonnegative noise slope, got {coeffs[1]}")
-        return coeffs
-
     def sample_noise(self, agent: int, rng: np.random.Generator) -> float:
         return self.noise_distribution(agent).sample(rng)
 
@@ -158,17 +144,10 @@ class AffineNoiseGame(ABC):
 
     def exact_var(self, agent: int, x, alpha: float) -> float:
         """True VaR of J_i(x, xi_i) at the joint action x."""
-        c0, s, _, _ = self._nonnegative_slope(agent, x, "VaR")
+        c0, s, _, _ = self.affine_noise(agent, x)
+        if s < 0:
+            raise ValueError(f"exact VaR requires a nonnegative noise slope, got {s}")
         return c0 + s * self.noise_distribution(agent).var(alpha)
-
-    def exact_cvar(self, agent: int, x, alpha: float) -> float:
-        c0, s, _, _ = self._nonnegative_slope(agent, x, "CVaR")
-        return c0 + s * self.noise_distribution(agent).cvar(alpha)
-
-    def exact_risk_averse_gradient(self, agent: int, x, alpha: float) -> float:
-        """Derivative of CVaR_alpha[J_i(x, xi_i)] in the agent's own action."""
-        _, _, g0, g1 = self._nonnegative_slope(agent, x, "CVaR gradient")
-        return float(g0 + g1 * self.noise_distribution(agent).cvar(alpha))
 
 
 class CournotGame(AffineNoiseGame):
@@ -230,6 +209,14 @@ class CournotGame(AffineNoiseGame):
         return np.clip(x, 0.0, 1.0)
 
 
+# a, b and d in [1e-50, 1e50] and |c| <= 1e50 keep every scale a run of
+# the counterexample and its bound checks derive within about 1e+-200,
+# where nothing overflows or underflows: the gradient bound (10/3) a b,
+# the noise slope 4 a b^2 / (3 d), the costs |c| + O(a b^2), and the
+# noise density 1/d and its square in the Lemma-3 check
+_MIN_SCALE, _MAX_SCALE = 1e-50, 1e50
+
+
 @dataclass(frozen=True)
 class QuadraticCounterexampleGame(AffineNoiseGame):
     """Two-agent quadratic game whose noise couples both agents' actions.
@@ -262,10 +249,13 @@ class QuadraticCounterexampleGame(AffineNoiseGame):
     def __post_init__(self):
         for field, why in (("a", ""), ("b", " (actions live in [0, b])"), ("d", " (noise lives on [0, d])")):
             value = getattr(self, field)
-            if not 0 < value < math.inf:
-                raise ValueError(f"{field}: must be positive and finite{why}, got {value!r}")
-        if not math.isfinite(self.c):
-            raise ValueError(f"c: must be finite, got {self.c!r}")
+            if not _MIN_SCALE <= value <= _MAX_SCALE:
+                raise ValueError(
+                    f"{field}: must be positive and finite, in [{_MIN_SCALE:g}, {_MAX_SCALE:g}]{why}, "
+                    f"got {value!r}"
+                )
+        if not abs(self.c) <= _MAX_SCALE:
+            raise ValueError(f"c: must be finite, at most {_MAX_SCALE:g} in magnitude, got {self.c!r}")
         object.__setattr__(self, "_box", Box(0.0, self.b))
         object.__setattr__(self, "_noise", Uniform(0.0, self.d))
 
@@ -296,94 +286,3 @@ class QuadraticCounterexampleGame(AffineNoiseGame):
             k * other,
         )
 
-
-def monotonicity_probe(
-    game: AffineNoiseGame,
-    alphas,
-    num_pairs: int,
-    rng: np.random.Generator,
-    direction: np.ndarray | None = None,
-    min_separation: float = 1e-6,
-) -> float:
-    """Sampled lower estimate of the game's monotonicity constant at ``alphas``.
-
-    Draws ``num_pairs`` random pairs (x, x') of joint actions, one float
-    per agent, from ``game.bounds`` and returns the minimum of
-
-        sum_i (F_i(x) - F_i(x')) (x_i - x_i') / ||x - x'||^2,
-
-    where F_i(x) = ``game.exact_risk_averse_gradient(i, x, alphas[i])``;
-    alpha = 1 for every agent gives the risk-neutral pseudo-gradient.
-    This is an upper bound on the true constant m (a certificate would
-    need the full infimum). With ``direction`` set, x' is displaced from
-    x along that fixed direction only, which probes degenerate
-    directions. Pairs closer than ``min_separation`` are rejected;
-    exhausting the rejection budget is an error.
-    """
-    alphas = [check_risk_level(a) for a in alphas]
-    if len(alphas) != game.num_agents:
-        raise ValueError("expected one risk level per agent")
-    if num_pairs < 1:
-        raise ValueError("num_pairs must be >= 1")
-    lower, upper = game.bounds
-    if direction is not None:
-        direction = np.asarray(direction, dtype=np.float64)
-        if direction.shape != lower.shape or not np.linalg.norm(direction) > 0:
-            raise ValueError("direction must be a nonzero joint-space vector")
-        direction = direction / np.linalg.norm(direction)
-    scale = float(np.max(upper - lower))
-    grad = game.exact_risk_averse_gradient
-    best = math.inf
-    attempts_left = 100 * num_pairs
-    found = 0
-    while found < num_pairs:
-        if attempts_left <= 0:
-            raise RuntimeError(
-                "monotonicity probe exhausted its budget of non-degenerate pairs"
-            )
-        attempts_left -= 1
-        x = rng.uniform(lower, upper)
-        if direction is None:
-            x_alt = rng.uniform(lower, upper)
-        else:
-            step = rng.uniform(-scale, scale)
-            x_alt = np.clip(x + step * direction, lower, upper)
-        diff = x - x_alt
-        dist = float(np.linalg.norm(diff))
-        if dist < min_separation:
-            continue
-        gaps = [grad(i, x, alpha) - grad(i, x_alt, alpha) for i, alpha in enumerate(alphas)]
-        ratio = float(np.dot(gaps, diff)) / (dist * dist)
-        best = min(best, ratio)
-        found += 1
-    return best
-
-
-def decomposition_check(
-    game: AffineNoiseGame,
-    num_samples: int,
-    rng: np.random.Generator,
-    tol: float = 1e-9,
-) -> bool:
-    """Test whether each cost splits as f_i(x_i, xi_i) + g_i(x).
-
-    Under that structure J_i(x, xi) - J_i(x, xi') cannot depend on the
-    rivals' actions, so the difference-of-differences across two random
-    rival profiles must vanish. Returns True iff every sampled check
-    stays below ``tol``.
-    """
-    if num_samples < 1:
-        raise ValueError("num_samples must be >= 1")
-    lower, upper = game.bounds
-    for _ in range(num_samples):
-        for agent in range(game.num_agents):
-            x = rng.uniform(lower, upper)
-            x_alt = rng.uniform(lower, upper)
-            # keep the agent's own action fixed, vary only the rivals
-            x_alt[agent] = x[agent]
-            xis = np.array([game.sample_noise(agent, rng), game.sample_noise(agent, rng)])
-            here, there = game.cost_batch(agent, x, xis), game.cost_batch(agent, x_alt, xis)
-            delta = (here[0] - here[1]) - (there[0] - there[1])
-            if abs(delta) > tol:
-                return False
-    return True

@@ -228,7 +228,7 @@ def _trace(actions, nu, nu_star, x_star) -> RunTrace:
     if x_star is not None:
         d = actions - x_star
         err_sq = (d[:, None, :] @ d[:, :, None]).ravel()
-    return RunTrace(np.arange(1, len(actions) + 1), actions, nu, nu_star, err_sq)
+    return RunTrace(actions, nu, nu_star, err_sq)
 
 
 # episodes per chunk of the float play, which bounds its lists of Python
@@ -301,18 +301,20 @@ def _run(
     actions = _play(game, count, total, denoms, eta, x, lower, upper)
     del count, total
 
-    # the VaRs off the (agents, T) action path
-    c0, s, _, _ = game.affine_noise(np.arange(num_agents), actions.T)
-    s = np.broadcast_to(s, (num_agents, horizon))
-    negative = np.argwhere(s < 0)
-    if negative.size:
-        i, k = negative[0]
-        raise ValueError(
-            f"agent {i} at episode {k + 1}: affine_noise needs a nonnegative "
-            f"noise slope, got {s[i, k]}"
-        )
-    nu_star = c0 + s * quantiles[:, None]
-    nu = nu_star if unbiased else c0 + low * s
+    # the VaRs off the (agents, T) action path, one agent at a time
+    nu, nu_star = np.empty((num_agents, horizon)), np.empty((num_agents, horizon))
+    for i in range(num_agents):
+        c0, s, _, _ = game.affine_noise(i, actions.T)
+        s = np.broadcast_to(s, horizon)
+        negative = np.flatnonzero(s < 0)
+        if negative.size:
+            k = negative[0]
+            raise ValueError(
+                f"agent {i} at episode {k + 1}: affine_noise needs a nonnegative "
+                f"noise slope, got {s[k]}"
+            )
+        nu_star[i] = c0 + s * quantiles[i]
+        nu[i] = nu_star[i] if unbiased else c0 + low[i] * s
     return _trace(actions, nu.T, nu_star.T, game.nash_equilibrium(alphas))
 
 

@@ -11,7 +11,6 @@ data, so plots are reproducible artifacts.
 from __future__ import annotations
 
 import math
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -24,6 +23,11 @@ _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 _WIDTH, _HEIGHT = 720.0, 480.0
 _LEFT, _RIGHT, _TOP, _BOTTOM = 78.0, 24.0, 24.0, 56.0
 _X_LABEL, _Y_LABEL = "episode", "distance to equilibrium"
+
+
+def _escape(text: str) -> str:
+    """``&``, ``<`` and ``>`` as XML entities, ``&`` first: ``xml.sax.saxutils.escape``'s bytes."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def _nice_step(span: float) -> float:
@@ -73,8 +77,8 @@ def emit_plot(series: list[tuple[str, AggregateTrace]], path) -> None:
     if not series:
         raise ValueError("nothing to plot")
 
-    x_max = max(float(agg.episodes.max()) for _, agg in series)
-    x_min = min(float(agg.episodes.min()) for _, agg in series)
+    # the first episode is 1 and the last a series' length
+    x_min, x_max = 1.0, float(max(agg.mean.size for _, agg in series))
     positive = np.concatenate([agg.mean[agg.mean > 0] for _, agg in series])
     hi = max(float((agg.mean + agg.std).max()) for _, agg in series)
     y_lo_dec = math.floor(math.log10(float(positive.min()))) if positive.size else 0
@@ -134,12 +138,12 @@ def emit_plot(series: list[tuple[str, AggregateTrace]], path) -> None:
     )
     out.append(
         f'<text x="{_LEFT + plot_w / 2:.2f}" y="{_HEIGHT - 12:.2f}" text-anchor="middle" '
-        f'font-size="14" font-family="sans-serif">{escape(_X_LABEL)}</text>'
+        f'font-size="14" font-family="sans-serif">{_escape(_X_LABEL)}</text>'
     )
     out.append(
         f'<text x="18" y="{_TOP + plot_h / 2:.2f}" text-anchor="middle" font-size="14" '
         f'font-family="sans-serif" transform="rotate(-90 18 {_TOP + plot_h / 2:.2f})">'
-        f"{escape(_Y_LABEL)}</text>"
+        f"{_escape(_Y_LABEL)}</text>"
     )
 
     def points(xs: np.ndarray, ys: np.ndarray) -> list[str]:
@@ -149,7 +153,7 @@ def emit_plot(series: list[tuple[str, AggregateTrace]], path) -> None:
 
     for idx, (label, agg) in enumerate(series):
         color = _PALETTE[idx % len(_PALETTE)]
-        xs = agg.episodes.astype(float)
+        xs = np.arange(1.0, agg.mean.size + 1)
         upper = points(xs, agg.mean + agg.std)
         lower = points(xs, np.maximum(agg.mean - agg.std, y_floor))
         band = " ".join(upper + lower[::-1])
@@ -169,7 +173,7 @@ def emit_plot(series: list[tuple[str, AggregateTrace]], path) -> None:
         )
         out.append(
             f'<text x="{lx + 32:.2f}" y="{ly + 4:.2f}" font-size="13" '
-            f'font-family="sans-serif">{escape(label)}</text>'
+            f'font-family="sans-serif">{_escape(label)}</text>'
         )
 
     out.append("</svg>")

@@ -1,0 +1,157 @@
+"""Closed forms, probes and a plug-in CVaR that only the tests ask for.
+
+Each is a function of an ``AffineNoiseGame`` or of a sample array, and
+checks a claim about the games or the estimators rather than taking part
+in a run: the exact CVaR and CVaR gradient read off ``affine_noise``, a
+sampled probe of a game's monotonicity constant, a check of the additive
+noise-decomposition structure that the convergence theory relies on, and
+the plug-in (VaR, CVaR) of a raw sample.
+"""
+
+from __future__ import annotations
+
+import math
+from fractions import Fraction
+from functools import partial
+
+import numpy as np
+
+from riskgames.distributions import _tail_start, check_risk_level
+
+
+def _nonnegative_slope(game, agent: int, x, quantity: str):
+    coeffs = game.affine_noise(agent, x)
+    if coeffs[1] < 0:
+        raise ValueError(f"exact {quantity} requires a nonnegative noise slope, got {coeffs[1]}")
+    return coeffs
+
+
+def exact_cvar(game, agent: int, x, alpha: float) -> float:
+    """True CVaR of J_i(x, xi_i) at the joint action x: c0 + s CVaR_alpha(xi)."""
+    c0, s, _, _ = _nonnegative_slope(game, agent, x, "CVaR")
+    return c0 + s * game.noise_distribution(agent).cvar(alpha)
+
+
+def exact_risk_averse_gradient(game, agent: int, x, alpha: float) -> float:
+    """Derivative of CVaR_alpha[J_i(x, xi_i)] in the agent's own action."""
+    _, _, g0, g1 = _nonnegative_slope(game, agent, x, "CVaR gradient")
+    return float(g0 + g1 * game.noise_distribution(agent).cvar(alpha))
+
+
+def monotonicity_probe(
+    game,
+    alphas,
+    num_pairs: int,
+    rng: np.random.Generator,
+    direction: np.ndarray | None = None,
+    min_separation: float = 1e-6,
+) -> float:
+    """Sampled lower estimate of the game's monotonicity constant at ``alphas``.
+
+    Draws ``num_pairs`` random pairs (x, x') of joint actions, one float
+    per agent, from ``game.bounds`` and returns the minimum of
+
+        sum_i (F_i(x) - F_i(x')) (x_i - x_i') / ||x - x'||^2,
+
+    where F_i(x) = ``exact_risk_averse_gradient(game, i, x, alphas[i])``;
+    alpha = 1 for every agent gives the risk-neutral pseudo-gradient.
+    This is an upper bound on the true constant m (a certificate would
+    need the full infimum). With ``direction`` set, x' is displaced from
+    x along that fixed direction only, which probes degenerate
+    directions. Pairs closer than ``min_separation`` are rejected;
+    exhausting the rejection budget is an error.
+    """
+    alphas = [check_risk_level(a) for a in alphas]
+    if len(alphas) != game.num_agents:
+        raise ValueError("expected one risk level per agent")
+    if num_pairs < 1:
+        raise ValueError("num_pairs must be >= 1")
+    lower, upper = game.bounds
+    if direction is not None:
+        direction = np.asarray(direction, dtype=np.float64)
+        if direction.shape != lower.shape or not np.linalg.norm(direction) > 0:
+            raise ValueError("direction must be a nonzero joint-space vector")
+        direction = direction / np.linalg.norm(direction)
+    scale = float(np.max(upper - lower))
+    grad = partial(exact_risk_averse_gradient, game)
+    best = math.inf
+    attempts_left = 100 * num_pairs
+    found = 0
+    while found < num_pairs:
+        if attempts_left <= 0:
+            raise RuntimeError(
+                "monotonicity probe exhausted its budget of non-degenerate pairs"
+            )
+        attempts_left -= 1
+        x = rng.uniform(lower, upper)
+        if direction is None:
+            x_alt = rng.uniform(lower, upper)
+        else:
+            step = rng.uniform(-scale, scale)
+            x_alt = np.clip(x + step * direction, lower, upper)
+        diff = x - x_alt
+        dist = float(np.linalg.norm(diff))
+        if dist < min_separation:
+            continue
+        gaps = [grad(i, x, alpha) - grad(i, x_alt, alpha) for i, alpha in enumerate(alphas)]
+        ratio = float(np.dot(gaps, diff)) / (dist * dist)
+        best = min(best, ratio)
+        found += 1
+    return best
+
+
+def decomposition_check(
+    game,
+    num_samples: int,
+    rng: np.random.Generator,
+    tol: float = 1e-9,
+) -> bool:
+    """Test whether each cost splits as f_i(x_i, xi_i) + g_i(x).
+
+    Under that structure J_i(x, xi) - J_i(x, xi') cannot depend on the
+    rivals' actions, so the difference-of-differences across two random
+    rival profiles must vanish. Returns True iff every sampled check
+    stays below ``tol``.
+    """
+    if num_samples < 1:
+        raise ValueError("num_samples must be >= 1")
+    lower, upper = game.bounds
+    for _ in range(num_samples):
+        for agent in range(game.num_agents):
+            x = rng.uniform(lower, upper)
+            x_alt = rng.uniform(lower, upper)
+            # keep the agent's own action fixed, vary only the rivals
+            x_alt[agent] = x[agent]
+            xis = np.array([game.sample_noise(agent, rng), game.sample_noise(agent, rng)])
+            here, there = game.cost_batch(agent, x, xis), game.cost_batch(agent, x_alt, xis)
+            delta = (here[0] - here[1]) - (there[0] - there[1])
+            if abs(delta) > tol:
+                return False
+    return True
+
+
+def empirical_var_cvar(values: np.ndarray, alpha: float) -> tuple[float, float]:
+    """(VaR, CVaR) of a raw sample array in one pass.
+
+    CVaR is the plug-in value nu + sum((v - nu)_+) / (alpha * t) with nu
+    the empirical VaR, taken as the mean of the worst alpha * t draws:
+    every draw above the VaR order statistic in full, and nu with the
+    fractional weight that makes up the rest.
+    """
+    check_risk_level(alpha)
+    values = np.asarray(values, dtype=np.float64)
+    t = values.size
+    if t == 0:
+        raise ValueError("empty sample set has no quantiles")
+    k = _tail_start(t, alpha)
+    part = np.partition(values, k - 1)
+    nu = float(part[k - 1])
+    # Summing the tail draws themselves, rather than adding their excesses
+    # over nu back onto nu, keeps a large |nu| from cancelling against a
+    # CVaR near zero. Only the tail sum is rounded; the weighting is exact,
+    # so a tail of ties returns nu itself. The exact value is >= nu, and
+    # the max keeps CVaR >= VaR when the rounded sum falls an ulp short.
+    weight = Fraction(alpha) * t
+    above = Fraction(math.fsum(part[k:].tolist()))
+    cvar = float((above + (weight - (t - int(k))) * Fraction(nu)) / weight)
+    return nu, max(nu, cvar)

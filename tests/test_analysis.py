@@ -30,7 +30,6 @@ def trace_with_errors(err_sq):
     err_sq = np.asarray(err_sq, dtype=float)
     t = err_sq.size
     return RunTrace(
-        episodes=np.arange(1, t + 1),
         actions=np.full((t, 2), 0.5),
         nu=np.zeros((t, 2)),
         nu_star=np.zeros((t, 2)),
@@ -65,20 +64,20 @@ class TestTimeAveragedError:
 
 class TestAggregateTrace:
     def test_matches_brute_force(self):
-        episodes = np.arange(1, 4)
         rows = [np.array([1.0, 2.0, 3.0]), np.array([2.0, 2.0, 5.0]), np.array([3.0, 2.0, 1.0])]
-        agg = AggregateTrace.from_series(episodes, rows)
+        agg = AggregateTrace.from_series(rows)
         stack = np.stack(rows)
         assert np.array_equal(agg.mean, stack.mean(axis=0))
         assert np.array_equal(agg.std, stack.std(axis=0, ddof=1))
 
     def test_single_trial_has_zero_std(self):
-        agg = AggregateTrace.from_series(np.arange(1, 3), [np.array([1.0, 2.0])])
+        agg = AggregateTrace.from_series([np.array([1.0, 2.0])])
         assert np.array_equal(agg.std, [0.0, 0.0])
 
     def test_length_mismatch(self):
+        # ragged trials: series of different lengths do not stack
         with pytest.raises(ValueError):
-            AggregateTrace.from_series(np.arange(1, 3), [np.array([1.0])])
+            AggregateTrace.from_series([np.array([1.0, 2.0]), np.array([1.0])])
 
 
 class TestFitRate:
@@ -230,7 +229,6 @@ class TestTraceValidation:
     def test_row_count_mismatch(self):
         with pytest.raises(ValueError):
             RunTrace(
-                episodes=np.arange(1, 4),
                 actions=np.zeros((2, 2)),
                 nu=np.zeros((3, 2)),
                 nu_star=np.zeros((3, 2)),

@@ -1,11 +1,16 @@
 import csv
 import hashlib
 import io
+import math
 import os
 import struct
+import subprocess
+import sys
+import tempfile
 import tracemalloc
 import xml.etree.ElementTree as ET
 from dataclasses import fields, replace
+from xml.sax.saxutils import escape
 
 import numpy as np
 import pytest
@@ -101,6 +106,10 @@ def csv_writer_bytes(header, episodes, block) -> bytes:
     writer.writerows([t, *row] for t, row in zip(episodes.tolist(), block.tolist()))
     return buf.getvalue().encode()
 
+
+# a positive float of any magnitude, uniform in its binary exponent
+_LOG_UNIFORM = st.builds(math.ldexp, st.floats(1.0, 2.0, exclude_max=True), st.integers(-1074, 1023))
+_SIGNED_LOG_UNIFORM = st.builds(lambda sign, size: sign * size, st.sampled_from([-1.0, 1.0]), _LOG_UNIFORM)
 
 # any float64 bit pattern: NaNs with any payload, infinities, signed zeros, subnormals
 _ANY_FLOAT64 = st.integers(0, 2**64 - 1).map(lambda bits: struct.unpack("<d", struct.pack("<Q", bits))[0])
@@ -325,7 +334,7 @@ class TestBundle:
             return buf.getvalue().encode()
 
         def trace_bytes(trace):
-            header, columns = ["t"], [trace.episodes]
+            header, columns = ["t"], [np.arange(1, trace.horizon + 1)]
             header += [f"x{j}" for j in range(trace.actions.shape[1])]
             columns += list(trace.actions.T)
             if trace.err_sq is not None:
@@ -360,7 +369,7 @@ class TestBundle:
             "unbiased-fo": [run_unbiased_baseline(cournot, (0.4, 0.8), 30, seed=s) for s in (1, 2)],
         }
         aggregates = {alg: _aggregate(traces) for alg, traces in runs.items()}
-        header, columns = ["t"], [runs["algorithm1"][0].episodes]
+        header, columns = ["t"], [np.arange(1, 31)]
         for alg, agg in aggregates.items():
             for kind, stat in (("err_sq", "mean"), ("err_sq", "std"), ("dist", "mean"), ("dist", "std")):
                 header.append(f"{alg}_{stat}_{kind}")
@@ -387,7 +396,7 @@ class TestBundle:
         header = ["t"] + [f"c{j}" for j in range(block.shape[1])]
         episodes = np.arange(1, len(block) + 1)
         path = tmp_path / "block.csv"
-        _write_numeric_csv(path, header, episodes, block)
+        _write_numeric_csv(path, header, block)
         assert path.read_bytes() == csv_writer_bytes(header, episodes, block)
 
     def test_numeric_writer_peak_does_not_grow_with_rows(self, tmp_path):
@@ -400,10 +409,9 @@ class TestBundle:
         for rows in (10**4, 10**5):
             # a quarter of the cells below 1e-4, which repr re-formats
             block = rng.random((rows, width)) * 10.0 ** rng.integers(-5, 3, size=(rows, width))
-            episodes = np.arange(1, rows + 1)
             tracemalloc.start()
             try:
-                _write_numeric_csv(tmp_path / "block.csv", header, episodes, block)
+                _write_numeric_csv(tmp_path / "block.csv", header, block)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -599,7 +607,7 @@ class TestPlot:
     def agg(values, std=None):
         values = np.asarray(values, dtype=float)
         std = np.zeros_like(values) if std is None else np.asarray(std, dtype=float)
-        return AggregateTrace(episodes=np.arange(1, values.size + 1), mean=values, std=std)
+        return AggregateTrace(mean=values, std=std)
 
     def test_constant_series_is_horizontal(self, tmp_path):
         path = tmp_path / "flat.svg"
@@ -638,6 +646,14 @@ class TestPlot:
     def test_empty_input_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             emit_plot([], tmp_path / "x.svg")
+
+    def test_label_is_escaped_as_saxutils_escapes_it(self, tmp_path):
+        # &, < and > become entities and the quotes stay, which html.escape would not keep
+        label = """a&b<c>d"e'f"""
+        path = tmp_path / "label.svg"
+        emit_plot([(label, self.agg(np.full(5, 0.1)))], path)
+        assert f'font-family="sans-serif">{escape(label)}</text>' in path.read_text()
+        assert label in [el.text for el in ET.parse(path).getroot().iter(SVG + "text")]
 
     @staticmethod
     def curves(path):
@@ -745,6 +761,44 @@ class TestMain:
         assert os.path.exists(os.path.join(out, "convergence.svg"))
         assert main(["report", "--bundle", out]) == 0
         assert "lemma3" in capsys.readouterr().out
+
+    # finite parameters that used to crash a run, or make it write a bundle
+    # that report refuses
+    @example(a=1e200, b=1e200, c=0.0, d=1.0)
+    @example(a=1e-300, b=1e-300, c=0.0, d=1.0)
+    @example(a=1.0, b=1e155, c=0.0, d=1.0)
+    @example(a=1.0, b=1.0, c=0.0, d=1e-300)
+    @example(a=1.0, b=1.0, c=0.0, d=1e300)
+    @example(a=1.0, b=1e-160, c=0.0, d=1.0)
+    # the corners of the accepted range
+    @example(a=1e50, b=1e50, c=1e50, d=1e-50)
+    @example(a=1e-50, b=1e-50, c=-1e50, d=1e50)
+    @example(a=1e50, b=1e-50, c=-1e50, d=1e50)
+    @given(a=_LOG_UNIFORM, b=_LOG_UNIFORM, c=_SIGNED_LOG_UNIFORM, d=_LOG_UNIFORM)
+    @settings(max_examples=60, deadline=None)
+    def test_counterexample_parameters_are_refused_or_run_and_report(self, a, b, c, d):
+        raw = {"game": "quadratic-counterexample", "T": 5, "trials": 1, "a": a, "b": b, "c": c, "d": d}
+        try:
+            validate_config(raw)
+        except ConfigError as exc:
+            assert str(exc)[:3] in ("a: ", "b: ", "c: ", "d: "), exc
+            return
+        with tempfile.TemporaryDirectory() as tmp:
+            path, out = os.path.join(tmp, "config.yaml"), os.path.join(tmp, "bundle")
+            with open(path, "w", encoding="utf-8") as fh:
+                yaml.safe_dump(raw, fh)
+            assert main(["run", "--config", path, "--out", out]) == 0
+            assert main(["report", "--bundle", out]) == 0
+            for traces in load_bundle_traces(out)[1].values():
+                for trace in traces:
+                    for cells in (trace.actions, trace.nu, trace.nu_star):
+                        assert np.all(np.isfinite(cells))
+            with open(os.path.join(out, "bounds.csv"), encoding="utf-8") as fh:
+                for row in csv.DictReader(fh):
+                    # a row whose bound does not apply reads nan
+                    applies = row["passed"] != "none"
+                    assert not applies or math.isfinite(float(row["empirical"])), row
+                    assert not applies or math.isfinite(float(row["bound"])), row
 
     @pytest.mark.parametrize("workers", ["0", "-4"])
     def test_run_rejects_fewer_than_one_worker(self, tmp_path, capsys, workers):
@@ -873,6 +927,16 @@ class TestMain:
             err = capsys.readouterr().err
             assert f"error: trial file {path}: " in err, case
             assert ("not UTF-8 text" in err) == (case in not_utf8), case
+
+
+def test_importing_the_cli_leaves_out_what_no_run_uses():
+    # each of these costs start-up time, and no run needs it
+    unused = ["fractions", "decimal", "xml.sax.saxutils", "urllib.request"]
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, riskgames.cli; print([m for m in sys.argv[1:] if m in sys.modules])"
+    done = subprocess.run([sys.executable, "-c", code, *unused], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 def test_trial_filename_is_stable():

@@ -3,15 +3,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from riskgames.distributions import Uniform, empirical_var_cvar
-from riskgames.games import (
-    Box,
-    CournotGame,
-    QuadraticCounterexampleGame,
+from riskgames.distributions import Uniform
+from riskgames.games import Box, CournotGame, QuadraticCounterexampleGame
+from riskgames.learning import run_algorithm1
+
+from oracle import (
     decomposition_check,
+    empirical_var_cvar,
+    exact_cvar,
+    exact_risk_averse_gradient,
     monotonicity_probe,
 )
-from riskgames.learning import run_algorithm1
 
 COURNOT = CournotGame()
 COUNTER = QuadraticCounterexampleGame(a=1.0, b=1.0, c=0.0, d=1.0)
@@ -57,7 +59,7 @@ class TestCournotEquilibrium:
         alphas = [0.4, 0.8]
         x = COURNOT.nash_equilibrium(alphas)
         for agent in (0, 1):
-            g = COURNOT.exact_risk_averse_gradient(agent, x, alphas[agent])
+            g = exact_risk_averse_gradient(COURNOT, agent, x, alphas[agent])
             assert np.linalg.norm(g) < 1e-12
 
     @pytest.mark.parametrize("alphas", [(1.0, 1.0), (0.4, 0.8)])
@@ -106,7 +108,7 @@ class TestCostAndGradient:
         grad = COUNTER.grad_batch(0, np.array([0.25, 0.25]), np.array([0.75]))[0]
         assert abs(grad) < 1e-12
         assert np.linalg.norm(
-            COUNTER.exact_risk_averse_gradient(0, np.array([0.25, 0.25]), 0.5)
+            exact_risk_averse_gradient(COUNTER, 0, np.array([0.25, 0.25]), 0.5)
         ) < 1e-12
 
     def test_infeasible_action_rejected(self):
@@ -162,7 +164,7 @@ class TestClosedFormsAgainstMonteCarlo:
             costs = COURNOT.cost_batch(agent, x, rng.uniform(0, 1, size=1_000_000))
             var, cvar = empirical_var_cvar(costs, alpha)
             assert var == pytest.approx(COURNOT.exact_var(agent, x, alpha), abs=2e-3)
-            assert cvar == pytest.approx(COURNOT.exact_cvar(agent, x, alpha), abs=2e-3)
+            assert cvar == pytest.approx(exact_cvar(COURNOT, agent, x, alpha), abs=2e-3)
 
     def test_cournot_gradient_matches_tail_average(self):
         # grad CVaR = E[ 1{J >= true VaR} grad J ] / alpha within 1% at 1e6 draws
@@ -174,7 +176,7 @@ class TestClosedFormsAgainstMonteCarlo:
                 grads = COURNOT.grad_batch(agent, x, xi)
                 nu = COURNOT.exact_var(agent, x, alpha)
                 mc = float(np.mean(grads * (costs >= nu))) / alpha
-                exact = COURNOT.exact_risk_averse_gradient(agent, x, alpha)
+                exact = exact_risk_averse_gradient(COURNOT, agent, x, alpha)
                 assert mc == pytest.approx(exact, rel=0.01)
 
     def test_counterexample_cvar_value(self):
@@ -184,12 +186,12 @@ class TestClosedFormsAgainstMonteCarlo:
         costs = COUNTER.cost_batch(0, np.array([0.3, 0.3]), rng.uniform(0, 1, size=1_000_000))
         _, cvar = empirical_var_cvar(costs, 0.5)
         assert cvar == pytest.approx(-0.03, rel=0.01)
-        assert COUNTER.exact_cvar(0, np.array([0.3, 0.3]), 0.5) == pytest.approx(-0.03)
+        assert exact_cvar(COUNTER, 0, np.array([0.3, 0.3]), 0.5) == pytest.approx(-0.03)
 
     def test_counterexample_risk_neutral_gradient(self):
         # alpha = 1 reduces to the expected-cost gradient 2a x_i + (5a/3) x_j - ab
         x = np.array([0.4, 0.7])
-        g = COUNTER.exact_risk_averse_gradient(0, x, 1.0)
+        g = exact_risk_averse_gradient(COUNTER, 0, x, 1.0)
         assert g == pytest.approx(2 * 0.4 + (5 / 3) * 0.7 - 1.0)
 
 
@@ -210,10 +212,10 @@ class TestDerivedClosedForms:
         own, other = x[agent], x[1 - agent]
         c0 = 1.0 - (2.0 - own - other) * own + 0.2 * own
         assert COURNOT.exact_var(agent, x, alpha) == pytest.approx(c0 + own * (1 - alpha), abs=1e-12)
-        assert COURNOT.exact_cvar(agent, x, alpha) == pytest.approx(
+        assert exact_cvar(COURNOT, agent, x, alpha) == pytest.approx(
             c0 + own * (1 - alpha / 2), abs=1e-12
         )
-        assert COURNOT.exact_risk_averse_gradient(agent, x, alpha) == pytest.approx(
+        assert exact_risk_averse_gradient(COURNOT, agent, x, alpha) == pytest.approx(
             2 * own + other - 0.8 - alpha / 2, abs=1e-12
         )
 
@@ -222,7 +224,7 @@ class TestDerivedClosedForms:
         x = x * b
         own, other = x[agent], x[1 - agent]
         expected = 2 * a * own + a * other - a * b + (4 * a / 3) * (1 - alpha / 2) * other
-        assert game.exact_risk_averse_gradient(agent, x, alpha) == pytest.approx(expected, abs=1e-12)
+        assert exact_risk_averse_gradient(game, agent, x, alpha) == pytest.approx(expected, abs=1e-12)
 
 
 class TestStructuralProbes:
@@ -291,7 +293,7 @@ class TestInterfaceDefaults:
         assert not COURNOT.feasible(np.array([0.0, 1.2]))
         assert not COURNOT.feasible(np.array([0.5]))
         assert not COURNOT.feasible(np.array([[0.5], [0.5]]))
-        assert isinstance(COURNOT.exact_risk_averse_gradient(0, np.array([0.3, 0.6]), 0.4), float)
+        assert isinstance(exact_risk_averse_gradient(COURNOT, 0, np.array([0.3, 0.6]), 0.4), float)
 
     def test_counterexample_parameter_validation(self):
         with pytest.raises(ValueError):
@@ -303,3 +305,16 @@ class TestInterfaceDefaults:
         for field, value in (("a", np.inf), ("b", np.inf), ("c", np.nan), ("c", -np.inf), ("d", np.inf)):
             with pytest.raises(ValueError, match=f"^{field}: must be .*finite"):
                 QuadraticCounterexampleGame(**{field: value})
+        # finite, but a run or its bound checks would overflow or underflow:
+        # the gradient bound, the noise slope, the costs or 1/d squared
+        for params, field in (
+            ({"a": 1e200, "b": 1e200}, "a"),
+            ({"a": 1e-300, "b": 1e-300}, "a"),
+            ({"b": 1e155}, "b"),
+            ({"d": 1e-300}, "d"),
+            ({"d": 1e300}, "d"),
+            ({"b": 1e-160}, "b"),
+            ({"c": -1e300}, "c"),
+        ):
+            with pytest.raises(ValueError, match=f"^{field}: must be .*finite, .*, got "):
+                QuadraticCounterexampleGame(**params)

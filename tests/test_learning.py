@@ -3,6 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from riskgames.analysis import density_range
 from riskgames.distributions import Uniform, _tail_start, empirical_var
 from riskgames.games import (
     AffineNoiseGame,
@@ -21,6 +22,8 @@ from riskgames.learning import (
     run_unbiased_baseline,
     unbiased_cvar_gradient,
 )
+
+from oracle import exact_risk_averse_gradient
 
 GAME = CournotGame()
 ALPHAS = (0.4, 0.8)
@@ -56,9 +59,16 @@ class LateNegativeSlopeGame(NegativeSlopeGame):
     at least 1, so the first step takes x_1 below 0.45."""
 
     def affine_noise(self, agent, x):
-        # transposed so that an agent index array meets the agent axis of x[agent];
-        # an int agent of a list of floats gives a float, made an array for .T
-        return x[agent], (np.asarray(x[agent]).T - 0.45 * agent).T, 1.0, 1.0
+        return x[agent], x[agent] - 0.45 * agent, 1.0, 1.0
+
+
+class IntAgentCournotGame(CournotGame):
+    """Cournot, but ``affine_noise`` refuses an agent that is not a Python int."""
+
+    def affine_noise(self, agent, x):
+        if type(agent) is not int:
+            raise TypeError(f"affine_noise takes an int agent, got {type(agent).__name__}")
+        return super().affine_noise(agent, x)
 
 
 ALGORITHMS = ("algorithm1", "unbiased-fo")
@@ -203,7 +213,7 @@ class TestCvarGradientEstimate:
             for agent in (0, 1):
                 xi = rng.uniform(0, 1, size=1_000_000)
                 est = unbiased_cvar_gradient(GAME, agent, x, xi, ALPHAS[agent])
-                exact = GAME.exact_risk_averse_gradient(agent, x, ALPHAS[agent])
+                exact = exact_risk_averse_gradient(GAME, agent, x, ALPHAS[agent])
                 assert est.g == pytest.approx(exact, rel=0.005)
 
     def test_alpha_one_estimators_coincide(self):
@@ -297,8 +307,21 @@ class TestRunLoop:
 
     def test_trace_metadata(self):
         trace = run_algorithm1(GAME, ALPHAS, 10, seed=13)
-        assert np.array_equal(trace.episodes, np.arange(1, 11))
+        assert trace.horizon == len(trace.actions) == 10
         assert trace.err_sq == pytest.approx(((trace.actions - NE) ** 2).sum(axis=1))
+
+    def test_affine_noise_is_asked_for_one_int_agent_at_a_time(self):
+        # the game contract has one calling convention: an int agent, never
+        # an array of agents, in the play, the VaR read-off and the Lemma-4 constants
+        strict, plain = IntAgentCournotGame(), CournotGame()
+        for run in (run_algorithm1, run_unbiased_baseline):
+            for window in (None, 7):
+                got = run(strict, ALPHAS, 60, seed=9, window=window)
+                want = run(plain, ALPHAS, 60, seed=9, window=window)
+                for field in ("actions", "nu", "nu_star", "err_sq"):
+                    assert np.array_equal(getattr(got, field), getattr(want, field)), field
+                for agent in (0, 1):
+                    assert density_range(strict, got, agent) == density_range(plain, want, agent)
 
 
 class CountingCournotGame(CournotGame):
@@ -416,7 +439,7 @@ class TestSortedNoise:
             assert fast[1] == np.count_nonzero(draws >= q)
         else:
             assert fast[1] == t - _tail_start(t, alpha) + 1
-        exact = game.exact_risk_averse_gradient(0, x, alpha)
+        exact = exact_risk_averse_gradient(game, 0, x, alpha)
         assert abs(fast[2] - exact) < 0.02
 
 
@@ -629,7 +652,7 @@ class TestBiasDecay:
     def test_var_error_decays_and_sums_grow_subpolynomially(self, cournot_long_traces):
         # seed-averaged |nu_t - nu*_t| must fall with t, and its running
         # sum must grow no faster (as a log-log slope) than sqrt(T ln T)
-        episodes = cournot_long_traces[0].episodes.astype(float)
+        episodes = np.arange(1.0, cournot_long_traces[0].horizon + 1)
         mask = episodes >= 100
         reference = np.sqrt(episodes * np.log(episodes))
         ref_slope = np.polyfit(np.log(episodes[mask]), np.log(reference[mask]), 1)[0]
