@@ -13,6 +13,10 @@ report CSV, and the resolved config. Re-running an identical config
 byte-reproduces the CSVs. Every float in the trial and aggregate CSVs is
 written as its ``repr``, which round-trips exactly; orjson formats a chunk
 of rows at a time, and ``repr`` only the cells it lays out otherwise.
+``report`` reads a trial file back in exactly that grammar: one header
+line, then T rows of ``t`` and the cells as JSON numbers, each ended by
+``"\\n"``. orjson parses one chunk of rows at a time, and there is no
+tolerance for whitespace, comments, blank lines or CRLF endings.
 ``--workers`` must be at least 1. Progress goes to stderr; data only to
 files.
 """
@@ -27,6 +31,7 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 import orjson
@@ -374,52 +379,105 @@ def write_trace_csv(trace: RunTrace, path) -> None:
     _write_numeric_csv(path, header, np.hstack(blocks))
 
 
+# the bytes of a JSON number; a trial file's rows hold no others but "," and "\n"
+_NUMBER_BYTES = b"0123456789.eE+-"
+
+
+def _row_fault(body: bytes, first_row: int, expected: list[str], horizon: int) -> str:
+    """Why ``body``, rows ``first_row``.. to the end of a trial file, is not rows of ``expected`` numbers.
+
+    Raises ``UnicodeDecodeError`` if ``body`` is not UTF-8 text, whatever
+    else is wrong with it.
+    """
+    body.decode("utf-8")
+    *lines, unended = body.split(b"\n")
+    for row, line in enumerate(lines, first_row):
+        cells = line.split(b",")
+        if len(cells) != len(expected):
+            return f"row {row}: expected {len(expected)} comma-separated values, got {len(cells)} in {line[:80]!r}"
+        for name, cell in zip(expected, cells):
+            if not cell or cell.translate(None, _NUMBER_BYTES):
+                return f"row {row}, column {name}: expected a finite number, got {cell[:40]!r}"
+    if unended:
+        return f"row {first_row + len(lines)}: expected a newline at its end, got {unended[-80:]!r}"
+    return f"expected {horizon} rows of {len(expected)} values, got {first_row - 1 + len(lines)} rows"
+
+
+def _number_fault(chunk: bytes, exc: orjson.JSONDecodeError, first_row: int, expected: list[str]) -> str:
+    """The cell of ``chunk``, rows ``first_row``.., where orjson stopped with ``exc``."""
+    # exc.pos indexes the "[" that opens the parsed array, then the chunk's
+    # bytes; the "]" that stands for its last "\n", or the end, is in its last cell
+    before = chunk[: min(exc.pos - 1, len(chunk) - 1)]
+    row, col = before.count(b"\n"), before.rsplit(b"\n", 1)[-1].count(b",")
+    cell = chunk.splitlines()[row].split(b",")[col]
+    return (
+        f"row {first_row + row}, column {expected[col]}: "
+        f"expected a finite number, got {cell[:40]!r} ({exc.msg})"
+    )
+
+
 def read_trace_csv(path, config: ExperimentConfig) -> RunTrace:
     """Rebuild a RunTrace from a trial CSV of a run of ``config``.
+
+    The file must hold what ``write_trace_csv`` writes for that config
+    and nothing else: one header line naming its columns, then T rows,
+    each ``t`` and the row's cells as JSON numbers, separated by commas
+    and ended by ``"\\n"``. Whitespace, comments, blank lines and
+    ``"\\r\\n"`` are refused. The rows are read ``_CSV_CHUNK_ROWS`` at a
+    time into one preallocated array: a single byte comparison checks a
+    chunk's shape and alphabet, and orjson parses its numbers.
 
     Raises ``ConfigError``, naming the file, when it is not UTF-8 text,
     when its header or shape does not match what a run of that config
     writes, when its ``t`` column is not 1..T in order, or when a cell is
-    not a finite number or breaks ``RunTrace``'s own checks.
+    not a finite number or breaks ``RunTrace``'s own checks. A fault in
+    a cell also names its row and column.
     """
     game = build_game(config)
     columns = _trial_columns(game.num_agents)
     if game.nash_equilibrium(config.alphas) is None:
         del columns["err_sq"]
     expected = ["t"] + [name for names in columns.values() for name in names]
+    # what is left of a well-formed row once its numbers are deleted
+    row_shape = b"," * (len(expected) - 1) + b"\n"
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            header = fh.readline().rstrip("\n").split(",")
+        with open(path, "rb") as fh:
+            header = fh.readline().decode("utf-8").removesuffix("\n").split(",")
             _require(header == expected, f"trial file {path}: expected columns {expected}, got {header}")
-            body = fh.tell()
-            _require(
-                any(line.strip() for line in fh),
-                f"trial file {path}: expected {config.horizon} rows of {len(expected)} values, got 0 rows",
-            )
-            fh.seek(body)
-            data = np.loadtxt(fh, delimiter=",", ndmin=2)
+            # a row takes at least two bytes a cell, so a file too short
+            # for T rows is refused before T rows are allocated
+            if os.fstat(fh.fileno()).st_size - fh.tell() < config.horizon * 2 * len(expected):
+                raise ConfigError(f"trial file {path}: {_row_fault(fh.read(), 1, expected, config.horizon)}")
+            data = np.empty((config.horizon, len(expected)))
+            for start in range(0, config.horizon, _CSV_CHUNK_ROWS):
+                rows = data[start : start + _CSV_CHUNK_ROWS]
+                chunk = b"".join(islice(fh, len(rows)))
+                if chunk.translate(None, _NUMBER_BYTES) != row_shape * len(rows):
+                    fault = _row_fault(chunk + fh.read(), start + 1, expected, config.horizon)
+                    raise ConfigError(f"trial file {path}: {fault}")
+                try:
+                    values = orjson.loads(b"[%s]" % chunk[:-1].replace(b"\n", b","))
+                except orjson.JSONDecodeError as exc:
+                    fault = _number_fault(chunk, exc, start + 1, expected)
+                    raise ConfigError(f"trial file {path}: {fault}") from None
+                rows[:] = np.fromiter(values, np.float64, rows.size).reshape(rows.shape)
+                bad = np.argwhere(~np.isfinite(rows))
+                if bad.size:
+                    row, col = bad[0]
+                    raise ConfigError(
+                        f"trial file {path}: row {start + row + 1}, column {expected[col]}: "
+                        f"expected a finite number, got {rows[row, col]}"
+                    )
+                _require(
+                    np.array_equal(rows[:, 0], np.arange(start + 1, start + len(rows) + 1)),
+                    f"trial file {path}: column t must count episodes 1..{config.horizon} in order",
+                )
+            rest = fh.read()
+            if rest:
+                fault = _row_fault(rest, config.horizon + 1, expected, config.horizon)
+                raise ConfigError(f"trial file {path}: {fault}")
     except UnicodeDecodeError as exc:
         raise ConfigError(f"trial file {path}: not UTF-8 text ({exc})") from None
-    except ConfigError:
-        raise
-    except ValueError as exc:  # a cell loadtxt cannot parse
-        raise ConfigError(f"trial file {path}: {exc}") from None
-    _require(
-        data.shape == (config.horizon, len(expected)),
-        f"trial file {path}: expected {config.horizon} rows of {len(expected)} values, "
-        f"got {data.shape[0]} of {data.shape[1]}",
-    )
-    bad = np.argwhere(~np.isfinite(data))
-    if bad.size:
-        row, col = bad[0]
-        raise ConfigError(
-            f"trial file {path}: row {row + 1}, column {expected[col]}: "
-            f"expected a finite number, got {data[row, col]}"
-        )
-    _require(
-        np.array_equal(data[:, 0], np.arange(1, config.horizon + 1)),
-        f"trial file {path}: column t must count episodes 1..{config.horizon} in order",
-    )
     ends = np.cumsum([len(names) for names in columns.values()])
     blocks = dict(zip(columns, np.split(data[:, 1:], ends[:-1], axis=1)))
     err_sq = blocks.get("err_sq")

@@ -2,8 +2,8 @@
 
 Order-statistic quantiles (VaR) of raw sample arrays, read off the
 sample EDF as in the paper, whose DKW bound (Lemma 3) covers them; the
-uniform law with closed-form VaR and CVaR (the noise law of the built-in
-games); and DKW-based confidence widths for quantile estimates.
+uniform law with closed-form VaR (the noise law of the built-in games);
+and DKW-based confidence widths for quantile estimates.
 
 Conventions: costs are minimized, so the risky tail is the *upper* tail.
 For a risk level ``alpha`` in (0, 1], VaR is the (1 - alpha)-quantile and
@@ -61,11 +61,9 @@ def empirical_var(values: np.ndarray, alpha: float) -> float:
 
 @dataclass(frozen=True)
 class Uniform:
-    """Uniform distribution on [a, b] with closed-form VaR and CVaR.
+    """Uniform distribution on [a, b] with closed-form VaR.
 
-    The noise law of the built-in games: VaR_alpha = a + (1 - alpha)(b - a)
-    and CVaR_alpha = a + (1 - alpha/2)(b - a), the midpoint of the upper
-    tail.
+    The noise law of the built-in games: VaR_alpha = a + (1 - alpha)(b - a).
     """
 
     a: float
@@ -89,10 +87,6 @@ class Uniform:
     def var(self, alpha: float) -> float:
         check_risk_level(alpha)
         return self.a + (1.0 - alpha) * self.width
-
-    def cvar(self, alpha: float) -> float:
-        check_risk_level(alpha)
-        return self.a + (1.0 - 0.5 * alpha) * self.width
 
     def sample(self, rng: np.random.Generator, size=None) -> np.ndarray:
         return rng.uniform(self.a, self.b, size=size)

@@ -1,11 +1,12 @@
 """Closed forms, probes and a plug-in CVaR that only the tests ask for.
 
-Each is a function of an ``AffineNoiseGame`` or of a sample array, and
-checks a claim about the games or the estimators rather than taking part
-in a run: the exact CVaR and CVaR gradient read off ``affine_noise``, a
-sampled probe of a game's monotonicity constant, a check of the additive
-noise-decomposition structure that the convergence theory relies on, and
-the plug-in (VaR, CVaR) of a raw sample.
+Each is a function of a noise law, an ``AffineNoiseGame`` or a sample
+array, and checks a claim about the games or the estimators rather than
+taking part in a run: the closed-form CVaR of the uniform law, the exact
+CVaR and CVaR gradient read off ``affine_noise``, a sampled probe of a
+game's monotonicity constant, a check of the additive noise-decomposition
+structure that the convergence theory relies on, and the plug-in
+(VaR, CVaR) of a raw sample.
 """
 
 from __future__ import annotations
@@ -26,16 +27,26 @@ def _nonnegative_slope(game, agent: int, x, quantity: str):
     return coeffs
 
 
+def uniform_cvar(law, alpha: float) -> float:
+    """CVaR_alpha of the uniform ``law`` on [a, b]: a + (1 - alpha/2)(b - a).
+
+    The midpoint of the upper tail, which is the worst ``alpha`` fraction
+    of outcomes.
+    """
+    check_risk_level(alpha)
+    return law.a + (1.0 - 0.5 * alpha) * law.width
+
+
 def exact_cvar(game, agent: int, x, alpha: float) -> float:
     """True CVaR of J_i(x, xi_i) at the joint action x: c0 + s CVaR_alpha(xi)."""
     c0, s, _, _ = _nonnegative_slope(game, agent, x, "CVaR")
-    return c0 + s * game.noise_distribution(agent).cvar(alpha)
+    return c0 + s * uniform_cvar(game.noise_distribution(agent), alpha)
 
 
 def exact_risk_averse_gradient(game, agent: int, x, alpha: float) -> float:
     """Derivative of CVaR_alpha[J_i(x, xi_i)] in the agent's own action."""
     _, _, g0, g1 = _nonnegative_slope(game, agent, x, "CVaR gradient")
-    return float(g0 + g1 * game.noise_distribution(agent).cvar(alpha))
+    return float(g0 + g1 * uniform_cvar(game.noise_distribution(agent), alpha))
 
 
 def monotonicity_probe(

@@ -417,6 +417,67 @@ class TestBundle:
                 tracemalloc.stop()
             assert peak <= cap, rows
 
+    # the edges of the float range, and -0.0
+    @example(
+        block=np.array([[-0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, -1.7976931348623157e308]]).T,
+        game="cournot",
+    )
+    # one row, T = 1
+    @example(block=np.array([[1.2345678901234567e-5]]), game="cournot")
+    # more than two chunks of rows, so that chunk boundaries are crossed
+    @example(
+        block=np.random.default_rng(0).standard_normal((2 * cli._CSV_CHUNK_ROWS + 5, 3))
+        * 10.0 ** np.random.default_rng(1).integers(-300, 300, size=(2 * cli._CSV_CHUNK_ROWS + 5, 3)),
+        game="cournot",
+    )
+    # a file without err_sq
+    @example(block=np.array([[0.5, -3.0], [1e-300, 7.0]]), game="quadratic-counterexample")
+    @given(block=float_blocks(), game=st.sampled_from(["cournot", "quadratic-counterexample"]))
+    @settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_reader_reads_what_np_loadtxt_reads(self, tmp_path, block, game):
+        # the block's cells, repeated to fill a trial file of the game's layout
+        config = validate_config({"game": game, "T": len(block)})
+        header = ["t", "x0", "x1", "err_sq", "nu_agent0", "nu_agent1", "nu_star_agent0", "nu_star_agent1"]
+        if build_game(config).nash_equilibrium(config.alphas) is None:
+            header.remove("err_sq")
+        cells = np.resize(block, (len(block), len(header) - 1))
+        if "err_sq" in header:
+            cells[:, 2] = np.abs(cells[:, 2])  # a trace's squared distances are not negative
+        path = tmp_path / "trial.csv"
+        _write_numeric_csv(path, header, cells)
+        if not np.isfinite(cells).all():
+            with pytest.raises(ConfigError, match="expected a finite number"):
+                read_trace_csv(path, config)
+            return
+        trace = read_trace_csv(path, config)
+        err_sq = [] if trace.err_sq is None else [trace.err_sq[:, None]]
+        ours = np.hstack([trace.actions, *err_sq, trace.nu, trace.nu_star])
+        theirs = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        assert np.array_equal(theirs[:, 0], np.arange(1, len(block) + 1))
+        assert np.array_equal(ours.view(np.int64), theirs[:, 1:].view(np.int64))
+
+    def test_reader_peak_does_not_grow_with_rows(self, tmp_path):
+        # the reader holds one chunk of rows at a time besides the array
+        # its trace is a view of, 100-110 bytes per cell as measured; a
+        # whole 10^4-row file in memory breaks this cap
+        header = ["t", "x0", "x1", "err_sq", "nu_agent0", "nu_agent1", "nu_star_agent0", "nu_star_agent1"]
+        width = len(header)
+        cap = 160 * cli._CSV_CHUNK_ROWS * width
+        rng = np.random.default_rng(0)
+        for rows in (10**4, 10**5):
+            block = rng.random((rows, width - 1)) * 10.0 ** rng.integers(-5, 3, size=(rows, width - 1))
+            _write_numeric_csv(tmp_path / "trial.csv", header, block)
+            config = validate_config({"game": "cournot", "T": rows})
+            tracemalloc.start()
+            try:
+                trace = read_trace_csv(tmp_path / "trial.csv", config)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            held = trace.actions.base
+            assert held.shape == (rows, width) and trace.nu.base is held
+            assert peak - held.nbytes <= cap, rows
+
     def test_run_experiment_rejects_fewer_than_one_worker(self, tmp_path):
         out = tmp_path / "out"
         with pytest.raises(ValueError, match="workers: must be >= 1, got 0"):
@@ -890,6 +951,20 @@ class TestMain:
         assert f"error: bundle has trial file {path}, which its config.yaml does not name" in capsys.readouterr().err
         assert open(bounds, "rb").read() == original
 
+    def test_report_on_a_config_longer_than_its_trial_files(self, tmp_path, capsys):
+        # T rows of the edited config would not fit in memory
+        out = str(tmp_path / "bundle")
+        assert main(["run", "--config", write_config(tmp_path, SMALL_RAW), "--out", out]) == 0
+        config_path = os.path.join(out, "config.yaml")
+        with open(config_path, encoding="utf-8") as fh:
+            doc = yaml.safe_load(fh)
+        with open(config_path, "w", encoding="utf-8") as fh:
+            yaml.safe_dump({**doc, "T": 10**15}, fh, sort_keys=False)
+        capsys.readouterr()
+        assert main(["report", "--bundle", out]) == 2
+        path = os.path.join(out, "trials", trial_filename("algorithm1", 0))
+        assert f"error: trial file {path}: expected {10**15} rows of 8 values, got 40 rows" in capsys.readouterr().err
+
     def test_report_on_missing_bundle(self, capsys):
         assert main(["report", "--bundle", "/nonexistent"]) == 2
 
@@ -910,13 +985,48 @@ class TestMain:
             "rows reversed": lines[:1] + lines[:0:-1],
             "nan cell": lines[:5] + [",".join(cells[:-1] + ["nan\n"])] + lines[6:],
             "negative err_sq": lines[:5] + [",".join(cells[:3] + ["-1.0"] + cells[4:])] + lines[6:],
+            # what np.loadtxt skipped or tolerated, and the writer never writes
+            "comment line": lines[:5] + ["# comment\n"] + lines[5:],
+            "blank line between rows": lines[:5] + ["\n"] + lines[5:],
+            "trailing blank lines": lines + ["\n", "\n"],
+            "spaces around a cell": lines[:5] + [",".join(cells[:2] + [f" {cells[2]} "] + cells[3:])] + lines[6:],
+            "crlf line endings": [line.replace("\n", "\r\n") for line in lines],
+            "crlf rows": lines[:1] + [line.replace("\n", "\r\n") for line in lines[1:]],
+            "plus sign in t": lines[:2] + ["+" + lines[2]] + lines[3:],
+            # numbers that the byte check lets through and orjson refuses
+            **{
+                f"cell {cell!r}": lines[:5] + [",".join(cells[:1] + [cell] + cells[2:])] + lines[6:]
+                for cell in ("true", "null", ".5", "01", "1.", "1e400", "", "1-2")
+            },
+            "last cell empty": lines[:5] + [",".join(cells[:-1] + ["\n"])] + lines[6:],
+            "last cell of the last row empty": lines[:-1] + [lines[-1].rsplit(",", 1)[0] + ",\n"],
+            "ragged pair of rows": (
+                lines[:5] + [lines[5].rstrip("\n") + ",0\n", lines[6].rsplit(",", 1)[0] + "\n"] + lines[7:]
+            ),
+            "no newline at the end": lines[:-1] + [lines[-1].rstrip("\n")],
+        }
+        # where each fault is: its row (t), and its column if it is in one cell
+        where = {
+            "comment line": "row 5: ",
+            "blank line between rows": "row 5: ",
+            "trailing blank lines": "row 41: ",
+            "ragged pair of rows": "row 5: ",
+            "no newline at the end": "row 40: ",
+            "not a number": "row 5, column x0: ",
+            "nan cell": "row 5, column nu_star_agent1: ",
+            "spaces around a cell": "row 5, column x1: ",
+            "crlf rows": "row 1, column nu_star_agent1: ",
+            "plus sign in t": "row 2, column t: ",
+            **{case: "row 5, column x0: " for case in damaged if case.startswith("cell ")},
+            "last cell empty": "row 5, column nu_star_agent1: ",
+            "last cell of the last row empty": "row 40, column nu_star_agent1: ",
         }
         damaged = {case: "".join(content).encode("utf-8") for case, content in damaged.items()}
         text, row = "".join(lines).encode("utf-8"), len("".join(lines[:5]).encode("utf-8"))
         not_utf8 = {
             "utf-16 byte order mark": b"\xff\xfe" + text,
             "byte 0xff in a row": text[:row] + b"\xff" + text[row:],
-            # past the reader's first 8 KiB chunk, so np.loadtxt meets it
+            # after the T rows and past the first 8 KiB of the file
             "byte 0xff after 8 KiB": text + lines[-1].encode("utf-8") * 100 + b"\xff\n",
         }
         capsys.readouterr()
@@ -927,6 +1037,7 @@ class TestMain:
             err = capsys.readouterr().err
             assert f"error: trial file {path}: " in err, case
             assert ("not UTF-8 text" in err) == (case in not_utf8), case
+            assert where.get(case, "") in err, (case, err)
 
 
 def test_importing_the_cli_leaves_out_what_no_run_uses():
