@@ -41,7 +41,8 @@ class RunTrace:
     each agent used in its gradient estimate; ``nu_star`` the true VaR at
     the same action. ``err_sq`` is the squared distance to the game's
     equilibrium when one is known. The run's description (game, risk
-    levels, step, seed) is not part of the trace.
+    levels, step, seed) is not part of the trace. A negative ``err_sq``
+    is refused, naming its first episode t as trial-file row t.
     """
 
     actions: np.ndarray
@@ -58,8 +59,11 @@ class RunTrace:
         if self.err_sq is not None:
             if self.err_sq.shape != (t,):
                 raise ValueError("err_sq must have one entry per episode")
-            if np.any(self.err_sq < 0):
-                raise ValueError("squared distances cannot be negative")
+            negative = np.flatnonzero(self.err_sq < 0)
+            if negative.size:
+                row = int(negative[0])
+                value = float(self.err_sq[row])
+                raise ValueError(f"row {row + 1}, column err_sq: squared distances cannot be negative, got {value!r}")
 
     @property
     def horizon(self) -> int:

@@ -15,8 +15,9 @@ written as its ``repr``, which round-trips exactly; orjson formats a chunk
 of rows at a time, and ``repr`` only the cells it lays out otherwise.
 ``report`` reads a trial file back in exactly that grammar: one header
 line, then T rows of ``t`` and the cells as JSON numbers, each ended by
-``"\\n"``. orjson parses one chunk of rows at a time, and there is no
-tolerance for whitespace, comments, blank lines or CRLF endings.
+``"\\n"``, with no whitespace, comments, blank lines or CRLF endings.
+orjson parses a chunk of rows at a time and only accepts; one walk of
+the rows explains a refusal, naming its row, and its column if a cell.
 ``--workers`` must be at least 1. Progress goes to stderr; data only to
 files.
 """
@@ -386,8 +387,10 @@ _NUMBER_BYTES = b"0123456789.eE+-"
 def _row_fault(body: bytes, first_row: int, expected: list[str], horizon: int) -> str:
     """Why ``body``, rows ``first_row``.. to the end of a trial file, is not rows of ``expected`` numbers.
 
-    Raises ``UnicodeDecodeError`` if ``body`` is not UTF-8 text, whatever
-    else is wrong with it.
+    It names the first row that is not that many JSON numbers, ``t`` equal
+    to its number, ended by ``"\\n"``, and its column when one cell is at
+    fault. Raises ``UnicodeDecodeError`` if ``body`` is not UTF-8 text,
+    whatever else is wrong with it.
     """
     body.decode("utf-8")
     *lines, unended = body.split(b"\n")
@@ -396,24 +399,17 @@ def _row_fault(body: bytes, first_row: int, expected: list[str], horizon: int) -
         if len(cells) != len(expected):
             return f"row {row}: expected {len(expected)} comma-separated values, got {len(cells)} in {line[:80]!r}"
         for name, cell in zip(expected, cells):
-            if not cell or cell.translate(None, _NUMBER_BYTES):
+            try:
+                if cell.translate(None, _NUMBER_BYTES):  # orjson alone would take "true" or " 1"
+                    raise ValueError
+                orjson.loads(cell)
+            except ValueError:
                 return f"row {row}, column {name}: expected a finite number, got {cell[:40]!r}"
+        if orjson.loads(cells[0]) != row:
+            return f"row {row}, column t: expected {row}, got {cells[0][:40]!r}"
     if unended:
         return f"row {first_row + len(lines)}: expected a newline at its end, got {unended[-80:]!r}"
     return f"expected {horizon} rows of {len(expected)} values, got {first_row - 1 + len(lines)} rows"
-
-
-def _number_fault(chunk: bytes, exc: orjson.JSONDecodeError, first_row: int, expected: list[str]) -> str:
-    """The cell of ``chunk``, rows ``first_row``.., where orjson stopped with ``exc``."""
-    # exc.pos indexes the "[" that opens the parsed array, then the chunk's
-    # bytes; the "]" that stands for its last "\n", or the end, is in its last cell
-    before = chunk[: min(exc.pos - 1, len(chunk) - 1)]
-    row, col = before.count(b"\n"), before.rsplit(b"\n", 1)[-1].count(b",")
-    cell = chunk.splitlines()[row].split(b",")[col]
-    return (
-        f"row {first_row + row}, column {expected[col]}: "
-        f"expected a finite number, got {cell[:40]!r} ({exc.msg})"
-    )
 
 
 def read_trace_csv(path, config: ExperimentConfig) -> RunTrace:
@@ -424,14 +420,15 @@ def read_trace_csv(path, config: ExperimentConfig) -> RunTrace:
     each ``t`` and the row's cells as JSON numbers, separated by commas
     and ended by ``"\\n"``. Whitespace, comments, blank lines and
     ``"\\r\\n"`` are refused. The rows are read ``_CSV_CHUNK_ROWS`` at a
-    time into one preallocated array: a single byte comparison checks a
-    chunk's shape and alphabet, and orjson parses its numbers.
+    time into one preallocated array. A chunk is accepted when its bytes
+    have the writer's shape and alphabet, orjson parses them and its ``t``
+    column counts on; ``_row_fault`` alone explains a refusal.
 
     Raises ``ConfigError``, naming the file, when it is not UTF-8 text,
     when its header or shape does not match what a run of that config
     writes, when its ``t`` column is not 1..T in order, or when a cell is
     not a finite number or breaks ``RunTrace``'s own checks. A fault in
-    a cell also names its row and column.
+    the rows also names its row, and its column when it is in one cell.
     """
     game = build_game(config)
     columns = _trial_columns(game.num_agents)
@@ -452,26 +449,16 @@ def read_trace_csv(path, config: ExperimentConfig) -> RunTrace:
             for start in range(0, config.horizon, _CSV_CHUNK_ROWS):
                 rows = data[start : start + _CSV_CHUNK_ROWS]
                 chunk = b"".join(islice(fh, len(rows)))
-                if chunk.translate(None, _NUMBER_BYTES) != row_shape * len(rows):
-                    fault = _row_fault(chunk + fh.read(), start + 1, expected, config.horizon)
-                    raise ConfigError(f"trial file {path}: {fault}")
-                try:
+                try:  # orjson.JSONDecodeError is a ValueError
+                    if chunk.translate(None, _NUMBER_BYTES) != row_shape * len(rows):
+                        raise ValueError
                     values = orjson.loads(b"[%s]" % chunk[:-1].replace(b"\n", b","))
-                except orjson.JSONDecodeError as exc:
-                    fault = _number_fault(chunk, exc, start + 1, expected)
+                    rows[:] = np.fromiter(values, np.float64, rows.size).reshape(rows.shape)
+                    if not np.array_equal(rows[:, 0], np.arange(start + 1, start + len(rows) + 1)):
+                        raise ValueError
+                except ValueError:
+                    fault = _row_fault(chunk + fh.read(), start + 1, expected, config.horizon)
                     raise ConfigError(f"trial file {path}: {fault}") from None
-                rows[:] = np.fromiter(values, np.float64, rows.size).reshape(rows.shape)
-                bad = np.argwhere(~np.isfinite(rows))
-                if bad.size:
-                    row, col = bad[0]
-                    raise ConfigError(
-                        f"trial file {path}: row {start + row + 1}, column {expected[col]}: "
-                        f"expected a finite number, got {rows[row, col]}"
-                    )
-                _require(
-                    np.array_equal(rows[:, 0], np.arange(start + 1, start + len(rows) + 1)),
-                    f"trial file {path}: column t must count episodes 1..{config.horizon} in order",
-                )
             rest = fh.read()
             if rest:
                 fault = _row_fault(rest, config.horizon + 1, expected, config.horizon)
@@ -654,20 +641,23 @@ def run_experiment(
 
 
 def load_bundle_traces(bundle_dir: str) -> tuple[ExperimentConfig, dict]:
-    """A bundle's config and traces; a trial file the config does not name is a ``ConfigError``."""
+    """A bundle's config and traces; trial file names not the config's are refused before any file is read."""
     config = load_config(os.path.join(bundle_dir, "config.yaml"))
-    expected = {trial_filename(alg, idx) for alg in config.algorithms for idx in range(config.trials)}
-    for name in sorted(os.listdir(os.path.join(bundle_dir, "trials"))):
-        path = os.path.join(bundle_dir, "trials", name)
-        _require(name in expected, f"bundle has trial file {path}, which its config.yaml does not name")
-    traces = {}
-    for alg in config.algorithms:
-        traces[alg] = []
-        for idx in range(config.trials):
-            path = os.path.join(bundle_dir, "trials", trial_filename(alg, idx))
-            if not os.path.exists(path):
-                raise FileNotFoundError(f"bundle is missing trial file {path}")
-            traces[alg].append(read_trace_csv(path, config))
+    trials_dir = os.path.join(bundle_dir, "trials")
+    names = {alg: [trial_filename(alg, idx) for idx in range(config.trials)] for alg in config.algorithms}
+    expected = [name for alg_names in names.values() for name in alg_names]
+    listed = set(os.listdir(trials_dir))
+    if listed != set(expected):
+        extra = sorted(listed.difference(expected))
+        if extra:
+            path = os.path.join(trials_dir, extra[0])
+            raise ConfigError(f"bundle has trial file {path}, which its config.yaml does not name")
+        missing = next(name for name in expected if name not in listed)
+        raise FileNotFoundError(f"bundle is missing trial file {os.path.join(trials_dir, missing)}")
+    traces = {
+        alg: [read_trace_csv(os.path.join(trials_dir, name), config) for name in alg_names]
+        for alg, alg_names in names.items()
+    }
     return config, traces
 
 

@@ -3,6 +3,7 @@ import hashlib
 import io
 import math
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -10,6 +11,7 @@ import tempfile
 import tracemalloc
 import xml.etree.ElementTree as ET
 from dataclasses import fields, replace
+from pathlib import Path
 from xml.sax.saxutils import escape
 
 import numpy as np
@@ -121,6 +123,15 @@ def float_blocks(draw):
     rows, cols = draw(st.integers(1, 40)), draw(st.integers(1, 3))
     cells = draw(st.lists(st.one_of(st.floats(), _ANY_FLOAT64), min_size=rows * cols, max_size=rows * cols))
     return np.array(cells, dtype=np.float64).reshape(rows, cols)
+
+
+@pytest.fixture(scope="module")
+def small_trial(tmp_path_factory):
+    """The config of ``SMALL_RAW`` (T = 40) and the bytes of one of its trial files."""
+    config = validate_config(dict(SMALL_RAW))
+    path = tmp_path_factory.mktemp("small-trial") / "trial.csv"
+    write_trace_csv(cli._run_trial(config, ("unbiased-fo", 1)), path)
+    return config, path.read_bytes()
 
 
 def write_config(tmp_path, raw, name="config.yaml"):
@@ -456,6 +467,30 @@ class TestBundle:
         assert np.array_equal(theirs[:, 0], np.arange(1, len(block) + 1))
         assert np.array_equal(ours.view(np.int64), theirs[:, 1:].view(np.int64))
 
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_reader_names_the_row_of_a_one_byte_edit(self, tmp_path, small_trial, data):
+        # one row walk explains every refusal of the body: it names the
+        # edited row, or the next when a "\n" split the row in two
+        config, text = small_trial
+        pos = data.draw(st.integers(0, len(text) - 1), label="position")
+        new = data.draw(st.integers(0, 255), label="byte")
+        path = tmp_path / "trial.csv"
+        path.write_bytes(text[:pos] + bytes([new]) + text[pos + 1 :])
+        try:
+            read_trace_csv(path, config)
+            return
+        except ConfigError as exc:
+            message = str(exc)
+        row = text[:pos].count(b"\n")  # the header is line 0
+        if row == 0:
+            return
+        if new >= 0x80:  # a lone non-ASCII byte is not UTF-8
+            assert "not UTF-8 text" in message
+            return
+        rows = (row, row + 1) if new == ord("\n") else (row,)
+        assert any(re.search(rf"\brow {r}[:,] ", message) for r in rows), (pos, new, message)
+
     def test_reader_peak_does_not_grow_with_rows(self, tmp_path):
         # the reader holds one chunk of rows at a time besides the array
         # its trace is a view of, 100-110 bytes per cell as measured; a
@@ -491,10 +526,10 @@ class TestBundle:
         for paths in (("aggregate.csv",), ("bounds.csv",), ("config.yaml",)):
             p1 = os.path.join(b1.out_dir, *paths)
             p2 = os.path.join(b2.out_dir, *paths)
-            assert open(p1, "rb").read() == open(p2, "rb").read()
+            assert Path(p1).read_bytes() == Path(p2).read_bytes()
         for key, path in b1.trial_paths.items():
             other = b2.trial_paths[key]
-            assert open(path, "rb").read() == open(other, "rb").read()
+            assert Path(path).read_bytes() == Path(other).read_bytes()
 
     def test_parallel_matches_serial(self, tmp_path, monkeypatch):
         # 3 workers share the 4 trials unevenly; workers are capped at the
@@ -653,14 +688,14 @@ class TestBundle:
     def test_report_recomputation_matches(self, tmp_path):
         cfg = validate_config(dict(SMALL_RAW))
         bundle = run_experiment(cfg, out_dir=str(tmp_path / "out"))
-        original = open(bundle.report_path, "rb").read()
+        original = Path(bundle.report_path).read_bytes()
         loaded_cfg, traces = load_bundle_traces(bundle.out_dir)
         assert loaded_cfg == cfg
         from riskgames.cli import compute_reports, write_report_csv
 
         reports = compute_reports(loaded_cfg, traces)
         write_report_csv(reports, bundle.report_path)
-        assert open(bundle.report_path, "rb").read() == original
+        assert Path(bundle.report_path).read_bytes() == original
 
 
 class TestPlot:
@@ -882,14 +917,14 @@ class TestMain:
         out = str(tmp_path / "face")
         assert main(["run", "--config", path, "--out", out]) == 0
         bounds = os.path.join(out, "bounds.csv")
-        original = open(bounds, "rb").read()
+        original = Path(bounds).read_bytes()
         with open(bounds) as fh:
             rows = [r for r in csv.DictReader(fh) if r["name"] == "lemma4"]
         assert rows[0]["passed"] == "none"
         assert rows[0]["detail"].startswith("trial=0, agent=0, cost-law width 0 at episode 1:")
         assert rows[1]["passed"] == "true"
         assert main(["report", "--bundle", out]) == 0
-        assert open(bounds, "rb").read() == original
+        assert Path(bounds).read_bytes() == original
         # --strict skips rows whose bound does not apply, in both subcommands
         assert main(["run", "--config", path, "--out", out, "--strict"]) == 0
         assert main(["report", "--bundle", out, "--strict"]) == 0
@@ -916,7 +951,7 @@ class TestMain:
         for name in ("aggregate.csv", "convergence.svg", "bounds.csv", "config.yaml"):
             assert os.path.exists(os.path.join(out, name)), name
         bounds = os.path.join(out, "bounds.csv")
-        original = open(bounds, "rb").read()
+        original = Path(bounds).read_bytes()
         with open(bounds) as fh:
             rows = [r for r in csv.DictReader(fh) if r["name"] == "rate"]
         assert [r["passed"] for r in rows] == ["none", "none"]
@@ -925,7 +960,7 @@ class TestMain:
             for alg in ("algorithm1", "unbiased-fo")
         ]
         assert main(["report", "--strict", "--bundle", out]) == 0
-        assert open(bounds, "rb").read() == original
+        assert Path(bounds).read_bytes() == original
 
     @pytest.mark.parametrize(
         "edit,first_extra",
@@ -944,12 +979,12 @@ class TestMain:
         with open(config_path, "w", encoding="utf-8") as fh:
             yaml.safe_dump({**doc, **edit}, fh, sort_keys=False)
         bounds = os.path.join(out, "bounds.csv")
-        original = open(bounds, "rb").read()
+        original = Path(bounds).read_bytes()
         capsys.readouterr()
         assert main(["report", "--bundle", out]) == 2
         path = os.path.join(out, "trials", first_extra)
         assert f"error: bundle has trial file {path}, which its config.yaml does not name" in capsys.readouterr().err
-        assert open(bounds, "rb").read() == original
+        assert Path(bounds).read_bytes() == original
 
     def test_report_on_a_config_longer_than_its_trial_files(self, tmp_path, capsys):
         # T rows of the edited config would not fit in memory
@@ -964,6 +999,15 @@ class TestMain:
         assert main(["report", "--bundle", out]) == 2
         path = os.path.join(out, "trials", trial_filename("algorithm1", 0))
         assert f"error: trial file {path}: expected {10**15} rows of 8 values, got 40 rows" in capsys.readouterr().err
+
+    def test_report_on_a_bundle_missing_a_trial_file(self, tmp_path, capsys):
+        out = str(tmp_path / "bundle")
+        assert main(["run", "--config", write_config(tmp_path, SMALL_RAW), "--out", out]) == 0
+        path = os.path.join(out, "trials", trial_filename("unbiased-fo", 1))
+        os.remove(path)
+        capsys.readouterr()
+        assert main(["report", "--bundle", out]) == 2
+        assert f"error: bundle is missing trial file {path}" in capsys.readouterr().err
 
     def test_report_on_missing_bundle(self, capsys):
         assert main(["report", "--bundle", "/nonexistent"]) == 2
@@ -1020,6 +1064,8 @@ class TestMain:
             **{case: "row 5, column x0: " for case in damaged if case.startswith("cell ")},
             "last cell empty": "row 5, column nu_star_agent1: ",
             "last cell of the last row empty": "row 40, column nu_star_agent1: ",
+            "rows reversed": "row 1, column t: ",
+            "negative err_sq": "row 5, column err_sq: ",
         }
         damaged = {case: "".join(content).encode("utf-8") for case, content in damaged.items()}
         text, row = "".join(lines).encode("utf-8"), len("".join(lines[:5]).encode("utf-8"))
