@@ -29,6 +29,9 @@ __all__ = [
     "validate_lemma4",
 ]
 
+# draws per block of validate_lemma3's sample: bounds the bytes the check holds at once
+_LEMMA3_BLOCK_DRAWS = 2**16
+
 
 @dataclass
 class RunTrace:
@@ -156,16 +159,27 @@ def validate_lemma3(
     the distribution's true one). Passing allows two binomial standard
     errors of slack; an inflated ``p_lower`` shrinks the claimed bound
     below the true frequency and is reported as a failure.
+
+    The samples are the rows of one stream of draws from ``rng``, drawn
+    in blocks of about ``_LEMMA3_BLOCK_DRAWS`` draws (at least one row)
+    and selected in place, so the check holds one block and the
+    ``repeats`` estimates at a time. ``Generator.uniform`` fills its
+    output in stream order, so the estimates do not depend on the block
+    size.
     """
     check_risk_level(alpha)
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
     p = dist.density_lower_bound if p_lower is None else float(p_lower)
     true_var = dist.var(alpha)
-    draws = dist.sample(rng, size=(repeats, t))
     k = _tail_start(t, alpha)
-    draws.partition(k - 1, axis=1)  # in place: a copy would double the run's memory peak
-    nu_hat = draws[:, k - 1]
+    rows = max(1, _LEMMA3_BLOCK_DRAWS // t)
+    nu_hat = np.empty(repeats)
+    for start in range(0, repeats, rows):
+        draws = dist.sample(rng, size=(min(rows, repeats - start), t))
+        draws.partition(k - 1, axis=1)
+        nu_hat[start : start + len(draws)] = draws[:, k - 1]
+        del draws  # freed before the next block is drawn
     freq = float(np.mean(np.abs(nu_hat - true_var) > epsilon))
     bound = min(1.0, 2.0 * math.exp(-2.0 * t * epsilon**2 * p**2))
     slack = 2.0 * math.sqrt(bound * (1.0 - bound) / repeats)

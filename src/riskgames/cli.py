@@ -12,7 +12,8 @@ per-trial trace CSVs, an aggregate CSV, a convergence SVG, a bound
 report CSV, and the resolved config. Re-running an identical config
 byte-reproduces the CSVs. Every float in the trial and aggregate CSVs is
 written as its ``repr``, which round-trips exactly; orjson formats a chunk
-of rows at a time, and ``repr`` only the cells it lays out otherwise.
+of rows at a time, its exponent and 1e-5-decade layouts are fixed on its
+bytes, and ``repr`` formats only the non-finite cells.
 ``report`` reads a trial file back in exactly that grammar: one header
 line, then T rows of ``t`` and the cells as JSON numbers, each ended by
 ``"\\n"``, with no whitespace, comments, blank lines or CRLF endings.
@@ -29,6 +30,7 @@ import csv
 import inspect
 import math
 import os
+import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -322,6 +324,21 @@ def trial_filename(algorithm: str, index: int) -> str:
 # rows formatted per orjson call: bounds the bytes a write holds at once
 _CSV_CHUNK_ROWS = 1024
 
+# orjson writes an exponent without repr's sign or its second digit
+_EXPONENT_SIGN = re.compile(rb"e(?=\d)")  # 1e16 for 1e+16
+_EXPONENT_PAD = re.compile(rb"e-(?=\d(?!\d))")  # 1.2e-6 for 1.2e-06
+
+
+def _decade_cells(tokens: bytes) -> list[bytes]:
+    """The ``","``-joined orjson tokens of cells with ``1e-5 <= |v| < 1e-4``, each as ``repr`` writes it.
+
+    orjson writes ``0.000012345`` where ``repr`` writes ``1.2345e-05``. A
+    token holds one ``"."``, so ``0.0000d`` can only start one.
+    """
+    for digit in b"123456789":
+        tokens = tokens.replace(b"0.0000%c" % digit, b"%c." % digit)
+    return (tokens + b",").replace(b",", b"e-05,").replace(b".e", b"e").split(b",")[:-1]
+
 
 def _write_numeric_csv(path, header, block) -> None:
     """One header line, then per row of the float64 ``block`` its number ``t`` and its cells.
@@ -329,11 +346,13 @@ def _write_numeric_csv(path, header, block) -> None:
     Each float is written as its ``repr``, which round-trips exactly. No
     cell holds a comma or a quote, so these are the bytes ``csv.writer``
     writes. orjson formats a chunk of rows at once with the same shortest
-    digits as ``repr``, but lays some out differently: ``0.000012345`` for
-    ``1.2345e-05``, ``1e-6`` for ``1e-06``, ``1e16`` for ``1e+16`` and
-    ``null`` for a non-finite value. So every nonzero cell outside
-    ``1e-4 <= |v| < 1e16``, and every non-finite one, is re-formatted with
-    ``repr``. Chunks of ``_CSV_CHUNK_ROWS`` rows bound the bytes held at once.
+    digits as ``repr``, but lays some out differently, and those layouts
+    are fixed on its bytes: two regular expressions give an exponent its
+    sign and second digit (``1e16`` to ``1e+16``, ``1e-6`` to ``1e-06``),
+    and ``_decade_cells`` rewrites the cells of ``1e-5 <= |v| < 1e-4``
+    (``0.000012345`` to ``1.2345e-05``). Only a non-finite cell, which
+    orjson writes as ``null``, is formatted with ``repr``. Chunks of
+    ``_CSV_CHUNK_ROWS`` rows bound the bytes held at once.
     """
     width = block.shape[1] + 1
     with open(path, "wb") as fh:
@@ -341,11 +360,14 @@ def _write_numeric_csv(path, header, block) -> None:
         for start in range(0, len(block), _CSV_CHUNK_ROWS):
             chunk = block[start : start + _CSV_CHUNK_ROWS]
             flat = chunk.ravel()
-            cells = orjson.dumps(flat, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].split(b",")
+            text = orjson.dumps(flat, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1]
+            cells = _EXPONENT_PAD.sub(b"e-0", _EXPONENT_SIGN.sub(b"e+", text)).split(b",")
             size = np.abs(flat)
-            relaid = np.flatnonzero(~((size >= 1e-4) & (size < 1e16)) & (flat != 0))
-            for i, value in zip(relaid.tolist(), flat[relaid].tolist()):
-                cells[i] = repr(value).encode()
+            decade = np.flatnonzero((size >= 1e-5) & (size < 1e-4)).tolist()
+            for i, cell in zip(decade, _decade_cells(b",".join([cells[i] for i in decade]))):
+                cells[i] = cell
+            for i in np.flatnonzero(~np.isfinite(flat)).tolist():
+                cells[i] = repr(float(flat[i])).encode()
             # a leading "\n" on each t token ends the previous row
             rows = [b""] * (len(chunk) * width)
             rows[::width] = [b"\n%d" % t for t in range(start + 1, start + len(chunk) + 1)]
@@ -384,15 +406,23 @@ def write_trace_csv(trace: RunTrace, path) -> None:
 _NUMBER_BYTES = b"0123456789.eE+-"
 
 
-def _row_fault(body: bytes, first_row: int, expected: list[str], horizon: int) -> str:
-    """Why ``body``, rows ``first_row``.. to the end of a trial file, is not rows of ``expected`` numbers.
+def _row_fault(fh, chunk: bytes, first_row: int, expected: list[str], horizon: int) -> str:
+    """Why rows ``first_row``.. of trial file ``fh`` to its end are not rows of ``expected`` numbers.
 
+    Those rows are ``chunk``, read before ``fh``'s position, and the rest of ``fh``.
     It names the first row that is not that many JSON numbers, ``t`` equal
     to its number, ended by ``"\\n"``, and its column when one cell is at
-    fault. Raises ``UnicodeDecodeError`` if ``body`` is not UTF-8 text,
-    whatever else is wrong with it.
+    fault. Bytes that are not UTF-8 text are named first, whatever else is
+    wrong, with their row and their offset in the file.
     """
-    body.decode("utf-8")
+    offset = fh.tell() - len(chunk)
+    body = chunk + fh.read()
+    try:
+        body.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        row = first_row + body.count(b"\n", 0, exc.start)
+        byte = f"{body[exc.start]:#04x} at byte {offset + exc.start} of the file"
+        return f"row {row}: not UTF-8 text ({exc.reason} {byte})"
     *lines, unended = body.split(b"\n")
     for row, line in enumerate(lines, first_row):
         cells = line.split(b",")
@@ -437,34 +467,34 @@ def read_trace_csv(path, config: ExperimentConfig) -> RunTrace:
     expected = ["t"] + [name for names in columns.values() for name in names]
     # what is left of a well-formed row once its numbers are deleted
     row_shape = b"," * (len(expected) - 1) + b"\n"
-    try:
-        with open(path, "rb") as fh:
+    with open(path, "rb") as fh:
+        try:
             header = fh.readline().decode("utf-8").removesuffix("\n").split(",")
-            _require(header == expected, f"trial file {path}: expected columns {expected}, got {header}")
-            # a row takes at least two bytes a cell, so a file too short
-            # for T rows is refused before T rows are allocated
-            if os.fstat(fh.fileno()).st_size - fh.tell() < config.horizon * 2 * len(expected):
-                raise ConfigError(f"trial file {path}: {_row_fault(fh.read(), 1, expected, config.horizon)}")
-            data = np.empty((config.horizon, len(expected)))
-            for start in range(0, config.horizon, _CSV_CHUNK_ROWS):
-                rows = data[start : start + _CSV_CHUNK_ROWS]
-                chunk = b"".join(islice(fh, len(rows)))
-                try:  # orjson.JSONDecodeError is a ValueError
-                    if chunk.translate(None, _NUMBER_BYTES) != row_shape * len(rows):
-                        raise ValueError
-                    values = orjson.loads(b"[%s]" % chunk[:-1].replace(b"\n", b","))
-                    rows[:] = np.fromiter(values, np.float64, rows.size).reshape(rows.shape)
-                    if not np.array_equal(rows[:, 0], np.arange(start + 1, start + len(rows) + 1)):
-                        raise ValueError
-                except ValueError:
-                    fault = _row_fault(chunk + fh.read(), start + 1, expected, config.horizon)
-                    raise ConfigError(f"trial file {path}: {fault}") from None
-            rest = fh.read()
-            if rest:
-                fault = _row_fault(rest, config.horizon + 1, expected, config.horizon)
-                raise ConfigError(f"trial file {path}: {fault}")
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"trial file {path}: not UTF-8 text ({exc})") from None
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"trial file {path}: header is not UTF-8 text ({exc})") from None
+        _require(header == expected, f"trial file {path}: expected columns {expected}, got {header}")
+        # a row takes at least two bytes a cell, so a file too short
+        # for T rows is refused before T rows are allocated
+        if os.fstat(fh.fileno()).st_size - fh.tell() < config.horizon * 2 * len(expected):
+            raise ConfigError(f"trial file {path}: {_row_fault(fh, b'', 1, expected, config.horizon)}")
+        data = np.empty((config.horizon, len(expected)))
+        for start in range(0, config.horizon, _CSV_CHUNK_ROWS):
+            rows = data[start : start + _CSV_CHUNK_ROWS]
+            chunk = b"".join(islice(fh, len(rows)))
+            try:  # orjson.JSONDecodeError is a ValueError
+                if chunk.translate(None, _NUMBER_BYTES) != row_shape * len(rows):
+                    raise ValueError
+                values = orjson.loads(b"[%s]" % chunk[:-1].replace(b"\n", b","))
+                rows[:] = np.fromiter(values, np.float64, rows.size).reshape(rows.shape)
+                if not np.array_equal(rows[:, 0], np.arange(start + 1, start + len(rows) + 1)):
+                    raise ValueError
+            except ValueError:
+                fault = _row_fault(fh, chunk, start + 1, expected, config.horizon)
+                raise ConfigError(f"trial file {path}: {fault}") from None
+        rest = fh.read()
+        if rest:
+            fault = _row_fault(fh, rest, config.horizon + 1, expected, config.horizon)
+            raise ConfigError(f"trial file {path}: {fault}")
     ends = np.cumsum([len(names) for names in columns.values()])
     blocks = dict(zip(columns, np.split(data[:, 1:], ends[:-1], axis=1)))
     err_sq = blocks.get("err_sq")

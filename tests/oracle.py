@@ -5,8 +5,8 @@ array, and checks a claim about the games or the estimators rather than
 taking part in a run: the closed-form CVaR of the uniform law, the exact
 CVaR and CVaR gradient read off ``affine_noise``, a sampled probe of a
 game's monotonicity constant, a check of the additive noise-decomposition
-structure that the convergence theory relies on, and the plug-in
-(VaR, CVaR) of a raw sample.
+structure that the convergence theory relies on, the plug-in
+(VaR, CVaR) of a raw sample, and the Lemma-3 check drawn as one matrix.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from functools import partial
 
 import numpy as np
 
+from riskgames.analysis import BoundReport
 from riskgames.distributions import _tail_start, check_risk_level
 
 
@@ -166,3 +167,28 @@ def empirical_var_cvar(values: np.ndarray, alpha: float) -> tuple[float, float]:
     above = Fraction(math.fsum(part[k:].tolist()))
     cvar = float((above + (weight - (t - int(k))) * Fraction(nu)) / weight)
     return nu, max(nu, cvar)
+
+
+def lemma3_one_matrix(dist, alpha: float, t: int, repeats: int, epsilon: float, rng, p_lower=None) -> BoundReport:
+    """``analysis.validate_lemma3``'s report from all ``repeats`` samples drawn as one (repeats, t) matrix.
+
+    One ``rng`` call fills the matrix in stream order, each row is
+    partitioned at the VaR order statistic, and the report is formed
+    from the violation frequency of the row estimates.
+    """
+    check_risk_level(alpha)
+    p = dist.density_lower_bound if p_lower is None else float(p_lower)
+    true_var = dist.var(alpha)
+    draws = dist.sample(rng, size=(repeats, t))
+    k = _tail_start(t, alpha)
+    nu_hat = np.partition(draws, k - 1, axis=1)[:, k - 1]
+    freq = float(np.mean(np.abs(nu_hat - true_var) > epsilon))
+    bound = min(1.0, 2.0 * math.exp(-2.0 * t * epsilon**2 * p**2))
+    slack = 2.0 * math.sqrt(bound * (1.0 - bound) / repeats)
+    return BoundReport(
+        name="lemma3",
+        empirical=freq,
+        bound=bound,
+        passed=freq <= bound + slack,
+        detail=f"alpha={alpha}, t={t}, eps={epsilon:.6g}, p_lower={p:.4g}, repeats={repeats}",
+    )

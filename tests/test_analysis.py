@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from riskgames import analysis
 from riskgames.analysis import (
     AggregateTrace,
     BoundReport,
@@ -17,6 +18,8 @@ from riskgames.analysis import (
 from riskgames.distributions import Uniform, dkw_confidence_width
 from riskgames.games import CournotGame, QuadraticCounterexampleGame
 from riskgames.learning import run_algorithm1, run_unbiased_baseline
+
+from oracle import lemma3_one_matrix
 
 GAME = CournotGame()
 ALPHAS = (0.4, 0.8)
@@ -144,16 +147,34 @@ class TestValidateLemma3:
         with pytest.raises(ValueError):
             validate_lemma3(Uniform(0, 1), 0.4, 100, 0, 0.1, np.random.default_rng(0))
 
-    def test_memory_peak_is_one_draw_matrix(self):
-        # the (repeats, t) draws are selected in place, not copied
-        repeats, t = 400, 1000
-        tracemalloc.start()
-        try:
-            validate_lemma3(Uniform(0, 1), 0.4, t, repeats, 0.05, np.random.default_rng(6))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1.25 * repeats * t * 8
+    def test_memory_peak_is_one_block_of_draws(self):
+        # the samples are drawn a block of rows at a time and selected in
+        # place: the check holds one block and the estimates, whatever repeats is
+        t = 1000
+        rows = analysis._LEMMA3_BLOCK_DRAWS // t
+        for repeats in (400, 4000):
+            tracemalloc.start()
+            try:
+                validate_lemma3(Uniform(0, 1), 0.4, t, repeats, 0.05, np.random.default_rng(6))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 8 * (rows * t + repeats) + 16 * 1024, repeats
+
+    @pytest.mark.parametrize("alpha", [0.05, 0.4, 1.0])
+    @pytest.mark.parametrize("t", [1, 7, 1000])
+    def test_blocks_report_what_one_matrix_reports(self, t, alpha):
+        # Generator.uniform fills its output in stream order, so drawing
+        # the samples a block of rows at a time changes no estimate
+        rows = max(1, analysis._LEMMA3_BLOCK_DRAWS // t)
+        law = Uniform(-1.0, 3.0)
+        eps = 0.5 * dkw_confidence_width(t, 0.05, law.density_lower_bound)
+        for repeats in (1, rows - 1, rows, rows + 1, 1000):
+            ours, theirs = np.random.default_rng(repeats), np.random.default_rng(repeats)
+            report = validate_lemma3(law, alpha, t, repeats, eps, ours)
+            assert report == lemma3_one_matrix(law, alpha, t, repeats, eps, theirs), repeats
+            # both took the same number of draws from the stream
+            assert ours.bit_generator.state == theirs.bit_generator.state, repeats
 
 
 class TestValidateLemma4:

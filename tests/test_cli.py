@@ -395,6 +395,16 @@ class TestBundle:
             [[9.999999999999999e-05, 1e-4, 1e-5, -1.2345e-05, 9.999999999999999e-06, 9999999999999998.0, 1e16]]
         ).T
     )
+    # the cells whose orjson layout is fixed on bytes: the 1e-5 decade's
+    # ends, one-digit and positive exponents, and the float range's ends
+    @example(
+        block=np.array(
+            [
+                [1e-05, -1e-05, 1.0000000000000002e-05, 9.999999999999999e-05, 5e-05, 1e-06],
+                [9e-10, 1e-10, 1e16, 1.5e300, 5e-324, -5e-05],
+            ]
+        )
+    )
     # more than two chunks of rows, so that chunk boundaries are crossed
     @example(
         block=np.random.default_rng(0)
@@ -409,6 +419,20 @@ class TestBundle:
         path = tmp_path / "block.csv"
         _write_numeric_csv(path, header, block)
         assert path.read_bytes() == csv_writer_bytes(header, episodes, block)
+
+    @pytest.mark.parametrize("ranges", [[(1e-5, 1e-4)], [(1e-10, 1e-5), (1e15, 1e17)]])
+    def test_numeric_writer_matches_csv_writer_on_orjson_layouts(self, tmp_path, ranges):
+        # 10^5 random bit patterns of both signs in each set of ranges: the
+        # 1e-5 decade, which orjson writes as 0.0000ddd, and where it writes
+        # an exponent without repr's sign or second digit
+        rng = np.random.default_rng(11)
+        ends = np.array(ranges).view(np.int64)
+        bits = np.concatenate([rng.integers(lo, hi, size=10**5 // len(ends)) for lo, hi in ends])
+        block = (bits.view(np.float64) * rng.choice([-1.0, 1.0], size=bits.size)).reshape(-1, 4)
+        header = ["t"] + [f"c{j}" for j in range(block.shape[1])]
+        path = tmp_path / "block.csv"
+        _write_numeric_csv(path, header, block)
+        assert path.read_bytes() == csv_writer_bytes(header, np.arange(1, len(block) + 1), block)
 
     def test_numeric_writer_peak_does_not_grow_with_rows(self, tmp_path):
         # the writer holds one chunk of rows at a time, 170-180 bytes per
@@ -487,7 +511,6 @@ class TestBundle:
             return
         if new >= 0x80:  # a lone non-ASCII byte is not UTF-8
             assert "not UTF-8 text" in message
-            return
         rows = (row, row + 1) if new == ord("\n") else (row,)
         assert any(re.search(rf"\brow {r}[:,] ", message) for r in rows), (pos, new, message)
 
@@ -1066,6 +1089,8 @@ class TestMain:
             "last cell of the last row empty": "row 40, column nu_star_agent1: ",
             "rows reversed": "row 1, column t: ",
             "negative err_sq": "row 5, column err_sq: ",
+            "byte 0xff in a row": "row 5: ",
+            "byte 0xff after 8 KiB": "row 141: ",
         }
         damaged = {case: "".join(content).encode("utf-8") for case, content in damaged.items()}
         text, row = "".join(lines).encode("utf-8"), len("".join(lines[:5]).encode("utf-8"))
