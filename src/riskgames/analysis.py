@@ -162,10 +162,15 @@ def validate_lemma3(
 
     The samples are the rows of one stream of draws from ``rng``, drawn
     in blocks of about ``_LEMMA3_BLOCK_DRAWS`` draws (at least one row)
-    and selected in place, so the check holds one block and the
-    ``repeats`` estimates at a time. ``Generator.uniform`` fills its
-    output in stream order, so the estimates do not depend on the block
-    size.
+    into one block allocated once and selected in place, so the check
+    holds one block and the ``repeats`` estimates at a time, and frees
+    the block before it counts violations. A block holds unit uniforms u
+    from ``Generator.random``; only the selected ones are scaled, by
+    ``a + (b - a) * u``, which is what ``Generator.uniform`` evaluates
+    from the same draws. The scaling is nondecreasing in u, so it keeps
+    each row's order statistic, and the estimates and the generator's
+    final state are those of ``dist.sample`` on all samples at once,
+    whatever the block size.
     """
     check_risk_level(alpha)
     if repeats < 1:
@@ -174,12 +179,15 @@ def validate_lemma3(
     true_var = dist.var(alpha)
     k = _tail_start(t, alpha)
     rows = max(1, _LEMMA3_BLOCK_DRAWS // t)
+    block = np.empty((min(rows, repeats), t))
     nu_hat = np.empty(repeats)
     for start in range(0, repeats, rows):
-        draws = dist.sample(rng, size=(min(rows, repeats - start), t))
+        draws = rng.random(out=block[: min(rows, repeats - start)])
         draws.partition(k - 1, axis=1)
         nu_hat[start : start + len(draws)] = draws[:, k - 1]
-        del draws  # freed before the next block is drawn
+    del block, draws
+    nu_hat *= dist.width
+    nu_hat += dist.a
     freq = float(np.mean(np.abs(nu_hat - true_var) > epsilon))
     bound = min(1.0, 2.0 * math.exp(-2.0 * t * epsilon**2 * p**2))
     slack = 2.0 * math.sqrt(bound * (1.0 - bound) / repeats)

@@ -11,9 +11,9 @@ trials (seeds split deterministically from the master seed), then writes
 per-trial trace CSVs, an aggregate CSV, a convergence SVG, a bound
 report CSV, and the resolved config. Re-running an identical config
 byte-reproduces the CSVs. Every float in the trial and aggregate CSVs is
-written as its ``repr``, which round-trips exactly; orjson formats a chunk
-of rows at a time, its exponent and 1e-5-decade layouts are fixed on its
-bytes, and ``repr`` formats only the non-finite cells.
+written as its ``repr``, which round-trips exactly; one orjson call
+formats a chunk of rows, its exponent layouts are fixed on its bytes, and
+the 1e-5-decade and non-finite cells go in as strings in ``repr``'s layout.
 ``report`` reads a trial file back in exactly that grammar: one header
 line, then T rows of ``t`` and the cells as JSON numbers, each ended by
 ``"\\n"``, with no whitespace, comments, blank lines or CRLF endings.
@@ -27,13 +27,12 @@ from __future__ import annotations
 
 import argparse
 import csv
-import inspect
 import math
 import os
 import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from itertools import islice
 
 import numpy as np
@@ -70,9 +69,14 @@ __all__ = [
 ALGORITHMS = ("algorithm1", "unbiased-fo")
 
 # each game class names itself, carries its default risk levels and takes
-# its config parameters as constructor arguments
+# its config parameters as constructor arguments: a dataclass's fields, or
+# none for a game without a constructor of its own. inspect.signature
+# would read the same names, but parses object.__init__'s text signature
+# for the latter, which took most of this module's import time.
 _GAMES = {cls.name: cls for cls in (CournotGame, QuadraticCounterexampleGame)}
-_GAME_PARAMS = {name: tuple(inspect.signature(cls).parameters) for name, cls in _GAMES.items()}
+_GAME_PARAMS = {
+    name: tuple(f.name for f in fields(cls)) if is_dataclass(cls) else () for name, cls in _GAMES.items()
+}
 
 _CONFIG_KEYS = {
     "game", "alphas", "T", "trials", "seed", "eta", "algorithms", "window", "edf", "x0", "out_dir"
@@ -329,15 +333,22 @@ _EXPONENT_SIGN = re.compile(rb"e(?=\d)")  # 1e16 for 1e+16
 _EXPONENT_PAD = re.compile(rb"e-(?=\d(?!\d))")  # 1.2e-6 for 1.2e-06
 
 
-def _decade_cells(tokens: bytes) -> list[bytes]:
-    """The ``","``-joined orjson tokens of cells with ``1e-5 <= |v| < 1e-4``, each as ``repr`` writes it.
+def _decade_cells(values: np.ndarray) -> list[str]:
+    """Each of ``values``, all with ``1e-5 <= |v| < 1e-4``, as ``repr`` writes it.
 
-    orjson writes ``0.000012345`` where ``repr`` writes ``1.2345e-05``. A
-    token holds one ``"."``, so ``0.0000d`` can only start one.
+    orjson writes ``0.000012345`` where ``repr`` writes ``1.2345e-05``.
+    A token holds one ``"."``, so ``0.0000`` can only start one, and a
+    nonzero digit follows it. That prefix becomes a marker byte, each
+    marker swaps with its digit into the digit and ``"."``, and the
+    exponent is appended: ``1.2345e-05``, or ``5e-05`` once ``".e"``
+    loses its point.
     """
-    for digit in b"123456789":
-        tokens = tokens.replace(b"0.0000%c" % digit, b"%c." % digit)
-    return (tokens + b",").replace(b",", b"e-05,").replace(b".e", b"e").split(b",")[:-1]
+    text = orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].replace(b"0.0000", b"\x01")
+    swapped = np.frombuffer(bytearray(text), np.uint8)
+    marks = np.flatnonzero(swapped == 1)
+    swapped[marks] = swapped[marks + 1]
+    swapped[marks + 1] = ord(".")
+    return (swapped.tobytes() + b",").replace(b",", b"e-05,").replace(b".e", b"e").decode().split(",")[:-1]
 
 
 def _write_numeric_csv(path, header, block) -> None:
@@ -345,35 +356,41 @@ def _write_numeric_csv(path, header, block) -> None:
 
     Each float is written as its ``repr``, which round-trips exactly. No
     cell holds a comma or a quote, so these are the bytes ``csv.writer``
-    writes. orjson formats a chunk of rows at once with the same shortest
-    digits as ``repr``, but lays some out differently, and those layouts
-    are fixed on its bytes: two regular expressions give an exponent its
-    sign and second digit (``1e16`` to ``1e+16``, ``1e-6`` to ``1e-06``),
-    and ``_decade_cells`` rewrites the cells of ``1e-5 <= |v| < 1e-4``
-    (``0.000012345`` to ``1.2345e-05``). Only a non-finite cell, which
-    orjson writes as ``null``, is formatted with ``repr``. Chunks of
-    ``_CSV_CHUNK_ROWS`` rows bound the bytes held at once.
+    writes. A chunk of ``_CSV_CHUNK_ROWS`` rows is one ``orjson.dumps``
+    of the cells of one reused grid of objects, row by row: ``t`` as an
+    int, then the chunk's floats, which orjson formats with the same
+    shortest digits as ``repr``. Where orjson lays a cell out unlike
+    ``repr``, the layout is fixed on the chunk's text: two regular
+    expressions give an exponent its sign and second digit (``1e16`` to
+    ``1e+16``, ``1e-6`` to ``1e-06``). The cells of ``1e-5 <= |v| < 1e-4``
+    (``_decade_cells``) and the non-finite cells, which orjson writes as
+    ``null``, go into the grid as strings in ``repr``'s layout, and their
+    quotes are deleted. The list's ``"["`` and each row's last comma
+    become the newlines that start the rows. Chunks bound the bytes held
+    at once.
     """
-    width = block.shape[1] + 1
+    grid = np.empty((min(len(block), _CSV_CHUNK_ROWS), block.shape[1] + 1), dtype=object)
     with open(path, "wb") as fh:
         fh.write(",".join(header).encode())
         for start in range(0, len(block), _CSV_CHUNK_ROWS):
             chunk = block[start : start + _CSV_CHUNK_ROWS]
-            flat = chunk.ravel()
-            text = orjson.dumps(flat, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1]
-            cells = _EXPONENT_PAD.sub(b"e-0", _EXPONENT_SIGN.sub(b"e+", text)).split(b",")
-            size = np.abs(flat)
-            decade = np.flatnonzero((size >= 1e-5) & (size < 1e-4)).tolist()
-            for i, cell in zip(decade, _decade_cells(b",".join([cells[i] for i in decade]))):
-                cells[i] = cell
-            for i in np.flatnonzero(~np.isfinite(flat)).tolist():
-                cells[i] = repr(float(flat[i])).encode()
-            # a leading "\n" on each t token ends the previous row
-            rows = [b""] * (len(chunk) * width)
-            rows[::width] = [b"\n%d" % t for t in range(start + 1, start + len(chunk) + 1)]
-            for j in range(1, width):
-                rows[j::width] = cells[j - 1 :: width - 1]
-            fh.write(b",".join(rows).replace(b",\n", b"\n"))
+            cells = grid[: len(chunk)]
+            cells[:, 0] = range(start + 1, start + len(chunk) + 1)
+            cells[:, 1:] = chunk
+            size = np.abs(chunk)
+            row, col = np.nonzero((size >= 1e-5) & (size < 1e-4))
+            if row.size:
+                cells[row, col + 1] = _decade_cells(chunk[row, col])
+            row, col = np.nonzero(~np.isfinite(chunk))
+            cells[row, col + 1] = list(map(repr, chunk[row, col].tolist()))
+            text = orjson.dumps(cells.ravel().tolist())
+            text = _EXPONENT_PAD.sub(b"e-0", _EXPONENT_SIGN.sub(b"e+", text)).replace(b'"', b"")
+            # [1,a,2,b] to "\n1,a\n2,b": the "[" and each row's last "," become the "\n" ending the line before
+            rows = bytearray(text[:-1])
+            view = np.frombuffer(rows, np.uint8)
+            view[np.flatnonzero(view == ord(","))[cells.shape[1] - 1 :: cells.shape[1]]] = ord("\n")
+            view[0] = ord("\n")
+            fh.write(rows)
         fh.write(b"\n")
 
 

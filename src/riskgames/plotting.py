@@ -22,7 +22,10 @@ _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 _WIDTH, _HEIGHT = 720.0, 480.0
 _LEFT, _RIGHT, _TOP, _BOTTOM = 78.0, 24.0, 24.0, 56.0
+_PLOT_W, _PLOT_H = _WIDTH - _LEFT - _RIGHT, _HEIGHT - _TOP - _BOTTOM
 _X_LABEL, _Y_LABEL = "episode", "distance to equilibrium"
+# the lowest decade whose power of ten is a positive double: 10.0**-324 is 0.0
+_MIN_DECADE = -323
 
 
 def _escape(text: str) -> str:
@@ -58,21 +61,40 @@ def _envelope(column: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.flatnonzero(keep)
 
 
+def _pixel_points(xs: np.ndarray, ys: np.ndarray, x_range, decades) -> list[str]:
+    """``"x,y"``, in pixels at two decimals, of each point (xs[i], ys[i]) of a plot.
+
+    The plot spans episodes ``x_range`` and the powers of ten of
+    ``decades``, both (low, high) pairs. Each point's text is
+    ``f"{sx(x):.2f},{sy(y):.2f}"`` for ``emit_plot``'s scales ``sx`` and
+    ``sy``, taken over arrays: the same IEEE operations in the same
+    order, and ``math.log10``, whose digits ``np.log10`` need not match.
+    """
+    (x_min, x_max), (y_lo_dec, y_hi_dec) = x_range, decades
+    px = _LEFT + (xs - x_min) / (x_max - x_min or 1.0) * _PLOT_W
+    logs = np.fromiter(map(math.log10, np.maximum(ys, 10.0**y_lo_dec).tolist()), np.float64, ys.size)
+    py = _TOP + (y_hi_dec - logs) / (y_hi_dec - y_lo_dec) * _PLOT_H
+    return list(map("%.2f,%.2f".__mod__, zip(px.tolist(), py.tolist())))
+
+
 def emit_plot(series: list[tuple[str, AggregateTrace]], path) -> None:
     """Write an SVG overlaying mean curves with +/- one std bands.
 
     ``series`` pairs a legend label with an aggregate; the y axis is
     log-scaled, so nonpositive values are clamped to the axis floor: the
     power of ten at or below the lowest positive mean, or 1 when no mean
-    is positive, as in a run that never leaves the equilibrium.
+    is positive, as in a run that never leaves the equilibrium. The floor
+    is at least 1e-323, so a mean of 5e-324 is drawn on it.
 
     Each mean line and each band edge is cut to its per-pixel-column
     envelope. A point at episode x falls in column
-    ``floor((x - x_min) / (x_max - x_min) * plot_w)`` of the ``plot_w``-px
+    ``floor((x - x_min) / (x_max - x_min) * _PLOT_W)`` of the ``_PLOT_W``-px
     plot area. A column of at most 4 points keeps them all; a fuller one
     keeps its first, lowest, highest and last point, in episode order. So
-    a curve draws at most about ``4 * plot_w`` points, whatever its length,
-    and a plot with no column over 4 points draws every point.
+    a curve draws at most about ``4 * _PLOT_W`` points, whatever its length,
+    and a plot with no column over 4 points draws every point. The kept
+    points go to pixels and text in bulk, by ``_pixel_points``, which
+    writes each as the scales ``sx`` and ``sy`` below would.
     """
     if not series:
         raise ValueError("nothing to plot")
@@ -81,21 +103,18 @@ def emit_plot(series: list[tuple[str, AggregateTrace]], path) -> None:
     x_min, x_max = 1.0, float(max(agg.mean.size for _, agg in series))
     positive = np.concatenate([agg.mean[agg.mean > 0] for _, agg in series])
     hi = max(float((agg.mean + agg.std).max()) for _, agg in series)
-    y_lo_dec = math.floor(math.log10(float(positive.min()))) if positive.size else 0
+    y_lo_dec = max(math.floor(math.log10(float(positive.min()))), _MIN_DECADE) if positive.size else 0
     y_hi_dec = math.ceil(math.log10(hi)) if hi > 0 else y_lo_dec + 1
     if y_hi_dec <= y_lo_dec:
         y_hi_dec = y_lo_dec + 1
     y_floor = 10.0**y_lo_dec
 
-    plot_w = _WIDTH - _LEFT - _RIGHT
-    plot_h = _HEIGHT - _TOP - _BOTTOM
-
     def sx(x: float) -> float:
-        return _LEFT + (x - x_min) / (x_max - x_min or 1.0) * plot_w
+        return _LEFT + (x - x_min) / (x_max - x_min or 1.0) * _PLOT_W
 
     def sy(y: float) -> float:
         yv = math.log10(max(y, y_floor))
-        return _TOP + (y_hi_dec - yv) / (y_hi_dec - y_lo_dec) * plot_h
+        return _TOP + (y_hi_dec - yv) / (y_hi_dec - y_lo_dec) * _PLOT_H
 
     out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH:.0f}" '
@@ -133,23 +152,23 @@ def emit_plot(series: list[tuple[str, AggregateTrace]], path) -> None:
 
     # axes
     out.append(
-        f'<rect x="{_LEFT:.2f}" y="{_TOP:.2f}" width="{plot_w:.2f}" '
-        f'height="{plot_h:.2f}" fill="none" stroke="#333333" stroke-width="1"/>'
+        f'<rect x="{_LEFT:.2f}" y="{_TOP:.2f}" width="{_PLOT_W:.2f}" '
+        f'height="{_PLOT_H:.2f}" fill="none" stroke="#333333" stroke-width="1"/>'
     )
     out.append(
-        f'<text x="{_LEFT + plot_w / 2:.2f}" y="{_HEIGHT - 12:.2f}" text-anchor="middle" '
+        f'<text x="{_LEFT + _PLOT_W / 2:.2f}" y="{_HEIGHT - 12:.2f}" text-anchor="middle" '
         f'font-size="14" font-family="sans-serif">{_escape(_X_LABEL)}</text>'
     )
     out.append(
-        f'<text x="18" y="{_TOP + plot_h / 2:.2f}" text-anchor="middle" font-size="14" '
-        f'font-family="sans-serif" transform="rotate(-90 18 {_TOP + plot_h / 2:.2f})">'
+        f'<text x="18" y="{_TOP + _PLOT_H / 2:.2f}" text-anchor="middle" font-size="14" '
+        f'font-family="sans-serif" transform="rotate(-90 18 {_TOP + _PLOT_H / 2:.2f})">'
         f"{_escape(_Y_LABEL)}</text>"
     )
 
     def points(xs: np.ndarray, ys: np.ndarray) -> list[str]:
-        column = np.floor((xs - x_min) / (x_max - x_min or 1.0) * plot_w)
+        column = np.floor((xs - x_min) / (x_max - x_min or 1.0) * _PLOT_W)
         kept = _envelope(column, ys)
-        return [f"{sx(x):.2f},{sy(y):.2f}" for x, y in zip(xs[kept].tolist(), ys[kept].tolist())]
+        return _pixel_points(xs[kept], ys[kept], (x_min, x_max), (y_lo_dec, y_hi_dec))
 
     for idx, (label, agg) in enumerate(series):
         color = _PALETTE[idx % len(_PALETTE)]

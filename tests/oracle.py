@@ -6,7 +6,8 @@ taking part in a run: the closed-form CVaR of the uniform law, the exact
 CVaR and CVaR gradient read off ``affine_noise``, a sampled probe of a
 game's monotonicity constant, a check of the additive noise-decomposition
 structure that the convergence theory relies on, the plug-in
-(VaR, CVaR) of a raw sample, and the Lemma-3 check drawn as one matrix.
+(VaR, CVaR) of a raw sample, the Lemma-3 check drawn as one matrix, and
+a plot's pixel text formatted one point at a time.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from functools import partial
 
 import numpy as np
 
+from riskgames import plotting
 from riskgames.analysis import BoundReport
 from riskgames.distributions import _tail_start, check_risk_level
 
@@ -192,3 +194,22 @@ def lemma3_one_matrix(dist, alpha: float, t: int, repeats: int, epsilon: float, 
         passed=freq <= bound + slack,
         detail=f"alpha={alpha}, t={t}, eps={epsilon:.6g}, p_lower={p:.4g}, repeats={repeats}",
     )
+
+
+def pixel_points(xs, ys, x_range, decades) -> list[str]:
+    """``plotting._pixel_points`` one point at a time: ``f"{sx(x):.2f},{sy(y):.2f}"`` per point.
+
+    ``sx`` and ``sy`` are ``plotting.emit_plot``'s scales for a plot of
+    the episodes ``x_range`` over the powers of ten ``decades``.
+    """
+    (x_min, x_max), (y_lo_dec, y_hi_dec) = x_range, decades
+    y_floor = 10.0**y_lo_dec
+
+    def sx(x: float) -> float:
+        return plotting._LEFT + (x - x_min) / (x_max - x_min or 1.0) * plotting._PLOT_W
+
+    def sy(y: float) -> float:
+        yv = math.log10(max(y, y_floor))
+        return plotting._TOP + (y_hi_dec - yv) / (y_hi_dec - y_lo_dec) * plotting._PLOT_H
+
+    return [f"{sx(x):.2f},{sy(y):.2f}" for x, y in zip(xs.tolist(), ys.tolist())]

@@ -153,9 +153,12 @@ class TestValidateLemma3:
         t = 1000
         rows = analysis._LEMMA3_BLOCK_DRAWS // t
         for repeats in (400, 4000):
+            # built outside the traced window: a first default_rng imports
+            # numpy.random, which is no part of the check's peak
+            rng = np.random.default_rng(6)
             tracemalloc.start()
             try:
-                validate_lemma3(Uniform(0, 1), 0.4, t, repeats, 0.05, np.random.default_rng(6))
+                validate_lemma3(Uniform(0, 1), 0.4, t, repeats, 0.05, rng)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -164,17 +167,18 @@ class TestValidateLemma3:
     @pytest.mark.parametrize("alpha", [0.05, 0.4, 1.0])
     @pytest.mark.parametrize("t", [1, 7, 1000])
     def test_blocks_report_what_one_matrix_reports(self, t, alpha):
-        # Generator.uniform fills its output in stream order, so drawing
-        # the samples a block of rows at a time changes no estimate
+        # the generator fills its output in stream order, so drawing the
+        # samples a block of rows at a time changes no estimate; nor does
+        # scaling only the selected unit draws, as Generator.uniform would
         rows = max(1, analysis._LEMMA3_BLOCK_DRAWS // t)
-        law = Uniform(-1.0, 3.0)
-        eps = 0.5 * dkw_confidence_width(t, 0.05, law.density_lower_bound)
-        for repeats in (1, rows - 1, rows, rows + 1, 1000):
-            ours, theirs = np.random.default_rng(repeats), np.random.default_rng(repeats)
-            report = validate_lemma3(law, alpha, t, repeats, eps, ours)
-            assert report == lemma3_one_matrix(law, alpha, t, repeats, eps, theirs), repeats
-            # both took the same number of draws from the stream
-            assert ours.bit_generator.state == theirs.bit_generator.state, repeats
+        for law in (Uniform(-1.0, 3.0), Uniform(0.0, 3.7)):
+            eps = 0.5 * dkw_confidence_width(t, 0.05, law.density_lower_bound)
+            for repeats in (1, rows - 1, rows, rows + 1, 1000):
+                ours, theirs = np.random.default_rng(repeats), np.random.default_rng(repeats)
+                report = validate_lemma3(law, alpha, t, repeats, eps, ours)
+                assert report == lemma3_one_matrix(law, alpha, t, repeats, eps, theirs), (law, repeats)
+                # both took the same number of draws from the stream
+                assert ours.bit_generator.state == theirs.bit_generator.state, (law, repeats)
 
 
 class TestValidateLemma4:

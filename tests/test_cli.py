@@ -43,6 +43,8 @@ from riskgames.learning import run_algorithm1, run_unbiased_baseline
 from riskgames import plotting
 from riskgames.plotting import emit_plot
 
+from oracle import pixel_points
+
 SVG = "{http://www.w3.org/2000/svg}"
 PLOT_W = int(plotting._WIDTH - plotting._LEFT - plotting._RIGHT)
 
@@ -99,6 +101,13 @@ GOLDEN_BUNDLES = {
     ),
 }
 
+# sha256 of convergence.svg of each golden bundle that draws one; the
+# counterexample has no error curves, so no plot
+GOLDEN_PLOTS = {
+    "cournot": "958d831d193bd87760f049992df001420bd731225a966fbe52d8bd124420dd99",
+    "windowed": "107b39fe6f63e06f31d9e8ed7f5a270cad3be8b34c28ca3aa8209816458b42e3",
+}
+
 
 def csv_writer_bytes(header, episodes, block) -> bytes:
     """What ``csv.writer`` writes for a header and per episode ``t`` and that row of ``block``."""
@@ -115,6 +124,21 @@ _SIGNED_LOG_UNIFORM = st.builds(lambda sign, size: sign * size, st.sampled_from(
 
 # any float64 bit pattern: NaNs with any payload, infinities, signed zeros, subnormals
 _ANY_FLOAT64 = st.integers(0, 2**64 - 1).map(lambda bits: struct.unpack("<d", struct.pack("<Q", bits))[0])
+
+
+# one row with a cell of each kind the writer lays out apart from orjson's
+# plain digits: the 1e-5 decade, exponents orjson writes unlike repr,
+# non-finite cells, -0.0 and the smallest subnormal
+MIXED_ROW = [1.2345e-05, -5e-05, 1e-05, 1e16, -1.5e-07, 2.5e-300, math.nan, -math.inf, math.inf, -0.0, 5e-324, 0.1]
+
+
+def chunk_edge_block(rows: int) -> np.ndarray:
+    """``rows`` rows of random float64 bit patterns, with ``MIXED_ROW`` as every 100th row and the last."""
+    bits = np.random.default_rng(rows).integers(0, 2**64, size=(rows, len(MIXED_ROW)), dtype=np.uint64)
+    block = bits.view(np.float64)
+    block[::100] = MIXED_ROW
+    block[-1] = MIXED_ROW
+    return block
 
 
 @st.composite
@@ -336,6 +360,11 @@ class TestBundle:
         }
         assert digests == expected
 
+    @pytest.mark.parametrize("name", list(GOLDEN_PLOTS))
+    def test_plot_bytes_are_pinned(self, tmp_path, name):
+        bundle = run_experiment(validate_config(dict(GOLDEN_BUNDLES[name][0])), out_dir=str(tmp_path))
+        assert hashlib.sha256(Path(bundle.plot_path).read_bytes()).hexdigest() == GOLDEN_PLOTS[name]
+
     def test_numeric_writers_match_csv_writer(self, tmp_path):
         def oracle(header, columns):
             buf = io.StringIO()
@@ -405,6 +434,12 @@ class TestBundle:
             ]
         )
     )
+    # such cells, non-finite cells and -0.0 mixed in one row
+    @example(block=np.array([MIXED_ROW]))
+    # a chunk of rows, one row short of it and one past it, ending on that row
+    @example(block=chunk_edge_block(cli._CSV_CHUNK_ROWS - 1))
+    @example(block=chunk_edge_block(cli._CSV_CHUNK_ROWS))
+    @example(block=chunk_edge_block(cli._CSV_CHUNK_ROWS + 1))
     # more than two chunks of rows, so that chunk boundaries are crossed
     @example(
         block=np.random.default_rng(0)
@@ -746,6 +781,18 @@ class TestPlot:
         ys = {pt.split(",")[1] for pt in polyline.split()}
         assert ys == {f"{plotting._HEIGHT - plotting._BOTTOM:.2f}"}
 
+    def test_least_subnormal_mean_lies_on_the_floor(self, tmp_path):
+        # floor(log10(5e-324)) is -324, but 10.0**-324 is 0.0: the floor is 1e-323
+        path = tmp_path / "tiny.svg"
+        emit_plot([("tiny", self.agg([1.0, 5e-324, 0.0]))], path)
+        text = path.read_text()
+        assert ">1e-323</text>" in text and ">1e-324</text>" not in text
+        # the first gridline is the floor's
+        floor_y = text.split('<line ')[1].split('y1="')[1].split('"')[0]
+        polyline = text.split('<polyline points="')[1].split('"')[0]
+        ys = [pt.split(",")[1] for pt in polyline.split()]
+        assert ys[1] == ys[2] == floor_y
+
     def test_two_series_have_legend_and_distinct_colors(self, tmp_path):
         path = tmp_path / "two.svg"
         emit_plot(
@@ -837,6 +884,20 @@ class TestPlot:
         envelope, full = self.render(tmp_path, monkeypatch, [("a", self.noisy(horizon, 3))])
         assert envelope.read_bytes() == full.read_bytes()
         assert [len(c) for c in self.curves(envelope)] == [horizon] * 3
+
+    # a constant series, and values at, just below and far below the floor
+    @example(ys=[0.1] * 50, decades=(-2, 0))
+    @example(ys=[1e-3, 9.999999999999998e-4, 0.0, -0.0, -1.0, 5e-324, 1e-3, 2.0], decades=(-3, 1))
+    @example(ys=[0.25], decades=(-1, 0))
+    @given(
+        ys=st.lists(st.one_of(st.floats(), _SIGNED_LOG_UNIFORM), min_size=1, max_size=60),
+        decades=st.tuples(st.integers(plotting._MIN_DECADE, 300), st.integers(1, 20)).map(lambda d: (d[0], d[0] + d[1])),
+    )
+    def test_bulk_points_are_the_per_point_text(self, ys, decades):
+        ys = np.array(ys)
+        xs = np.arange(1.0, ys.size + 1)
+        x_range = (1.0, float(ys.size))
+        assert plotting._pixel_points(xs, ys, x_range, decades) == pixel_points(xs, ys, x_range, decades)
 
     def test_reference_plot_is_well_formed(self, reference_bundle):
         root = ET.parse(reference_bundle.plot_path).getroot()
