@@ -1,12 +1,13 @@
-"""Run traces, cross-trial aggregation, and empirical bound validators.
+"""Run traces, cross-trial aggregation, and bound validators.
 
 A trace holds one row per episode: row t - 1 is episode t, so the
 episode axis is the row index and no trace stores it. The validators
-check the theory's inequalities against simulation: the DKW-based VaR
-concentration bound, the accumulated gradient-bias bound along a
-learning run, and the T^{-1/2} decay of the time-averaged squared
-distance to equilibrium. All checks are one-sided (empirical at or below
-the theoretical value passes; the bounds are not expected to be tight).
+check the theory's inequalities: the DKW-based VaR concentration bound
+against the VaR estimate's exact law, and, against simulation, the
+accumulated gradient-bias bound along a learning run and the T^{-1/2}
+decay of the time-averaged squared distance to equilibrium. All checks
+are one-sided (a value at or below the theoretical one passes; the
+bounds are not expected to be tight).
 """
 
 from __future__ import annotations
@@ -28,10 +29,6 @@ __all__ = [
     "density_range",
     "validate_lemma4",
 ]
-
-# draws per block of validate_lemma3's sample: bounds the bytes the check holds at once
-_LEMMA3_BLOCK_DRAWS = 2**16
-
 
 @dataclass
 class RunTrace:
@@ -142,61 +139,61 @@ def fit_rate(series, window: tuple[float, float]) -> float:
     return float(slope)
 
 
+def _binomial_tail(t: int, u: float, lo: int, hi: int) -> float:
+    """P{lo <= Bin(t, u) <= hi} for 0 < u < 1.
+
+    The ``math.lgamma`` log-terms are scaled by the largest, so none
+    overflows, and added with ``math.fsum``.
+    """
+    log_u, log_v, log_top = math.log(u), math.log1p(-u), math.lgamma(t + 1)
+    logs = [
+        log_top - math.lgamma(j + 1) - math.lgamma(t - j + 1) + j * log_u + (t - j) * log_v
+        for j in range(lo, hi + 1)
+    ]
+    peak = max(logs)
+    return math.exp(peak) * math.fsum([math.exp(x - peak) for x in logs])
+
+
 def validate_lemma3(
     dist: Uniform,
     alpha: float,
     t: int,
-    repeats: int,
     epsilon: float,
-    rng: np.random.Generator,
     p_lower: float | None = None,
 ) -> BoundReport:
     """Check the VaR concentration bound P{|nu_hat - nu*| > eps} <= 2 e^{-2 t eps^2 p^2}.
 
-    Draws ``repeats`` independent samples of size ``t``, estimates the
-    VaR each time, and compares the empirical violation frequency with
-    the theoretical tail (at the supplied density lower bound, default
-    the distribution's true one). Passing allows two binomial standard
-    errors of slack; an inflated ``p_lower`` shrinks the claimed bound
-    below the true frequency and is reported as a failure.
-
-    The samples are the rows of one stream of draws from ``rng``, drawn
-    in blocks of about ``_LEMMA3_BLOCK_DRAWS`` draws (at least one row)
-    into one block allocated once and selected in place, so the check
-    holds one block and the ``repeats`` estimates at a time, and frees
-    the block before it counts violations. A block holds unit uniforms u
-    from ``Generator.random``; only the selected ones are scaled, by
-    ``a + (b - a) * u``, which is what ``Generator.uniform`` evaluates
-    from the same draws. The scaling is nondecreasing in u, so it keeps
-    each row's order statistic, and the estimates and the generator's
-    final state are those of ``dist.sample`` on all samples at once,
-    whatever the block size.
+    nu_hat is the k-th order statistic of t draws from ``dist``, k =
+    ``_tail_start(t, alpha)``. In unit terms P{U_(k) <= u} = P{Bin(t, u)
+    >= k}, so with w = ``dist.width`` the violation probability is exactly
+    P{Bin(t, lo) >= k} + P{Bin(t, hi) <= k - 1} at lo, hi = (1 - alpha)
+    -/+ eps / w, a tail being 0 where its point leaves (0, 1). The row
+    passes when it is at or below the theoretical tail at ``p_lower``
+    (default the distribution's density); an inflated ``p_lower`` shrinks
+    that tail below the probability and fails. ``t`` below 1, or an
+    ``epsilon`` or ``p_lower`` not finite and positive, is a ``ValueError``.
     """
     check_risk_level(alpha)
-    if repeats < 1:
-        raise ValueError("repeats must be >= 1")
+    if t < 1:
+        raise ValueError(f"t must be >= 1, got {t}")
+    if not (math.isfinite(epsilon) and epsilon > 0.0):
+        raise ValueError(f"epsilon must be finite and positive, got {epsilon}")
+    if p_lower is not None and not (math.isfinite(p_lower) and p_lower > 0.0):
+        raise ValueError(f"p_lower must be finite and positive, got {p_lower}")
     p = dist.density_lower_bound if p_lower is None else float(p_lower)
-    true_var = dist.var(alpha)
-    k = _tail_start(t, alpha)
-    rows = max(1, _LEMMA3_BLOCK_DRAWS // t)
-    block = np.empty((min(rows, repeats), t))
-    nu_hat = np.empty(repeats)
-    for start in range(0, repeats, rows):
-        draws = rng.random(out=block[: min(rows, repeats - start)])
-        draws.partition(k - 1, axis=1)
-        nu_hat[start : start + len(draws)] = draws[:, k - 1]
-    del block, draws
-    nu_hat *= dist.width
-    nu_hat += dist.a
-    freq = float(np.mean(np.abs(nu_hat - true_var) > epsilon))
+    k = int(_tail_start(t, alpha))
+    lo = (1.0 - alpha) - epsilon / dist.width
+    hi = (1.0 - alpha) + epsilon / dist.width
+    below = _binomial_tail(t, lo, k, t) if lo > 0.0 else 0.0
+    above = _binomial_tail(t, hi, 0, k - 1) if hi < 1.0 else 0.0
+    prob = below + above
     bound = min(1.0, 2.0 * math.exp(-2.0 * t * epsilon**2 * p**2))
-    slack = 2.0 * math.sqrt(bound * (1.0 - bound) / repeats)
     return BoundReport(
         name="lemma3",
-        empirical=freq,
+        empirical=prob,
         bound=bound,
-        passed=freq <= bound + slack,
-        detail=f"alpha={alpha}, t={t}, eps={epsilon:.6g}, p_lower={p:.4g}, repeats={repeats}",
+        passed=prob <= bound,
+        detail=f"alpha={alpha}, t={t}, eps={epsilon:.6g}, p_lower={p:.4g}, exact",
     )
 
 

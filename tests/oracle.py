@@ -6,8 +6,9 @@ taking part in a run: the closed-form CVaR of the uniform law, the exact
 CVaR and CVaR gradient read off ``affine_noise``, a sampled probe of a
 game's monotonicity constant, a check of the additive noise-decomposition
 structure that the convergence theory relies on, the plug-in
-(VaR, CVaR) of a raw sample, the Lemma-3 check drawn as one matrix, and
-a plot's pixel text formatted one point at a time.
+(VaR, CVaR) of a raw sample, the Lemma-3 check drawn as one matrix, the
+binomial tail that check sums, in exact rational arithmetic, and a
+plot's pixel text formatted one point at a time.
 """
 
 from __future__ import annotations
@@ -172,11 +173,13 @@ def empirical_var_cvar(values: np.ndarray, alpha: float) -> tuple[float, float]:
 
 
 def lemma3_one_matrix(dist, alpha: float, t: int, repeats: int, epsilon: float, rng, p_lower=None) -> BoundReport:
-    """``analysis.validate_lemma3``'s report from all ``repeats`` samples drawn as one (repeats, t) matrix.
+    """Monte Carlo estimate of the probability ``analysis.validate_lemma3`` computes exactly.
 
-    One ``rng`` call fills the matrix in stream order, each row is
-    partitioned at the VaR order statistic, and the report is formed
-    from the violation frequency of the row estimates.
+    All ``repeats`` samples are drawn as one (repeats, t) matrix: one
+    ``rng`` call fills it in stream order, each row is partitioned at the
+    VaR order statistic, and the report is formed from the violation
+    frequency of the row estimates, passing within two binomial standard
+    errors of the bound.
     """
     check_risk_level(alpha)
     p = dist.density_lower_bound if p_lower is None else float(p_lower)
@@ -194,6 +197,22 @@ def lemma3_one_matrix(dist, alpha: float, t: int, repeats: int, epsilon: float, 
         passed=freq <= bound + slack,
         detail=f"alpha={alpha}, t={t}, eps={epsilon:.6g}, p_lower={p:.4g}, repeats={repeats}",
     )
+
+
+def binomial_tail(t: int, u: float, lo: int, hi: int) -> Fraction:
+    """P{lo <= Bin(t, u) <= hi} exactly, at the rational value of the float u.
+
+    With u = m/d, the tail is the integer sum of C(t, j) m^j (d - m)^(t - j)
+    over d^t, evaluated by Horner's rule in m and d - m.
+    """
+    f = Fraction(u)
+    m, d = f.numerator, f.denominator
+    n = d - m
+    acc, n_power = 0, 1
+    for j in range(hi, lo - 1, -1):
+        acc = acc * m + math.comb(t, j) * n_power
+        n_power *= n
+    return Fraction(acc * m**lo * n ** (t - hi), d**t)
 
 
 def pixel_points(xs, ys, x_range, decades) -> list[str]:

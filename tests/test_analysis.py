@@ -1,10 +1,9 @@
 import math
-import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from riskgames import analysis
 from riskgames.analysis import (
     AggregateTrace,
     BoundReport,
@@ -15,11 +14,11 @@ from riskgames.analysis import (
     validate_lemma3,
     validate_lemma4,
 )
-from riskgames.distributions import Uniform, dkw_confidence_width
+from riskgames.distributions import Uniform, _tail_start, dkw_confidence_width
 from riskgames.games import CournotGame, QuadraticCounterexampleGame
 from riskgames.learning import run_algorithm1, run_unbiased_baseline
 
-from oracle import lemma3_one_matrix
+from oracle import binomial_tail, lemma3_one_matrix
 
 GAME = CournotGame()
 ALPHAS = (0.4, 0.8)
@@ -111,74 +110,97 @@ class TestFitRate:
 class TestValidateLemma3:
     def test_passes_at_inverted_width(self):
         eps = dkw_confidence_width(1000, 0.05, 1.0)
-        rep = validate_lemma3(Uniform(0, 1), 0.4, 1000, 500, eps, np.random.default_rng(1))
+        rep = validate_lemma3(Uniform(0, 1), 0.4, 1000, eps)
         assert rep.passed
         assert rep.bound == pytest.approx(0.05)
 
     def test_wide_epsilon_never_violates(self):
-        rep = validate_lemma3(Uniform(0, 1), 0.4, 200, 300, 1.0, np.random.default_rng(2))
+        rep = validate_lemma3(Uniform(0, 1), 0.4, 200, 1.0)
         assert rep.empirical == 0.0
         assert rep.passed
 
     def test_violations_shrink_with_sample_size(self):
-        rng = np.random.default_rng(3)
-        rep_small = validate_lemma3(Uniform(0, 1), 0.4, 250, 400, 0.02, rng)
-        rep_large = validate_lemma3(Uniform(0, 1), 0.4, 1000, 400, 0.02, rng)
-        assert rep_large.empirical <= rep_small.empirical
+        rep_small = validate_lemma3(Uniform(0, 1), 0.4, 250, 0.02)
+        rep_large = validate_lemma3(Uniform(0, 1), 0.4, 1000, 0.02)
+        assert rep_large.empirical < rep_small.empirical
 
     def test_bound_formula_fourth_power_scaling(self):
         eps = dkw_confidence_width(1000, 0.05, 1.0)
-        rng = np.random.default_rng(4)
-        b1 = validate_lemma3(Uniform(0, 1), 0.4, 1000, 10, eps, rng).bound
-        b4 = validate_lemma3(Uniform(0, 1), 0.4, 4000, 10, eps, rng).bound
+        b1 = validate_lemma3(Uniform(0, 1), 0.4, 1000, eps).bound
+        b4 = validate_lemma3(Uniform(0, 1), 0.4, 4000, eps).bound
         assert b4 == pytest.approx(2.0 * (b1 / 2.0) ** 4, rel=1e-9)
 
     def test_detects_inflated_density_bound(self):
         # claiming a 10x larger density bound shrinks epsilon and the
-        # claimed tail until the true violation rate exposes it
+        # claimed tail until the true violation probability exposes it
         eps = dkw_confidence_width(1000, 0.05, 10.0)
-        rep = validate_lemma3(
-            Uniform(0, 1), 0.4, 1000, 500, eps, np.random.default_rng(5), p_lower=10.0
-        )
+        rep = validate_lemma3(Uniform(0, 1), 0.4, 1000, eps, p_lower=10.0)
         assert not rep.passed
         assert rep.empirical > rep.bound
 
-    def test_input_validation(self):
-        with pytest.raises(ValueError):
-            validate_lemma3(Uniform(0, 1), 0.4, 100, 0, 0.1, np.random.default_rng(0))
+    def test_no_slack_at_the_bound(self):
+        # at t = 1000 the bound 2 e^{-2 t eps^2 p^2} crosses the exact
+        # probability (about 5.56e-3) near p_lower = 1.263
+        eps = dkw_confidence_width(1000, 0.05, 1.0)
+        below = validate_lemma3(Uniform(0, 1), 0.4, 1000, eps, p_lower=1.25)
+        above = validate_lemma3(Uniform(0, 1), 0.4, 1000, eps, p_lower=1.28)
+        assert below.passed
+        assert above.empirical > above.bound
+        assert not above.passed
 
-    def test_memory_peak_is_one_block_of_draws(self):
-        # the samples are drawn a block of rows at a time and selected in
-        # place: the check holds one block and the estimates, whatever repeats is
-        t = 1000
-        rows = analysis._LEMMA3_BLOCK_DRAWS // t
-        for repeats in (400, 4000):
-            # built outside the traced window: a first default_rng imports
-            # numpy.random, which is no part of the check's peak
-            rng = np.random.default_rng(6)
-            tracemalloc.start()
-            try:
-                validate_lemma3(Uniform(0, 1), 0.4, t, repeats, 0.05, rng)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak < 8 * (rows * t + repeats) + 16 * 1024, repeats
+    def test_input_validation(self):
+        # each refusal names its argument
+        cases = [
+            ("t", {"t": 0}),
+            ("t", {"t": -3}),
+            ("epsilon", {"epsilon": -1.0}),
+            ("epsilon", {"epsilon": 0.0}),
+            ("epsilon", {"epsilon": math.nan}),
+            ("epsilon", {"epsilon": math.inf}),
+            ("p_lower", {"p_lower": 0.0}),
+            ("p_lower", {"p_lower": -1.0}),
+            ("p_lower", {"p_lower": math.nan}),
+            ("p_lower", {"p_lower": math.inf}),
+        ]
+        for name, change in cases:
+            args = {"dist": Uniform(0, 1), "alpha": 0.4, "t": 100, "epsilon": 0.1} | change
+            with pytest.raises(ValueError, match=f"^{name} must be"):
+                validate_lemma3(**args)
+
+    @pytest.mark.parametrize("alpha", [0.05, 0.4, 0.8, 1.0])
+    @pytest.mark.parametrize("t", [1, 7, 10, 100, 1000])
+    def test_exact_probability_matches_rational_sum(self, t, alpha):
+        # the two binomial tails summed in exact rational arithmetic at the
+        # same points: the log-term sum may lose only rounding
+        k = int(_tail_start(t, alpha))
+        for law in (Uniform(-1.0, 3.0), Uniform(0.0, 3.7)):
+            for scale in (0.5, 1.0):
+                eps = scale * dkw_confidence_width(t, 0.05, law.density_lower_bound)
+                lo = (1.0 - alpha) - eps / law.width
+                hi = (1.0 - alpha) + eps / law.width
+                want = Fraction(0)
+                if lo > 0.0:
+                    want += binomial_tail(t, lo, k, t)
+                if hi < 1.0:
+                    want += binomial_tail(t, hi, 0, k - 1)
+                got = validate_lemma3(law, alpha, t, eps).empirical
+                assert abs(Fraction(got) - want) <= Fraction(1, 10**12) * want, (law, scale)
 
     @pytest.mark.parametrize("alpha", [0.05, 0.4, 1.0])
     @pytest.mark.parametrize("t", [1, 7, 1000])
-    def test_blocks_report_what_one_matrix_reports(self, t, alpha):
-        # the generator fills its output in stream order, so drawing the
-        # samples a block of rows at a time changes no estimate; nor does
-        # scaling only the selected unit draws, as Generator.uniform would
-        rows = max(1, analysis._LEMMA3_BLOCK_DRAWS // t)
+    def test_one_matrix_frequency_within_binomial_error(self, t, alpha):
+        # sample sizes on both sides of 2**16 draws, each from
+        # default_rng(repeats): the simulated frequency is a binomial
+        # proportion around the exact probability
+        rows = max(1, 2**16 // t)
         for law in (Uniform(-1.0, 3.0), Uniform(0.0, 3.7)):
             eps = 0.5 * dkw_confidence_width(t, 0.05, law.density_lower_bound)
+            exact = validate_lemma3(law, alpha, t, eps).empirical
             for repeats in (1, rows - 1, rows, rows + 1, 1000):
-                ours, theirs = np.random.default_rng(repeats), np.random.default_rng(repeats)
-                report = validate_lemma3(law, alpha, t, repeats, eps, ours)
-                assert report == lemma3_one_matrix(law, alpha, t, repeats, eps, theirs), (law, repeats)
-                # both took the same number of draws from the stream
-                assert ours.bit_generator.state == theirs.bit_generator.state, (law, repeats)
+                rng = np.random.default_rng(repeats)
+                freq = lemma3_one_matrix(law, alpha, t, repeats, eps, rng).empirical
+                error = 2.0 * math.sqrt(exact * (1.0 - exact) / repeats)
+                assert abs(freq - exact) <= error, (law, repeats, freq, exact)
 
 
 class TestValidateLemma4:

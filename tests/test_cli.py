@@ -75,7 +75,7 @@ GOLDEN_BUNDLES = {
             "trials/unbiased-fo-trial000.csv": "a5e76f78ee2116c7f548b2512ff742b51b4d95b41098177ad034a8ae339d8504",
             "trials/unbiased-fo-trial001.csv": "a8247671644bbe01b7e0852df03e21afaa708c9660f1a4f0c0d5771024ec92bf",
             "aggregate.csv": "7a4f2c61157538ec164995baa7984c57b3f32d6697fa287ee2cef5e0545cdee5",
-            "bounds.csv": "e45da85e49632e1d5e9da0800073d613e4beaa1d5c9287fc7e2001b7ae5b5132",
+            "bounds.csv": "02303ba663fee1ed08297c776fa94b12c487560ad2199673b5a8b1bc65c36a9e",
         },
     ),
     "windowed": (
@@ -86,7 +86,7 @@ GOLDEN_BUNDLES = {
             "trials/unbiased-fo-trial000.csv": "82ae454a8a2e89ddac0baaf94c115c46726bf4e8d9a6fbf1b869378862f8faae",
             "trials/unbiased-fo-trial001.csv": "26a3a607e80da85a4c5487bb3f791b242ae823829033eeb928c3030a983edb30",
             "aggregate.csv": "59fcc9c5435a30731fb87719b68b139f469cea108b14c3fbf8cc7b019d29b35a",
-            "bounds.csv": "785e14dd3fd018163b7c8a93737360c32f861eb86ae79443be8273151eef6e34",
+            "bounds.csv": "f9c500253fea2a4a52fe2f0b8c6d3e668f429f93d2a2e34499c669c24042dbb2",
         },
     ),
     "pinned": (
@@ -96,7 +96,7 @@ GOLDEN_BUNDLES = {
             "trials/algorithm1-trial001.csv": "ade5adc12ec0b4af7ff6862eebeadb5c7ed825a8913dd7715913b58e36e3e243",
             "trials/unbiased-fo-trial000.csv": "1eec756ff11dc36e4c5f02033b663fbafa547784b11e23918089ab272ed4fdef",
             "trials/unbiased-fo-trial001.csv": "1eec756ff11dc36e4c5f02033b663fbafa547784b11e23918089ab272ed4fdef",
-            "bounds.csv": "52186d900c279a5a1261058ef2cbb3a114ccadb7200ae813a6213ac0a53df6f5",
+            "bounds.csv": "59597fd13124e1ef72a577c76e60ba569a2ae7bcaf5255f2284e7bf144c37226",
         },
     ),
 }
@@ -1172,14 +1172,40 @@ class TestMain:
             assert where.get(case, "") in err, (case, err)
 
 
+def _fresh_python(code: str, *args: str) -> str:
+    """Standard output of ``code`` run with ``args`` in a new interpreter on this package."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, check=True)
+    return done.stdout
+
+
 def test_importing_the_cli_leaves_out_what_no_run_uses():
     # each of these costs start-up time, and no run needs it
     unused = ["fractions", "decimal", "xml.sax.saxutils", "urllib.request"]
-    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     code = "import sys, riskgames.cli; print([m for m in sys.argv[1:] if m in sys.modules])"
-    done = subprocess.run([sys.executable, "-c", code, *unused], env=env, capture_output=True, text=True, check=True)
-    assert done.stdout.strip() == "[]"
+    assert _fresh_python(code, *unused).strip() == "[]"
+
+
+def test_lemma3_rows_need_no_draws(tmp_path):
+    # the concentration rows are read off the order statistic's exact law:
+    # they are the same at every seed, and a standalone report, which
+    # draws nothing, leaves numpy.random unimported
+    lemma3_rows = []
+    for seed in (0, 5):
+        out = tmp_path / f"seed{seed}"
+        run_experiment(validate_config({**SMALL_RAW, "seed": seed}), out_dir=str(out))
+        lines = (out / "bounds.csv").read_text(encoding="utf-8").splitlines()
+        lemma3_rows.append([line for line in lines if line.startswith("lemma3,")])
+    assert len(lemma3_rows[0]) == 2
+    assert lemma3_rows[0] == lemma3_rows[1]
+
+    code = (
+        "import sys; from riskgames.cli import main; status = main(sys.argv[1:]); "
+        "print(status, 'numpy.random' in sys.modules)"
+    )
+    stdout = _fresh_python(code, "report", "--bundle", str(tmp_path / "seed5"))
+    assert stdout.splitlines()[-1] == "0 False"
 
 
 def test_trial_filename_is_stable():
