@@ -10,12 +10,12 @@ A run executes every configured algorithm for the configured number of
 trials (seeds split deterministically from the master seed), then writes
 per-trial trace CSVs, an aggregate CSV, a convergence SVG, a bound
 report CSV, and the resolved config. Re-running an identical config
-byte-reproduces the CSVs. Every float in the trial and aggregate CSVs is
-written as its ``repr``, which round-trips exactly; one orjson call
-formats a chunk of rows, its exponent layouts are fixed on its bytes, and
-the 1e-5-decade and non-finite cells go in as strings in ``repr``'s layout.
-``report`` reads a trial file back in exactly that grammar: one header
-line, then T rows of ``t`` and the cells as JSON numbers, each ended by
+byte-reproduces the CSVs. Every finite float in the trial and aggregate
+CSVs is written in orjson's shortest text, one orjson call a chunk of
+rows; any layout orjson picks reads back to the same float64, and the
+tests pin the bytes of the orjson version they run under. ``report``
+reads a trial file back in one grammar: one header line, then T rows of
+``t`` and the cells as JSON numbers in any layout, each ended by
 ``"\\n"``, with no whitespace, comments, blank lines or CRLF endings.
 orjson parses a chunk of rows at a time and only accepts; one walk of
 the rows explains a refusal, naming its row, and its column if a cell.
@@ -29,7 +29,6 @@ import argparse
 import csv
 import math
 import os
-import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, is_dataclass
@@ -327,46 +326,17 @@ def trial_filename(algorithm: str, index: int) -> str:
 # rows formatted per orjson call: bounds the bytes a write holds at once
 _CSV_CHUNK_ROWS = 1024
 
-# orjson writes an exponent without repr's sign or its second digit
-_EXPONENT_SIGN = re.compile(rb"e(?=\d)")  # 1e16 for 1e+16
-_EXPONENT_PAD = re.compile(rb"e-(?=\d(?!\d))")  # 1.2e-6 for 1.2e-06
-
-
-def _decade_cells(values: np.ndarray) -> list[str]:
-    """Each of ``values``, all with ``1e-5 <= |v| < 1e-4``, as ``repr`` writes it.
-
-    orjson writes ``0.000012345`` where ``repr`` writes ``1.2345e-05``.
-    A token holds one ``"."``, so ``0.0000`` can only start one, and a
-    nonzero digit follows it. That prefix becomes a marker byte, each
-    marker swaps with its digit into the digit and ``"."``, and the
-    exponent is appended: ``1.2345e-05``, or ``5e-05`` once ``".e"``
-    loses its point.
-    """
-    text = orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].replace(b"0.0000", b"\x01")
-    swapped = np.frombuffer(bytearray(text), np.uint8)
-    marks = np.flatnonzero(swapped == 1)
-    swapped[marks] = swapped[marks + 1]
-    swapped[marks + 1] = ord(".")
-    return (swapped.tobytes() + b",").replace(b",", b"e-05,").replace(b".e", b"e").decode().split(",")[:-1]
-
-
 def _write_numeric_csv(path, header, block) -> None:
     """One header line, then per row of the float64 ``block`` its number ``t`` and its cells.
 
-    Each float is written as its ``repr``, which round-trips exactly. No
-    cell holds a comma or a quote, so these are the bytes ``csv.writer``
-    writes. A chunk of ``_CSV_CHUNK_ROWS`` rows is one ``orjson.dumps``
-    of the cells of one reused grid of objects, row by row: ``t`` as an
-    int, then the chunk's floats, which orjson formats with the same
-    shortest digits as ``repr``. Where orjson lays a cell out unlike
-    ``repr``, the layout is fixed on the chunk's text: two regular
-    expressions give an exponent its sign and second digit (``1e16`` to
-    ``1e+16``, ``1e-6`` to ``1e-06``). The cells of ``1e-5 <= |v| < 1e-4``
-    (``_decade_cells``) and the non-finite cells, which orjson writes as
-    ``null``, go into the grid as strings in ``repr``'s layout, and their
-    quotes are deleted. The list's ``"["`` and each row's last comma
-    become the newlines that start the rows. Chunks bound the bytes held
-    at once.
+    A chunk of ``_CSV_CHUNK_ROWS`` rows is one ``orjson.dumps`` of the
+    cells of one reused grid of objects, row by row: ``t`` as an int,
+    then the chunk's floats, each in orjson's shortest text, which reads
+    back to the same float64 whatever layout (``1e16``, ``0.000012345``)
+    orjson picks. Non-finite cells, which orjson writes as ``null``, go
+    into the grid as their ``repr`` strings, and their quotes are
+    deleted. The list's ``"["`` and each row's last comma become the
+    newlines that start the rows. Chunks bound the bytes held at once.
     """
     grid = np.empty((min(len(block), _CSV_CHUNK_ROWS), block.shape[1] + 1), dtype=object)
     with open(path, "wb") as fh:
@@ -376,14 +346,9 @@ def _write_numeric_csv(path, header, block) -> None:
             cells = grid[: len(chunk)]
             cells[:, 0] = range(start + 1, start + len(chunk) + 1)
             cells[:, 1:] = chunk
-            size = np.abs(chunk)
-            row, col = np.nonzero((size >= 1e-5) & (size < 1e-4))
-            if row.size:
-                cells[row, col + 1] = _decade_cells(chunk[row, col])
             row, col = np.nonzero(~np.isfinite(chunk))
             cells[row, col + 1] = list(map(repr, chunk[row, col].tolist()))
-            text = orjson.dumps(cells.ravel().tolist())
-            text = _EXPONENT_PAD.sub(b"e-0", _EXPONENT_SIGN.sub(b"e+", text)).replace(b'"', b"")
+            text = orjson.dumps(cells.ravel().tolist()).replace(b'"', b"")
             # [1,a,2,b] to "\n1,a\n2,b": the "[" and each row's last "," become the "\n" ending the line before
             rows = bytearray(text[:-1])
             view = np.frombuffer(rows, np.uint8)
@@ -461,14 +426,17 @@ def _row_fault(fh, chunk: bytes, first_row: int, expected: list[str], horizon: i
 def read_trace_csv(path, config: ExperimentConfig) -> RunTrace:
     """Rebuild a RunTrace from a trial CSV of a run of ``config``.
 
-    The file must hold what ``write_trace_csv`` writes for that config
-    and nothing else: one header line naming its columns, then T rows,
-    each ``t`` and the row's cells as JSON numbers, separated by commas
-    and ended by ``"\\n"``. Whitespace, comments, blank lines and
-    ``"\\r\\n"`` are refused. The rows are read ``_CSV_CHUNK_ROWS`` at a
-    time into one preallocated array. A chunk is accepted when its bytes
-    have the writer's shape and alphabet, orjson parses them and its ``t``
-    column counts on; ``_row_fault`` alone explains a refusal.
+    The file must hold what ``write_trace_csv`` writes for that config,
+    up to the layout of its numbers, and nothing else: one header line
+    naming its columns, then T rows, each ``t`` and the row's cells as
+    JSON numbers in any layout, separated by commas and ended by
+    ``"\\n"``. So a file in ``repr``'s layout, which the writer used
+    before it took orjson's shortest text, reads back to the same floats.
+    Whitespace, comments, blank lines and ``"\\r\\n"`` are refused. The
+    rows are read ``_CSV_CHUNK_ROWS`` at a time into one preallocated
+    array. A chunk is accepted when its bytes have the writer's shape and
+    alphabet, orjson parses them and its ``t`` column counts on;
+    ``_row_fault`` alone explains a refusal.
 
     Raises ``ConfigError``, naming the file, when it is not UTF-8 text,
     when its header or shape does not match what a run of that config

