@@ -13,6 +13,7 @@ bounds are not expected to be tight).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -170,12 +171,13 @@ def validate_lemma3(
     -/+ eps / w, a tail being 0 where its point leaves (0, 1). The row
     passes when it is at or below the theoretical tail at ``p_lower``
     (default the distribution's density); an inflated ``p_lower`` shrinks
-    that tail below the probability and fails. ``t`` below 1, or an
-    ``epsilon`` or ``p_lower`` not finite and positive, is a ``ValueError``.
+    that tail below the probability and fails. ``t`` not an integer >= 1,
+    or an ``epsilon`` or ``p_lower`` not finite and positive, is a
+    ``ValueError``.
     """
     check_risk_level(alpha)
-    if t < 1:
-        raise ValueError(f"t must be >= 1, got {t}")
+    if not (isinstance(t, numbers.Integral) and t >= 1):
+        raise ValueError(f"t must be an integer >= 1, got {t!r}")
     if not (math.isfinite(epsilon) and epsilon > 0.0):
         raise ValueError(f"epsilon must be finite and positive, got {epsilon}")
     if p_lower is not None and not (math.isfinite(p_lower) and p_lower > 0.0):

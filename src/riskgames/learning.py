@@ -16,21 +16,21 @@ source of bias and isolates its effect.
 Every game is an ``AffineNoiseGame``: each cost is c0 + s * xi in a
 scalar noise with s >= 0, so the cost order is the noise order and each
 episode's tail depends on the draws alone. ``run_algorithm1`` and
-``run_unbiased_baseline`` run on ``_run``, the rank engine.
-``_rank_tails`` takes every episode's lowest tail draw xi_(k), tail size
-and tail sum in one vectorized pass over the draws' ranks, O(T log T)
-per series. ``_run`` plays one (seed, algorithm) run. An episode's step
-is the gradient (count * g0 + g1 * sum of the tail draws) / (t * alpha),
-then a clip to the box. Algorithm 1 is sequential, so every run pays one
-Python-level step per episode; ``_run`` plays it in Python floats, one
-``affine_noise`` call per agent and episode, where a numpy call's fixed
-overhead would cost more than the arithmetic it does. The recorded
-VaRs are read off the action path afterwards, c0 + s * xi_(k) for
-Algorithm 1 and c0 + s * VaR_alpha(xi) for the baseline. ``_replay``
-takes the same arguments as ``_run``: a plain loop whose estimators
-re-evaluate every kept draw through the game's cost and gradient
-batches, O(T^2) per run; it is the oracle the rank engine is tested
-against.
+``run_unbiased_baseline`` run on ``_run``. Only Algorithm 1 asks for a
+rank: ``_rank_tails`` takes each episode's lowest tail draw xi_(k), tail
+size and tail sum in one pass over the draws' ranks, O(T log T) per
+series; the baseline's tail size and sum are O(T) ``_window_sums`` of
+the draws >= q. An episode's step is the gradient (count * g0 + g1 * sum
+of the tail draws) / (t * alpha), then a clip to the box. Algorithm 1 is
+sequential, so every run pays one Python-level step per episode;
+``_run`` plays it in Python floats, one ``affine_noise`` call per agent
+and episode, where a numpy call's fixed overhead would cost more than
+the arithmetic it does. The recorded VaRs are read off the action path
+afterwards, c0 + s * xi_(k) for Algorithm 1 and c0 + s * VaR_alpha(xi)
+for the baseline. ``_replay`` takes the same arguments as ``_run``: a
+plain loop whose estimators re-evaluate every kept draw through the
+game's cost and gradient batches, O(T^2) per run; it is the oracle
+``_run`` is tested against.
 
 The tail is a set of noise ranks. Algorithm 1 takes the top t - k + 1
 draws; the replay orders its rows by (cost, noise) and takes as many.
@@ -43,8 +43,8 @@ still holds about alpha * t draws. The paper's indicator 1{J >= nu}
 would there take the whole history and inflate the estimate by 1 / alpha;
 the rank rule gives the limit from s > 0, the one-sided CVaR derivative.
 
-An optional sliding window caps the history length; that is a speed
-knob, not part of the analyzed algorithm, and is off by default.
+An optional sliding window caps each estimate's history: a bounded-memory
+variant, not the analyzed algorithm, off by default, and not a speedup.
 """
 
 from __future__ import annotations
@@ -147,28 +147,22 @@ def unbiased_cvar_gradient(
     return _replay_gradient(game, agent, x, noise_history, alpha, (float(exact_var), q))
 
 
-def _rank_tails(draws, alpha: float, window: int | None, q=None):
-    """Per episode t, the tail of draws[start:t], a 1-d array, as noise ranks.
+def _rank_tails(draws, alpha: float, window: int | None):
+    """Per episode t, Algorithm 1's tail of draws[start:t], a 1-d array, as noise ranks.
 
-    Returns three arrays over the episodes: the lowest tail draw, the tail
-    size and the sum of the tail draws. With ``q`` None the tail is the top
-    t - k + 1 draws, as in ``cvar_gradient_estimate``; with ``q`` it is the
-    draws >= q, as in ``unbiased_cvar_gradient``, and an empty tail has a
-    NaN lowest draw. All episodes at once ask a wavelet matrix over the
-    draws' ranks for the k-th smallest draw of their window. Per rank bit,
-    highest first, a level holds the prefix count of 0-bits and the prefix
-    sum of the 1-bit draws, then stably moves the 0-bits first; a query
-    that goes to the 0-bits adds its range's 1-bit draws, all above its
-    target, to the tail sum. O(T log T) in all.
+    Returns three arrays over the episodes: the lowest tail draw xi_(k),
+    the tail size and the sum of the top t - k + 1 draws, as in
+    ``cvar_gradient_estimate``. All episodes at once ask a wavelet matrix
+    over the draws' ranks for the k-th smallest draw of their window. Per
+    rank bit, highest first, a level holds the prefix count of 0-bits and
+    the prefix sum of the 1-bit draws, then stably moves the 0-bits first;
+    a query that goes to the 0-bits adds its range's 1-bit draws, all
+    above its target, to the tail sum. O(T log T) in all.
     """
     horizon = draws.size
     hi = np.arange(1, horizon + 1)
     lo = np.zeros_like(hi) if window is None else np.maximum(hi - window, 0)
-    if q is None:
-        k = _tail_start(hi - lo, alpha) - 1
-    else:
-        below = np.concatenate(([0], np.cumsum(draws < q)))
-        k = below[hi] - below[lo]
+    k = _tail_start(hi - lo, alpha) - 1
     count = hi - lo - k
     rank = np.argsort(np.argsort(draws, kind="stable"))
     values, total = draws, np.zeros(horizon)
@@ -184,9 +178,16 @@ def _rank_tails(draws, alpha: float, window: int | None, q=None):
         hi = np.where(left, z_hi, zeros[-1] + hi - z_hi)
         order = np.argsort(ones, kind="stable")
         rank, values = rank[order], values[order]
-    # a leaf holds at most one draw, the k-th smallest when k < hi - lo
-    low = np.where(k < hi - lo, values[np.minimum(lo, horizon - 1)], np.nan)
-    return low, count, total + np.nan_to_num(low)
+    # the tail is never empty, so each leaf holds one draw, the k-th smallest
+    low = values[lo]
+    return low, count, total + low
+
+
+def _window_sums(values, window: int | None):
+    """Per episode t, the sum of values[start:t]: one prefix-sum difference each."""
+    sums = np.concatenate(([0], np.cumsum(values)))
+    hi = np.arange(1, sums.size)
+    return sums[hi] - sums[0 if window is None else np.maximum(hi - window, 0)]
 
 
 def _as_rngs(game: AffineNoiseGame, seed) -> list[np.random.Generator]:
@@ -278,9 +279,9 @@ def _run(
 ) -> RunTrace:
     """One run of ``algorithm``, "algorithm1" or "unbiased-fo", on the rank engine.
 
-    One ``_rank_tails`` pass per agent gives the tails, ``_play`` plays
-    the run in Python floats, and the tail arrays are freed before the
-    VaRs are read off the action path.
+    Per agent, a ``_rank_tails`` pass gives Algorithm 1's tails, two
+    ``_window_sums`` the baseline's. ``_play`` plays the run in Python
+    floats; the tail arrays are freed before the VaRs are read off it.
     """
     alphas, eta, x, lower, upper = _setup(game, alphas, horizon, eta, x0, window)
     num_agents = game.num_agents
@@ -291,13 +292,17 @@ def _run(
     denoms = spans * alphas[:, None]
     unbiased = algorithm == "unbiased-fo"
 
-    # per agent and episode: lowest tail draw, tail size, tail sum
+    # per agent and episode: tail size, tail sum and Algorithm 1's lowest tail draw
     low, count, total = (np.empty((num_agents, horizon)) for _ in range(3))
     for i, rng in enumerate(_as_rngs(game, seed)):
         draws = laws[i].sample(rng, size=horizon)
-        # the baseline's tail is the draws at or above the noise quantile
-        q = quantiles[i] if unbiased else None
-        low[i], count[i], total[i] = _rank_tails(draws, alphas[i], window, q)
+        if unbiased:
+            # the baseline's tail is the draws at or above the noise quantile
+            tail = draws >= quantiles[i]
+            count[i] = _window_sums(tail, window)
+            total[i] = _window_sums(np.where(tail, draws, 0.0), window)
+        else:
+            low[i], count[i], total[i] = _rank_tails(draws, alphas[i], window)
     actions = _play(game, count, total, denoms, eta, x, lower, upper)
     del count, total
 

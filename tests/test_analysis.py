@@ -153,6 +153,9 @@ class TestValidateLemma3:
         cases = [
             ("t", {"t": 0}),
             ("t", {"t": -3}),
+            ("t", {"t": math.nan}),
+            ("t", {"t": math.inf}),
+            ("t", {"t": 2.5}),
             ("epsilon", {"epsilon": -1.0}),
             ("epsilon", {"epsilon": 0.0}),
             ("epsilon", {"epsilon": math.nan}),

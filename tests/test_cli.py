@@ -75,10 +75,10 @@ GOLDEN_BUNDLES = {
         {
             "trials/algorithm1-trial000.csv": "6df1efcfd1d03175dcbfa90f64ba56815c4877fe3aaa39ea3620930c8ff4c7d9",
             "trials/algorithm1-trial001.csv": "1621da4d03f9726787263de6e7bbf3efcd26ef2d089a4cd3c090991f309f5f61",
-            "trials/unbiased-fo-trial000.csv": "0d39496fe3d404da22bdde238b8324b056c14aad2c0e7a05ebd5ee8473aa4423",
-            "trials/unbiased-fo-trial001.csv": "a8247671644bbe01b7e0852df03e21afaa708c9660f1a4f0c0d5771024ec92bf",
-            "aggregate.csv": "8e42dac9ab3bc5f67a58aaeac25d1f2a9295e2d7b69e65cf1db5ef176114e7f1",
-            "bounds.csv": "02303ba663fee1ed08297c776fa94b12c487560ad2199673b5a8b1bc65c36a9e",
+            "trials/unbiased-fo-trial000.csv": "6cbfa817e1dd3d447184cee28827abf4f3d3a1298566b9b9c52b40f7b3d83788",
+            "trials/unbiased-fo-trial001.csv": "d4fc8344e5d933f51481b2199997f758849e06a42788a70febb1a0c53db3451e",
+            "aggregate.csv": "9b441c6f9cb749fdad90c60b10fd8210b7dfee76468fcbc809d8dcd6f472d0ac",
+            "bounds.csv": "064c52b21bc02ec244ea2d90cfaff917e6195772d5a3172a7aaefcf66e7ded55",
         },
     ),
     "windowed": (
@@ -86,10 +86,10 @@ GOLDEN_BUNDLES = {
         {
             "trials/algorithm1-trial000.csv": "e612263bdf3d129124daa2f6763d00c21150d39ec4da9b6fa6006d937ef2c911",
             "trials/algorithm1-trial001.csv": "1a20de2692e326cf29568f9966d123f865ff4ee6f04316ce66c9bbf6c838b6ab",
-            "trials/unbiased-fo-trial000.csv": "6faee490b97b4c2822521b0939330b23f8f6ace814279e6712d843359890b1c3",
-            "trials/unbiased-fo-trial001.csv": "5bc6c3cc89ef44db88124ad44ed7ab666ccb8c448d0ee41fdeaaa120d7493290",
-            "aggregate.csv": "44d667febfe1de3ebebffd83c8d8d2f8017299fc1bbf068698544cc6e936763f",
-            "bounds.csv": "f9c500253fea2a4a52fe2f0b8c6d3e668f429f93d2a2e34499c669c24042dbb2",
+            "trials/unbiased-fo-trial000.csv": "9cc0791c110f626ad40120977280c720640b60ad5da699791cdd95307637b99d",
+            "trials/unbiased-fo-trial001.csv": "e1c5fa493867327be73bf55ff9391507f38b137f9da54ac40a41bef70d588a49",
+            "aggregate.csv": "42f6ccf6ea84b88ee336b71f9cd096009391defca75a6af81406fb09bf6b2286",
+            "bounds.csv": "417f4397de5d77aaae3298d7ffbe167a816a4ac97ab05f07c94c8768caf64dcd",
         },
     ),
     "pinned": (

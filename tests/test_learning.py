@@ -3,6 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from riskgames import learning
 from riskgames.analysis import density_range
 from riskgames.distributions import Uniform, _tail_start, empirical_var
 from riskgames.games import (
@@ -17,6 +18,7 @@ from riskgames.learning import (
     _replay,
     _replay_gradient,
     _run,
+    _window_sums,
     cvar_gradient_estimate,
     run_algorithm1,
     run_unbiased_baseline,
@@ -268,6 +270,19 @@ class TestRunLoop:
         trace = run_unbiased_baseline(GAME, ALPHAS, 40, seed=10)
         assert np.array_equal(trace.nu, trace.nu_star)
 
+    @pytest.mark.parametrize("window", [None, 7])
+    def test_baseline_takes_no_rank_pass(self, monkeypatch, window):
+        # the baseline's tail is the draws >= q, a count and a sum: no rank
+        want = run_unbiased_baseline(GAME, ALPHAS, 200, seed=12, window=window)
+
+        def refuse(*args):
+            raise AssertionError("the baseline asked for a rank pass")
+
+        monkeypatch.setattr(learning, "_rank_tails", refuse)
+        got = run_unbiased_baseline(GAME, ALPHAS, 200, seed=12, window=window)
+        for field in ("actions", "nu", "nu_star", "err_sq"):
+            assert np.array_equal(getattr(got, field), getattr(want, field)), field
+
     def test_window_covering_horizon_changes_nothing(self):
         a = run_algorithm1(GAME, ALPHAS, 80, seed=11)
         b = run_algorithm1(GAME, ALPHAS, 80, seed=11, window=80)
@@ -343,8 +358,14 @@ class FixedDraws:
         return next(self.draws)
 
 
+def quantile_tails(draws, q, window):
+    """The baseline's per-episode tail size and tail sum: window sums of the draws >= q."""
+    tail = draws >= q
+    return _window_sums(tail, window), _window_sums(np.where(tail, draws, 0.0), window)
+
+
 class TestSortedNoise:
-    """``_rank_tails`` against the replay on the same draws, episode by episode."""
+    """The engine's tails against the replay on the same draws, episode by episode."""
 
     draws_strategy = st.lists(
         st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0]), st.floats(0.0, 1.0)),
@@ -356,11 +377,15 @@ class TestSortedNoise:
 
     @staticmethod
     def loop_estimate(coeffs, tails, t, size, alpha, nu=None):
-        """The run loop's (VaR, tail count, gradient) at episode t over ``size`` draws."""
+        """The run loop's (VaR, tail count, gradient) at episode t over ``size`` draws.
+
+        ``tails`` is ``_rank_tails``' (lowest draw, size, sum) when ``nu`` is
+        None, else ``quantile_tails``' (size, sum).
+        """
         c0, s, g0, g1 = coeffs
-        low, count, total = (a[t - 1] for a in tails)
+        *low, count, total = (a[t - 1] for a in tails)
         g = (count * g0 + g1 * total) / (size * alpha)
-        return (c0 + low * s if nu is None else nu), count, g
+        return (c0 + low[0] * s if nu is None else nu), count, g
 
     @staticmethod
     def assert_same(fast, slow):
@@ -402,8 +427,11 @@ class TestSortedNoise:
             (GAME.exact_var(agent, x, alpha), GAME.noise_distribution(agent).var(alpha)),
         )
         for threshold in thresholds:
-            nu, q = (None, None) if threshold is None else threshold
-            tails = _rank_tails(history, alpha, window, q)
+            if threshold is None:
+                nu, tails = None, _rank_tails(history, alpha, window)
+            else:
+                nu, q = threshold
+                tails = quantile_tails(history, q, window)
             for t in range(1, horizon + 1):
                 kept = history[0 if window is None else max(0, t - window) : t]
                 fast = self.loop_estimate(coeffs, tails, t, len(kept), alpha, nu)
@@ -431,7 +459,7 @@ class TestSortedNoise:
         x = np.array([0.0, 0.5])
         q = game.noise_distribution(0).var(alpha)
         nu = game.exact_var(0, x, alpha) if baseline else None
-        tails = _rank_tails(draws, alpha, None, q if baseline else None)
+        tails = quantile_tails(draws, q, None) if baseline else _rank_tails(draws, alpha, None)
         fast = self.loop_estimate(game.affine_noise(0, x), tails, t, t, alpha, nu)
         replay = unbiased_cvar_gradient if baseline else cvar_gradient_estimate
         self.assert_same(fast, replay(game, 0, x, draws, alpha))
@@ -444,7 +472,7 @@ class TestSortedNoise:
 
 
 class TestRankTailsLongSeries:
-    """``_rank_tails`` against a fresh sort of every episode's window."""
+    """``_rank_tails`` and ``quantile_tails`` against a fresh sort of every episode's window."""
 
     @pytest.mark.parametrize("window", [None, 1, 100, "longer"])
     @pytest.mark.parametrize("ties", [False, True], ids=["continuous", "ties"])
@@ -472,10 +500,14 @@ class TestRankTailsLongSeries:
                 low = ordered[k] if k < ordered.size else np.nan
                 expected[j, :, t - 1] = low, ordered.size - k, ordered[k:].sum()
         for q, (low, count, total) in zip(qs, expected):
-            fast = _rank_tails(draws, alpha, window, q)
-            assert np.array_equal(fast[0], low, equal_nan=True)
-            assert np.array_equal(fast[1], count)
-            assert np.all(np.abs(fast[2] - total) <= 1e-12 * np.maximum(count, 1))
+            if q is None:
+                fast_low, *fast = _rank_tails(draws, alpha, window)
+                assert np.array_equal(fast_low, low)
+            else:
+                fast = quantile_tails(draws, q, window)
+            assert np.array_equal(fast[0], count)
+            assert np.all(np.abs(fast[1] - total) <= 1e-12 * np.maximum(count, 1))
+            assert np.all(fast[1][count == 0] == 0.0)
         # the lowest tail draw of Algorithm 1 is the empirical VaR of the window
         kept = draws[0 if window is None else max(0, horizon - window) :]
         assert expected[0, 0, -1] == empirical_var(kept, alpha)
