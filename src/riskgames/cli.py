@@ -19,8 +19,8 @@ reads a trial file back in one grammar: one header line, then T rows of
 ``"\\n"``, with no whitespace, comments, blank lines or CRLF endings.
 orjson parses a chunk of rows at a time and only accepts; one walk of
 the rows explains a refusal, naming its row, and its column if a cell.
-``--workers`` must be at least 1. Progress goes to stderr; data only to
-files.
+``--workers`` must be at least 1; only a run that starts a process pool
+imports its module. Progress goes to stderr; data only to files.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ import csv
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, is_dataclass
 from itertools import islice
 
@@ -283,8 +282,10 @@ def _run_trial(config: ExperimentConfig, column) -> RunTrace:
 
 
 def _run_trials(config: ExperimentConfig, columns, workers: int):
-    """Each column's trace, in column order; one pool task per trial when parallel."""
+    """Each column's trace, in column order; one pool task per trial when
+    parallel, and only then is the pool's module imported."""
     if workers > 1 and len(columns) > 1:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=min(workers, len(columns))) as pool:
             yield from pool.map(_run_trial, [config] * len(columns), columns)
     else:
@@ -593,8 +594,8 @@ def run_experiment(
     trial's file is written as its trace arrives, before its
     ``progress`` line. A trial's trace depends only on the config and
     its index, and traces arrive in (algorithm, trial) order, so the
-    artifacts do not depend on scheduling. ``workers`` below 1 is a
-    ``ValueError``.
+    artifacts do not depend on scheduling; the pool's module is loaded
+    only when a pool starts. ``workers`` below 1 is a ``ValueError``.
     """
     if workers < 1:
         raise ValueError(f"workers: must be >= 1, got {workers}")

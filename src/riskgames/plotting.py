@@ -47,17 +47,20 @@ def _nice_step(span: float) -> float:
 def _envelope(column: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Ascending indices of the points of one curve that the plot draws.
 
-    ``column`` is each point's pixel column, nondecreasing along the curve.
-    A column of at most 4 points keeps them all; a fuller one keeps its
-    first, lowest, highest and last point.
+    ``column`` is each point's pixel column, nondecreasing along the curve,
+    and ``y`` is finite. A column of at most 4 points keeps them all; a
+    fuller one keeps its first, lowest, highest and last point, the lowest
+    and highest being where a stable sort by y puts them: the first of its
+    lowest, the last of its highest. Per-column extremes are by ``reduceat``, O(T).
     """
     starts = np.flatnonzero(np.r_[True, column[1:] != column[:-1]])
     counts = np.diff(np.r_[starts, column.size])
     ends = starts + counts - 1
     keep = np.repeat(counts <= 4, counts)
-    # sorted by y within each column, so a column's lowest point sits at its start
-    by_y = np.lexsort((y, column))
-    keep[np.r_[starts, ends, by_y[starts], by_y[ends]]] = True
+    at = np.arange(column.size)
+    low = np.where(y == np.repeat(np.minimum.reduceat(y, starts), counts), at, column.size)
+    high = np.where(y == np.repeat(np.maximum.reduceat(y, starts), counts), at, -1)
+    keep[np.r_[starts, ends, np.minimum.reduceat(low, starts), np.maximum.reduceat(high, starts)]] = True
     return np.flatnonzero(keep)
 
 
@@ -80,11 +83,13 @@ def _pixel_points(xs: np.ndarray, ys: np.ndarray, x_range, decades) -> list[str]
 def emit_plot(series: list[tuple[str, AggregateTrace]], path) -> None:
     """Write an SVG overlaying mean curves with +/- one std bands.
 
-    ``series`` pairs a legend label with an aggregate; the y axis is
-    log-scaled, so nonpositive values are clamped to the axis floor: the
-    power of ten at or below the lowest positive mean, or 1 when no mean
-    is positive, as in a run that never leaves the equilibrium. The floor
-    is at least 1e-323, so a mean of 5e-324 is drawn on it.
+    ``series`` pairs a legend label with an aggregate; one with no episodes
+    or a non-finite mean + std is a ``ValueError``, raised before anything
+    is written. The y axis is log-scaled, so nonpositive values are clamped
+    to the axis floor: the power of ten at or below the lowest positive
+    mean, or 1 when no mean is positive, as in a run that never leaves the
+    equilibrium. The floor is at least 1e-323, so a mean of 5e-324 is
+    drawn on it.
 
     Each mean line and each band edge is cut to its per-pixel-column
     envelope. A point at episode x falls in column
@@ -98,6 +103,11 @@ def emit_plot(series: list[tuple[str, AggregateTrace]], path) -> None:
     """
     if not series:
         raise ValueError("nothing to plot")
+    for label, agg in series:
+        bad = np.flatnonzero(~np.isfinite(agg.mean + agg.std))
+        if bad.size or not agg.mean.size:
+            what = f"mean + std is not finite at episode {bad[0] + 1}" if bad.size else "no episodes"
+            raise ValueError(f"series {label!r}: {what}")
 
     # the first episode is 1 and the last a series' length
     x_min, x_max = 1.0, float(max(agg.mean.size for _, agg in series))

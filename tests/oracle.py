@@ -7,8 +7,9 @@ CVaR and CVaR gradient read off ``affine_noise``, a sampled probe of a
 game's monotonicity constant, a check of the additive noise-decomposition
 structure that the convergence theory relies on, the plug-in
 (VaR, CVaR) of a raw sample, the Lemma-3 check drawn as one matrix, the
-binomial tail that check sums, in exact rational arithmetic, and a
-plot's pixel text formatted one point at a time.
+binomial tail that check sums, in exact rational arithmetic, a plot's
+pixel text formatted one point at a time, and a curve's plot envelope
+read off a sort by y.
 """
 
 from __future__ import annotations
@@ -232,3 +233,20 @@ def pixel_points(xs, ys, x_range, decades) -> list[str]:
         return plotting._TOP + (y_hi_dec - yv) / (y_hi_dec - y_lo_dec) * plotting._PLOT_H
 
     return [f"{sx(x):.2f},{sy(y):.2f}" for x, y in zip(xs.tolist(), ys.tolist())]
+
+
+def envelope(column: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``plotting._envelope`` by a stable sort: the indices of the points of a curve that the plot draws.
+
+    ``column`` is each point's pixel column, nondecreasing along the curve.
+    A column of at most 4 points keeps them all; a fuller one keeps its
+    first, lowest, highest and last point.
+    """
+    starts = np.flatnonzero(np.r_[True, column[1:] != column[:-1]])
+    counts = np.diff(np.r_[starts, column.size])
+    ends = starts + counts - 1
+    keep = np.repeat(counts <= 4, counts)
+    # sorted by y within each column, so a column's lowest point sits at its start
+    by_y = np.lexsort((y, column))
+    keep[np.r_[starts, ends, by_y[starts], by_y[ends]]] = True
+    return np.flatnonzero(keep)

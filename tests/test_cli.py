@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import hashlib
 import io
@@ -44,7 +45,7 @@ from riskgames.learning import run_algorithm1, run_unbiased_baseline
 from riskgames import plotting
 from riskgames.plotting import emit_plot
 
-from oracle import pixel_points
+from oracle import envelope, pixel_points
 
 SVG = "{http://www.w3.org/2000/svg}"
 PLOT_W = int(plotting._WIDTH - plotting._LEFT - plotting._RIGHT)
@@ -218,7 +219,8 @@ def record_pool_sizes(monkeypatch) -> list:
         def map(self, fn, *iterables):
             return map(fn, *iterables)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    # the pool's branch imports it from here when a pool starts
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     return sizes
 
 
@@ -858,6 +860,57 @@ class TestPlot:
         with pytest.raises(ValueError):
             emit_plot([], tmp_path / "x.svg")
 
+    @pytest.mark.parametrize(
+        "mean, std, episode",
+        [
+            ([1.0, 0.5, np.nan, 0.2], None, 3),
+            ([1.0, 0.5, 0.3, 0.2], [0.0, np.nan, 0.0, np.nan], 2),
+            ([1.0, np.inf, 0.3], None, 2),
+            ([1.0, 0.5, -np.inf], None, 3),
+            ([1.0, 0.5, 0.3], [0.0, 0.0, np.inf], 3),
+            ([], None, None),
+        ],
+        ids=["nan-mean", "nan-std", "inf-mean", "minus-inf-mean", "inf-std", "empty"],
+    )
+    def test_series_it_cannot_draw_is_refused_before_writing(self, tmp_path, mean, std, episode):
+        # a NaN used to be drawn as "nan" coordinates, -inf on the floor, +inf
+        # to raise OverflowError and an empty series numpy's zero-size error
+        path = tmp_path / "bad.svg"
+        series = [("fine", self.agg([1.0, 0.5])), ("bad<label>", self.agg(mean, std))]
+        with pytest.raises(ValueError) as info:
+            emit_plot(series, path)
+        message = str(info.value)
+        assert "'bad<label>'" in message
+        assert (f"at episode {episode}" in message) if episode else ("no episodes" in message)
+        assert not path.exists()
+
+    # T = 5000 and 10^4, a constant curve, and ties between signed zeros and subnormals
+    @example(runs=[40] * 125, pool=[0.5, 0.25, 0.5000000000000001], blocks=1, seed=0)
+    @example(runs=[16, 17] * 303 + [1], pool=[1.0, -1.0, 0.0], blocks=7, seed=1)
+    @example(runs=[9] * 50, pool=[3.0], blocks=1, seed=2)
+    @example(runs=[6, 1, 40, 5], pool=[0.0, -0.0, 5e-324, -5e-324], blocks=3, seed=3)
+    @given(
+        runs=st.lists(st.integers(1, 40), min_size=1, max_size=120),
+        # few distinct values, so a column's extremes tie: rounded floats,
+        # signed zeros, subnormals; a pool of one is a constant curve
+        pool=st.lists(
+            st.one_of(
+                st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308]),
+                st.floats(allow_nan=False, allow_infinity=False).map(lambda v: round(v, 1)),
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+        # y holds each drawn value for this many points: constant runs across columns
+        blocks=st.integers(1, 40),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_envelope_is_the_sort_oracle(self, runs, pool, blocks, seed):
+        column = np.repeat(np.arange(len(runs)), runs).astype(float)
+        draws = np.random.default_rng(seed).choice(np.array(pool), -(-column.size // blocks))
+        y = np.repeat(draws, blocks)[: column.size]
+        assert np.array_equal(plotting._envelope(column, y), envelope(column, y))
+
     def test_label_is_escaped_as_saxutils_escapes_it(self, tmp_path):
         # &, < and > become entities and the quotes stay, which html.escape would not keep
         label = """a&b<c>d"e'f"""
@@ -1230,6 +1283,27 @@ def test_importing_the_cli_leaves_out_what_no_run_uses():
     unused = ["fractions", "decimal", "xml.sax.saxutils", "urllib.request"]
     code = "import sys, riskgames.cli; print([m for m in sys.argv[1:] if m in sys.modules])"
     assert _fresh_python(code, *unused).strip() == "[]"
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_only_a_process_that_starts_a_pool_loads_multiprocessing(tmp_path, workers):
+    # a one-worker run, report and validate start no pool, so they leave
+    # its import out; a two-worker run on 2 CPUs starts one and loads it
+    config = write_config(tmp_path, SMALL_RAW)
+    code = (
+        "import os, sys; import riskgames.cli as cli\n"
+        "config, out, workers = sys.argv[1], sys.argv[2], int(sys.argv[3])\n"
+        "os.cpu_count = lambda: 2; os.sched_getaffinity = lambda pid: {0, 1}\n"
+        "cli.run_experiment(cli.load_config(config), out_dir=out, workers=workers)\n"
+        "assert cli.main(['report', '--bundle', out]) == 0\n"
+        "assert cli.main(['validate', '--config', config]) == 0\n"
+        "print(sorted(m for m in sys.modules if m.startswith('multiprocessing') or m == 'concurrent.futures.process'))"
+    )
+    loaded = _fresh_python(code, config, str(tmp_path / "out"), str(workers)).splitlines()[-1]
+    if workers == 1:
+        assert loaded == "[]"
+    else:
+        assert "'concurrent.futures.process'" in loaded and "'multiprocessing'" in loaded
 
 
 def test_lemma3_rows_need_no_draws(tmp_path):
