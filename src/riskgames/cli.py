@@ -10,10 +10,10 @@ A run executes every configured algorithm for the configured number of
 trials (seeds split deterministically from the master seed), then writes
 per-trial trace CSVs, an aggregate CSV, a convergence SVG, a bound
 report CSV, and the resolved config. Re-running an identical config
-byte-reproduces the CSVs. Every finite float in the trial and aggregate
-CSVs is written in orjson's shortest text, one orjson call a chunk of
-rows; any layout orjson picks reads back to the same float64, and the
-tests pin the bytes of the orjson version they run under. ``report``
+byte-reproduces the CSVs. The trial and aggregate CSVs hold only finite
+numbers, in orjson's shortest text, and their writer refuses any other;
+any layout orjson picks reads back to the same float64, and the tests
+pin the bytes of the orjson version they run under. ``report``
 reads a trial file back in one grammar: one header line, then T rows of
 ``t`` and the cells as JSON numbers in any layout, each ended by
 ``"\\n"``, with no whitespace, comments, blank lines or CRLF endings.
@@ -48,9 +48,7 @@ from .analysis import (
 )
 from .distributions import dkw_confidence_width
 from .games import AffineNoiseGame, CournotGame, QuadraticCounterexampleGame
-# run_algorithm1 and run_unbiased_baseline are not called here; the
-# benchmark's span tracer patches them in this namespace
-from .learning import _run, run_algorithm1, run_unbiased_baseline
+from .learning import run_algorithm1, run_unbiased_baseline
 from .plotting import emit_plot
 
 __all__ = [
@@ -267,18 +265,13 @@ def _trial_seed(config: ExperimentConfig, index: int) -> np.random.SeedSequence:
 
 
 def _run_trial(config: ExperimentConfig, column) -> RunTrace:
-    """The trace of one (algorithm, trial) ``column`` of ``config``."""
+    """The trace of one (algorithm, trial) ``column`` of ``config``, by the
+    runner this module's name looks up at call time, so a wrapper put there
+    sees every serial trial."""
     alg, idx = column
-    return _run(
-        build_game(config),
-        config.alphas,
-        config.horizon,
-        config.eta,
-        np.array(config.x0),
-        config.window,
-        _trial_seed(config, idx),
-        alg,
-    )
+    run = run_algorithm1 if alg == "algorithm1" else run_unbiased_baseline
+    game, seed = build_game(config), _trial_seed(config, idx)
+    return run(game, config.alphas, config.horizon, config.eta, np.array(config.x0), seed, config.window)
 
 
 def _run_trials(config: ExperimentConfig, columns, workers: int):
@@ -324,38 +317,38 @@ def trial_filename(algorithm: str, index: int) -> str:
     return f"{algorithm}-trial{index:03d}.csv"
 
 
-# rows formatted per orjson call: bounds the bytes a write holds at once
+# rows per chunk of orjson calls: bounds the bytes a write or a read holds at once
 _CSV_CHUNK_ROWS = 1024
 
 def _write_numeric_csv(path, header, block) -> None:
-    """One header line, then per row of the float64 ``block`` its number ``t`` and its cells.
+    """One header line, then per row of ``block`` its number ``t`` and its cells.
 
-    A chunk of ``_CSV_CHUNK_ROWS`` rows is one ``orjson.dumps`` of the
-    cells of one reused grid of objects, row by row: ``t`` as an int,
-    then the chunk's floats, each in orjson's shortest text, which reads
-    back to the same float64 whatever layout (``1e16``, ``0.000012345``)
-    orjson picks. Non-finite cells, which orjson writes as ``null``, go
-    into the grid as their ``repr`` strings, and their quotes are
-    deleted. The list's ``"["`` and each row's last comma become the
-    newlines that start the rows. Chunks bound the bytes held at once.
+    A chunk of ``_CSV_CHUNK_ROWS`` rows is two ``orjson.dumps`` calls of
+    orjson's numpy serializer, which takes only a C-ordered array, one of
+    the chunk as float64 and one of its ``t`` values, joined row by row:
+    each float in orjson's shortest text, which reads back to the same
+    float64 whatever layout (``1e16``, ``0.000012345``) orjson picks.
+    Chunks bound the bytes held at once. A NaN or infinite cell, which
+    ``read_trace_csv`` refuses, is a ``ValueError`` naming the path, its
+    row ``t`` and its column, raised before the file is opened.
     """
-    grid = np.empty((min(len(block), _CSV_CHUNK_ROWS), block.shape[1] + 1), dtype=object)
+    block = np.ascontiguousarray(block, dtype=np.float64)
+    # a NaN or infinite cell makes the min or the max one, without a mask the size of the block
+    if not np.isfinite([block.min(), block.max()]).all():
+        row, col = np.argwhere(~np.isfinite(block))[0]
+        raise ValueError(
+            f"numeric file {path}: row {row + 1}, column {header[col + 1]}: "
+            f"expected a finite number, got {block[row, col].item()!r}"
+        )
     with open(path, "wb") as fh:
         fh.write(",".join(header).encode())
         for start in range(0, len(block), _CSV_CHUNK_ROWS):
             chunk = block[start : start + _CSV_CHUNK_ROWS]
-            cells = grid[: len(chunk)]
-            cells[:, 0] = range(start + 1, start + len(chunk) + 1)
-            cells[:, 1:] = chunk
-            row, col = np.nonzero(~np.isfinite(chunk))
-            cells[row, col + 1] = list(map(repr, chunk[row, col].tolist()))
-            text = orjson.dumps(cells.ravel().tolist()).replace(b'"', b"")
-            # [1,a,2,b] to "\n1,a\n2,b": the "[" and each row's last "," become the "\n" ending the line before
-            rows = bytearray(text[:-1])
-            view = np.frombuffer(rows, np.uint8)
-            view[np.flatnonzero(view == ord(","))[cells.shape[1] - 1 :: cells.shape[1]]] = ord("\n")
-            view[0] = ord("\n")
-            fh.write(rows)
+            ts = orjson.dumps(np.arange(start + 1, start + len(chunk) + 1), option=orjson.OPT_SERIALIZE_NUMPY)
+            rows = orjson.dumps(chunk, option=orjson.OPT_SERIALIZE_NUMPY)
+            # [1,2] and [[a,b],[c,d]] to "\n1,a,b\n2,c,d"
+            fh.write(b"\n")
+            fh.write(b"\n".join(map(b",".join, zip(ts[1:-1].split(b","), rows[2:-2].split(b"],[")))))
         fh.write(b"\n")
 
 
@@ -588,9 +581,9 @@ def run_experiment(
 ) -> OutputBundle:
     """Execute all configured trials and write the output bundle.
 
-    Each (algorithm, trial) pair is one run of the rank engine,
-    ``learning._run``. Trials run in parallel up to ``workers``, capped
-    at the CPUs this process may run on, one pool task per trial. Each
+    Each (algorithm, trial) pair is one ``run_algorithm1`` or
+    ``run_unbiased_baseline`` call. Trials run in parallel up to ``workers``,
+    capped at the CPUs this process may run on, one pool task per trial. Each
     trial's file is written as its trace arrives, before its
     ``progress`` line. A trial's trace depends only on the config and
     its index, and traces arrive in (algorithm, trial) order, so the

@@ -196,20 +196,25 @@ def _as_rngs(game: AffineNoiseGame, seed) -> list[np.random.Generator]:
     return [np.random.default_rng(s) for s in root.spawn(game.num_agents)]
 
 
+def _is_number(value, kind) -> bool:
+    """``value`` is of the ``numbers`` ABC ``kind``, numpy's scalars included, and not a bool."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
 def _setup(game: AffineNoiseGame, alphas, horizon: int, eta, x0, window):
     """Checked risk levels (an array) and step, start action and the game's bounds."""
     alphas = np.array([check_risk_level(a) for a in alphas])
     if len(alphas) != game.num_agents:
         raise ValueError("expected one risk level per agent")
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
-    if window is not None and not (isinstance(window, numbers.Integral) and window >= 1):
+    if not (_is_number(horizon, numbers.Integral) and horizon >= 1):
+        raise ValueError(f"horizon must be an integer >= 1, got horizon={horizon!r}")
+    if window is not None and not (_is_number(window, numbers.Integral) and window >= 1):
         raise ValueError(f"window must be an integer >= 1 when set, got window={window!r}")
     lower, upper = game.bounds
     if eta is None:
         eta = (np.max(upper - lower) / game.grad_bound) / np.sqrt(horizon)
-    elif not 0 <= eta < np.inf:
-        raise ValueError(f"step size must be nonnegative and finite, got eta={eta!r}")
+    elif not (_is_number(eta, numbers.Real) and 0 <= eta < np.inf):
+        raise ValueError(f"step size must be nonnegative and finite, a real and not a bool, got eta={eta!r}")
     eta = float(eta)
 
     if x0 is None:
@@ -375,9 +380,10 @@ def run_algorithm1(
     as the threshold. ``eta`` is the constant step size; None, the
     default, tunes it to the horizon as (D / B) / sqrt(T), with D the
     width of the widest action interval and B the game's gradient
-    bound. A negative or non-finite step, or a window that is not a
-    positive integer, is a ``ValueError``. Runs with equal seeds and
-    configuration are bit-identical.
+    bound. A step that is not a nonnegative finite real, or a horizon or
+    window that is not a positive integer, is a ``ValueError``; a bool
+    is none of these. Runs with equal seeds and configuration are
+    bit-identical.
     """
     return _run(game, alphas, horizon, eta, x0, window, seed, "algorithm1")
 

@@ -1,6 +1,7 @@
 import concurrent.futures
 import csv
 import hashlib
+import inspect
 import io
 import math
 import os
@@ -130,9 +131,9 @@ def assert_numeric_file(path, header, block) -> None:
     """``path`` holds ``header``, then per row of ``block`` its number ``t`` and its cells.
 
     ``csv.reader`` parses it, and the file is those rows joined by commas
-    and ``"\\n"``, with no quoting. ``t`` is ``str(t)``. A finite cell has
-    ``repr``'s shortest digits, in any layout, and reads back to the same
-    bits; a non-finite cell is its ``repr``.
+    and ``"\\n"``, with no quoting. ``t`` is ``str(t)``. Every cell of
+    ``block`` is finite; its cell has ``repr``'s shortest digits, in any
+    layout, and reads back to the same bits.
     """
     text = Path(path).read_text()
     rows = list(csv.reader(io.StringIO(text, newline="")))
@@ -143,11 +144,9 @@ def assert_numeric_file(path, header, block) -> None:
         assert row[0] == str(t)
         assert len(row) == len(values) + 1, t
         for cell, value in zip(row[1:], values):
-            if math.isfinite(value):
-                assert Decimal(cell) == Decimal(repr(value)), (t, cell, value)
-                assert struct.pack("<d", float(cell)) == struct.pack("<d", value), (t, cell, value)
-            else:
-                assert cell == repr(value), (t, cell, value)
+            assert math.isfinite(value), (t, cell, value)
+            assert Decimal(cell) == Decimal(repr(value)), (t, cell, value)
+            assert struct.pack("<d", float(cell)) == struct.pack("<d", value), (t, cell, value)
 
 
 # a positive float of any magnitude, uniform in its binary exponent
@@ -159,25 +158,32 @@ _ANY_FLOAT64 = st.integers(0, 2**64 - 1).map(lambda bits: struct.unpack("<d", st
 
 
 # one row with a cell of each kind that orjson lays out unlike repr: the
-# 1e-5 decade and exponents, and the non-finite cells the writer writes as
-# their repr; and -0.0 and the smallest subnormal
-MIXED_ROW = [1.2345e-05, -5e-05, 1e-05, 1e16, -1.5e-07, 2.5e-300, math.nan, -math.inf, math.inf, -0.0, 5e-324, 0.1]
+# 1e-5 decade and exponents; and -0.0 and the smallest subnormal
+MIXED_ROW = [1.2345e-05, -5e-05, 1e-05, 1e16, -1.5e-07, 2.5e-300, -0.0, 5e-324, 0.1]
+
+
+def finite_bit_patterns(seed: int, shape) -> np.ndarray:
+    """Random float64 bit patterns of ``shape``; a NaN or an infinity has its lowest exponent bit cleared."""
+    bits = np.random.default_rng(seed).integers(0, 2**64, size=shape, dtype=np.uint64)
+    bits[(bits >> 52) & 0x7FF == 0x7FF] ^= 1 << 52
+    return bits.view(np.float64)
 
 
 def chunk_edge_block(rows: int) -> np.ndarray:
-    """``rows`` rows of random float64 bit patterns, with ``MIXED_ROW`` as every 100th row and the last."""
-    bits = np.random.default_rng(rows).integers(0, 2**64, size=(rows, len(MIXED_ROW)), dtype=np.uint64)
-    block = bits.view(np.float64)
+    """``rows`` rows of random finite float64 bit patterns, with ``MIXED_ROW`` as every 100th row and the last."""
+    block = finite_bit_patterns(rows, (rows, len(MIXED_ROW)))
     block[::100] = MIXED_ROW
     block[-1] = MIXED_ROW
     return block
 
 
 @st.composite
-def float_blocks(draw):
-    """A float64 block of 1-40 rows and 1-3 columns."""
+def float_blocks(draw, finite=False):
+    """A float64 block of 1-40 rows and 1-3 columns; with ``finite`` no NaN or infinite cells."""
     rows, cols = draw(st.integers(1, 40)), draw(st.integers(1, 3))
-    cells = draw(st.lists(st.one_of(st.floats(), _ANY_FLOAT64), min_size=rows * cols, max_size=rows * cols))
+    floats = st.floats(allow_nan=not finite, allow_infinity=not finite)
+    any_bits = _ANY_FLOAT64.filter(math.isfinite) if finite else _ANY_FLOAT64
+    cells = draw(st.lists(st.one_of(floats, any_bits), min_size=rows * cols, max_size=rows * cols))
     return np.array(cells, dtype=np.float64).reshape(rows, cols)
 
 
@@ -482,19 +488,15 @@ class TestBundle:
             ]
         )
     )
-    # such cells, non-finite cells and -0.0 mixed in one row
+    # such cells, -0.0 and the smallest subnormal mixed in one row
     @example(block=np.array([MIXED_ROW]))
     # a chunk of rows, one row short of it and one past it, ending on that row
     @example(block=chunk_edge_block(cli._CSV_CHUNK_ROWS - 1))
     @example(block=chunk_edge_block(cli._CSV_CHUNK_ROWS))
     @example(block=chunk_edge_block(cli._CSV_CHUNK_ROWS + 1))
     # more than two chunks of rows, so that chunk boundaries are crossed
-    @example(
-        block=np.random.default_rng(0)
-        .integers(0, 2**64, size=(2 * cli._CSV_CHUNK_ROWS + 5, 3), dtype=np.uint64)
-        .view(np.float64)
-    )
-    @given(block=float_blocks())
+    @example(block=finite_bit_patterns(0, (2 * cli._CSV_CHUNK_ROWS + 5, 3)))
+    @given(block=float_blocks(finite=True))
     @settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_numeric_writer_writes_what_csv_writer_writes(self, tmp_path, block):
         header = ["t"] + [f"c{j}" for j in range(block.shape[1])]
@@ -534,6 +536,33 @@ class TestBundle:
                 tracemalloc.stop()
             assert peak <= cap, rows
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_numeric_writer_refuses_a_non_finite_cell(self, tmp_path, value):
+        # read_trace_csv refuses such a cell; the writer names the first one
+        # and leaves no file
+        header = ["t", "c0", "c1", "c2"]
+        block = np.ones((2 * cli._CSV_CHUNK_ROWS, 3))
+        block[cli._CSV_CHUNK_ROWS + 6, 2] = value
+        block[-1] = value
+        path = tmp_path / "block.csv"
+        with pytest.raises(ValueError) as info:
+            _write_numeric_csv(path, header, block)
+        row = cli._CSV_CHUNK_ROWS + 7
+        assert str(info.value) == f"numeric file {path}: row {row}, column c2: expected a finite number, got {value!r}"
+        assert not path.exists()
+
+    @pytest.mark.parametrize("layout", [lambda block: block.astype(np.float32), np.asfortranarray], ids=["float32", "fortran"])
+    def test_numeric_writer_takes_a_block_as_its_c_ordered_float64_copy(self, tmp_path, layout):
+        # orjson's numpy serializer refuses an array that is not C-ordered
+        # and writes a float32 array's own shortest digits
+        header = ["t", "c0", "c1", "c2"]
+        block = layout(np.random.default_rng(4).random((cli._CSV_CHUNK_ROWS + 3, 3)) * [1e-6, 1.0, 1e6])
+        copy = np.array(block, dtype=np.float64, order="C")
+        _write_numeric_csv(tmp_path / "block.csv", header, block)
+        _write_numeric_csv(tmp_path / "copy.csv", header, copy)
+        assert (tmp_path / "block.csv").read_bytes() == (tmp_path / "copy.csv").read_bytes()
+        assert_numeric_file(tmp_path / "block.csv", header, copy)
+
     # the edges of the float range, and -0.0
     @example(
         block=np.array([[-0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, -1.7976931348623157e308]]).T,
@@ -561,11 +590,13 @@ class TestBundle:
         if "err_sq" in header:
             cells[:, 2] = np.abs(cells[:, 2])  # a trace's squared distances are not negative
         path = tmp_path / "trial.csv"
-        _write_numeric_csv(path, header, cells)
         if not np.isfinite(cells).all():
+            # the writer refuses such a file, so csv.writer writes it
+            path.write_bytes(csv_writer_bytes(header, np.arange(1, len(cells) + 1), cells))
             with pytest.raises(ConfigError, match="expected a finite number"):
                 read_trace_csv(path, config)
             return
+        _write_numeric_csv(path, header, cells)
         trace = read_trace_csv(path, config)
         err_sq = [] if trace.err_sq is None else [trace.err_sq[:, None]]
         ours = np.hstack([trace.actions, *err_sq, trace.nu, trace.nu_star])
@@ -719,6 +750,20 @@ class TestBundle:
         cfg = validate_config(dict(SMALL_RAW))
         run_experiment(cfg, out_dir=str(tmp_path / "out"), workers=workers, progress=Progress())
         assert len(seen) == 4
+
+    def test_serial_trials_call_the_public_runners(self, tmp_path, monkeypatch):
+        # a wrapper on cli's names sees every serial trial, as the
+        # benchmark's span tracer needs: each runner once per trial
+        calls = {"run_algorithm1": [], "run_unbiased_baseline": []}
+        for name, seen in calls.items():
+
+            def counted(*args, runner=getattr(cli, name), seen=seen, **kwargs):
+                seen.append(inspect.signature(runner).bind(*args, **kwargs).arguments["seed"].spawn_key)
+                return runner(*args, **kwargs)
+
+            monkeypatch.setattr(cli, name, counted)
+        run_experiment(validate_config({**SMALL_RAW, "trials": 3}), out_dir=str(tmp_path / "out"), workers=1)
+        assert calls == {"run_algorithm1": [(0,), (1,), (2,)], "run_unbiased_baseline": [(0,), (1,), (2,)]}
 
     @pytest.mark.parametrize("window", [None, 100])
     @pytest.mark.parametrize("algorithm", ["algorithm1", "unbiased-fo"])

@@ -305,6 +305,34 @@ class TestRunLoop:
             with pytest.raises(ValueError):
                 run(GAME, (0.4,), 5, None, None, None, 0, "algorithm1")
 
+    @pytest.mark.parametrize("run", list(RUNNERS.values()), ids=list(RUNNERS))
+    @pytest.mark.parametrize(
+        "horizon,eta,window,message",
+        [
+            (True, None, None, r"^horizon must be an integer >= 1, got horizon=True$"),
+            (2.5, None, None, r"^horizon must be an integer >= 1, got horizon=2\.5$"),
+            (5, True, None, r"^step size must be nonnegative .* got eta=True$"),
+            (5, "0.1", None, r"^step size must be nonnegative .* got eta='0\.1'$"),
+            (5, None, True, r"^window must be an integer >= 1 when set, got window=True$"),
+        ],
+        ids=["bool-horizon", "fractional-horizon", "bool-eta", "string-eta", "bool-window"],
+    )
+    def test_argument_types_the_runners_cannot_use_rejected(self, run, horizon, eta, window, message):
+        # a bool horizon used to raise TypeError, a fractional one numpy's
+        # error, and a bool window or step ran as 1
+        for algorithm in ALGORITHMS:
+            with pytest.raises(ValueError, match=message):
+                run(GAME, ALPHAS, horizon, eta, None, window, 0, algorithm)
+        with pytest.raises(ValueError, match="horizon"):
+            run_algorithm1(GAME, ALPHAS, True)
+
+    def test_numpy_integers_and_floats_accepted(self):
+        for run in (run_algorithm1, run_unbiased_baseline):
+            plain = run(GAME, ALPHAS, 20, eta=0.01, seed=3, window=5)
+            numpy = run(GAME, ALPHAS, np.int64(20), eta=np.float64(0.01), seed=3, window=np.int64(5))
+            assert np.array_equal(plain.actions, numpy.actions)
+            assert np.array_equal(plain.nu, numpy.nu)
+
     @pytest.mark.parametrize("x0,start", [([-1e-10, 0.5], [0.0, 0.5]), ([0.5, -1e-10], [0.5, 0.0])])
     def test_start_within_tolerance_is_projected(self, x0, start):
         # feasible() accepts x0 up to 1e-9 outside the box; the run starts on it
