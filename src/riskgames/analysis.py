@@ -126,7 +126,10 @@ def fit_rate(series, window: tuple[float, float]) -> float:
 
     ``series[t - 1]`` is the value at episode t, for t = 1..T. A series
     decaying like T^(-r) yields slope -r; the fit is invariant to
-    positive rescaling of the series.
+    positive rescaling of the series. The slope is the closed form
+    sum((x - mean x) (y - mean y)) / sum((x - mean x)^2), with x the log
+    episodes in the window and y the log values, in elementwise numpy:
+    no least-squares solver, so no LAPACK library is loaded.
     """
     lo, hi = window
     episodes = np.arange(1, len(series) + 1)
@@ -136,8 +139,9 @@ def fit_rate(series, window: tuple[float, float]) -> float:
     values = np.asarray(series, dtype=np.float64)[mask]
     if np.any(values <= 0):
         raise ValueError(f"series must be positive inside the fit window {window}")
-    slope = np.polyfit(np.log(episodes[mask]), np.log(values), 1)[0]
-    return float(slope)
+    x, y = np.log(episodes[mask]), np.log(values)
+    dx = x - x.mean()
+    return float((dx * (y - y.mean())).sum() / (dx * dx).sum())
 
 
 def _binomial_tail(t: int, u: float, lo: int, hi: int) -> float:

@@ -28,6 +28,7 @@ from __future__ import annotations
 import argparse
 import csv
 import math
+import numbers
 import os
 import sys
 from dataclasses import dataclass, fields, is_dataclass
@@ -317,8 +318,11 @@ def trial_filename(algorithm: str, index: int) -> str:
     return f"{algorithm}-trial{index:03d}.csv"
 
 
-# rows per chunk of orjson calls: bounds the bytes a write or a read holds at once
-_CSV_CHUNK_ROWS = 1024
+# rows per chunk of orjson calls: bounds the bytes a write or a read holds
+# at once beside the whole block, about 105 bytes a cell of text, bytes
+# objects and parsed floats, so about 210 KiB for a trial chunk of t and 7
+# cells a row; smaller chunks only add calls
+_CSV_CHUNK_ROWS = 256
 
 def _write_numeric_csv(path, header, block) -> None:
     """One header line, then per row of ``block`` its number ``t`` and its cells.
@@ -588,8 +592,12 @@ def run_experiment(
     ``progress`` line. A trial's trace depends only on the config and
     its index, and traces arrive in (algorithm, trial) order, so the
     artifacts do not depend on scheduling; the pool's module is loaded
-    only when a pool starts. ``workers`` below 1 is a ``ValueError``.
+    only when a pool starts. ``workers`` that is a bool, not an integer
+    (``1.5`` and ``2.0`` included) or below 1 is a ``ValueError``, raised
+    before any directory is made.
     """
+    if not isinstance(workers, numbers.Integral) or isinstance(workers, bool):
+        raise ValueError(f"workers: expected an integer, got {workers!r}")
     if workers < 1:
         raise ValueError(f"workers: must be >= 1, got {workers}")
     out_dir = out_dir or config.out_dir or "out"

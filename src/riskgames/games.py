@@ -197,16 +197,21 @@ class CournotGame(AffineNoiseGame):
     def nash_equilibrium(self, alphas) -> np.ndarray:
         """Unique risk-averse equilibrium: solve 2 x_i + x_{-i} = 0.8 + alpha_i / 2.
 
-        The solution is clipped to the box; it is interior for every
-        alpha profile in (0, 1]^2.
+        The 2x2 system is eliminated by hand, without loading LAPACK, in
+        the pivot order of its ``gesv`` (LU with partial pivoting): pivot 2
+        in row 0, multiplier 0.5, second pivot 1.5, then back substitution.
+        Those operations round as LAPACK's solve does, so x* and every
+        ``err_sq`` computed from it keep their bits; Cramer's rule rounds
+        differently. The solution is clipped to the box; it is interior
+        for every alpha profile in (0, 1]^2.
         """
         alphas = [check_risk_level(a) for a in alphas]
         if len(alphas) != 2:
             raise ValueError("expected one risk level per agent")
-        coeffs = np.array([[2.0, 1.0], [1.0, 2.0]])
-        rhs = np.array([0.8 + 0.5 * alphas[0], 0.8 + 0.5 * alphas[1]])
-        x = np.linalg.solve(coeffs, rhs)
-        return np.clip(x, 0.0, 1.0)
+        r0, r1 = 0.8 + 0.5 * alphas[0], 0.8 + 0.5 * alphas[1]
+        x1 = (r1 - 0.5 * r0) / 1.5
+        x0 = (r0 - x1) / 2.0
+        return np.clip(np.array([x0, x1]), 0.0, 1.0)
 
 
 # a, b and d in [1e-50, 1e50] and |c| <= 1e50 keep every scale a run of

@@ -191,8 +191,15 @@ def _window_sums(values, window: int | None):
 
 
 def _as_rngs(game: AffineNoiseGame, seed) -> list[np.random.Generator]:
-    """Independent per-agent generators spawned from one master seed."""
-    root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    """Independent per-agent generators spawned from one master seed.
+
+    A ``SeedSequence`` is copied before it spawns, so the caller's object
+    is not advanced and a second run from it draws the same noise.
+    """
+    if isinstance(seed, np.random.SeedSequence):
+        root = np.random.SeedSequence(seed.entropy, spawn_key=seed.spawn_key, pool_size=seed.pool_size)
+    else:
+        root = np.random.SeedSequence(seed)
     return [np.random.default_rng(s) for s in root.spawn(game.num_agents)]
 
 

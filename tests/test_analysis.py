@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from riskgames.analysis import (
     AggregateTrace,
@@ -96,6 +98,19 @@ class TestFitRate:
         a = fit_rate(series, (5, 1000))
         b = fit_rate(7.3 * series, (5, 1000))
         assert a == pytest.approx(b, abs=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_matches_polyfit(self, data):
+        # windows of at least an octave, like the report's (100, T): on
+        # narrower ones at late episodes x is nearly collinear with the
+        # constant column and np.polyfit's own error grows past 1e-12
+        series = data.draw(st.lists(st.floats(1e-6, 1e6), min_size=2, max_size=300))
+        lo = data.draw(st.integers(1, len(series) // 2))
+        hi = data.draw(st.integers(2 * lo, len(series)))
+        episodes = np.arange(lo, hi + 1)
+        expected = np.polyfit(np.log(episodes), np.log(series[lo - 1 : hi]), 1)[0]
+        assert abs(fit_rate(series, (lo, hi)) - expected) <= 1e-12
 
     def test_rejects_nonpositive_values(self):
         vals = np.linspace(1.0, -0.5, 100)

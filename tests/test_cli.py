@@ -80,7 +80,7 @@ GOLDEN_BUNDLES = {
             "trials/unbiased-fo-trial000.csv": "6cbfa817e1dd3d447184cee28827abf4f3d3a1298566b9b9c52b40f7b3d83788",
             "trials/unbiased-fo-trial001.csv": "d4fc8344e5d933f51481b2199997f758849e06a42788a70febb1a0c53db3451e",
             "aggregate.csv": "9b441c6f9cb749fdad90c60b10fd8210b7dfee76468fcbc809d8dcd6f472d0ac",
-            "bounds.csv": "064c52b21bc02ec244ea2d90cfaff917e6195772d5a3172a7aaefcf66e7ded55",
+            "bounds.csv": "62b72392454b25ed7be4345ea654edea935f1a0d8083bdf6595cd8a4099e46bc",
         },
     ),
     "windowed": (
@@ -91,7 +91,7 @@ GOLDEN_BUNDLES = {
             "trials/unbiased-fo-trial000.csv": "9cc0791c110f626ad40120977280c720640b60ad5da699791cdd95307637b99d",
             "trials/unbiased-fo-trial001.csv": "e1c5fa493867327be73bf55ff9391507f38b137f9da54ac40a41bef70d588a49",
             "aggregate.csv": "42f6ccf6ea84b88ee336b71f9cd096009391defca75a6af81406fb09bf6b2286",
-            "bounds.csv": "417f4397de5d77aaae3298d7ffbe167a816a4ac97ab05f07c94c8768caf64dcd",
+            "bounds.csv": "695da2e985354490adfc9e397acf5a3d8b085ee2f8f64c83d80f3116a6f4218b",
         },
     ),
     "pinned": (
@@ -654,6 +654,27 @@ class TestBundle:
         with pytest.raises(ValueError, match="workers: must be >= 1, got 0"):
             run_experiment(validate_config(dict(SMALL_RAW)), out_dir=str(out), workers=0)
         assert not out.exists()
+
+    @pytest.mark.parametrize("workers", [1.5, 2.0, True, "2"])
+    def test_run_experiment_rejects_a_non_integer_worker_count(self, tmp_path, workers):
+        out = tmp_path / "out"
+        with pytest.raises(ValueError, match=re.escape(f"workers: expected an integer, got {workers!r}")):
+            run_experiment(validate_config(dict(SMALL_RAW)), out_dir=str(out), workers=workers)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("raw", [SMALL_RAW, {**SMALL_RAW, "T": 200}], ids=["T40", "rate-row"])
+    def test_run_and_report_call_no_lapack(self, tmp_path, monkeypatch, raw):
+        # the equilibrium and the rate slope are closed forms: a run and a
+        # report load no LAPACK library (T = 200 also fits a rate row)
+        def refuse(*args, **kwargs):
+            raise AssertionError("LAPACK was called")
+
+        for module, name in ((np.linalg, "solve"), (np.linalg, "lstsq"), (np, "polyfit")):
+            monkeypatch.setattr(module, name, refuse)
+        out = str(tmp_path / "bundle")
+        bundle = run_experiment(validate_config(dict(raw)), out_dir=out)
+        assert any(r.name == "rate" for r in bundle.reports) == (raw["T"] >= 200)
+        assert main(["report", "--bundle", out]) == 0
 
     def test_rerun_is_byte_identical(self, tmp_path):
         cfg = validate_config(dict(SMALL_RAW))

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from riskgames.distributions import Uniform
@@ -61,6 +61,17 @@ class TestCournotEquilibrium:
         for agent in (0, 1):
             g = exact_risk_averse_gradient(COURNOT, agent, x, alphas[agent])
             assert np.linalg.norm(g) < 1e-12
+
+    @example(alphas=(0.4, 0.8))
+    @example(alphas=(1.0, 1.0))
+    @example(alphas=(1e-9, 1.0))
+    @given(alphas=st.tuples(*[st.floats(min_value=0.0, max_value=1.0, exclude_min=True)] * 2))
+    def test_equals_lapack_solve_bit_for_bit(self, alphas):
+        # the hand elimination keeps gesv's pivot order, so x* and every
+        # err_sq computed from it keep their bits
+        rhs = np.array([0.8 + 0.5 * alphas[0], 0.8 + 0.5 * alphas[1]])
+        expected = np.clip(np.linalg.solve(np.array([[2.0, 1.0], [1.0, 2.0]]), rhs), 0.0, 1.0)
+        assert np.array_equal(COURNOT.nash_equilibrium(alphas), expected)
 
     @pytest.mark.parametrize("alphas", [(1.0, 1.0), (0.4, 0.8)])
     def test_brute_force_best_response_cross_check(self, alphas):

@@ -254,6 +254,17 @@ class TestRunLoop:
         assert np.array_equal(a.nu, b.nu)
         assert np.array_equal(a.err_sq, b.err_sq)
 
+    def test_reused_seed_sequence_gives_equal_runs(self):
+        # spawning the per-agent generators must not advance the caller's
+        # SeedSequence, so a second run from the same object repeats the first
+        root = np.random.SeedSequence(3)
+        a = run_algorithm1(GAME, ALPHAS, 50, seed=root)
+        b = run_algorithm1(GAME, ALPHAS, 50, seed=root)
+        c = run_algorithm1(GAME, ALPHAS, 50, seed=3)
+        for other in (b, c):
+            assert np.array_equal(a.actions, other.actions)
+            assert np.array_equal(a.nu, other.nu)
+
     def test_seeds_matter(self):
         a = run_algorithm1(GAME, ALPHAS, 60, seed=7)
         b = run_algorithm1(GAME, ALPHAS, 60, seed=8)
