@@ -595,6 +595,14 @@ def run_experiment(
     only when a pool starts. ``workers`` that is a bool, not an integer
     (``1.5`` and ``2.0`` included) or below 1 is a ``ValueError``, raised
     before any directory is made.
+
+    ``out_dir`` may hold an earlier bundle, whose files the run
+    overwrites. A file there that the run would not overwrite, a trial
+    file its config does not name or an ``aggregate.csv`` or
+    ``convergence.svg`` of a game it plots none for, would leave a bundle
+    that contradicts its config; the first such file, trial files first,
+    is a ``FileExistsError``, raised before any trial runs or any file is
+    written.
     """
     if not isinstance(workers, numbers.Integral) or isinstance(workers, bool):
         raise ValueError(f"workers: expected an integer, got {workers!r}")
@@ -602,6 +610,19 @@ def run_experiment(
         raise ValueError(f"workers: must be >= 1, got {workers}")
     out_dir = out_dir or config.out_dir or "out"
     trials_dir = os.path.join(out_dir, "trials")
+    columns = [(alg, idx) for alg in config.algorithms for idx in range(config.trials)]
+    plotted = build_game(config).nash_equilibrium(config.alphas) is not None
+    listed = os.listdir(trials_dir) if os.path.isdir(trials_dir) else []
+    stale = sorted(set(listed).difference(trial_filename(alg, idx) for alg, idx in columns))
+    stale = [os.path.join(trials_dir, name) for name in stale]
+    if not plotted:
+        plots = [os.path.join(out_dir, name) for name in ("aggregate.csv", "convergence.svg")]
+        stale += [path for path in plots if os.path.lexists(path)]
+    if stale:
+        raise FileExistsError(
+            f"output directory holds {stale[0]}, which this config does not write; "
+            "remove it or choose another output directory"
+        )
     os.makedirs(trials_dir, exist_ok=True)
 
     def say(msg):
@@ -610,7 +631,6 @@ def run_experiment(
 
     # a process pool starts all its workers at once
     workers = min(workers, _usable_cpus())
-    columns = [(alg, idx) for alg in config.algorithms for idx in range(config.trials)]
     say(f"running {len(columns)} trials ({config.game}, T={config.horizon}, workers={workers})")
     traces = {alg: [] for alg in config.algorithms}
     trial_paths = {}
@@ -624,7 +644,7 @@ def run_experiment(
     aggregates = {alg: _aggregate(traces[alg]) for alg in config.algorithms}
     aggregate_path = None
     plot_path = None
-    if all(aggregates[alg] for alg in config.algorithms):
+    if plotted:
         aggregate_path = os.path.join(out_dir, "aggregate.csv")
         write_aggregate_csv(aggregates, config.algorithms, aggregate_path)
         plot_path = os.path.join(out_dir, "convergence.svg")

@@ -1,13 +1,14 @@
 """Game models with stochastic costs.
 
 Every game is an ``AffineNoiseGame``: it describes each agent's cost and
-gradient as affine functions of a scalar uniform noise draw, and derives
-the cost and gradient batches, noise draws and the VaR closed form from
-that one description. Two built-in two-agent games: a Cournot duopoly
-whose risk-averse equilibrium is unique and computable in closed form,
-and a quadratic game whose risk-averse (alpha = 0.5) equilibria form a
-whole line segment even though its risk-neutral version is strongly
-monotone.
+gradient as two lines in a scalar uniform noise draw, ``cost_line`` and
+``gradient_line``, and derives the cost and gradient batches, noise
+draws and the VaR closed form from them. A caller asks for the one line
+it uses, so no evaluation computes a half that is thrown away. Two
+built-in two-agent games: a Cournot duopoly whose risk-averse
+equilibrium is unique and computable in closed form, and a quadratic
+game whose risk-averse (alpha = 0.5) equilibria form a whole line
+segment even though its risk-neutral version is strongly monotone.
 
 An agent's action is a float in an interval, its ``Box``; a joint
 action is a float vector with one entry per agent, and ``game.bounds``
@@ -64,14 +65,16 @@ class AffineNoiseGame(ABC):
 
     Agent i's action is one float in ``action_sets[i]``, and a joint
     action x a float vector of shape (num_agents,) inside ``bounds``.
-    A subclass describes agent i by ``affine_noise(agent, x)``, the
-    coefficients (c0, s, g0, g1) of its cost c0 + s * xi and gradient
-    g0 + g1 * xi at x, and by ``noise_distribution(agent)``, the uniform
-    law U(a, b) of xi; all four coefficients are scalars. The cost and
-    gradient batches over a (t,) history of draws, the noise draw and the
-    closed-form VaR all follow from those two. Each cost must be convex in
-    the agent's own action, and ``grad_bound`` must bound the per-sample
-    gradient over the feasible set and noise support. For s >= 0 the cost
+    A subclass describes agent i by two lines in the noise xi at x:
+    ``cost_line(agent, x)``, the coefficients (c0, s) of its cost
+    c0 + s * xi, and ``gradient_line(agent, x)``, the coefficients
+    (g0, g1) of its gradient g0 + g1 * xi; and by
+    ``noise_distribution(agent)``, the uniform law U(a, b) of xi. The
+    cost batch and the closed-form VaR follow from the cost line, the
+    gradient batch from the gradient line, and the noise draw from the
+    law. Each cost must be convex in the agent's own action, and
+    ``grad_bound`` must bound the per-sample gradient over the feasible
+    set and noise support. For s >= 0 the cost
     at x is uniform on [c0 + s a, c0 + s b], so
 
         VaR_alpha = c0 + s VaR_alpha(xi),   CVaR_alpha = c0 + s CVaR_alpha(xi),
@@ -120,7 +123,12 @@ class AffineNoiseGame(ABC):
         return x.shape == lower.shape and bool(np.all(x >= lower - tol) and np.all(x <= upper + tol))
 
     @abstractmethod
-    def affine_noise(self, agent: int, x: np.ndarray): ...
+    def cost_line(self, agent: int, x) -> tuple:
+        """(c0, s): the agent's cost at x is c0 + s * xi."""
+
+    @abstractmethod
+    def gradient_line(self, agent: int, x) -> tuple:
+        """(g0, g1): the derivative of that cost in the agent's own action is g0 + g1 * xi."""
 
     @abstractmethod
     def noise_distribution(self, agent: int) -> Uniform: ...
@@ -134,17 +142,17 @@ class AffineNoiseGame(ABC):
 
     def cost_batch(self, agent: int, x, xi_batch) -> np.ndarray:
         """The agent's costs at x for a (t,) history of draws, shape (t,)."""
-        c0, s, _, _ = self.affine_noise(agent, x)
+        c0, s = self.cost_line(agent, x)
         return c0 + xi_batch * s
 
     def grad_batch(self, agent: int, x, xi_batch) -> np.ndarray:
         """Derivatives of those costs in the agent's own action, shape (t,)."""
-        _, _, g0, g1 = self.affine_noise(agent, x)
+        g0, g1 = self.gradient_line(agent, x)
         return g0 + g1 * xi_batch
 
     def exact_var(self, agent: int, x, alpha: float) -> float:
         """True VaR of J_i(x, xi_i) at the joint action x."""
-        c0, s, _, _ = self.affine_noise(agent, x)
+        c0, s = self.cost_line(agent, x)
         if s < 0:
             raise ValueError(f"exact VaR requires a nonnegative noise slope, got {s}")
         return c0 + s * self.noise_distribution(agent).var(alpha)
@@ -189,10 +197,12 @@ class CournotGame(AffineNoiseGame):
     def noise_distribution(self, agent: int) -> Uniform:
         return self._NOISE
 
-    def affine_noise(self, agent: int, x):
+    def cost_line(self, agent: int, x):
         own = x[agent]
-        c0 = 1.0 - (2.0 - (x[0] + x[1])) * own + 0.2 * own
-        return c0, own, 2.0 * own + x[1 - agent] - 1.8, 1.0
+        return 1.0 - (2.0 - (x[0] + x[1])) * own + 0.2 * own, own
+
+    def gradient_line(self, agent: int, x):
+        return 2.0 * x[agent] + x[1 - agent] - 1.8, 1.0
 
     def nash_equilibrium(self, alphas) -> np.ndarray:
         """Unique risk-averse equilibrium: solve 2 x_i + x_{-i} = 0.8 + alpha_i / 2.
@@ -280,14 +290,14 @@ class QuadraticCounterexampleGame(AffineNoiseGame):
     def noise_distribution(self, agent: int) -> Uniform:
         return self._noise
 
-    def affine_noise(self, agent: int, x):
+    def cost_line(self, agent: int, x):
         a = self.a
         own, other = x[agent], x[1 - agent]
         k = 4.0 * a / (3.0 * self.d)
-        return (
-            self.c + a * own * own + a * own * other - a * self.b * own,
-            k * own * other,
-            2.0 * a * own + a * other - a * self.b,
-            k * other,
-        )
+        return self.c + a * own * own + a * own * other - a * self.b * own, k * own * other
+
+    def gradient_line(self, agent: int, x):
+        a = self.a
+        own, other = x[agent], x[1 - agent]
+        return 2.0 * a * own + a * other - a * self.b, (4.0 * a / (3.0 * self.d)) * other
 

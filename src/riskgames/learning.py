@@ -23,14 +23,14 @@ series; the baseline's tail size and sum are O(T) ``_window_sums`` of
 the draws >= q. An episode's step is the gradient (count * g0 + g1 * sum
 of the tail draws) / (t * alpha), then a clip to the box. Algorithm 1 is
 sequential, so every run pays one Python-level step per episode;
-``_run`` plays it in Python floats, one ``affine_noise`` call per agent
+``_run`` plays it in Python floats, one ``gradient_line`` call per agent
 and episode, where a numpy call's fixed overhead would cost more than
 the arithmetic it does. The recorded VaRs are read off the action path
-afterwards, c0 + s * xi_(k) for Algorithm 1 and c0 + s * VaR_alpha(xi)
-for the baseline. ``_replay`` takes the same arguments as ``_run``: a
-plain loop whose estimators re-evaluate every kept draw through the
-game's cost and gradient batches, O(T^2) per run; it is the oracle
-``_run`` is tested against.
+afterwards by one ``cost_line`` call per agent, c0 + s * xi_(k) for
+Algorithm 1 and c0 + s * VaR_alpha(xi) for the baseline. ``_replay``
+takes the same arguments as ``_run``: a plain loop whose estimators
+re-evaluate every kept draw through the game's cost and gradient
+batches, O(T^2) per run; it is the oracle ``_run`` is tested against.
 
 The tail is a set of noise ranks. Algorithm 1 takes the top t - k + 1
 draws; the replay orders its rows by (cost, noise) and takes as many.
@@ -255,11 +255,11 @@ def _play(game, count, total, denoms, eta, x, lower, upper) -> np.ndarray:
 
     ``count`` and ``total`` are the run's (agents, T) tail sizes and
     tail sums, and ``denoms`` each agent's and episode's (t - start) *
-    alpha. Each episode calls ``affine_noise`` with an int agent and the
+    alpha. Each episode calls ``gradient_line`` with an int agent and the
     joint action as a list of floats.
     """
     horizon = count.shape[1]
-    agents, noise = range(game.num_agents), game.affine_noise
+    agents, gradient = range(game.num_agents), game.gradient_line
     lower, upper, x = lower.tolist(), upper.tolist(), x.tolist()
     path = np.empty((horizon, len(agents)))
     chunk = min(_FLOAT_PLAY_CHUNK, max(1, horizon // 4))
@@ -276,7 +276,7 @@ def _play(game, count, total, denoms, eta, x, lower, upper) -> np.ndarray:
             # simultaneous play: all updates use the same joint action
             for i in agents:
                 k, tail, d = episode[i]
-                _, _, g0, g1 = noise(i, x)
+                g0, g1 = gradient(i, x)
                 v = x[i] - eta * ((k * g0 + g1 * tail) / d)
                 # np.clip(v, lower, upper) as the replay steps, since no
                 # games.Box bound is -0.0
@@ -321,13 +321,13 @@ def _run(
     # the VaRs off the (agents, T) action path, one agent at a time
     nu, nu_star = np.empty((num_agents, horizon)), np.empty((num_agents, horizon))
     for i in range(num_agents):
-        c0, s, _, _ = game.affine_noise(i, actions.T)
+        c0, s = game.cost_line(i, actions.T)
         s = np.broadcast_to(s, horizon)
         negative = np.flatnonzero(s < 0)
         if negative.size:
             k = negative[0]
             raise ValueError(
-                f"agent {i} at episode {k + 1}: affine_noise needs a nonnegative "
+                f"agent {i} at episode {k + 1}: cost_line needs a nonnegative "
                 f"noise slope, got {s[k]}"
             )
         nu_star[i] = c0 + s * quantiles[i]

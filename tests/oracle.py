@@ -3,13 +3,13 @@
 Each is a function of a noise law, an ``AffineNoiseGame`` or a sample
 array, and checks a claim about the games or the estimators rather than
 taking part in a run: the closed-form CVaR of the uniform law, the exact
-CVaR and CVaR gradient read off ``affine_noise``, a sampled probe of a
-game's monotonicity constant, a check of the additive noise-decomposition
-structure that the convergence theory relies on, the plug-in
-(VaR, CVaR) of a raw sample, the Lemma-3 check drawn as one matrix, the
-binomial tail that check sums, in exact rational arithmetic, a plot's
-pixel text formatted one point at a time, and a curve's plot envelope
-read off a sort by y.
+CVaR and CVaR gradient read off a game's cost and gradient lines, a
+sampled probe of a game's monotonicity constant, a check of the additive
+noise-decomposition structure that the convergence theory relies on, the
+plug-in (VaR, CVaR) of a raw sample, the Lemma-3 check drawn as one
+matrix, the binomial tail that check sums, in exact rational arithmetic
+and one log-term at a time, a plot's pixel text formatted one point at
+a time, and a curve's plot envelope read off a sort by y.
 """
 
 from __future__ import annotations
@@ -26,10 +26,11 @@ from riskgames.distributions import _tail_start, check_risk_level
 
 
 def _nonnegative_slope(game, agent: int, x, quantity: str):
-    coeffs = game.affine_noise(agent, x)
-    if coeffs[1] < 0:
-        raise ValueError(f"exact {quantity} requires a nonnegative noise slope, got {coeffs[1]}")
-    return coeffs
+    """The agent's cost line at x, refused where its noise slope is negative."""
+    c0, s = game.cost_line(agent, x)
+    if s < 0:
+        raise ValueError(f"exact {quantity} requires a nonnegative noise slope, got {s}")
+    return c0, s
 
 
 def uniform_cvar(law, alpha: float) -> float:
@@ -44,13 +45,14 @@ def uniform_cvar(law, alpha: float) -> float:
 
 def exact_cvar(game, agent: int, x, alpha: float) -> float:
     """True CVaR of J_i(x, xi_i) at the joint action x: c0 + s CVaR_alpha(xi)."""
-    c0, s, _, _ = _nonnegative_slope(game, agent, x, "CVaR")
+    c0, s = _nonnegative_slope(game, agent, x, "CVaR")
     return c0 + s * uniform_cvar(game.noise_distribution(agent), alpha)
 
 
 def exact_risk_averse_gradient(game, agent: int, x, alpha: float) -> float:
     """Derivative of CVaR_alpha[J_i(x, xi_i)] in the agent's own action."""
-    _, _, g0, g1 = _nonnegative_slope(game, agent, x, "CVaR gradient")
+    _nonnegative_slope(game, agent, x, "CVaR gradient")
+    g0, g1 = game.gradient_line(agent, x)
     return float(g0 + g1 * uniform_cvar(game.noise_distribution(agent), alpha))
 
 
@@ -214,6 +216,17 @@ def binomial_tail(t: int, u: float, lo: int, hi: int) -> Fraction:
         acc = acc * m + math.comb(t, j) * n_power
         n_power *= n
     return Fraction(acc * m**lo * n ** (t - hi), d**t)
+
+
+def binomial_tail_terms(t: int, u: float, lo: int, hi: int) -> float:
+    """``analysis._binomial_tail`` one log-term at a time, each with its own ``math.lgamma`` calls."""
+    log_u, log_v, log_top = math.log(u), math.log1p(-u), math.lgamma(t + 1)
+    logs = [
+        log_top - math.lgamma(j + 1) - math.lgamma(t - j + 1) + j * log_u + (t - j) * log_v
+        for j in range(lo, hi + 1)
+    ]
+    peak = max(logs)
+    return math.exp(peak) * math.fsum([math.exp(x - peak) for x in logs])
 
 
 def pixel_points(xs, ys, x_range, decades) -> list[str]:

@@ -3,10 +3,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from riskgames.analysis import (
+    _binomial_tail,
     AggregateTrace,
     BoundReport,
     RunTrace,
@@ -20,7 +21,7 @@ from riskgames.distributions import Uniform, _tail_start, dkw_confidence_width
 from riskgames.games import CournotGame, QuadraticCounterexampleGame
 from riskgames.learning import run_algorithm1, run_unbiased_baseline
 
-from oracle import binomial_tail, lemma3_one_matrix
+from oracle import binomial_tail, binomial_tail_terms, lemma3_one_matrix
 
 GAME = CournotGame()
 ALPHAS = (0.4, 0.8)
@@ -203,6 +204,26 @@ class TestValidateLemma3:
                     want += binomial_tail(t, hi, 0, k - 1)
                 got = validate_lemma3(law, alpha, t, eps).empirical
                 assert abs(Fraction(got) - want) <= Fraction(1, 10**12) * want, (law, scale)
+
+    # one draw, one term, and u at the ends of (0, 1); bounds are fractions of t
+    @example(t=1, u=0.5, bounds=(0.0, 1.0))
+    @example(t=1, u=5e-324, bounds=(1.0, 1.0))
+    @example(t=1000, u=math.nextafter(1.0, 0.0), bounds=(0.0, 1.0))
+    @example(t=1000, u=1e-300, bounds=(0.4, 0.4))
+    @settings(max_examples=200, deadline=None)
+    @given(
+        t=st.integers(1, 2000),
+        u=st.one_of(
+            st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+            st.sampled_from([5e-324, 1e-300, 1e-12, 1.0 - 1e-12, math.nextafter(1.0, 0.0)]),
+        ),
+        bounds=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+    )
+    def test_binomial_tail_is_the_term_loop(self, t, u, bounds):
+        # bit for bit: the same IEEE operations in the same order per term
+        lo, hi = sorted(int(b * t) for b in bounds)
+        log_factorials = np.array([math.lgamma(n + 1) for n in range(t + 1)])
+        assert _binomial_tail(log_factorials, u, lo, hi) == binomial_tail_terms(t, u, lo, hi)
 
     @pytest.mark.parametrize("alpha", [0.05, 0.4, 1.0])
     @pytest.mark.parametrize("t", [1, 7, 1000])

@@ -153,6 +153,18 @@ def assert_numeric_file(path, header, block) -> None:
 _LOG_UNIFORM = st.builds(math.ldexp, st.floats(1.0, 2.0, exclude_max=True), st.integers(-1074, 1023))
 _SIGNED_LOG_UNIFORM = st.builds(lambda sign, size: sign * size, st.sampled_from([-1.0, 1.0]), _LOG_UNIFORM)
 
+# a plot coordinate in [24, 696]: any, an exact tie x.xx5 (a multiple of 1/8),
+# or a double next to x.xx5
+_PIXEL = st.one_of(
+    st.floats(24.0, 696.0),
+    st.integers(24 * 8, 696 * 8).map(lambda k: k / 8),
+    st.builds(
+        lambda k, toward: math.nextafter((k + 0.5) / 100, toward),
+        st.integers(2400, 69599),
+        st.sampled_from([0.0, 1000.0]),
+    ),
+)
+
 # any float64 bit pattern: NaNs with any payload, infinities, signed zeros, subnormals
 _ANY_FLOAT64 = st.integers(0, 2**64 - 1).map(lambda bits: struct.unpack("<d", struct.pack("<Q", bits))[0])
 
@@ -838,6 +850,36 @@ class TestBundle:
         trace = bundle.traces["algorithm1"][0]
         assert trace.err_sq is None
 
+    @staticmethod
+    def snapshot(root):
+        return {
+            path: (path.read_bytes(), path.stat().st_mtime_ns) for path in sorted(root.rglob("*")) if path.is_file()
+        }
+
+    @pytest.mark.parametrize(
+        "first,second,stale",
+        [
+            ({**SMALL_RAW, "trials": 3}, SMALL_RAW, "trials/algorithm1-trial002.csv"),
+            (SMALL_RAW, {**SMALL_RAW, "game": "quadratic-counterexample"}, "aggregate.csv"),
+        ],
+        ids=["fewer-trials", "no-plot"],
+    )
+    def test_run_refuses_a_bundle_it_would_not_overwrite(self, tmp_path, capsys, first, second, stale):
+        # a file left from an earlier bundle would contradict the new config:
+        # refused, exit 2, before any trial runs, with every file untouched
+        run_experiment(validate_config(dict(first)), out_dir=str(tmp_path))
+        before = self.snapshot(tmp_path)
+        with pytest.raises(FileExistsError, match=re.escape(str(tmp_path / stale))):
+            run_experiment(validate_config(dict(second)), out_dir=str(tmp_path))
+        config_path = tmp_path.parent / f"{tmp_path.name}-second.yaml"
+        config_path.write_text(yaml.safe_dump(second), encoding="utf-8")
+        assert main(["run", "--config", str(config_path), "--out", str(tmp_path)]) == 2
+        assert str(tmp_path / stale) in capsys.readouterr().err
+        assert self.snapshot(tmp_path) == before
+        # the same config again overwrites its own bundle
+        run_experiment(validate_config(dict(first)), out_dir=str(tmp_path))
+        assert main(["report", "--bundle", str(tmp_path)]) == 0
+
     def test_counterexample_bundle_has_lemma4_rows(self, tmp_path):
         cfg = validate_config(
             {"game": "quadratic-counterexample", "T": 300, "trials": 1, "algorithms": ["algorithm1"]}
@@ -1049,19 +1091,44 @@ class TestPlot:
         assert envelope.read_bytes() == full.read_bytes()
         assert [len(c) for c in self.curves(envelope)] == [horizon] * 3
 
-    # a constant series, and values at, just below and far below the floor
+    # a constant series, values at, just below and far below the floor, and
+    # values above the top decade, which the plot draws on its top edge
     @example(ys=[0.1] * 50, decades=(-2, 0))
     @example(ys=[1e-3, 9.999999999999998e-4, 0.0, -0.0, -1.0, 5e-324, 1e-3, 2.0], decades=(-3, 1))
     @example(ys=[0.25], decades=(-1, 0))
+    @example(ys=[11.0, 1e308, 10.0], decades=(0, 1))
     @given(
-        ys=st.lists(st.one_of(st.floats(), _SIGNED_LOG_UNIFORM), min_size=1, max_size=60),
+        ys=st.lists(
+            st.one_of(st.floats(allow_nan=False, allow_infinity=False), _SIGNED_LOG_UNIFORM),
+            min_size=1,
+            max_size=60,
+        ),
         decades=st.tuples(st.integers(plotting._MIN_DECADE, 300), st.integers(1, 20)).map(lambda d: (d[0], d[0] + d[1])),
     )
     def test_bulk_points_are_the_per_point_text(self, ys, decades):
-        ys = np.array(ys)
+        # the points a plot can ask for: finite, and none above its top decade,
+        # which emit_plot takes at or above the highest mean + std
+        ys = np.minimum(ys, 10.0 ** min(decades[1], 308))
         xs = np.arange(1.0, ys.size + 1)
         x_range = (1.0, float(ys.size))
         assert plotting._pixel_points(xs, ys, x_range, decades) == pixel_points(xs, ys, x_range, decades)
+
+    # a plot's corners; exact ties x.125, x.375, x.625 and x.875, which round
+    # half to even; x.xx5's neighbours one ulp either side, at both digit counts
+    @example(points=[(24.0, 24.0), (696.0, 696.0), (24.0, 696.0)])
+    @example(points=[(24.125, 24.375), (99.625, 99.875), (100.125, 695.875)])
+    @example(
+        points=[
+            (math.nextafter(24.005, 0.0), math.nextafter(24.005, 1000.0)),
+            (math.nextafter(99.995, 0.0), math.nextafter(99.995, 1000.0)),
+            (math.nextafter(695.995, 0.0), math.nextafter(695.995, 1000.0)),
+            (24.005, 99.995),
+        ]
+    )
+    @given(points=st.lists(st.tuples(_PIXEL, _PIXEL), min_size=1, max_size=40))
+    def test_two_decimals_is_percent_format(self, points):
+        px, py = np.array(points).T
+        assert plotting._two_decimals(px, py) == ["%.2f,%.2f" % point for point in points]
 
     def test_reference_plot_is_well_formed(self, reference_bundle):
         root = ET.parse(reference_bundle.plot_path).getroot()

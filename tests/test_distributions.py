@@ -216,7 +216,7 @@ class TestClosedForm:
         game = QuadraticCounterexampleGame(a=2.0, b=1.5, c=0.3, d=0.7)
         x = np.array([0.4, 1.1])
         for agent in (0, 1):
-            c0, s, _, _ = game.affine_noise(agent, x)
+            c0, s = game.cost_line(agent, x)
             law = Uniform(c0, c0 + s * 0.7)
             for alpha in (0.2, 0.5, 1.0):
                 assert game.exact_var(agent, x, alpha) == pytest.approx(law.var(alpha), abs=1e-12)

@@ -154,14 +154,15 @@ class TestCostAndGradient:
         assert worst <= bound + 1e-9
         assert game.grad_bound == pytest.approx(bound)
 
-    def test_affine_noise_reproduces_batches(self):
-        # bit-exact, since the learning loop reads the VaR off these coefficients
+    def test_lines_reproduce_batches(self):
+        # bit-exact, since the learning loop steps along the gradient line and
+        # reads the VaR off the cost line
         xi_batch = np.random.default_rng(4).uniform(0, 1, size=50)
         for game in (COURNOT, COUNTER, QuadraticCounterexampleGame(a=2.0, b=1.5, c=-0.5, d=0.7)):
             upper = game.action_sets[0].upper
             for x in (np.array([0.3, 0.6]) * upper, np.array([0.0, upper])):
                 for agent in (0, 1):
-                    c0, s, g0, g1 = game.affine_noise(agent, x)
+                    (c0, s), (g0, g1) = game.cost_line(agent, x), game.gradient_line(agent, x)
                     assert s >= 0
                     assert np.array_equal(c0 + xi_batch * s, game.cost_batch(agent, x, xi_batch))
                     assert np.array_equal(g0 + g1 * xi_batch, game.grad_batch(agent, x, xi_batch))
@@ -207,7 +208,7 @@ class TestClosedFormsAgainstMonteCarlo:
 
 
 class TestDerivedClosedForms:
-    """The closed forms derived from ``affine_noise`` against the docstring formulas."""
+    """The closed forms derived from the cost and gradient lines against the docstring formulas."""
 
     @settings(max_examples=200, deadline=None)
     @given(

@@ -52,25 +52,42 @@ class NegativeSlopeGame(AffineNoiseGame):
     def noise_distribution(self, agent):
         return Uniform(0.0, 1.0)
 
-    def affine_noise(self, agent, x):
-        return x[agent], -x[agent], 1.0, -1.0
+    def cost_line(self, agent, x):
+        return x[agent], -x[agent]
+
+    def gradient_line(self, agent, x):
+        return 1.0, -1.0
 
 
 class LateNegativeSlopeGame(NegativeSlopeGame):
     """Agent 1's slope x_1 - 0.45 is positive at the centre; every gradient is
     at least 1, so the first step takes x_1 below 0.45."""
 
-    def affine_noise(self, agent, x):
-        return x[agent], x[agent] - 0.45 * agent, 1.0, 1.0
+    def cost_line(self, agent, x):
+        return x[agent], x[agent] - 0.45 * agent
+
+    def gradient_line(self, agent, x):
+        return 1.0, 1.0
 
 
 class IntAgentCournotGame(CournotGame):
-    """Cournot, but ``affine_noise`` refuses an agent that is not a Python int."""
+    """Cournot, but each line refuses an agent that is not a Python int and counts its calls."""
 
-    def affine_noise(self, agent, x):
+    def __init__(self):
+        self.calls = {"cost_line": 0, "gradient_line": 0}
+
+    def _ask(self, line, agent):
         if type(agent) is not int:
-            raise TypeError(f"affine_noise takes an int agent, got {type(agent).__name__}")
-        return super().affine_noise(agent, x)
+            raise TypeError(f"{line} takes an int agent, got {type(agent).__name__}")
+        self.calls[line] += 1
+
+    def cost_line(self, agent, x):
+        self._ask("cost_line", agent)
+        return super().cost_line(agent, x)
+
+    def gradient_line(self, agent, x):
+        self._ask("gradient_line", agent)
+        return super().gradient_line(agent, x)
 
 
 ALGORITHMS = ("algorithm1", "unbiased-fo")
@@ -352,7 +369,7 @@ class TestRunLoop:
             assert np.array_equal(trace.actions[0], start)
             assert np.array_equal(trace.actions, run(GAME, ALPHAS, 20, x0=start, seed=14).actions)
 
-    def test_negative_affine_noise_slope_rejected(self):
+    def test_negative_noise_slope_rejected(self):
         with pytest.raises(ValueError, match=r"^agent 0 at episode 1: .* slope, got -0\.5$"):
             run_algorithm1(NegativeSlopeGame(), ALPHAS, 5, seed=0)
         # a slope that turns negative after the start is named where it first does
@@ -364,13 +381,17 @@ class TestRunLoop:
         assert trace.horizon == len(trace.actions) == 10
         assert trace.err_sq == pytest.approx(((trace.actions - NE) ** 2).sum(axis=1))
 
-    def test_affine_noise_is_asked_for_one_int_agent_at_a_time(self):
+    def test_lines_are_asked_for_one_int_agent_at_a_time(self):
         # the game contract has one calling convention: an int agent, never
-        # an array of agents, in the play, the VaR read-off and the Lemma-4 constants
-        strict, plain = IntAgentCournotGame(), CournotGame()
+        # an array of agents, in the play, the VaR read-off and the Lemma-4
+        # constants; the play asks only for the gradient line, once per agent
+        # and episode, and the read-off only for the cost line, once per agent
+        plain = CournotGame()
         for run in (run_algorithm1, run_unbiased_baseline):
             for window in (None, 7):
+                strict = IntAgentCournotGame()
                 got = run(strict, ALPHAS, 60, seed=9, window=window)
+                assert strict.calls == {"cost_line": 2, "gradient_line": 2 * 60}
                 want = run(plain, ALPHAS, 60, seed=9, window=window)
                 for field in ("actions", "nu", "nu_star", "err_sq"):
                     assert np.array_equal(getattr(got, field), getattr(want, field)), field
@@ -415,13 +436,13 @@ class TestSortedNoise:
     own_strategy = st.one_of(st.sampled_from([0.0, 1e-17, 1.0]), st.floats(0.0, 1.0))
 
     @staticmethod
-    def loop_estimate(coeffs, tails, t, size, alpha, nu=None):
+    def loop_estimate(game, agent, x, tails, t, size, alpha, nu=None):
         """The run loop's (VaR, tail count, gradient) at episode t over ``size`` draws.
 
         ``tails`` is ``_rank_tails``' (lowest draw, size, sum) when ``nu`` is
         None, else ``quantile_tails``' (size, sum).
         """
-        c0, s, g0, g1 = coeffs
+        (c0, s), (g0, g1) = game.cost_line(agent, x), game.gradient_line(agent, x)
         *low, count, total = (a[t - 1] for a in tails)
         g = (count * g0 + g1 * total) / (size * alpha)
         return (c0 + low[0] * s if nu is None else nu), count, g
@@ -456,7 +477,6 @@ class TestSortedNoise:
             window_kind
         ]
         history = np.array(draws)
-        coeffs = GAME.affine_noise(agent, x)
         # a threshold at a replayed (cost, draw) pair ties with that cost exactly;
         # the exact one is (VaR, noise quantile)
         row = data.draw(st.integers(0, horizon - 1))
@@ -473,7 +493,7 @@ class TestSortedNoise:
                 tails = quantile_tails(history, q, window)
             for t in range(1, horizon + 1):
                 kept = history[0 if window is None else max(0, t - window) : t]
-                fast = self.loop_estimate(coeffs, tails, t, len(kept), alpha, nu)
+                fast = self.loop_estimate(GAME, agent, x, tails, t, len(kept), alpha, nu)
                 self.assert_same(fast, _replay_gradient(GAME, agent, x, kept, alpha, threshold))
                 if threshold is None:
                     assert fast[1] == len(kept) - _tail_start(len(kept), alpha) + 1
@@ -499,7 +519,7 @@ class TestSortedNoise:
         q = game.noise_distribution(0).var(alpha)
         nu = game.exact_var(0, x, alpha) if baseline else None
         tails = quantile_tails(draws, q, None) if baseline else _rank_tails(draws, alpha, None)
-        fast = self.loop_estimate(game.affine_noise(0, x), tails, t, t, alpha, nu)
+        fast = self.loop_estimate(game, 0, x, tails, t, t, alpha, nu)
         replay = unbiased_cvar_gradient if baseline else cvar_gradient_estimate
         self.assert_same(fast, replay(game, 0, x, draws, alpha))
         if baseline:
