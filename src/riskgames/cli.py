@@ -19,8 +19,10 @@ reads a trial file back in one grammar: one header line, then T rows of
 ``"\\n"``, with no whitespace, comments, blank lines or CRLF endings.
 orjson parses a chunk of rows at a time and only accepts; one walk of
 the rows explains a refusal, naming its row, and its column if a cell.
-``--workers`` must be at least 1; only a run that starts a process pool
-imports its module. Progress goes to stderr; data only to files.
+``--workers`` must be at least 1. A run with more than one worker forks
+its workers straight from the running process, one pinned to each CPU,
+and deals them the trials in a fixed order; where there is no
+``os.fork`` it runs serially. Progress goes to stderr; data only to files.
 """
 
 from __future__ import annotations
@@ -30,6 +32,9 @@ import csv
 import math
 import numbers
 import os
+import pickle
+import re
+import signal
 import sys
 from dataclasses import dataclass, fields, is_dataclass
 from itertools import islice
@@ -227,10 +232,23 @@ def validate_config(raw: dict) -> ExperimentConfig:
     )
 
 
+class _ConfigLoader(yaml.SafeLoader):
+    """``yaml.SafeLoader`` that also reads ``1e-3`` and ``2E+1`` as floats.
+
+    YAML 1.1's float needs a dot, so those would stay strings, and so
+    would the ``1e-05`` that ``json.dump`` writes for a small float.
+    """
+
+
+_ConfigLoader.add_implicit_resolver(
+    "tag:yaml.org,2002:float", re.compile(r"^[-+]?[0-9]+(\.[0-9]*)?[eE][-+]?[0-9]+$"), list("-+0123456789")
+)
+
+
 def load_config(path) -> ExperimentConfig:
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            raw = yaml.safe_load(fh)
+            raw = yaml.load(fh, Loader=_ConfigLoader)
         except yaml.YAMLError as exc:
             raise ConfigError(f"config: not valid YAML ({exc})") from None
         except UnicodeDecodeError as exc:
@@ -276,18 +294,108 @@ def _run_trial(config: ExperimentConfig, column) -> RunTrace:
 
 
 def _run_trials(config: ExperimentConfig, columns, workers: int):
-    """Each column's trace, in column order; one pool task per trial when
-    parallel, and only then is the pool's module imported."""
-    if workers > 1 and len(columns) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=min(workers, len(columns))) as pool:
-            yield from pool.map(_run_trial, [config] * len(columns), columns)
-    else:
+    """Each column's trace, in column order, from ``workers`` forked children.
+
+    With one worker, or one column, the trials run here, one after
+    another. Otherwise child w is forked straight from this process,
+    pinned to the w-th CPU of its affinity set, and plays the columns
+    w, w + W, w + 2W, ... of the W = min(``workers``, columns) children.
+    It pickles each trace, or the exception its trial raised, to a pipe
+    of its own, and ends in ``os._exit`` on every path, so it never
+    returns into its caller's frames. Column j is read from child
+    j mod W, so traces arrive in column order, and a trial's exception is
+    raised here in its column's place. A child that ends before it
+    reports is a ``RuntimeError`` naming the column and the child's exit
+    status. However the generator ends, each child is reaped; unless
+    every trace was read, each is killed first.
+    """
+    workers = min(workers, len(columns))
+    if workers < 2:
         yield from map(_run_trial, [config] * len(columns), columns)
+        return
+    # pinning is best effort: a CPU set without an affinity call, or a CPU
+    # that sched_setaffinity refuses, leaves the child unpinned
+    cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else None
+    pids, readers, finished = [], [], False
+    try:
+        for w in range(workers):
+            read_fd, write_fd = os.pipe()
+            readers.append(os.fdopen(read_fd, "rb"))
+            pid = -1
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    cpu = None if cpus is None else cpus[w % len(cpus)]
+                    _report_trials(config, columns[w::workers], write_fd, readers, cpu)
+            finally:
+                if pid == 0:  # _report_trials did not get to its own os._exit
+                    os._exit(1)
+                os.close(write_fd)
+            pids.append(pid)
+        for j, column in enumerate(columns):
+            try:
+                ok, value = pickle.load(readers[j % workers])
+            except (EOFError, pickle.UnpicklingError):
+                _, status = os.waitpid(pids[j % workers], 0)
+                pids[j % workers] = None
+                raise RuntimeError(
+                    f"trial {column[0]} {column[1]}: its worker exited with status "
+                    f"{os.waitstatus_to_exitcode(status)} before it reported"
+                ) from None
+            if not ok:
+                raise value
+            # with the last trace read, every child is ending on its own
+            finished = j == len(columns) - 1
+            yield value
+    finally:  # kill before closing the pipes, or a child writing to one would report a broken pipe
+        for pid in filter(None, pids):
+            if not finished:
+                os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        for reader in readers:
+            reader.close()
+
+
+def _report_trials(config: ExperimentConfig, columns, write_fd: int, readers, cpu) -> None:
+    """A forked child's whole life: play ``columns``, pickle each outcome to ``write_fd``, then exit."""
+    status = 1
+    try:
+        # the parent's pipe ends, this child's own among them: held here,
+        # they would keep a pipe whole after the parent is gone, and its
+        # writer blocked for good
+        for reader in readers:
+            reader.close()
+        if cpu is not None:
+            try:
+                os.sched_setaffinity(0, {cpu})
+            except (AttributeError, OSError):
+                pass
+        with os.fdopen(write_fd, "wb") as out:
+            for column in columns:
+                try:
+                    outcome = (True, _run_trial(config, column))
+                except Exception as exc:  # raised again in the parent, in its column's place
+                    outcome = (False, exc)
+                out.write(pickle.dumps(outcome, pickle.HIGHEST_PROTOCOL))
+                out.flush()
+                if not outcome[0]:
+                    break
+        status = 0
+    except Exception:  # the parent names the column; the traceback says why
+        sys.excepthook(*sys.exc_info())
+    finally:
+        os._exit(status)
 
 
 def _usable_cpus() -> int:
-    """The CPUs this process may run on: its affinity set where the OS has one."""
+    """The CPUs a run may spread its trials over.
+
+    This process's affinity set where the OS has one, else its CPU count.
+    Where there is no ``os.fork`` to start a worker with, as on Windows,
+    it is 1, so the run is serial: there is no second, spawn-based runner.
+    """
+    if not hasattr(os, "fork"):
+        return 1
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
@@ -586,15 +694,17 @@ def run_experiment(
     """Execute all configured trials and write the output bundle.
 
     Each (algorithm, trial) pair is one ``run_algorithm1`` or
-    ``run_unbiased_baseline`` call. Trials run in parallel up to ``workers``,
-    capped at the CPUs this process may run on, one pool task per trial. Each
-    trial's file is written as its trace arrives, before its
-    ``progress`` line. A trial's trace depends only on the config and
-    its index, and traces arrive in (algorithm, trial) order, so the
-    artifacts do not depend on scheduling; the pool's module is loaded
-    only when a pool starts. ``workers`` that is a bool, not an integer
-    (``1.5`` and ``2.0`` included) or below 1 is a ``ValueError``, raised
-    before any directory is made.
+    ``run_unbiased_baseline`` call. The run starts min(``workers``, usable
+    CPUs, pairs) processes, the count its first ``progress`` line names;
+    beyond one, ``_run_trials`` forks that many children, each pinned to
+    a CPU and given every W-th pair, and where there is no ``os.fork``
+    the run is serial. Each trial's file is written here as its trace
+    arrives, before its ``progress`` line. A trial's trace depends only
+    on the config and its index, and traces arrive in (algorithm, trial)
+    order, so the artifacts do not depend on scheduling. However the run
+    ends, no child outlives it. ``workers`` that is a bool, not an
+    integer (``1.5`` and ``2.0`` included) or below 1 is a
+    ``ValueError``, raised before any directory is made.
 
     ``out_dir`` may hold an earlier bundle, whose files the run
     overwrites. A file there that the run would not overwrite, a trial
@@ -629,17 +739,21 @@ def run_experiment(
         if progress is not None:
             print(msg, file=progress)
 
-    # a process pool starts all its workers at once
-    workers = min(workers, _usable_cpus())
+    # the processes the run starts: no more than a CPU or a column each
+    workers = min(workers, _usable_cpus(), len(columns))
     say(f"running {len(columns)} trials ({config.game}, T={config.horizon}, workers={workers})")
     traces = {alg: [] for alg in config.algorithms}
     trial_paths = {}
-    for n, ((alg, idx), trace) in enumerate(zip(columns, _run_trials(config, columns, workers)), 1):
-        path = os.path.join(trials_dir, trial_filename(alg, idx))
-        write_trace_csv(trace, path)
-        trial_paths[(alg, idx)] = path
-        traces[alg].append(trace)
-        say(f"trial {n}/{len(columns)} done: {alg} {idx}")
+    trials = _run_trials(config, columns, workers)
+    try:
+        for n, ((alg, idx), trace) in enumerate(zip(columns, trials), 1):
+            path = os.path.join(trials_dir, trial_filename(alg, idx))
+            write_trace_csv(trace, path)
+            trial_paths[(alg, idx)] = path
+            traces[alg].append(trace)
+            say(f"trial {n}/{len(columns)} done: {alg} {idx}")
+    finally:  # reaps the children now, though a kept traceback holds this frame
+        trials.close()
 
     aggregates = {alg: _aggregate(traces[alg]) for alg in config.algorithms}
     aggregate_path = None

@@ -5,8 +5,9 @@ a 20-trial reference experiment (both algorithms, T = 5000) and a
 50-seed batch of long Algorithm-1 runs (T = 10^4). They are built once
 per session, in parallel, and reused by the learning, analysis, and
 acceptance tests. Both go through the experiment runner's scheduler:
-each pool task plays one run on the rank engine, ``learning._run``,
-which the learning tests hold equal to the replay oracle.
+it forks one child per worker, pinned to a CPU of its own, and each
+child plays every W-th run on the rank engine, ``learning._run``, which
+the learning tests hold equal to the replay oracle.
 """
 
 import pytest

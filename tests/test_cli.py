@@ -1,17 +1,19 @@
-import concurrent.futures
 import csv
 import hashlib
 import inspect
 import io
+import json
 import math
 import os
 import re
+import signal
 import struct
 import subprocess
 import sys
 import tempfile
 import tracemalloc
 import xml.etree.ElementTree as ET
+from contextlib import contextmanager
 from dataclasses import fields, replace
 from decimal import Decimal
 from pathlib import Path
@@ -220,26 +222,51 @@ def pin_cpus(monkeypatch, count):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
 
 
-def record_pool_sizes(monkeypatch) -> list:
-    """Swap the process pool for an in-process one; the list gets each pool's size."""
-    sizes = []
+def record_forks(monkeypatch) -> list:
+    """Count the processes a run forks: the list gets the forking pid once per ``os.fork``."""
+    forks, fork = [], os.fork
 
-    class RecordingPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
+    def counted():
+        forks.append(os.getpid())
+        return fork()
 
-        def __enter__(self):
-            return self
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
 
-        def __exit__(self, *exc):
-            return False
 
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
+@contextmanager
+def time_limit(seconds: float):
+    """End the block with a ``TimeoutError`` in place of a hang, after ``seconds``."""
 
-    # the pool's branch imports it from here when a pool starts
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    return sizes
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def assert_no_child_left():
+    """This process has no child left, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+# each numeric config field as YAML text around a number's literal, and how
+# to read the field back from the config
+NUMERIC_FIELDS = [
+    ("a", "game: quadratic-counterexample\na: {}\n", lambda cfg: dict(cfg.game_params)["a"]),
+    ("b", "game: quadratic-counterexample\nb: {}\n", lambda cfg: dict(cfg.game_params)["b"]),
+    ("c", "game: quadratic-counterexample\nc: {}\n", lambda cfg: dict(cfg.game_params)["c"]),
+    ("d", "game: quadratic-counterexample\nd: {}\n", lambda cfg: dict(cfg.game_params)["d"]),
+    ("eta", "game: cournot\neta: {}\n", lambda cfg: cfg.eta),
+    ("alphas[1]", "game: cournot\nalphas: [0.4, {}]\n", lambda cfg: cfg.alphas[1]),
+    ("x0[0]", "game: cournot\nx0: [{}, 0.5]\n", lambda cfg: cfg.x0[0]),
+]
 
 
 class TestValidateConfig:
@@ -334,6 +361,49 @@ class TestValidateConfig:
         assert cfg.window is None
         cfg = validate_config({"game": "cournot", "T": 10, "window": 25})
         assert cfg.window == 25
+
+    @pytest.mark.parametrize("literal", ["1e-3", "2E+1"])
+    @pytest.mark.parametrize("field,text,read", NUMERIC_FIELDS, ids=[f[0] for f in NUMERIC_FIELDS])
+    def test_an_exponent_without_a_dot_is_a_number(self, tmp_path, field, text, read, literal):
+        # YAML 1.1 reads 1e-3 as a string; the config loader reads it as
+        # JSON and YAML 1.2 do. 20 is outside an alpha's range and the box
+        path = tmp_path / "config.yaml"
+        path.write_text(text.format(literal) + "T: 10\n", encoding="utf-8")
+        out_of_range = {
+            ("alphas[1]", "2E+1"): "alphas[1]: must be in (0, 1], got 20.0",
+            ("x0[0]", "2E+1"): "x0: outside the action boxes",
+        }
+        if (field, literal) in out_of_range:
+            with pytest.raises(ConfigError, match=re.escape(out_of_range[field, literal])):
+                load_config(str(path))
+        else:
+            assert read(load_config(str(path))) == float(literal)
+
+    @pytest.mark.parametrize("field,text,read", NUMERIC_FIELDS, ids=[f[0] for f in NUMERIC_FIELDS])
+    def test_an_overflowing_exponent_is_not_finite(self, tmp_path, field, text, read):
+        path = tmp_path / "config.yaml"
+        path.write_text(text.format("1e400") + "T: 10\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match=re.escape(f"{field}: must be finite, got inf")):
+            load_config(str(path))
+
+    def test_a_quoted_exponent_stays_a_string(self, tmp_path):
+        path = tmp_path / "config.yaml"
+        path.write_text("game: cournot\nT: 10\neta: '1e5'\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match=re.escape("eta: expected a number, got '1e5'")):
+            load_config(str(path))
+
+    def test_a_config_that_json_dump_wrote_loads(self, tmp_path):
+        # json.dump writes 1e-05 for a small float, YAML 1.1 a string
+        raw = {"game": "quadratic-counterexample", "T": 10, "eta": 1e-05, "a": 1e-50, "x0": [5e-1, 0.5]}
+        path = tmp_path / "config.yaml"
+        path.write_text(json.dumps(raw), encoding="utf-8")
+        assert '"eta": 1e-05' in path.read_text(encoding="utf-8")
+        cfg = load_config(str(path))
+        assert (cfg.eta, dict(cfg.game_params)["a"], cfg.x0) == (1e-05, 1e-50, (0.5, 0.5))
+        # and the resolved document, as a run writes it, loads back to the same config
+        resolved = tmp_path / "resolved.yaml"
+        resolved.write_text(yaml.safe_dump(resolved_document(cfg), sort_keys=False), encoding="utf-8")
+        assert load_config(str(resolved)) == cfg
 
     def test_resolved_document_round_trips(self):
         for raw in (
@@ -718,14 +788,15 @@ class TestBundle:
                     assert a.read() == b.read()
 
     def test_workers_capped_at_cpu_count(self, tmp_path, monkeypatch):
-        # a process pool starts all its workers at once, so --workers 500
-        # must not fork 500 processes
-        sizes = record_pool_sizes(monkeypatch)
+        # a run forks all its workers at once, so --workers 500 must not
+        # fork 500 processes
+        forks = record_forks(monkeypatch)
         pin_cpus(monkeypatch, 2)
         cfg = validate_config(dict(SMALL_RAW))
         serial = run_experiment(cfg, out_dir=str(tmp_path / "serial"), workers=1)
+        assert forks == []
         wide = run_experiment(cfg, out_dir=str(tmp_path / "wide"), workers=500)
-        assert sizes and max(sizes) <= 2
+        assert 0 < len(forks) <= 2
         assert wide.trial_paths.keys() == serial.trial_paths.keys()
         for key, path in serial.trial_paths.items():
             with open(path, "rb") as a, open(wide.trial_paths[key], "rb") as b:
@@ -736,7 +807,7 @@ class TestBundle:
         # under taskset or a container's CPU set the process may run on
         # fewer CPUs than the host has; without an affinity call the CPU
         # count is the cap
-        sizes = record_pool_sizes(monkeypatch)
+        forks = record_forks(monkeypatch)
         monkeypatch.setattr(os, "cpu_count", lambda: 8 if affinity else 3)
         if affinity:
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 5, 6}, raising=False)
@@ -744,7 +815,7 @@ class TestBundle:
             monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         cfg = validate_config(dict(SMALL_RAW))
         run_experiment(cfg, out_dir=str(tmp_path / "out"), workers=8)
-        assert sizes == [3]
+        assert len(forks) == 3
 
     @pytest.mark.parametrize("workers", [1, 2, 3, 8])
     def test_one_progress_line_per_trial(self, tmp_path, capsys, monkeypatch, workers):
@@ -753,7 +824,8 @@ class TestBundle:
         cfg = validate_config(dict(SMALL_RAW))
         run_experiment(cfg, out_dir=str(tmp_path / "out"), workers=workers, progress=progress)
         lines = progress.getvalue().splitlines()
-        assert lines[0] == f"running 4 trials (cournot, T=40, workers={workers})"
+        # the processes the run starts: no more than one per trial
+        assert lines[0] == f"running 4 trials (cournot, T=40, workers={min(workers, 4)})"
         done = [line for line in lines if line.startswith("trial ")]
         # in (algorithm, trial) order, whatever the scheduling
         assert done == [
@@ -783,6 +855,105 @@ class TestBundle:
         cfg = validate_config(dict(SMALL_RAW))
         run_experiment(cfg, out_dir=str(tmp_path / "out"), workers=workers, progress=Progress())
         assert len(seen) == 4
+
+    def test_a_run_of_one_trial_is_serial_and_says_so(self, tmp_path, monkeypatch):
+        forks = record_forks(monkeypatch)
+        pin_cpus(monkeypatch, 2)
+        progress = io.StringIO()
+        cfg = validate_config({**SMALL_RAW, "trials": 1, "algorithms": ["algorithm1"]})
+        run_experiment(cfg, out_dir=str(tmp_path / "out"), workers=2, progress=progress)
+        assert progress.getvalue().splitlines()[0] == "running 1 trials (cournot, T=40, workers=1)"
+        assert forks == []
+
+    def test_without_fork_a_run_is_serial(self, tmp_path, monkeypatch):
+        # where there is no os.fork, as on Windows, one CPU is usable
+        pin_cpus(monkeypatch, 4)
+        monkeypatch.delattr(os, "fork")
+        progress = io.StringIO()
+        cfg = validate_config(dict(SMALL_RAW))
+        serial = run_experiment(cfg, out_dir=str(tmp_path / "serial"), workers=1)
+        run = run_experiment(cfg, out_dir=str(tmp_path / "out"), workers=4, progress=progress)
+        assert progress.getvalue().splitlines()[0] == "running 4 trials (cournot, T=40, workers=1)"
+        for key, path in serial.trial_paths.items():
+            assert Path(path).read_bytes() == Path(run.trial_paths[key]).read_bytes()
+
+    @pytest.mark.skipif(
+        not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2, reason="needs 2 usable CPUs"
+    )
+    def test_each_worker_is_a_process_pinned_to_a_cpu_of_its_own(self, monkeypatch):
+        # forked children inherit this fake: each column reports where it ran
+        monkeypatch.setattr(cli, "_run_trial", lambda config, column: (os.getpid(), os.sched_getaffinity(0)))
+        cfg = validate_config(dict(SMALL_RAW))
+        columns = [("algorithm1", idx) for idx in range(4)]
+        with time_limit(60):
+            where = list(cli._run_trials(cfg, columns, 2))
+        assert [pid for pid, _ in where[:2]] == [pid for pid, _ in where[2:]]
+        (pid0, cpus0), (pid1, cpus1) = where[:2]
+        assert len({pid0, pid1, os.getpid()}) == 3
+        assert len(cpus0) == len(cpus1) == 1 and cpus0 != cpus1
+        assert cpus0 | cpus1 <= os.sched_getaffinity(0)
+        assert_no_child_left()
+
+    def test_a_trial_that_raises_in_a_worker_raises_in_its_place(self, tmp_path, monkeypatch):
+        # the third of four trials raises in a child; the two before it are
+        # written, with their progress lines, and the fourth is not
+        pin_cpus(monkeypatch, 2)
+        here, run_trial = os.getpid(), cli._run_trial
+
+        def third_raises(config, column):
+            if column == ("unbiased-fo", 0):
+                raise ValueError(f"trial failed in process {os.getpid()}")
+            return run_trial(config, column)
+
+        monkeypatch.setattr(cli, "_run_trial", third_raises)
+        progress = io.StringIO()
+        out = tmp_path / "out"
+        with time_limit(60), pytest.raises(ValueError, match=r"trial failed in process \d+") as err:
+            run_experiment(validate_config(dict(SMALL_RAW)), out_dir=str(out), workers=2, progress=progress)
+        assert str(err.value) != f"trial failed in process {here}"
+        assert sorted(os.listdir(out / "trials")) == [trial_filename("algorithm1", idx) for idx in range(2)]
+        done = progress.getvalue().splitlines()[1:]
+        assert done == ["trial 1/4 done: algorithm1 0", "trial 2/4 done: algorithm1 1"]
+        assert_no_child_left()
+
+    def test_a_worker_that_dies_is_an_error_naming_its_trial(self, tmp_path, monkeypatch):
+        pin_cpus(monkeypatch, 2)
+        here, run_trial = os.getpid(), cli._run_trial
+
+        def third_dies(config, column):
+            if column == ("unbiased-fo", 0):
+                if os.getpid() == here:  # a serial run must not end this process
+                    raise AssertionError("the trial ran in the parent")
+                os._exit(3)
+            return run_trial(config, column)
+
+        monkeypatch.setattr(cli, "_run_trial", third_dies)
+        message = "trial unbiased-fo 0: its worker exited with status 3 before it reported"
+        with time_limit(60), pytest.raises(RuntimeError, match=re.escape(message)):
+            run_experiment(validate_config(dict(SMALL_RAW)), out_dir=str(tmp_path / "out"), workers=2)
+        assert_no_child_left()
+
+    def test_no_worker_outlives_its_run(self, tmp_path, monkeypatch):
+        # after a whole run, a run whose trial file cannot be written, and
+        # a generator closed after its first trace, every child is reaped
+        pin_cpus(monkeypatch, 2)
+        cfg = validate_config({**SMALL_RAW, "trials": 4})
+
+        def refuse(trace, path):
+            raise OSError(f"cannot write {path}")
+
+        with time_limit(60):
+            run_experiment(cfg, out_dir=str(tmp_path / "whole"), workers=2)
+            assert_no_child_left()
+            with monkeypatch.context() as patched:
+                patched.setattr(cli, "write_trace_csv", refuse)
+                with pytest.raises(OSError, match="cannot write"):
+                    run_experiment(cfg, out_dir=str(tmp_path / "refused"), workers=2)
+            assert_no_child_left()
+            trials = cli._run_trials(cfg, [("algorithm1", idx) for idx in range(4)], 2)
+            assert next(trials).horizon == cfg.horizon
+            trials.close()
+            assert_no_child_left()
 
     def test_serial_trials_call_the_public_runners(self, tmp_path, monkeypatch):
         # a wrapper on cli's names sees every serial trial, as the
@@ -1420,8 +1591,8 @@ def test_importing_the_cli_leaves_out_what_no_run_uses():
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_only_a_process_that_starts_a_pool_loads_multiprocessing(tmp_path, workers):
-    # a one-worker run, report and validate start no pool, so they leave
-    # its import out; a two-worker run on 2 CPUs starts one and loads it
+    # no command starts a process pool: a run of one worker or two (which
+    # forks its workers itself), report and validate load no pool module
     config = write_config(tmp_path, SMALL_RAW)
     code = (
         "import os, sys; import riskgames.cli as cli\n"
@@ -1430,13 +1601,10 @@ def test_only_a_process_that_starts_a_pool_loads_multiprocessing(tmp_path, worke
         "cli.run_experiment(cli.load_config(config), out_dir=out, workers=workers)\n"
         "assert cli.main(['report', '--bundle', out]) == 0\n"
         "assert cli.main(['validate', '--config', config]) == 0\n"
-        "print(sorted(m for m in sys.modules if m.startswith('multiprocessing') or m == 'concurrent.futures.process'))"
+        "print(sorted(m for m in sys.modules if m.startswith(('multiprocessing', 'concurrent'))))"
     )
     loaded = _fresh_python(code, config, str(tmp_path / "out"), str(workers)).splitlines()[-1]
-    if workers == 1:
-        assert loaded == "[]"
-    else:
-        assert "'concurrent.futures.process'" in loaded and "'multiprocessing'" in loaded
+    assert loaded == "[]"
 
 
 def test_lemma3_rows_need_no_draws(tmp_path):
