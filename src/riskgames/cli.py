@@ -7,22 +7,23 @@ Subcommands:
     riskgames report --bundle DIR [--strict]
 
 A run executes every configured algorithm for the configured number of
-trials (seeds split deterministically from the master seed), then writes
-per-trial trace CSVs, an aggregate CSV, a convergence SVG, a bound
-report CSV, and the resolved config. Re-running an identical config
-byte-reproduces the CSVs. The trial and aggregate CSVs hold only finite
-numbers, in orjson's shortest text, and their writer refuses any other;
-any layout orjson picks reads back to the same float64, and the tests
-pin the bytes of the orjson version they run under. ``report``
-reads a trial file back in one grammar: one header line, then T rows of
-``t`` and the cells as JSON numbers in any layout, each ended by
-``"\\n"``, with no whitespace, comments, blank lines or CRLF endings.
-orjson parses a chunk of rows at a time and only accepts; one walk of
-the rows explains a refusal, naming its row, and its column if a cell.
-``--workers`` must be at least 1. A run with more than one worker forks
-its workers straight from the running process, one pinned to each CPU,
-and deals them the trials in a fixed order; where there is no
-``os.fork`` it runs serially. Progress goes to stderr; data only to files.
+trials (seeds split deterministically from the master seed) and writes
+a bundle, one directory of these files:
+
+    trials/<alg>-trialNNN.csv  the trace of <alg>'s trial NNN: ``run`` writes, ``report`` reads
+    aggregate.csv              mean and std error per algorithm: ``run`` writes
+    convergence.svg            mean distance per algorithm: ``run`` writes
+    bounds.csv                 the bound rows: ``run`` writes, ``report`` rewrites
+    config.yaml                the resolved config: ``run`` writes, ``report`` reads
+
+A game with no unique equilibrium has no ``aggregate.csv`` or
+``convergence.svg``. Re-running an identical config byte-reproduces the
+CSVs. The trial and aggregate CSVs hold only finite numbers, in orjson's
+shortest text, which reads back to the same float64; the tests pin the
+bytes of the orjson version they run under. ``report`` reads a trial file
+in the grammar ``read_trace_csv`` states. ``--workers`` must be at least
+1; ``run_experiment`` says how a run shares its trials out. Progress goes
+to stderr; data only to files.
 """
 
 from __future__ import annotations
@@ -145,7 +146,8 @@ def validate_config(raw: dict) -> ExperimentConfig:
     _require(isinstance(raw, dict), f"config: expected a mapping, got {type(raw).__name__}")
     unknown = set(raw) - _KNOWN_KEYS
     if unknown:
-        raise ConfigError(f"config: unknown key {sorted(unknown)[0]!r}")
+        # keys of mixed types do not sort; the first by text is named
+        raise ConfigError(f"config: unknown key {min(unknown, key=str)!r}")
 
     game = raw.get("game")
     _require(game is not None, "game: required")
@@ -233,11 +235,25 @@ def validate_config(raw: dict) -> ExperimentConfig:
 
 
 class _ConfigLoader(yaml.SafeLoader):
-    """``yaml.SafeLoader`` that also reads ``1e-3`` and ``2E+1`` as floats.
+    """``yaml.SafeLoader`` that also reads ``1e-3`` and ``2E+1`` as floats,
+    and refuses a mapping that names a key twice.
 
     YAML 1.1's float needs a dot, so those would stay strings, and so
-    would the ``1e-05`` that ``json.dump`` writes for a small float.
+    would the ``1e-05`` that ``json.dump`` writes for a small float. A repeated
+    key would silently take its last value; merge keys (``<<``) are not
+    checked, so an explicit key still overrides a merged one.
     """
+
+    def construct_mapping(self, node, deep=False):
+        explicit = [key_node for key_node, _ in node.value if key_node.tag != "tag:yaml.org,2002:merge"]
+        mapping = super().construct_mapping(node, deep=deep)  # refuses an unhashable key
+        seen = set()
+        for key_node in explicit:
+            key = self.construct_object(key_node, deep=deep)
+            if key in seen:
+                raise yaml.constructor.ConstructorError(None, None, f"found duplicate key {key!r}", key_node.start_mark)
+            seen.add(key)
+        return mapping
 
 
 _ConfigLoader.add_implicit_resolver(
@@ -408,22 +424,32 @@ def _all_passed(reports) -> bool:
 
 @dataclass
 class OutputBundle:
-    """Artifacts of one experiment, both on disk and in memory."""
+    """``out_dir``, where a run wrote its bundle; per algorithm its trials'
+    ``traces``, for analysis; its bound ``reports``, which ``--strict`` judges."""
 
     out_dir: str
-    config: ExperimentConfig
     traces: dict
-    aggregates: dict
     reports: list
-    trial_paths: dict
-    aggregate_path: str | None
-    plot_path: str | None
-    report_path: str
-    config_path: str
+
+    @property
+    def trial_paths(self) -> dict:
+        """Each (algorithm, trial) column's file, as ``perfbench/check.py`` reads them."""
+        trials = len(next(iter(self.traces.values())))
+        return dict(zip(*_trial_files(self.traces, trials, os.path.join(self.out_dir, "trials"))[:2]))
 
 
 def trial_filename(algorithm: str, index: int) -> str:
     return f"{algorithm}-trial{index:03d}.csv"
+
+
+def _trial_files(algorithms, trials: int, trials_dir: str):
+    """A bundle's (algorithm, trial) columns in file order, each column's path in
+    ``trials_dir``, and the sorted paths of the files there that no column names."""
+    columns = [(alg, idx) for alg in algorithms for idx in range(trials)]
+    paths = [os.path.join(trials_dir, trial_filename(alg, idx)) for alg, idx in columns]
+    listed = os.listdir(trials_dir) if os.path.isdir(trials_dir) else []
+    extra = sorted(set(listed).difference(map(os.path.basename, paths)))
+    return columns, paths, [os.path.join(trials_dir, name) for name in extra]
 
 
 # rows per chunk of orjson calls: bounds the bytes a write or a read holds
@@ -600,11 +626,10 @@ def read_trace_csv(path, config: ExperimentConfig) -> RunTrace:
 
 
 def _aggregate(traces: list[RunTrace]) -> dict:
-    out = {}
-    if traces[0].err_sq is not None:
-        out["err_sq"] = AggregateTrace.from_series([t.err_sq for t in traces])
-        out["dist"] = AggregateTrace.from_series([np.sqrt(t.err_sq) for t in traces])
-    return out
+    return {
+        "err_sq": AggregateTrace.from_series([t.err_sq for t in traces]),
+        "dist": AggregateTrace.from_series([np.sqrt(t.err_sq) for t in traces]),
+    }
 
 
 def write_aggregate_csv(aggregates: dict, algorithms, path) -> None:
@@ -720,14 +745,11 @@ def run_experiment(
         raise ValueError(f"workers: must be >= 1, got {workers}")
     out_dir = out_dir or config.out_dir or "out"
     trials_dir = os.path.join(out_dir, "trials")
-    columns = [(alg, idx) for alg in config.algorithms for idx in range(config.trials)]
+    columns, paths, stale = _trial_files(config.algorithms, config.trials, trials_dir)
+    aggregate_csv, plot_svg = (os.path.join(out_dir, name) for name in ("aggregate.csv", "convergence.svg"))
     plotted = build_game(config).nash_equilibrium(config.alphas) is not None
-    listed = os.listdir(trials_dir) if os.path.isdir(trials_dir) else []
-    stale = sorted(set(listed).difference(trial_filename(alg, idx) for alg, idx in columns))
-    stale = [os.path.join(trials_dir, name) for name in stale]
     if not plotted:
-        plots = [os.path.join(out_dir, name) for name in ("aggregate.csv", "convergence.svg")]
-        stale += [path for path in plots if os.path.lexists(path)]
+        stale += [path for path in (aggregate_csv, plot_svg) if os.path.lexists(path)]
     if stale:
         raise FileExistsError(
             f"output directory holds {stale[0]}, which this config does not write; "
@@ -743,72 +765,49 @@ def run_experiment(
     workers = min(workers, _usable_cpus(), len(columns))
     say(f"running {len(columns)} trials ({config.game}, T={config.horizon}, workers={workers})")
     traces = {alg: [] for alg in config.algorithms}
-    trial_paths = {}
     trials = _run_trials(config, columns, workers)
     try:
-        for n, ((alg, idx), trace) in enumerate(zip(columns, trials), 1):
-            path = os.path.join(trials_dir, trial_filename(alg, idx))
+        for n, ((alg, idx), path, trace) in enumerate(zip(columns, paths, trials), 1):
             write_trace_csv(trace, path)
-            trial_paths[(alg, idx)] = path
             traces[alg].append(trace)
             say(f"trial {n}/{len(columns)} done: {alg} {idx}")
     finally:  # reaps the children now, though a kept traceback holds this frame
         trials.close()
 
-    aggregates = {alg: _aggregate(traces[alg]) for alg in config.algorithms}
-    aggregate_path = None
-    plot_path = None
     if plotted:
-        aggregate_path = os.path.join(out_dir, "aggregate.csv")
-        write_aggregate_csv(aggregates, config.algorithms, aggregate_path)
-        plot_path = os.path.join(out_dir, "convergence.svg")
+        aggregates = {alg: _aggregate(traces[alg]) for alg in config.algorithms}
+        write_aggregate_csv(aggregates, config.algorithms, aggregate_csv)
         emit_plot(
             [(alg, aggregates[alg]["dist"]) for alg in config.algorithms],
-            plot_path,
+            plot_svg,
         )
-        say(f"wrote {aggregate_path} and {plot_path}")
+        say(f"wrote {aggregate_csv} and {plot_svg}")
 
     reports = compute_reports(config, traces)
-    report_path = os.path.join(out_dir, "bounds.csv")
-    write_report_csv(reports, report_path)
+    bounds_csv = os.path.join(out_dir, "bounds.csv")
+    write_report_csv(reports, bounds_csv)
 
-    config_path = os.path.join(out_dir, "config.yaml")
-    with open(config_path, "w", encoding="utf-8", newline="\n") as fh:
+    config_yaml = os.path.join(out_dir, "config.yaml")
+    with open(config_yaml, "w", encoding="utf-8", newline="\n") as fh:
         yaml.safe_dump(resolved_document(config), fh, sort_keys=False)
-    say(f"wrote {report_path} and {config_path}")
+    say(f"wrote {bounds_csv} and {config_yaml}")
 
-    return OutputBundle(
-        out_dir=out_dir,
-        config=config,
-        traces=traces,
-        aggregates=aggregates,
-        reports=reports,
-        trial_paths=trial_paths,
-        aggregate_path=aggregate_path,
-        plot_path=plot_path,
-        report_path=report_path,
-        config_path=config_path,
-    )
+    return OutputBundle(out_dir=out_dir, traces=traces, reports=reports)
 
 
 def load_bundle_traces(bundle_dir: str) -> tuple[ExperimentConfig, dict]:
-    """A bundle's config and traces; trial file names not the config's are refused before any file is read."""
+    """A bundle's config and traces; a trial file the config does not name (a
+    ``ConfigError``) or a missing one (``FileNotFoundError``) is refused before any is read."""
     config = load_config(os.path.join(bundle_dir, "config.yaml"))
-    trials_dir = os.path.join(bundle_dir, "trials")
-    names = {alg: [trial_filename(alg, idx) for idx in range(config.trials)] for alg in config.algorithms}
-    expected = [name for alg_names in names.values() for name in alg_names]
-    listed = set(os.listdir(trials_dir))
-    if listed != set(expected):
-        extra = sorted(listed.difference(expected))
-        if extra:
-            path = os.path.join(trials_dir, extra[0])
-            raise ConfigError(f"bundle has trial file {path}, which its config.yaml does not name")
-        missing = next(name for name in expected if name not in listed)
-        raise FileNotFoundError(f"bundle is missing trial file {os.path.join(trials_dir, missing)}")
-    traces = {
-        alg: [read_trace_csv(os.path.join(trials_dir, name), config) for name in alg_names]
-        for alg, alg_names in names.items()
-    }
+    columns, paths, extra = _trial_files(config.algorithms, config.trials, os.path.join(bundle_dir, "trials"))
+    if extra:
+        raise ConfigError(f"bundle has trial file {extra[0]}, which its config.yaml does not name")
+    missing = [path for path in paths if not os.path.exists(path)]
+    if missing:
+        raise FileNotFoundError(f"bundle is missing trial file {missing[0]}")
+    traces = {alg: [] for alg in config.algorithms}
+    for (alg, _), path in zip(columns, paths):
+        traces[alg].append(read_trace_csv(path, config))
     return config, traces
 
 

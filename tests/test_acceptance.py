@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from riskgames.analysis import fit_rate, time_averaged_error, validate_lemma3
-from riskgames.cli import main
+from riskgames.cli import _aggregate, main
 from riskgames.distributions import Uniform, dkw_confidence_width
 from riskgames.games import CournotGame, QuadraticCounterexampleGame
 from riskgames.learning import unbiased_cvar_gradient
@@ -54,8 +54,8 @@ def test_a1_equilibrium_convergence(reference_bundle, announce):
 def test_a2_algorithm_ordering(reference_bundle, announce):
     # the exact-VaR baseline ends at or below the estimator (within 0.02)
     # and the gap between the mean squared-error curves shrinks with t
-    sq1 = reference_bundle.aggregates["algorithm1"]["err_sq"].mean
-    squ = reference_bundle.aggregates["unbiased-fo"]["err_sq"].mean
+    sq1 = _aggregate(reference_bundle.traces["algorithm1"])["err_sq"].mean
+    squ = _aggregate(reference_bundle.traces["unbiased-fo"])["err_sq"].mean
     ordering = squ[-1] <= sq1[-1] + 0.02
     gap_100 = abs(sq1[99] - squ[99])
     gap_final = abs(sq1[-1] - squ[-1])

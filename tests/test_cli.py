@@ -6,6 +6,7 @@ import json
 import math
 import os
 import re
+import shutil
 import signal
 import struct
 import subprocess
@@ -216,6 +217,27 @@ def write_config(tmp_path, raw, name="config.yaml"):
     return str(path)
 
 
+def trial_paths(bundle) -> dict:
+    """Each (algorithm, trial) column's file under the bundle's ``out_dir``, one per trace."""
+    return {
+        (alg, idx): os.path.join(bundle.out_dir, "trials", trial_filename(alg, idx))
+        for alg, traces in bundle.traces.items()
+        for idx in range(len(traces))
+    }
+
+
+def assert_same_traces(ours: dict, theirs: dict):
+    """The same algorithms, trials and trace fields, bit for bit."""
+    assert list(ours) == list(theirs)
+    for alg in ours:
+        assert len(ours[alg]) == len(theirs[alg]), alg
+        for a, b in zip(ours[alg], theirs[alg]):
+            for field in (f.name for f in fields(RunTrace)):
+                x, y = getattr(a, field), getattr(b, field)
+                assert (x is None) == (y is None), field
+                assert x is None or np.array_equal(x.view(np.int64), y.view(np.int64)), field
+
+
 def pin_cpus(monkeypatch, count):
     """Make this process see ``count`` usable CPUs, with or without an affinity call."""
     monkeypatch.setattr(os, "cpu_count", lambda: count)
@@ -331,6 +353,9 @@ class TestValidateConfig:
             ({"game": [1], "T": 10}, "game: unknown game"),
             ({"game": "cournot", "T": 10, "window": False}, "window"),
             ({"game": "cournot", "T": 10, "window": 0.0}, "window"),
+            # keys of two types used to crash sorting them; the first by text is named
+            ({"game": "cournot", "T": 10, 1: 2, "foo": 3}, "config: unknown key 1"),
+            ({"game": "cournot", "T": 10, "foo": 3, "bar": 4}, "config: unknown key 'bar'"),
         ],
     )
     def test_rejections_name_the_field(self, raw, fragment):
@@ -421,14 +446,14 @@ class TestBundle:
     def test_minimal_bundle(self, tmp_path):
         cfg = validate_config({"game": "cournot", "T": 1, "trials": 1})
         bundle = run_experiment(cfg, out_dir=str(tmp_path / "out"))
-        trial = bundle.trial_paths[("algorithm1", 0)]
+        trial = trial_paths(bundle)[("algorithm1", 0)]
         with open(trial) as fh:
             rows = list(csv.reader(fh))
         assert len(rows) == 2  # header plus the single episode
         assert rows[0][:4] == ["t", "x0", "x1", "err_sq"]
-        assert os.path.exists(bundle.report_path)
-        assert os.path.exists(bundle.config_path)
-        assert bundle.aggregate_path and os.path.exists(bundle.aggregate_path)
+        assert os.path.exists(os.path.join(bundle.out_dir, "bounds.csv"))
+        assert os.path.exists(os.path.join(bundle.out_dir, "config.yaml"))
+        assert os.path.exists(os.path.join(bundle.out_dir, "aggregate.csv"))
         # too short for a rate fit: only concentration and bias rows
         assert all(r.name in ("lemma3", "lemma4") for r in bundle.reports)
 
@@ -484,9 +509,9 @@ class TestBundle:
 
     def test_bundle_bytes_are_pinned(self, tmp_path):
         bundle = run_experiment(validate_config(dict(PINNED_RAW)), out_dir=str(tmp_path / "pinned"))
-        with open(bundle.trial_paths[("algorithm1", 0)], "rb") as fh:
+        with open(trial_paths(bundle)[("algorithm1", 0)], "rb") as fh:
             assert fh.read() == PINNED_TRIAL.encode()
-        with open(bundle.aggregate_path, "rb") as fh:
+        with open(os.path.join(bundle.out_dir, "aggregate.csv"), "rb") as fh:
             assert fh.read() == PINNED_AGGREGATE.encode()
 
     @pytest.mark.parametrize("name", list(GOLDEN_BUNDLES))
@@ -495,18 +520,23 @@ class TestBundle:
         # that pin the counterexample game to its box faces (no error curves,
         # so no aggregate.csv)
         raw, expected = GOLDEN_BUNDLES[name]
-        run_experiment(validate_config(dict(raw)), out_dir=str(tmp_path))
+        bundle = run_experiment(validate_config(dict(raw)), out_dir=str(tmp_path))
         paths = sorted(tmp_path.glob("trials/*.csv")) + sorted(tmp_path.glob("*.csv"))
         digests = {
             path.relative_to(tmp_path).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
             for path in paths
         }
         assert digests == expected
+        # report reads back the trial files that run names, to the run's traces
+        config, traces = load_bundle_traces(str(tmp_path))
+        assert config == validate_config(dict(raw))
+        assert_same_traces(traces, bundle.traces)
 
     @pytest.mark.parametrize("name", list(GOLDEN_PLOTS))
     def test_plot_bytes_are_pinned(self, tmp_path, name):
         bundle = run_experiment(validate_config(dict(GOLDEN_BUNDLES[name][0])), out_dir=str(tmp_path))
-        assert hashlib.sha256(Path(bundle.plot_path).read_bytes()).hexdigest() == GOLDEN_PLOTS[name]
+        plot = Path(bundle.out_dir, "convergence.svg")
+        assert hashlib.sha256(plot.read_bytes()).hexdigest() == GOLDEN_PLOTS[name]
 
     def test_numeric_writers_match_csv_writer(self, tmp_path):
         def assert_trace_file(path, trace):
@@ -766,8 +796,8 @@ class TestBundle:
             p1 = os.path.join(b1.out_dir, *paths)
             p2 = os.path.join(b2.out_dir, *paths)
             assert Path(p1).read_bytes() == Path(p2).read_bytes()
-        for key, path in b1.trial_paths.items():
-            other = b2.trial_paths[key]
+        for key, path in trial_paths(b1).items():
+            other = trial_paths(b2)[key]
             assert Path(path).read_bytes() == Path(other).read_bytes()
 
     def test_parallel_matches_serial(self, tmp_path, monkeypatch):
@@ -782,9 +812,9 @@ class TestBundle:
                 with open(os.path.join(serial.out_dir, name), "rb") as a:
                     with open(os.path.join(parallel.out_dir, name), "rb") as b:
                         assert a.read() == b.read()
-            assert parallel.trial_paths.keys() == serial.trial_paths.keys()
-            for key, path in serial.trial_paths.items():
-                with open(path, "rb") as a, open(parallel.trial_paths[key], "rb") as b:
+            assert trial_paths(parallel).keys() == trial_paths(serial).keys()
+            for key, path in trial_paths(serial).items():
+                with open(path, "rb") as a, open(trial_paths(parallel)[key], "rb") as b:
                     assert a.read() == b.read()
 
     def test_workers_capped_at_cpu_count(self, tmp_path, monkeypatch):
@@ -797,9 +827,9 @@ class TestBundle:
         assert forks == []
         wide = run_experiment(cfg, out_dir=str(tmp_path / "wide"), workers=500)
         assert 0 < len(forks) <= 2
-        assert wide.trial_paths.keys() == serial.trial_paths.keys()
-        for key, path in serial.trial_paths.items():
-            with open(path, "rb") as a, open(wide.trial_paths[key], "rb") as b:
+        assert trial_paths(wide).keys() == trial_paths(serial).keys()
+        for key, path in trial_paths(serial).items():
+            with open(path, "rb") as a, open(trial_paths(wide)[key], "rb") as b:
                 assert a.read() == b.read()
 
     @pytest.mark.parametrize("affinity", [True, False], ids=["affinity", "no-affinity"])
@@ -874,8 +904,8 @@ class TestBundle:
         serial = run_experiment(cfg, out_dir=str(tmp_path / "serial"), workers=1)
         run = run_experiment(cfg, out_dir=str(tmp_path / "out"), workers=4, progress=progress)
         assert progress.getvalue().splitlines()[0] == "running 4 trials (cournot, T=40, workers=1)"
-        for key, path in serial.trial_paths.items():
-            assert Path(path).read_bytes() == Path(run.trial_paths[key]).read_bytes()
+        for key, path in trial_paths(serial).items():
+            assert Path(path).read_bytes() == Path(trial_paths(run)[key]).read_bytes()
 
     @pytest.mark.skipif(
         not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2, reason="needs 2 usable CPUs"
@@ -1016,10 +1046,14 @@ class TestBundle:
             }
         )
         bundle = run_experiment(cfg, out_dir=str(tmp_path / "counter"))
-        assert bundle.aggregate_path is None
-        assert bundle.plot_path is None
+        assert not os.path.lexists(os.path.join(bundle.out_dir, "aggregate.csv"))
+        assert not os.path.lexists(os.path.join(bundle.out_dir, "convergence.svg"))
         trace = bundle.traces["algorithm1"][0]
         assert trace.err_sq is None
+        # report reads back the one algorithm's trial file, to the run's trace
+        config, traces = load_bundle_traces(bundle.out_dir)
+        assert config == cfg
+        assert_same_traces(traces, bundle.traces)
 
     @staticmethod
     def snapshot(root):
@@ -1072,14 +1106,15 @@ class TestBundle:
     def test_report_recomputation_matches(self, tmp_path):
         cfg = validate_config(dict(SMALL_RAW))
         bundle = run_experiment(cfg, out_dir=str(tmp_path / "out"))
-        original = Path(bundle.report_path).read_bytes()
+        report_path = os.path.join(bundle.out_dir, "bounds.csv")
+        original = Path(report_path).read_bytes()
         loaded_cfg, traces = load_bundle_traces(bundle.out_dir)
         assert loaded_cfg == cfg
         from riskgames.cli import compute_reports, write_report_csv
 
         reports = compute_reports(loaded_cfg, traces)
-        write_report_csv(reports, bundle.report_path)
-        assert Path(bundle.report_path).read_bytes() == original
+        write_report_csv(reports, report_path)
+        assert Path(report_path).read_bytes() == original
 
 
 class TestPlot:
@@ -1302,10 +1337,11 @@ class TestPlot:
         assert plotting._two_decimals(px, py) == ["%.2f,%.2f" % point for point in points]
 
     def test_reference_plot_is_well_formed(self, reference_bundle):
-        root = ET.parse(reference_bundle.plot_path).getroot()
+        plot_path = os.path.join(reference_bundle.out_dir, "convergence.svg")
+        root = ET.parse(plot_path).getroot()
         assert root.tag == SVG + "svg"
         assert len(list(root.iter(SVG + "polyline"))) == 2
-        for curve in self.curves(reference_bundle.plot_path):
+        for curve in self.curves(plot_path):
             assert 4 < len(curve) <= 4 * (PLOT_W + 1)
 
 
@@ -1326,6 +1362,31 @@ class TestMain:
         path.write_text("game: quadratic-counterexample\nT: 10\nd: .nan\n", encoding="utf-8")
         assert main(["validate", "--config", str(path)]) == 2
         assert "d: must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text,key,line",
+        [
+            ("game: cournot\nT: 10\nT: 20\n", "'T'", 3),
+            ("game: cournot\nT: 10\nalphas: [0.4, 0.8]\nx0: {a: 1, a: 2}\n", "'a'", 4),
+            ("<<: {seed: 3}\ngame: cournot\nT: 10\nseed: 1\nseed: 2\n", "'seed'", 5),
+        ],
+        ids=["top-level", "nested", "beside-a-merge"],
+    )
+    def test_validate_rejects_a_repeated_key(self, tmp_path, capsys, text, key, line):
+        # a key written twice used to take its last value
+        path = tmp_path / "config.yaml"
+        path.write_text(text, encoding="utf-8")
+        assert main(["validate", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config: not valid YAML (found duplicate key {key}\n")
+        assert f", line {line}, " in err
+
+    def test_merge_keys_still_merge(self, tmp_path):
+        # an explicit key overrides a merged one; neither is a repeated key
+        path = tmp_path / "config.yaml"
+        path.write_text("<<: {seed: 3, T: 10}\ngame: cournot\nT: 20\n", encoding="utf-8")
+        cfg = load_config(str(path))
+        assert (cfg.seed, cfg.horizon) == (3, 20)
 
     def test_validate_rejects_non_utf8_file(self, tmp_path, capsys):
         path = tmp_path / "config.yaml"
@@ -1494,6 +1555,23 @@ class TestMain:
         capsys.readouterr()
         assert main(["report", "--bundle", out]) == 2
         assert f"error: bundle is missing trial file {path}" in capsys.readouterr().err
+        # with no trials directory at all, the first trial file is named
+        shutil.rmtree(os.path.join(out, "trials"))
+        assert main(["report", "--bundle", out]) == 2
+        path = os.path.join(out, "trials", trial_filename("algorithm1", 0))
+        assert capsys.readouterr().err == f"error: bundle is missing trial file {path}\n"
+
+    def test_report_refuses_a_config_that_repeats_a_key(self, tmp_path, capsys):
+        out = str(tmp_path / "bundle")
+        assert main(["run", "--config", write_config(tmp_path, SMALL_RAW), "--out", out]) == 0
+        with open(os.path.join(out, "config.yaml"), "a", encoding="utf-8") as fh:
+            fh.write("seed: 6\n")
+        bounds = os.path.join(out, "bounds.csv")
+        original = Path(bounds).read_bytes()
+        capsys.readouterr()
+        assert main(["report", "--bundle", out]) == 2
+        assert "error: config: not valid YAML (found duplicate key 'seed'" in capsys.readouterr().err
+        assert Path(bounds).read_bytes() == original
 
     def test_report_on_missing_bundle(self, capsys):
         assert main(["report", "--bundle", "/nonexistent"]) == 2
