@@ -37,7 +37,7 @@ import pickle
 import re
 import signal
 import sys
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import dataclass, fields
 from itertools import islice
 
 import numpy as np
@@ -64,22 +64,16 @@ __all__ = [
     "OutputBundle",
     "validate_config",
     "load_config",
-    "build_game",
     "run_experiment",
     "main",
 ]
 
 ALGORITHMS = ("algorithm1", "unbiased-fo")
 
-# each game class names itself, carries its default risk levels and takes
-# its config parameters as constructor arguments: a dataclass's fields, or
-# none for a game without a constructor of its own. inspect.signature
-# would read the same names, but parses object.__init__'s text signature
-# for the latter, which took most of this module's import time.
+# each game is a dataclass whose class names itself and carries its default
+# risk levels, and whose fields are its config parameters
 _GAMES = {cls.name: cls for cls in (CournotGame, QuadraticCounterexampleGame)}
-_GAME_PARAMS = {
-    name: tuple(f.name for f in fields(cls)) if is_dataclass(cls) else () for name, cls in _GAMES.items()
-}
+_GAME_PARAMS = {name: tuple(f.name for f in fields(cls)) for name, cls in _GAMES.items()}
 
 _CONFIG_KEYS = {
     "game", "alphas", "T", "trials", "seed", "eta", "algorithms", "window", "edf", "x0", "out_dir"
@@ -97,8 +91,10 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    game: str
-    game_params: tuple[tuple[str, float], ...]
+    """A checked config, as ``validate_config`` builds it; ``game`` is the
+    built game, whose fields are the config's game parameters."""
+
+    game: AffineNoiseGame
     alphas: tuple[float, ...]
     horizon: int
     trials: int
@@ -108,10 +104,6 @@ class ExperimentConfig:
     window: int | None
     x0: tuple[float, ...]
     out_dir: str | None
-
-
-def build_game(config: ExperimentConfig) -> AffineNoiseGame:
-    return _GAMES[config.game](**dict(config.game_params))
 
 
 def _require(condition: bool, message: str):
@@ -140,8 +132,9 @@ def validate_config(raw: dict) -> ExperimentConfig:
 
     Defaults: trials=20, seed=0, eta=auto, both algorithms, window off,
     exact EDF, and, from the selected game's class, its risk levels
-    ``default_alphas`` and x0 at the centre of its ``bounds``. Game
-    parameters are its constructor's arguments. Unknown keys are rejected.
+    ``default_alphas`` and x0 at the centre of its ``bounds``. A game's
+    parameters are its dataclass fields, and the config holds the game
+    built from them. Unknown keys are rejected.
     """
     _require(isinstance(raw, dict), f"config: expected a mapping, got {type(raw).__name__}")
     unknown = set(raw) - _KNOWN_KEYS
@@ -149,21 +142,21 @@ def validate_config(raw: dict) -> ExperimentConfig:
         # keys of mixed types do not sort; the first by text is named
         raise ConfigError(f"config: unknown key {min(unknown, key=str)!r}")
 
-    game = raw.get("game")
-    _require(game is not None, "game: required")
-    _require(isinstance(game, str) and game in _GAMES, f"game: unknown game {game!r}")
+    name = raw.get("game")
+    _require(name is not None, "game: required")
+    _require(isinstance(name, str) and name in _GAMES, f"game: unknown game {name!r}")
 
     params = {}
     for key in sorted(set(raw) - _CONFIG_KEYS):
-        _require(key in _GAME_PARAMS[game], f"{key}: not a parameter of game {game!r}")
+        _require(key in _GAME_PARAMS[name], f"{key}: not a parameter of game {name!r}")
         params[key] = _as_float(raw[key], key)
     try:
-        game_obj = _GAMES[game](**params)
+        game = _GAMES[name](**params)
     except ValueError as exc:  # the game's own checks name the parameter
         raise ConfigError(str(exc)) from None
 
-    horizon = _as_int(raw.get("T"), "T", 1) if "T" in raw else None
-    _require(horizon is not None, "T: required")
+    _require("T" in raw, "T: required")
+    horizon = _as_int(raw["T"], "T", 1)
     trials = _as_int(raw.get("trials", 20), "trials", 1)
     seed = _as_int(raw.get("seed", 0), "seed", 0)
 
@@ -191,11 +184,11 @@ def validate_config(raw: dict) -> ExperimentConfig:
     _require(not removed, f"edf: the binned EDF was removed, got {edf!r}; use 'exact'")
     _require(edf == "exact", f"edf: expected 'exact', got {edf!r}")
 
-    alphas = raw.get("alphas", list(game_obj.default_alphas))
+    alphas = raw.get("alphas", list(game.default_alphas))
     _require(isinstance(alphas, (list, tuple)), "alphas: expected a list")
     _require(
-        len(alphas) == game_obj.num_agents,
-        f"alphas: expected {game_obj.num_agents} entries, got {len(alphas)}",
+        len(alphas) == game.num_agents,
+        f"alphas: expected {game.num_agents} entries, got {len(alphas)}",
     )
     checked = []
     for i, a in enumerate(alphas):
@@ -207,21 +200,20 @@ def validate_config(raw: dict) -> ExperimentConfig:
         x0_raw = raw["x0"]
         _require(isinstance(x0_raw, (list, tuple)), "x0: expected a list")
         _require(
-            len(x0_raw) == game_obj.num_agents,
-            f"x0: expected {game_obj.num_agents} coordinates, got {len(x0_raw)}",
+            len(x0_raw) == game.num_agents,
+            f"x0: expected {game.num_agents} coordinates, got {len(x0_raw)}",
         )
         x0 = tuple(_as_float(v, f"x0[{i}]") for i, v in enumerate(x0_raw))
-        _require(game_obj.feasible(np.array(x0)), "x0: outside the action boxes")
+        _require(game.feasible(np.array(x0)), "x0: outside the action boxes")
     else:
-        x0 = tuple((0.5 * np.add(*game_obj.bounds)).tolist())
+        x0 = tuple((0.5 * np.add(*game.bounds)).tolist())
 
     out_dir = raw.get("out_dir")
     if out_dir is not None:
-        _require(isinstance(out_dir, str), f"out_dir: expected a string, got {out_dir!r}")
+        _require(isinstance(out_dir, str) and out_dir, f"out_dir: expected a nonempty string, got {out_dir!r}")
 
     return ExperimentConfig(
         game=game,
-        game_params=tuple(sorted(params.items())),
         alphas=tuple(checked),
         horizon=horizon,
         trials=trials,
@@ -275,7 +267,7 @@ def load_config(path) -> ExperimentConfig:
 def resolved_document(config: ExperimentConfig) -> dict:
     """Flat dict of the fully resolved config; re-parses to an equal config."""
     doc = {
-        "game": config.game,
+        "game": config.game.name,
         "alphas": list(config.alphas),
         "T": config.horizon,
         "trials": config.trials,
@@ -286,8 +278,8 @@ def resolved_document(config: ExperimentConfig) -> dict:
         "edf": "exact",
         "x0": list(config.x0),
     }
-    for key, value in config.game_params:
-        doc[key] = value
+    for field in fields(config.game):
+        doc[field.name] = getattr(config.game, field.name)
     if config.out_dir is not None:
         doc["out_dir"] = config.out_dir
     return doc
@@ -305,8 +297,8 @@ def _run_trial(config: ExperimentConfig, column) -> RunTrace:
     sees every serial trial."""
     alg, idx = column
     run = run_algorithm1 if alg == "algorithm1" else run_unbiased_baseline
-    game, seed = build_game(config), _trial_seed(config, idx)
-    return run(game, config.alphas, config.horizon, config.eta, np.array(config.x0), seed, config.window)
+    seed = _trial_seed(config, idx)
+    return run(config.game, config.alphas, config.horizon, config.eta, np.array(config.x0), seed, config.window)
 
 
 def _run_trials(config: ExperimentConfig, columns, workers: int):
@@ -576,9 +568,8 @@ def read_trace_csv(path, config: ExperimentConfig) -> RunTrace:
     not a finite number or breaks ``RunTrace``'s own checks. A fault in
     the rows also names its row, and its column when it is in one cell.
     """
-    game = build_game(config)
-    columns = _trial_columns(game.num_agents)
-    if game.nash_equilibrium(config.alphas) is None:
+    columns = _trial_columns(config.game.num_agents)
+    if config.game.nash_equilibrium(config.alphas) is None:
         del columns["err_sq"]
     expected = ["t"] + [name for names in columns.values() for name in names]
     # what is left of a well-formed row once its numbers are deleted
@@ -655,10 +646,9 @@ def compute_reports(config: ExperimentConfig, traces: dict) -> list[BoundReport]
     its row has ``passed`` None where the mean error is not positive
     throughout the fit window.
     """
-    game = build_game(config)
     reports = []
     for agent, alpha in enumerate(config.alphas):
-        dist = game.noise_distribution(agent)
+        dist = config.game.noise_distribution(agent)
         eps = dkw_confidence_width(_LEMMA3_T, _LEMMA3_GAMMA_BAR, dist.density_lower_bound)
         rep = validate_lemma3(dist, alpha, _LEMMA3_T, eps)
         rep.detail = f"agent={agent}, " + rep.detail
@@ -666,7 +656,7 @@ def compute_reports(config: ExperimentConfig, traces: dict) -> list[BoundReport]
 
     for trial, trace in enumerate(traces.get("algorithm1", [])):
         for agent, alpha in enumerate(config.alphas):
-            rep = validate_lemma4(game, trace, agent, alpha)
+            rep = validate_lemma4(config.game, trace, agent, alpha)
             rep.detail = f"trial={trial}, " + rep.detail
             reports.append(rep)
 
@@ -747,7 +737,7 @@ def run_experiment(
     trials_dir = os.path.join(out_dir, "trials")
     columns, paths, stale = _trial_files(config.algorithms, config.trials, trials_dir)
     aggregate_csv, plot_svg = (os.path.join(out_dir, name) for name in ("aggregate.csv", "convergence.svg"))
-    plotted = build_game(config).nash_equilibrium(config.alphas) is not None
+    plotted = config.game.nash_equilibrium(config.alphas) is not None
     if not plotted:
         stale += [path for path in (aggregate_csv, plot_svg) if os.path.lexists(path)]
     if stale:
@@ -763,7 +753,7 @@ def run_experiment(
 
     # the processes the run starts: no more than a CPU or a column each
     workers = min(workers, _usable_cpus(), len(columns))
-    say(f"running {len(columns)} trials ({config.game}, T={config.horizon}, workers={workers})")
+    say(f"running {len(columns)} trials ({config.game.name}, T={config.horizon}, workers={workers})")
     traces = {alg: [] for alg in config.algorithms}
     trials = _run_trials(config, columns, workers)
     try:

@@ -16,8 +16,8 @@ is the joint box as a (lower, upper) pair of such vectors. A noise draw
 is a float and a history of draws a 1-d array; costs and gradients are
 only evaluated over such a history, in one batch call, and a gradient is
 the float derivative in the agent's own action.
-Each built-in game class carries its config ``name``, its
-``default_alphas`` and, as its constructor's parameters, its config keys.
+Each built-in game is a frozen dataclass: its class carries its config
+``name`` and its ``default_alphas``, and its fields are its config keys.
 """
 
 from __future__ import annotations
@@ -158,6 +158,7 @@ class AffineNoiseGame(ABC):
         return c0 + s * self.noise_distribution(agent).var(alpha)
 
 
+@dataclass(frozen=True)
 class CournotGame(AffineNoiseGame):
     """Two-firm Cournot market with multiplicative uniform price noise.
 
@@ -174,7 +175,8 @@ class CournotGame(AffineNoiseGame):
     with c0 = 1 - (2 - x_1 - x_2) x_i + 0.2 x_i, and the risk-averse
     equilibrium solves the resulting 2x2 linear system. The per-sample
     gradient 2 x_i + x_{-i} - 1.8 + xi_i is bounded by 2.2 over the
-    feasible set and noise support.
+    feasible set and noise support. The game has no parameters: a
+    dataclass without fields, so that any two configs of it compare equal.
     """
 
     name = "cournot"

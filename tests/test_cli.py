@@ -30,7 +30,6 @@ from riskgames import cli
 from riskgames.analysis import AggregateTrace, RunTrace, time_averaged_error
 from riskgames.cli import (
     ConfigError,
-    build_game,
     load_bundle_traces,
     load_config,
     main,
@@ -281,10 +280,10 @@ def assert_no_child_left():
 # each numeric config field as YAML text around a number's literal, and how
 # to read the field back from the config
 NUMERIC_FIELDS = [
-    ("a", "game: quadratic-counterexample\na: {}\n", lambda cfg: dict(cfg.game_params)["a"]),
-    ("b", "game: quadratic-counterexample\nb: {}\n", lambda cfg: dict(cfg.game_params)["b"]),
-    ("c", "game: quadratic-counterexample\nc: {}\n", lambda cfg: dict(cfg.game_params)["c"]),
-    ("d", "game: quadratic-counterexample\nd: {}\n", lambda cfg: dict(cfg.game_params)["d"]),
+    ("a", "game: quadratic-counterexample\na: {}\n", lambda cfg: cfg.game.a),
+    ("b", "game: quadratic-counterexample\nb: {}\n", lambda cfg: cfg.game.b),
+    ("c", "game: quadratic-counterexample\nc: {}\n", lambda cfg: cfg.game.c),
+    ("d", "game: quadratic-counterexample\nd: {}\n", lambda cfg: cfg.game.d),
     ("eta", "game: cournot\neta: {}\n", lambda cfg: cfg.eta),
     ("alphas[1]", "game: cournot\nalphas: [0.4, {}]\n", lambda cfg: cfg.alphas[1]),
     ("x0[0]", "game: cournot\nx0: [{}, 0.5]\n", lambda cfg: cfg.x0[0]),
@@ -315,8 +314,8 @@ class TestValidateConfig:
                 "T": 10,
             }
         )
-        assert dict(cfg.game_params) == {"a": 1.0, "b": 1.0, "c": 0.0, "d": 1.0}
-        game = build_game(cfg)
+        assert (cfg.game.a, cfg.game.b, cfg.game.c, cfg.game.d) == (1.0, 1.0, 0.0, 1.0)
+        game = cfg.game
         assert game.num_agents == 2
 
     @pytest.mark.parametrize(
@@ -356,6 +355,8 @@ class TestValidateConfig:
             # keys of two types used to crash sorting them; the first by text is named
             ({"game": "cournot", "T": 10, 1: 2, "foo": 3}, "config: unknown key 1"),
             ({"game": "cournot", "T": 10, "foo": 3, "bar": 4}, "config: unknown key 'bar'"),
+            # an empty out_dir would run into ./out and record out_dir: ''
+            ({"game": "cournot", "T": 10, "out_dir": ""}, "out_dir"),
         ],
     )
     def test_rejections_name_the_field(self, raw, fragment):
@@ -424,7 +425,7 @@ class TestValidateConfig:
         path.write_text(json.dumps(raw), encoding="utf-8")
         assert '"eta": 1e-05' in path.read_text(encoding="utf-8")
         cfg = load_config(str(path))
-        assert (cfg.eta, dict(cfg.game_params)["a"], cfg.x0) == (1e-05, 1e-50, (0.5, 0.5))
+        assert (cfg.eta, cfg.game.a, cfg.x0) == (1e-05, 1e-50, (0.5, 0.5))
         # and the resolved document, as a run writes it, loads back to the same config
         resolved = tmp_path / "resolved.yaml"
         resolved.write_text(yaml.safe_dump(resolved_document(cfg), sort_keys=False), encoding="utf-8")
@@ -435,11 +436,14 @@ class TestValidateConfig:
             SMALL_RAW,
             {"game": "cournot", "T": 7, "eta": 0.01, "window": 3, "edf": "exact"},
             {"game": "quadratic-counterexample", "a": 2.0, "d": 0.5, "T": 9},
+            {"game": "quadratic-counterexample", "T": 9},
         ):
             cfg = validate_config(dict(raw))
             doc = resolved_document(cfg)
             reparsed = validate_config(yaml.safe_load(yaml.safe_dump(doc)))
             assert reparsed == cfg
+        # the last, the counterexample at its defaults, lists every parameter
+        assert {key: doc[key] for key in "abcd"} == {"a": 1.0, "b": 1.0, "c": 0.0, "d": 1.0}
 
 
 class TestBundle:
@@ -460,15 +464,15 @@ class TestBundle:
     def test_csv_round_trip_preserves_floats(self, tmp_path):
         cournot = validate_config(SMALL_RAW)
         counter = validate_config({"game": "quadratic-counterexample", "T": 25})
-        extreme = run_algorithm1(build_game(cournot), (0.4, 0.8), 4, seed=3)
+        extreme = run_algorithm1(cournot.game, (0.4, 0.8), 4, seed=3)
         extreme.actions[0] = [-0.0, 5e-324]
         extreme.nu[1] = [1.7976931348623157e308, -1.7976931348623157e308]
         extreme.nu_star[2] = [0.30000000000000004, 2.2250738585072014e-308]
         extreme.err_sq[:] = [-0.0, 5e-324, 1.2345678901234567e-5, 1.7976931348623157e308]
         cases = [
-            (cournot, run_algorithm1(build_game(cournot), (0.4, 0.8), 25, seed=3)),
-            (cournot, run_algorithm1(build_game(cournot), (0.4, 0.8), 1, seed=3)),
-            (counter, run_algorithm1(build_game(counter), (0.5, 0.5), 25, seed=3)),
+            (cournot, run_algorithm1(cournot.game, (0.4, 0.8), 25, seed=3)),
+            (cournot, run_algorithm1(cournot.game, (0.4, 0.8), 1, seed=3)),
+            (counter, run_algorithm1(counter.game, (0.5, 0.5), 25, seed=3)),
             (cournot, extreme),
         ]
         for index, (config, trace) in enumerate(cases):
@@ -489,7 +493,7 @@ class TestBundle:
         # a bundle written before the writer took orjson's shortest text has
         # every float as its repr, 1e-5 decade and two-digit exponents included
         config = validate_config({**SMALL_RAW, "T": 4})
-        trace = run_algorithm1(build_game(config), (0.4, 0.8), 4, seed=3)
+        trace = run_algorithm1(config.game, (0.4, 0.8), 4, seed=3)
         trace.actions[0] = [1.2345e-05, 5e-05]
         trace.nu[1] = [1e16, -2.5e300]
         trace.nu_star[2] = [1.5e-06, -9.999999999999999e-05]
@@ -552,8 +556,8 @@ class TestBundle:
             columns += list(trace.nu_star.T)
             assert_numeric_file(path, header, np.column_stack(columns))
 
-        cournot = build_game(validate_config(SMALL_RAW))
-        counter = build_game(validate_config({"game": "quadratic-counterexample", "T": 25}))
+        cournot = validate_config(SMALL_RAW).game
+        counter = validate_config({"game": "quadratic-counterexample", "T": 25}).game
         extreme = run_algorithm1(cournot, (0.4, 0.8), 4, seed=3)
         extreme.actions[0] = [-0.0, 5e-324]
         extreme.nu[1] = [1.7976931348623157e308, -1.7976931348623157e308]
@@ -696,7 +700,7 @@ class TestBundle:
         # the block's cells, repeated to fill a trial file of the game's layout
         config = validate_config({"game": game, "T": len(block)})
         header = ["t", "x0", "x1", "err_sq", "nu_agent0", "nu_agent1", "nu_star_agent0", "nu_star_agent1"]
-        if build_game(config).nash_equilibrium(config.alphas) is None:
+        if config.game.nash_equilibrium(config.alphas) is None:
             header.remove("err_sq")
         cells = np.resize(block, (len(block), len(header) - 1))
         if "err_sq" in header:
@@ -1490,7 +1494,7 @@ class TestMain:
     def test_run_that_stays_at_the_equilibrium(self, tmp_path):
         # a step under half an ulp from x*: every err_sq is 0, so there is no
         # positive error to plot on a log axis or to fit a log-log slope to
-        x_star = build_game(validate_config(dict(SMALL_RAW))).nash_equilibrium((0.4, 0.8))
+        x_star = validate_config(dict(SMALL_RAW)).game.nash_equilibrium((0.4, 0.8))
         raw = {"game": "cournot", "T": 300, "trials": 2, "eta": 1.0e-20, "x0": x_star.tolist()}
         path = write_config(tmp_path, raw)
         out = str(tmp_path / "still")
