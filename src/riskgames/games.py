@@ -4,7 +4,9 @@ Every game is an ``AffineNoiseGame``: it describes each agent's cost and
 gradient as two lines in a scalar uniform noise draw, ``cost_line`` and
 ``gradient_line``, and derives the cost and gradient batches, noise
 draws and the VaR closed form from them. A caller asks for the one line
-it uses, so no evaluation computes a half that is thrown away. Two
+it uses, so no evaluation computes a half that is thrown away. The
+gradient line is affine in the joint action too, and each game states it
+once, as its ``gradient_coefficients``. Two
 built-in two-agent games: a Cournot duopoly whose risk-averse
 equilibrium is unique and computable in closed form, and a quadratic
 game whose risk-averse (alpha = 0.5) equilibria form a whole line
@@ -60,34 +62,41 @@ class Box:
         return np.clip(np.asarray(x, dtype=np.float64), self.lower, self.upper)
 
 
+def _dot(coefficients, x):
+    """sum_j c_j x_j over the agents, in agent order: x is a joint action or an action path."""
+    return sum(c * v for c, v in zip(coefficients, x))
+
+
 class AffineNoiseGame(ABC):
     """N-agent game whose costs are affine in one uniform noise draw per agent.
 
     Agent i's action is one float in ``action_sets[i]``, and a joint
     action x a float vector of shape (num_agents,) inside ``bounds``.
-    A subclass describes agent i by two lines in the noise xi at x:
-    ``cost_line(agent, x)``, the coefficients (c0, s) of its cost
-    c0 + s * xi, and ``gradient_line(agent, x)``, the coefficients
-    (g0, g1) of its gradient g0 + g1 * xi; and by
+    A subclass describes agent i by the line in the noise xi of its cost
+    at x, ``cost_line(agent, x)``, the coefficients (c0, s) of c0 + s *
+    xi; by the coefficients of its gradient's line g0 + g1 * xi, which are
+    affine in x, ``gradient_coefficients(agent)``: ((a0, a), (b0, b)) with
+    g0 = a0 + a . x and g1 = b0 + b . x; and by
     ``noise_distribution(agent)``, the uniform law U(a, b) of xi. The
-    cost batch and the closed-form VaR follow from the cost line, the
-    gradient batch from the gradient line, and the noise draw from the
-    law. Each cost must be convex in the agent's own action, and
-    ``grad_bound`` must bound the per-sample gradient over the feasible
-    set and noise support. For s >= 0 the cost
-    at x is uniform on [c0 + s a, c0 + s b], so
+    gradient line (g0, g1) at x follows from its coefficients, the cost
+    batch and the closed-form VaR from the cost line, the gradient batch
+    from the gradient line, and the noise draw from the law. Each cost
+    must be convex in the agent's own action, and ``grad_bound`` must
+    bound the per-sample gradient over the feasible set and noise
+    support. For s >= 0 the cost at x is uniform on [c0 + s a, c0 + s b],
+    so
 
         VaR_alpha = c0 + s VaR_alpha(xi),   CVaR_alpha = c0 + s CVaR_alpha(xi),
 
     and, CVaR being positively homogeneous, the CVaR gradient is
     g0 + g1 CVaR_alpha(xi).
 
-    ``agent`` is always an int. ``x`` is one joint action, as an array
-    or, in the learning loop, a list of Python floats, for which the
-    coefficients should be floats; or the (num_agents, T) action path,
-    for which each is a scalar or a (T,) array. The VaR read-off after
-    the loop raises a ``ValueError`` naming the agent and episode of a
-    negative slope.
+    ``agent`` is always an int. ``x`` is one joint action, as an array,
+    or the (num_agents, T) action path, for which each line coefficient
+    is a scalar or a (T,) array. The learning loop asks each agent's
+    gradient coefficients once per run and builds its per-episode affine
+    maps from them; the VaR read-off after the loop raises a
+    ``ValueError`` naming the agent and episode of a negative slope.
     """
 
     def __init_subclass__(cls, **kwargs):
@@ -127,8 +136,16 @@ class AffineNoiseGame(ABC):
         """(c0, s): the agent's cost at x is c0 + s * xi."""
 
     @abstractmethod
+    def gradient_coefficients(self, agent: int) -> tuple:
+        """((a0, a), (b0, b)): the gradient line at x is g0 = a0 + a . x, g1 = b0 + b . x.
+
+        a and b hold one float per agent.
+        """
+
     def gradient_line(self, agent: int, x) -> tuple:
         """(g0, g1): the derivative of that cost in the agent's own action is g0 + g1 * xi."""
+        (a0, a), (b0, b) = self.gradient_coefficients(agent)
+        return a0 + _dot(a, x), b0 + _dot(b, x)
 
     @abstractmethod
     def noise_distribution(self, agent: int) -> Uniform: ...
@@ -203,8 +220,11 @@ class CournotGame(AffineNoiseGame):
         own = x[agent]
         return 1.0 - (2.0 - (x[0] + x[1])) * own + 0.2 * own, own
 
-    def gradient_line(self, agent: int, x):
-        return 2.0 * x[agent] + x[1 - agent] - 1.8, 1.0
+    def gradient_coefficients(self, agent: int):
+        # 2 x_i + x_{-i} - 1.8 and 1
+        slopes = [1.0, 1.0]
+        slopes[agent] = 2.0
+        return (-1.8, tuple(slopes)), (1.0, (0.0, 0.0))
 
     def nash_equilibrium(self, alphas) -> np.ndarray:
         """Unique risk-averse equilibrium: solve 2 x_i + x_{-i} = 0.8 + alpha_i / 2.
@@ -298,8 +318,10 @@ class QuadraticCounterexampleGame(AffineNoiseGame):
         k = 4.0 * a / (3.0 * self.d)
         return self.c + a * own * own + a * own * other - a * self.b * own, k * own * other
 
-    def gradient_line(self, agent: int, x):
+    def gradient_coefficients(self, agent: int):
+        # 2a x_i + a x_{-i} - a b and (4a / 3d) x_{-i}
         a = self.a
-        own, other = x[agent], x[1 - agent]
-        return 2.0 * a * own + a * other - a * self.b, (4.0 * a / (3.0 * self.d)) * other
+        slopes, noise = [a, a], [4.0 * a / (3.0 * self.d)] * 2
+        slopes[agent], noise[agent] = 2.0 * a, 0.0
+        return (-a * self.b, tuple(slopes)), (0.0, tuple(noise))
 

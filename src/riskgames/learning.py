@@ -20,17 +20,28 @@ episode's tail depends on the draws alone. ``run_algorithm1`` and
 rank: ``_rank_tails`` takes each episode's lowest tail draw xi_(k), tail
 size and tail sum in one pass over the draws' ranks, O(T log T) per
 series; the baseline's tail size and sum are O(T) ``_window_sums`` of
-the draws >= q. An episode's step is the gradient (count * g0 + g1 * sum
-of the tail draws) / (t * alpha), then a clip to the box. Algorithm 1 is
-sequential, so every run pays one Python-level step per episode;
-``_run`` plays it in Python floats, one ``gradient_line`` call per agent
-and episode, where a numpy call's fixed overhead would cost more than
-the arithmetic it does. The recorded VaRs are read off the action path
+the draws >= q. The recorded VaRs are read off the action path
 afterwards by one ``cost_line`` call per agent, c0 + s * xi_(k) for
 Algorithm 1 and c0 + s * VaR_alpha(xi) for the baseline. ``_replay``
 takes the same arguments as ``_run``: a plain loop whose estimators
 re-evaluate every kept draw through the game's cost and gradient
 batches, O(T^2) per run; it is the oracle ``_run`` is tested against.
+
+An episode's step is the gradient (count * g0 + g1 * sum of the tail
+draws) / (t * alpha), then a clip to the box. Each game states its
+gradient line as affine in the joint action, so with the tails known
+before the play every unclipped step is a known affine map
+x -> M_t x + b_t, and a clipped coordinate's row is its bound. Algorithm
+1 is sequential, but its path is a prefix composition of those maps:
+``_scan_play`` composes a block of up to ``_SCAN_BLOCK`` of them in
+ceil(log2 L) numpy passes of a Hillis-Steele scan (Blelloch, "Prefix
+Sums and Their Applications", 1990), holding the active set, the
+clipped coordinates, of the step before the block. A vectorized pass
+checks each iterate against the float step from the one before it and
+cuts the block where the active set changes or the composition drifts
+from that step by more than rounding. The play goes on from the float
+step there, one Python-float step per episode while the active set
+keeps changing.
 
 The tail is a set of noise ranks. Algorithm 1 takes the top t - k + 1
 draws; the replay orders its rows by (cost, noise) and takes as many.
@@ -244,45 +255,212 @@ def _trace(actions, nu, nu_star, x_star) -> RunTrace:
     return RunTrace(actions, nu, nu_star, err_sq)
 
 
-# episodes per chunk of the float play, which bounds its lists of Python
-# floats: they take about four times the bytes of the arrays they copy,
-# so a chunk is also at most a quarter of the run
-_FLOAT_PLAY_CHUNK = 1024
+# the play's blocks double from 64 episodes to 1024 along the run, at
+# episodes that do not depend on its horizon, so a shorter run plays the
+# same prefix; past the first, no block is longer than the play before it,
+# and a block's maps, their compositions and its checks, numpy's iteration
+# buffers among them, take about 32 float64s per episode of the block
+_FIRST_BLOCK, _SCAN_BLOCK = 64, 1024
+
+# steps whose tails a run of float steps turns into Python floats at a time
+_FLOAT_CHUNK = 32
+
+# a scanned iterate further from its one-step recomputation than this
+# share of its box's magnitude, 256 of its ulps, has lost more than
+# rounding to the composition: cancellation, overflow or NaN
+_DRIFT = 2.0**-44
 
 
-def _play(game, count, total, denoms, eta, x, lower, upper) -> np.ndarray:
-    """Play one run in Python floats; its (T, agents) action path.
+def _step(lines, tails, x, eta) -> np.ndarray:
+    """Each unclipped float step of ``tails`` from the (agents, L) iterates x.
+
+    ``lines`` holds the gradient coefficients (a0, A, b0, B) as arrays,
+    and ``tails`` the steps' (agents, L) tail sizes k, tail sums S and
+    (t - start) * alpha. Agent i's step is x_i - eta (k g0 + g1 S) / d
+    with g0 = a0_i + A_i . x and g1 = b0_i + B_i . x, summed in
+    ``_float_steps``' order.
+    """
+    a0, A, b0, B = lines
+    count, total, denoms = tails
+    g0, g1 = A[:, 0, None] * x[0], B[:, 0, None] * x[0]
+    for j in range(1, a0.size):
+        g0 += A[:, j, None] * x[j]
+        g1 += B[:, j, None] * x[j]
+    g0 += a0[:, None]
+    g1 += b0[:, None]
+    return x - eta * ((count * g0 + g1 * total) / denoms)
+
+
+def _float_steps(terms, tails, x, eta, code, run, wait, bounds, out):
+    """Float steps along ``tails`` from x until ``wait`` in a row keep their active set.
+
+    ``terms`` holds each agent's gradient coefficients as (a0, A, b0, B)
+    with A and B as (j, coefficient) pairs, nonzero only: a zero term
+    adds a zero to the sum, which changes no value. ``tails`` holds the
+    steps' (agents, L) tail sizes, tail sums and (t - start) * alpha,
+    which become Python floats ``_FLOAT_CHUNK`` steps at a time. ``code``
+    is the active set of the step before, per agent -1, 0 or 1 for
+    clipped to its lower bound, free or clipped to its upper bound, and
+    ``run`` the count of steps in a row before that kept it. Writes the
+    iterates to the start of ``out`` and returns their count, the last
+    step's active set and the run.
+    """
+    agents, size = tails[0].shape
+    tails = np.stack(tails, axis=1).reshape(3 * agents, size)
+    # agent i's k, S and d sit at 3 i, 3 i + 1 and 3 i + 2 of a step's list
+    agent_rows = [(i, 3 * i, *line, *box) for i, (line, box) in enumerate(zip(terms, bounds))]
+    steps = (
+        step for start in range(0, size, _FLOAT_CHUNK) for step in tails[:, start : start + _FLOAT_CHUNK].T.tolist()
+    )
+    played = []
+    for step in steps:
+        new, state = [], []
+        for i, at, a0, A, b0, B, lo, hi in agent_rows:
+            g0 = g1 = 0.0
+            for j, a in A:
+                g0 += a * x[j]
+            for j, b in B:
+                g1 += b * x[j]
+            v = x[i] - eta * ((step[at] * (a0 + g0) + (b0 + g1) * step[at + 1]) / step[at + 2])
+            if v < lo:
+                new.append(lo)
+                state.append(-1)
+            elif v > hi:
+                new.append(hi)
+                state.append(1)
+            else:
+                new.append(v)
+                state.append(0)
+        x = new
+        played += x
+        if state == code:
+            run += 1
+        else:
+            run, code = 0, state
+        if run >= wait:
+            break
+    count = len(played) // agents
+    out[:count] = np.reshape(played, (count, agents))
+    return count, code, run
+
+
+def _compose_prefixes(held) -> None:
+    """Hillis-Steele: each of the (agents, agents + 1, L) maps [M | b] becomes its prefix, in place."""
+    agents, size = held.shape[0], held.shape[2]
+    shift = 1
+    while shift < size:
+        later, earlier = held[:, :, shift:], held[:, :, :-shift]
+        # step t after step t - shift: [M | b] [M' | b'] = [M M' | M b' + b]
+        composed = np.einsum("ijt,jkt->ikt", later[:, :agents], earlier)
+        composed[:, agents] += later[:, agents]
+        held[:, :, shift:] = composed
+        shift *= 2
+
+
+# an overflowing composition is cut by the checks, so it needs no warning
+@np.errstate(over="ignore", invalid="ignore")
+def _scan(lines, tails, x, eta, code, lower, upper, tol, out):
+    """Play the steps of ``tails`` from x at once, holding the active set ``code``.
+
+    Each step is the affine map x -> M x + b, with M_i = e_i - (eta / d)
+    (k A_i + S B_i) and b_i = -(eta / d) (k a0_i + S b0_i), and a clipped
+    coordinate's row is its bound; ``_compose_prefixes`` composes the maps
+    into their prefixes in ceil(log2 L) numpy passes. Each iterate is
+    then checked against the float step from the one before it: the
+    block is cut at the first step whose active set is not ``code`` or
+    whose iterate is NaN, infinite or further than ``tol`` from that
+    step, and that step's own value ends the block. Writes the iterates
+    to the start of ``out`` and returns their count, the last step's
+    active set and whether the block was cut.
+    """
+    a0, A, b0, B = lines
+    count, total, denoms = tails
+    agents, size = count.shape
+    rate = -eta / denoms
+    held = np.empty((agents, agents + 1, size))
+    np.multiply(count[:, None], A[:, :, None], out=held[:, :agents])
+    held[:, :agents] += total[:, None] * B[:, :, None]
+    held[:, :agents] *= rate[:, None]
+    np.multiply(count, a0[:, None], out=held[:, agents])
+    held[:, agents] += total * b0[:, None]
+    held[:, agents] *= rate
+    # the flat rows i (agents + 1) + i of held are M's diagonal
+    held.reshape(-1, size)[:: agents + 2] += 1.0
+    for i, c in enumerate(code):
+        if c:
+            held[i] = 0.0
+            held[i, agents] = upper[i] if c > 0 else lower[i]
+    # the first map at x: a constant map, so each prefix's bias is its iterate
+    first = held[:, agents, 0].copy()
+    for j in range(agents):
+        first += held[:, j, 0] * x[j]
+    held[:, :, 0] = 0.0
+    held[:, agents, 0] = first
+    _compose_prefixes(held)
+    # the maps are freed before the checks, so the two never add up in memory
+    iterates = held[:, agents].copy()
+    del held
+    y = _step(lines, tails, np.concatenate((x[:, None], iterates[:, :-1]), axis=1), eta)
+    low, high = y < lower[:, None], y > upper[:, None]
+    step = np.minimum(np.maximum(y, lower[:, None]), upper[:, None])
+    # written as a pass, since NaN compares false
+    good = np.abs(iterates - step) <= tol[:, None]
+    code = np.array(code)[:, None]
+    good &= (low == (code < 0)) & (high == (code > 0))
+    good = good.all(0)
+    cut = int(good.argmin())
+    if good[cut]:
+        out[:size] = iterates.T
+        return size, (high[:, -1].astype(int) - low[:, -1]).tolist(), False
+    out[:cut] = iterates[:, :cut].T
+    out[cut] = step[:, cut]
+    return cut + 1, (high[:, cut].astype(int) - low[:, cut]).tolist(), True
+
+
+def _scan_play(game, count, total, denoms, eta, x, lower, upper) -> np.ndarray:
+    """Play one run as a blocked prefix scan of its affine steps; its (T, agents) action path.
 
     ``count`` and ``total`` are the run's (agents, T) tail sizes and
     tail sums, and ``denoms`` each agent's and episode's (t - start) *
-    alpha. Each episode calls ``gradient_line`` with an int agent and the
-    joint action as a list of floats.
+    alpha. The game is asked once per agent for its gradient
+    coefficients, so each unclipped step is an affine map known before
+    the play. The run is played in blocks of ``_FIRST_BLOCK`` steps,
+    then of as many as the play before them, up to ``_SCAN_BLOCK``.
+    ``_scan`` plays from the active set of the step before. After a cut
+    the play takes float steps until that many in a row keep their
+    active set, a count that doubles with each cut in a row and is 0
+    again after a scan that is not cut. So a run that enters or leaves a
+    face only a few times costs some numpy passes per block, and one
+    whose active set changes every episode a float step per episode.
     """
-    horizon = count.shape[1]
-    agents, gradient = range(game.num_agents), game.gradient_line
-    lower, upper, x = lower.tolist(), upper.tolist(), x.tolist()
-    path = np.empty((horizon, len(agents)))
-    chunk = min(_FLOAT_PLAY_CHUNK, max(1, horizon // 4))
-    for a in range(0, horizon, chunk):
-        b = a + chunk
-        tails = [
-            zip(count[i, a:b].tolist(), total[i, a:b].tolist(), denoms[i, a:b].tolist())
-            for i in agents
-        ]
-        played = []
-        for episode in zip(*tails):
-            played += x
-            step = []
-            # simultaneous play: all updates use the same joint action
-            for i in agents:
-                k, tail, d = episode[i]
-                g0, g1 = gradient(i, x)
-                v = x[i] - eta * ((k * g0 + g1 * tail) / d)
-                # np.clip(v, lower, upper) as the replay steps, since no
-                # games.Box bound is -0.0
-                step.append(lower[i] if v < lower[i] else upper[i] if v > upper[i] else v)
-            x = step
-        path[a:b] = np.reshape(played, (-1, len(agents)))
+    agents, horizon = count.shape
+    coefficients = [game.gradient_coefficients(i) for i in range(agents)]
+    # (a0, A, b0, B): each agent's coefficients, one row per agent
+    lines = [np.array(part, dtype=np.float64) for part in zip(*((*g0, *g1) for g0, g1 in coefficients))]
+    terms = [
+        (a0, [(j, c) for j, c in enumerate(a) if c], b0, [(j, c) for j, c in enumerate(b) if c])
+        for (a0, a), (b0, b) in coefficients
+    ]
+    bounds = list(zip(lower.tolist(), upper.tolist()))
+    tol = _DRIFT * np.maximum(np.abs(lower), np.abs(upper))
+    path = np.empty((horizon, agents))
+    path[0] = x
+    # the first steps are float steps, which give the first scan its active set
+    code, run, wait = None, 0, 1
+    start = 0
+    while start < horizon - 1:
+        stop = min(start + min(_SCAN_BLOCK, max(_FIRST_BLOCK, start)), horizon - 1)
+        t = start
+        while t < stop:
+            tails = (count[:, t:stop], total[:, t:stop], denoms[:, t:stop])
+            out = path[t + 1 : stop + 1]
+            if run < wait:
+                steps, code, run = _float_steps(terms, tails, path[t].tolist(), eta, code, run, wait, bounds, out)
+            else:
+                steps, code, cut = _scan(lines, tails, path[t], eta, code, lower, upper, tol, out)
+                run, wait = (0, max(1, 2 * wait)) if cut else (run, 0)
+            t += steps
+        start = stop
     return path
 
 
@@ -292,16 +470,15 @@ def _run(
     """One run of ``algorithm``, "algorithm1" or "unbiased-fo", on the rank engine.
 
     Per agent, a ``_rank_tails`` pass gives Algorithm 1's tails, two
-    ``_window_sums`` the baseline's. ``_play`` plays the run in Python
-    floats; the tail arrays are freed before the VaRs are read off it.
+    ``_window_sums`` the baseline's. ``_scan_play`` plays the run as a
+    blocked prefix scan of its affine steps; the tail arrays are freed
+    before the VaRs are read off it.
     """
     alphas, eta, x, lower, upper = _setup(game, alphas, horizon, eta, x0, window)
     num_agents = game.num_agents
     laws = [game.noise_distribution(i) for i in range(num_agents)]
     quantiles = np.array([law.var(alpha) for law, alpha in zip(laws, alphas)])
-    episodes = np.arange(1, horizon + 1)
-    spans = episodes if window is None else np.minimum(episodes, window)
-    denoms = spans * alphas[:, None]
+    denoms = np.minimum(np.arange(1, horizon + 1), window or horizon) * alphas[:, None]
     unbiased = algorithm == "unbiased-fo"
 
     # per agent and episode: tail size, tail sum and Algorithm 1's lowest tail draw
@@ -315,7 +492,7 @@ def _run(
             total[i] = _window_sums(np.where(tail, draws, 0.0), window)
         else:
             low[i], count[i], total[i] = _rank_tails(draws, alphas[i], window)
-    actions = _play(game, count, total, denoms, eta, x, lower, upper)
+    actions = _scan_play(game, count, total, denoms, eta, x, lower, upper)
     del count, total
 
     # the VaRs off the (agents, T) action path, one agent at a time

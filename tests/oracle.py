@@ -9,7 +9,8 @@ noise-decomposition structure that the convergence theory relies on, the
 plug-in (VaR, CVaR) of a raw sample, the Lemma-3 check drawn as one
 matrix, the binomial tail that check sums, in exact rational arithmetic
 and one log-term at a time, a plot's pixel text formatted one point at
-a time, and a curve's plot envelope read off a sort by y.
+a time, a curve's plot envelope read off a sort by y, and a run's play
+one float step at a time.
 """
 
 from __future__ import annotations
@@ -263,3 +264,29 @@ def envelope(column: np.ndarray, y: np.ndarray) -> np.ndarray:
     by_y = np.lexsort((y, column))
     keep[np.r_[starts, ends, by_y[starts], by_y[ends]]] = True
     return np.flatnonzero(keep)
+
+
+def float_play(game, count, total, denoms, eta, x, lower, upper) -> np.ndarray:
+    """``learning._scan_play`` one episode at a time, in Python floats; the (T, agents) action path.
+
+    ``count`` and ``total`` are the run's (agents, T) tail sizes and
+    tail sums, and ``denoms`` each agent's and episode's (t - start) *
+    alpha. Each episode calls ``gradient_line`` with an int agent and the
+    joint action as a list of floats, and clamps each coordinate to its
+    bound as ``np.clip`` does, since no ``games.Box`` bound is -0.0.
+    """
+    agents = range(game.num_agents)
+    lower, upper, x = lower.tolist(), upper.tolist(), x.tolist()
+    tails = [zip(count[i].tolist(), total[i].tolist(), denoms[i].tolist()) for i in agents]
+    played = []
+    for episode in zip(*tails):
+        played.append(x)
+        step = []
+        # simultaneous play: all updates use the same joint action
+        for i in agents:
+            k, tail, d = episode[i]
+            g0, g1 = game.gradient_line(i, x)
+            v = x[i] - eta * ((k * g0 + g1 * tail) / d)
+            step.append(lower[i] if v < lower[i] else upper[i] if v > upper[i] else v)
+        x = step
+    return np.array(played)

@@ -77,23 +77,23 @@ GOLDEN_BUNDLES = {
     "cournot": (
         {"game": "cournot", "T": 400, "trials": 2, "seed": 0},
         {
-            "trials/algorithm1-trial000.csv": "6df1efcfd1d03175dcbfa90f64ba56815c4877fe3aaa39ea3620930c8ff4c7d9",
-            "trials/algorithm1-trial001.csv": "1621da4d03f9726787263de6e7bbf3efcd26ef2d089a4cd3c090991f309f5f61",
-            "trials/unbiased-fo-trial000.csv": "6cbfa817e1dd3d447184cee28827abf4f3d3a1298566b9b9c52b40f7b3d83788",
-            "trials/unbiased-fo-trial001.csv": "d4fc8344e5d933f51481b2199997f758849e06a42788a70febb1a0c53db3451e",
-            "aggregate.csv": "9b441c6f9cb749fdad90c60b10fd8210b7dfee76468fcbc809d8dcd6f472d0ac",
-            "bounds.csv": "62b72392454b25ed7be4345ea654edea935f1a0d8083bdf6595cd8a4099e46bc",
+            "trials/algorithm1-trial000.csv": "4ac793acc41db99a56aac1ebc94396476272b475ce8c536d426b9ee6d4d613d3",
+            "trials/algorithm1-trial001.csv": "b20eb25f09ab5ebbb0b5f8d71af525751590202ecbc2bcddaf892cb25c393b8f",
+            "trials/unbiased-fo-trial000.csv": "3c7144a27e469dc7132fd909cbb79cd8a46ac8c29694c003335144a0b608fae3",
+            "trials/unbiased-fo-trial001.csv": "5db764a3e8cab45c3626b54342f933fa4c2b45eef14c102448750f898a3fb2a4",
+            "aggregate.csv": "06a63581df7b93193bde47a329eeb02bba86750a2236d3734deeecee39cf7210",
+            "bounds.csv": "86e16cdf057d66ed896258997f225861e2b997022ec356e42072a6cca3598c40",
         },
     ),
     "windowed": (
         {"game": "cournot", "T": 400, "trials": 2, "seed": 0, "window": 50},
         {
-            "trials/algorithm1-trial000.csv": "e612263bdf3d129124daa2f6763d00c21150d39ec4da9b6fa6006d937ef2c911",
-            "trials/algorithm1-trial001.csv": "1a20de2692e326cf29568f9966d123f865ff4ee6f04316ce66c9bbf6c838b6ab",
-            "trials/unbiased-fo-trial000.csv": "9cc0791c110f626ad40120977280c720640b60ad5da699791cdd95307637b99d",
-            "trials/unbiased-fo-trial001.csv": "e1c5fa493867327be73bf55ff9391507f38b137f9da54ac40a41bef70d588a49",
-            "aggregate.csv": "42f6ccf6ea84b88ee336b71f9cd096009391defca75a6af81406fb09bf6b2286",
-            "bounds.csv": "695da2e985354490adfc9e397acf5a3d8b085ee2f8f64c83d80f3116a6f4218b",
+            "trials/algorithm1-trial000.csv": "11a209c12a0ac15bb81b090c9c3255b510ef5171a01f2c8454d36420a5ef20aa",
+            "trials/algorithm1-trial001.csv": "c34d681ceb544a6e1318d9823ffde9220d649f0f068dc55fdc73e5b8bcb48802",
+            "trials/unbiased-fo-trial000.csv": "7d29f81decc0cd59eb7b972fe5231a5aefd4f6e21aa7893cf523057093cfd852",
+            "trials/unbiased-fo-trial001.csv": "e4b507f3d89482c32d610fbe800e727423f42e5feeff795337141038f816dae4",
+            "aggregate.csv": "36cb5c53e92ba703b385bc474e1b789288741c5510af55f8b2b5b4a023def438",
+            "bounds.csv": "4f77fda1a887eb36c3febba06acfcbe899c3ba21ca5c918129379df0066648a3",
         },
     ),
     "pinned": (
@@ -1008,7 +1008,8 @@ class TestBundle:
     def test_a_trial_peaks_within_34_floats_per_episode(self, algorithm, window):
         # a first run imports what the engine loads lazily, which is no trial's cost
         _run_trial(validate_config({"game": "cournot", "T": 2, "trials": 1}), ("algorithm1", 0))
-        # below T = 4096 the float play's chunk is a quarter of the run
+        # at T = 300 the play's largest scan block is 128 episodes: blocks
+        # never outgrow the play before them, so a short run's cap holds too
         for horizon in (5000, 300):
             # per episode: up to 24 float64s for the run being played and
             # 5 per agent for the trace it returns

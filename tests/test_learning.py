@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -25,7 +27,7 @@ from riskgames.learning import (
     unbiased_cvar_gradient,
 )
 
-from oracle import exact_risk_averse_gradient
+from oracle import exact_risk_averse_gradient, float_play
 
 GAME = CournotGame()
 ALPHAS = (0.4, 0.8)
@@ -55,8 +57,9 @@ class NegativeSlopeGame(AffineNoiseGame):
     def cost_line(self, agent, x):
         return x[agent], -x[agent]
 
-    def gradient_line(self, agent, x):
-        return 1.0, -1.0
+    def gradient_coefficients(self, agent):
+        # the gradient line (1, -1) at every x
+        return (1.0, (0.0, 0.0)), (-1.0, (0.0, 0.0))
 
 
 class LateNegativeSlopeGame(NegativeSlopeGame):
@@ -66,15 +69,17 @@ class LateNegativeSlopeGame(NegativeSlopeGame):
     def cost_line(self, agent, x):
         return x[agent], x[agent] - 0.45 * agent
 
-    def gradient_line(self, agent, x):
-        return 1.0, 1.0
+    def gradient_coefficients(self, agent):
+        # the gradient line (1, 1) at every x
+        return (1.0, (0.0, 0.0)), (1.0, (0.0, 0.0))
 
 
 class IntAgentCournotGame(CournotGame):
-    """Cournot, but each line refuses an agent that is not a Python int and counts its calls."""
+    """Cournot, but each line and the gradient coefficients refuse an agent that is
+    not a Python int and count their calls."""
 
     def __init__(self):
-        self.calls = {"cost_line": 0, "gradient_line": 0}
+        self.calls = {"cost_line": 0, "gradient_coefficients": 0, "gradient_line": 0}
 
     def _ask(self, line, agent):
         if type(agent) is not int:
@@ -84,6 +89,10 @@ class IntAgentCournotGame(CournotGame):
     def cost_line(self, agent, x):
         self._ask("cost_line", agent)
         return super().cost_line(agent, x)
+
+    def gradient_coefficients(self, agent):
+        self._ask("gradient_coefficients", agent)
+        return super().gradient_coefficients(agent)
 
     def gradient_line(self, agent, x):
         self._ask("gradient_line", agent)
@@ -384,14 +393,15 @@ class TestRunLoop:
     def test_lines_are_asked_for_one_int_agent_at_a_time(self):
         # the game contract has one calling convention: an int agent, never
         # an array of agents, in the play, the VaR read-off and the Lemma-4
-        # constants; the play asks only for the gradient line, once per agent
-        # and episode, and the read-off only for the cost line, once per agent
+        # constants; the play asks only for the gradient coefficients, once
+        # per agent and run, and never for a gradient line, and the read-off
+        # only for the cost line, once per agent
         plain = CournotGame()
         for run in (run_algorithm1, run_unbiased_baseline):
             for window in (None, 7):
                 strict = IntAgentCournotGame()
                 got = run(strict, ALPHAS, 60, seed=9, window=window)
-                assert strict.calls == {"cost_line": 2, "gradient_line": 2 * 60}
+                assert strict.calls == {"cost_line": 2, "gradient_coefficients": 2, "gradient_line": 0}
                 want = run(plain, ALPHAS, 60, seed=9, window=window)
                 for field in ("actions", "nu", "nu_star", "err_sq"):
                     assert np.array_equal(getattr(got, field), getattr(want, field)), field
@@ -737,6 +747,217 @@ class TestSortedPathMatchesReplay:
         game = CountingCournotGame()
         run_unbiased_baseline(game, ALPHAS, 25, seed=0)
         assert game.exact_var_calls == 0
+
+
+def scanned_play(game, alphas, horizon, eta, x0, window, seed, algorithm):
+    """One run's action path and the arguments ``_run`` passed ``_scan_play`` for it."""
+    with mock.patch.object(learning, "_scan_play", wraps=learning._scan_play) as play:
+        trace = _run(game, alphas, horizon, eta, x0, window, seed, algorithm)
+    assert play.call_count == 1
+    return trace.actions, play.call_args.args
+
+
+def observe_blocks(game, alphas, horizon, eta, x0, window, seed, algorithm):
+    """The scan's outcomes in one run: (steps played, cut) per ``_scan`` call, and the float steps."""
+    scans, floats = [], []
+
+    def scan(*args, scan=learning._scan):
+        steps, code, cut = scan(*args)
+        scans.append((steps, cut))
+        return steps, code, cut
+
+    def float_steps(*args, float_steps=learning._float_steps):
+        steps, code, run = float_steps(*args)
+        floats.append(steps)
+        return steps, code, run
+
+    with mock.patch.object(learning, "_scan", scan), mock.patch.object(learning, "_float_steps", float_steps):
+        _run(game, alphas, horizon, eta, x0, window, seed, algorithm)
+    return scans, sum(floats)
+
+
+class TestScanMatchesFloatPlay:
+    """The scan play equals the float play, one Python-float step per episode, on the same tails."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        kind=st.sampled_from(["cournot", "counterexample"]),
+        params=st.tuples(*[st.floats(0.5, 2.0)] * 2, st.floats(-1.0, 1.0), st.floats(0.5, 2.0)),
+        alphas=st.tuples(*[st.one_of(st.just(1.0), st.floats(0.05, 1.0))] * 2),
+        horizon=st.integers(1, learning._SCAN_BLOCK + 80),
+        window_kind=st.sampled_from([None, "one", "shorter", "covering"]),
+        pinned=st.booleans(),
+        # the centre, faces the first step clips back to, faces that hold, and inside
+        x0=st.one_of(
+            st.none(),
+            st.tuples(*[st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))] * 2),
+        ),
+        seed=st.integers(0, 2**32 - 1),
+        algorithm=st.sampled_from(ALGORITHMS),
+    )
+    # interior steps of 5 multiply their values by up to 9 and bounce both
+    # firms between the faces (0, 0) and (1, 1): a restart each episode
+    @example(
+        kind="cournot",
+        params=(1.0, 1.0, 0.0, 1.0),
+        alphas=(1.0, 0.4),
+        horizon=2000,
+        window_kind=None,
+        pinned=True,
+        x0=None,
+        seed=0,
+        algorithm="algorithm1",
+    )
+    # agent 0 leaves and re-enters its face x_0 = 0 as x_1 nears b / 2, where
+    # its CVaR gradient vanishes at alpha = 0.5
+    @example(
+        kind="counterexample",
+        params=(1.0, 1.0, 0.0, 1.0),
+        alphas=(0.5, 0.5),
+        horizon=5000,
+        window_kind=None,
+        pinned=False,
+        x0=(0.0, 1.0),
+        seed=0,
+        algorithm="unbiased-fo",
+    )
+    @example(
+        kind="counterexample",
+        params=(1.0, 1.0, 0.0, 1.0),
+        alphas=(0.5, 0.5),
+        horizon=5000,
+        window_kind=None,
+        pinned=False,
+        x0=(0.0, 1.0),
+        seed=0,
+        algorithm="algorithm1",
+    )
+    # the smallest risk levels, from a face each: slow steps off both faces
+    @example(
+        kind="cournot",
+        params=(1.0, 1.0, 0.0, 1.0),
+        alphas=(0.05, 0.05),
+        horizon=3000,
+        window_kind=None,
+        pinned=False,
+        x0=(0.0, 1.0),
+        seed=0,
+        algorithm="algorithm1",
+    )
+    # a run that ends one step before, at and one step after a block's last step
+    @example(
+        kind="cournot",
+        params=(1.0, 1.0, 0.0, 1.0),
+        alphas=(0.4, 0.8),
+        horizon=learning._SCAN_BLOCK,
+        window_kind=None,
+        pinned=False,
+        x0=None,
+        seed=3,
+        algorithm="algorithm1",
+    )
+    @example(
+        kind="cournot",
+        params=(1.0, 1.0, 0.0, 1.0),
+        alphas=(0.4, 0.8),
+        horizon=learning._SCAN_BLOCK + 1,
+        window_kind=None,
+        pinned=False,
+        x0=None,
+        seed=3,
+        algorithm="unbiased-fo",
+    )
+    @example(
+        kind="counterexample",
+        params=(1.0, 1.0, 0.0, 1.0),
+        alphas=(0.6, 1.0),
+        horizon=learning._SCAN_BLOCK + 2,
+        window_kind=None,
+        pinned=False,
+        x0=None,
+        seed=3,
+        algorithm="algorithm1",
+    )
+    # a sliding window: the tails evict as well as grow
+    @example(
+        kind="cournot",
+        params=(1.0, 1.0, 0.0, 1.0),
+        alphas=(0.4, 0.8),
+        horizon=3000,
+        window_kind="shorter",
+        pinned=False,
+        x0=(1.0, 0.0),
+        seed=5,
+        algorithm="algorithm1",
+    )
+    def test_equivalence(self, kind, params, alphas, horizon, window_kind, pinned, x0, seed, algorithm):
+        game = built_in_game(kind, params)
+        x0 = None if x0 is None else np.asarray(x0) * game.action_sets[0].upper
+        window = {None: None, "one": 1, "shorter": max(1, horizon // 3), "covering": horizon + 1}[window_kind]
+        eta = 5.0 if pinned else None
+        scanned, args = scanned_play(game, alphas, horizon, eta, x0, window, seed, algorithm)
+        floats = float_play(*args)
+        assert scanned.shape == floats.shape == (horizon, 2)
+        assert np.array_equal(scanned[0], floats[0])
+        if eta is None:
+            assert np.max(np.abs(scanned - floats)) <= 1e-12
+            return
+        # a step of 5 multiplies a rounding gap between two paths by up to
+        # about 12 at each interior step, so there each step is checked
+        # alone: the float play's step from the scan's own iterate
+        _, count, total, denoms, eta, _, lower, upper = args
+        for t in range(horizon - 1):
+            tails = (a[:, t : t + 2] for a in (count, total, denoms))
+            step = float_play(game, *tails, eta, scanned[t], lower, upper)[1]
+            assert np.max(np.abs(scanned[t + 1] - step)) <= 1e-12
+
+    def test_examples_restart(self):
+        # the face-leaving counterexample above is cut and restarted, and the
+        # bouncing Cournot run takes only float steps, never a scan
+        game = QuadraticCounterexampleGame()
+        scans, floats = observe_blocks(game, (0.5, 0.5), 5000, None, np.array([0.0, 1.0]), None, 0, "unbiased-fo")
+        assert sum(cut for _, cut in scans) >= 10
+        assert sum(steps for steps, _ in scans) + floats == 4999
+        scans, floats = observe_blocks(CournotGame(), (1.0, 0.4), 2000, 5.0, None, None, 0, "algorithm1")
+        assert scans == [] and floats == 1999
+
+    def test_interior_run_scans_whole_blocks(self):
+        # the auto step from the centre never leaves the box: two float steps
+        # give the first scan its active set, and every block after is one scan
+        scans, floats = observe_blocks(GAME, ALPHAS, 5000, None, None, None, 0, "algorithm1")
+        assert floats == 2
+        assert not any(cut for _, cut in scans)
+        assert [steps for steps, _ in scans] == [62, 64, 128, 256, 512, 1024, 1024, 1024, 903]
+
+    @staticmethod
+    def scan(a0, A, x, size):
+        """``_scan`` on the Cournot box at a step of 1, with k = d = 1 and S = 0: the maps x -> x - a0 - A x."""
+        lines = [np.array(a0), np.array(A), np.zeros(2), np.zeros((2, 2))]
+        tails = (np.ones((2, size)), np.zeros((2, size)), np.ones((2, size)))
+        out = np.full((size, 2), -1.0)
+        lower, upper, tol = np.zeros(2), np.ones(2), np.full(2, learning._DRIFT)
+        steps, code, cut = learning._scan(lines, tails, np.array(x), 1.0, [0, 0], lower, upper, tol, out)
+        return steps, code, cut, out[:steps]
+
+    def test_free_coordinate_leaving_the_box_is_cut_there(self):
+        # agent 0 steps up by 2^-50 from 1 - 3 * 2^-50: its fourth step leaves
+        # the box by less than the drift tolerance, so only the active-set
+        # check cuts it, and the restart is the float step's clip to 1
+        delta = 2.0**-50
+        assert delta < learning._DRIFT
+        steps, code, cut, out = self.scan([-delta, 0.0], [[0.0, 0.0], [0.0, 0.0]], [1.0 - 3 * delta, 0.5], 8)
+        assert (steps, code, cut) == (4, [1, 0], True)
+        assert out[:, 0].tolist() == [1.0 - 2 * delta, 1.0 - delta, 1.0, 1.0]
+        assert np.all(out[:, 1] == 0.5)
+
+    def test_overflowing_composition_is_cut(self):
+        # agent 0's maps multiply by 1e10 about its fixed point 0, where it
+        # sits, and agent 1's halve about 0.5: every step keeps (0, 0.5), but
+        # the composed maps overflow past 30 steps, and inf * 0 is NaN
+        steps, code, cut, out = self.scan([0.0, -0.25], [[1.0 - 1e10, 0.0], [0.0, 0.5]], [0.0, 0.5], 64)
+        assert cut and 30 <= steps < 64
+        assert code == [0, 0]
+        assert np.array_equal(out, np.tile([0.0, 0.5], (steps, 1)))
 
 
 class TestBiasDecay:
