@@ -8,7 +8,7 @@ Subcommands:
 
 A run executes every configured algorithm for the configured number of
 trials (seeds split deterministically from the master seed) and writes
-a bundle, one directory of these files:
+a bundle to ``--out`` (default ``./out``), one directory of these files:
 
     trials/<alg>-trialNNN.csv  the trace of <alg>'s trial NNN: ``run`` writes, ``report`` reads
     aggregate.csv              mean and std error per algorithm: ``run`` writes
@@ -16,6 +16,7 @@ a bundle, one directory of these files:
     bounds.csv                 the bound rows: ``run`` writes, ``report`` rewrites
     config.yaml                the resolved config: ``run`` writes, ``report`` reads
 
+``config.yaml`` is written last, so a directory without it is no bundle.
 A game with no unique equilibrium has no ``aggregate.csv`` or
 ``convergence.svg``. Re-running an identical config byte-reproduces the
 CSVs. The trial and aggregate CSVs hold only finite numbers, in orjson's
@@ -76,7 +77,7 @@ _GAMES = {cls.name: cls for cls in (CournotGame, QuadraticCounterexampleGame)}
 _GAME_PARAMS = {name: tuple(f.name for f in fields(cls)) for name, cls in _GAMES.items()}
 
 _CONFIG_KEYS = {
-    "game", "alphas", "T", "trials", "seed", "eta", "algorithms", "window", "edf", "x0", "out_dir"
+    "game", "alphas", "T", "trials", "seed", "eta", "algorithms", "window", "edf", "x0"
 }
 _KNOWN_KEYS = _CONFIG_KEYS.union(*_GAME_PARAMS.values())
 
@@ -103,7 +104,6 @@ class ExperimentConfig:
     algorithms: tuple[str, ...]
     window: int | None
     x0: tuple[float, ...]
-    out_dir: str | None
 
 
 def _require(condition: bool, message: str):
@@ -134,7 +134,8 @@ def validate_config(raw: dict) -> ExperimentConfig:
     exact EDF, and, from the selected game's class, its risk levels
     ``default_alphas`` and x0 at the centre of its ``bounds``. A game's
     parameters are its dataclass fields, and the config holds the game
-    built from them. Unknown keys are rejected.
+    built from them. Unknown keys are rejected, ``out_dir`` among them:
+    the bundle's directory is an argument of the run, not of its recipe.
     """
     _require(isinstance(raw, dict), f"config: expected a mapping, got {type(raw).__name__}")
     unknown = set(raw) - _KNOWN_KEYS
@@ -208,10 +209,6 @@ def validate_config(raw: dict) -> ExperimentConfig:
     else:
         x0 = tuple((0.5 * np.add(*game.bounds)).tolist())
 
-    out_dir = raw.get("out_dir")
-    if out_dir is not None:
-        _require(isinstance(out_dir, str) and out_dir, f"out_dir: expected a nonempty string, got {out_dir!r}")
-
     return ExperimentConfig(
         game=game,
         alphas=tuple(checked),
@@ -222,7 +219,6 @@ def validate_config(raw: dict) -> ExperimentConfig:
         algorithms=tuple(algorithms),
         window=window,
         x0=x0,
-        out_dir=out_dir,
     )
 
 
@@ -280,8 +276,6 @@ def resolved_document(config: ExperimentConfig) -> dict:
     }
     for field in fields(config.game):
         doc[field.name] = getattr(config.game, field.name)
-    if config.out_dir is not None:
-        doc["out_dir"] = config.out_dir
     return doc
 
 
@@ -702,11 +696,11 @@ def write_report_csv(reports: list[BoundReport], path) -> None:
 
 def run_experiment(
     config: ExperimentConfig,
-    out_dir: str | None = None,
+    out_dir: str,
     workers: int = 1,
     progress=None,
 ) -> OutputBundle:
-    """Execute all configured trials and write the output bundle.
+    """Execute all configured trials and write their bundle in ``out_dir``.
 
     Each (algorithm, trial) pair is one ``run_algorithm1`` or
     ``run_unbiased_baseline`` call. The run starts min(``workers``, usable
@@ -727,13 +721,14 @@ def run_experiment(
     ``convergence.svg`` of a game it plots none for, would leave a bundle
     that contradicts its config; the first such file, trial files first,
     is a ``FileExistsError``, raised before any trial runs or any file is
-    written.
+    written. Otherwise the earlier ``config.yaml`` is removed before the
+    first trial file is written and the new one written last, so a run
+    that ends early leaves no bundle that ``report`` reads.
     """
     if not isinstance(workers, numbers.Integral) or isinstance(workers, bool):
         raise ValueError(f"workers: expected an integer, got {workers!r}")
     if workers < 1:
         raise ValueError(f"workers: must be >= 1, got {workers}")
-    out_dir = out_dir or config.out_dir or "out"
     trials_dir = os.path.join(out_dir, "trials")
     columns, paths, stale = _trial_files(config.algorithms, config.trials, trials_dir)
     aggregate_csv, plot_svg = (os.path.join(out_dir, name) for name in ("aggregate.csv", "convergence.svg"))
@@ -746,6 +741,9 @@ def run_experiment(
             "remove it or choose another output directory"
         )
     os.makedirs(trials_dir, exist_ok=True)
+    config_yaml = os.path.join(out_dir, "config.yaml")
+    if os.path.lexists(config_yaml):
+        os.remove(config_yaml)
 
     def say(msg):
         if progress is not None:
@@ -777,7 +775,6 @@ def run_experiment(
     bounds_csv = os.path.join(out_dir, "bounds.csv")
     write_report_csv(reports, bounds_csv)
 
-    config_yaml = os.path.join(out_dir, "config.yaml")
     with open(config_yaml, "w", encoding="utf-8", newline="\n") as fh:
         yaml.safe_dump(resolved_document(config), fh, sort_keys=False)
     say(f"wrote {bounds_csv} and {config_yaml}")
@@ -810,7 +807,7 @@ def main(argv=None) -> int:
 
     p_run = sub.add_parser("run", help="run an experiment from a config file")
     p_run.add_argument("--config", required=True)
-    p_run.add_argument("--out", default=None, help="output directory (default: config out_dir or ./out)")
+    p_run.add_argument("--out", default="out", help="directory the bundle is written to (default: ./out)")
     p_run.add_argument("--workers", type=int, default=1)
     p_run.add_argument("--strict", action="store_true", help="exit nonzero if any bound report fails")
 
@@ -824,6 +821,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "run" and args.workers < 1:
         p_run.error(f"argument --workers: must be >= 1, got {args.workers}")
+    if args.command == "run" and not args.out:  # an unset shell variable would write into the working directory
+        p_run.error("argument --out: expected a nonempty path")
 
     try:
         if args.command == "validate":
@@ -833,9 +832,7 @@ def main(argv=None) -> int:
 
         if args.command == "run":
             config = load_config(args.config)
-            bundle = run_experiment(
-                config, out_dir=args.out, workers=args.workers, progress=sys.stderr
-            )
+            bundle = run_experiment(config, args.out, workers=args.workers, progress=sys.stderr)
             for rep in bundle.reports:
                 print(rep, file=sys.stderr)
             if args.strict and not _all_passed(bundle.reports):

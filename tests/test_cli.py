@@ -355,8 +355,9 @@ class TestValidateConfig:
             # keys of two types used to crash sorting them; the first by text is named
             ({"game": "cournot", "T": 10, 1: 2, "foo": 3}, "config: unknown key 1"),
             ({"game": "cournot", "T": 10, "foo": 3, "bar": 4}, "config: unknown key 'bar'"),
-            # an empty out_dir would run into ./out and record out_dir: ''
+            # the bundle's directory is the run's argument, not a config key
             ({"game": "cournot", "T": 10, "out_dir": ""}, "out_dir"),
+            ({"game": "cournot", "T": 10, "out_dir": "results"}, "config: unknown key 'out_dir'"),
         ],
     )
     def test_rejections_name_the_field(self, raw, fragment):
@@ -1009,8 +1010,10 @@ class TestBundle:
         # a first run imports what the engine loads lazily, which is no trial's cost
         _run_trial(validate_config({"game": "cournot", "T": 2, "trials": 1}), ("algorithm1", 0))
         # at T = 300 the play's largest scan block is 128 episodes: blocks
-        # never outgrow the play before them, so a short run's cap holds too
-        for horizon in (5000, 300):
+        # never outgrow the play before them, so a short run's cap holds too;
+        # T = 150 is the floor: below it the fixed costs (the generators, the
+        # first 64-step block) no longer fit, and T = 140 peaks above the cap
+        for horizon in (5000, 300, 150):
             # per episode: up to 24 float64s for the run being played and
             # 5 per agent for the trace it returns
             cap = 8 * horizon * (24 + 5 * 2)
@@ -1089,6 +1092,25 @@ class TestBundle:
         # the same config again overwrites its own bundle
         run_experiment(validate_config(dict(first)), out_dir=str(tmp_path))
         assert main(["report", "--bundle", str(tmp_path)]) == 0
+
+    def test_an_interrupted_rerun_leaves_no_bundle(self, tmp_path, monkeypatch, capsys):
+        # a re-run that ends after its first trial file must not leave the
+        # earlier config.yaml beside trial files of two seeds: report refuses
+        run_experiment(validate_config(dict(SMALL_RAW)), out_dir=str(tmp_path))
+        written = []
+
+        def refuse(trace, path):
+            written.append(path)
+            if len(written) == 2:
+                raise OSError(f"cannot write {path}")
+            write_trace_csv(trace, path)
+
+        monkeypatch.setattr(cli, "write_trace_csv", refuse)
+        with pytest.raises(OSError, match="cannot write"):
+            run_experiment(validate_config({**SMALL_RAW, "seed": 6}), out_dir=str(tmp_path))
+        assert not (tmp_path / "config.yaml").exists()
+        assert main(["report", "--bundle", str(tmp_path)]) == 2
+        assert str(tmp_path / "config.yaml") in capsys.readouterr().err
 
     def test_counterexample_bundle_has_lemma4_rows(self, tmp_path):
         cfg = validate_config(
@@ -1398,6 +1420,29 @@ class TestMain:
         path.write_bytes(b"game: cournot\nT: 10\nout_dir: caf\xe9\n")
         assert main(["validate", "--config", str(path)]) == 2
         assert "error: config: not UTF-8 text" in capsys.readouterr().err
+
+    def test_run_writes_to_out_by_default(self, tmp_path, monkeypatch):
+        path = write_config(tmp_path, SMALL_RAW)
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", "--config", path]) == 0
+        assert load_config(tmp_path / "out" / "config.yaml") == validate_config(dict(SMALL_RAW))
+        assert main(["report", "--bundle", "out"]) == 0
+
+    def test_run_refuses_an_empty_out(self, tmp_path, monkeypatch, capsys):
+        path = write_config(tmp_path, SMALL_RAW)
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--config", path, "--out", ""])
+        assert exc.value.code == 2
+        assert "argument --out: expected a nonempty path" in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == ["config.yaml"]
+
+    def test_a_config_naming_out_dir_is_refused(self, tmp_path, capsys):
+        # a config, or an old bundle's config.yaml, that names the key: exit 2, nothing written
+        path = write_config(tmp_path, {**SMALL_RAW, "out_dir": str(tmp_path / "a")})
+        assert main(["run", "--config", path, "--out", str(tmp_path / "b")]) == 2
+        assert "error: config: unknown key 'out_dir'" in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == ["config.yaml"]
 
     def test_missing_file(self, capsys):
         assert main(["validate", "--config", "/nonexistent/cfg.yaml"]) == 2
